@@ -1,15 +1,18 @@
 """Flat dotted-key experiment configuration with strict validation.
 
 Config files are UTF-8 text, one `key = value` per line, `#` comments and
-blank lines allowed. Every key must be recognized; unknown keys are errors
-rather than silently ignored, so typos cannot corrupt an experiment. The
-parsed config snapshots to canonical key/value text that re-parses to an
-equal config, which is what the run manifest stores.
+blank lines allowed; `#` starts a comment only at the start of a line or
+after whitespace, so a value like `data/run#3.tsv` keeps it. Every key must
+be recognized; unknown keys are errors rather than silently ignored, so
+typos cannot corrupt an experiment. The parsed config snapshots to
+canonical key/value text that re-parses to an equal config, which is what
+the run manifest stores.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,7 +53,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     keys override earlier ones."""
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -219,6 +222,8 @@ def build_config(pairs: dict[str, str]) -> ExperimentConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"rerank.*: {exc}") from None
+    if rerank.k < 2:
+        raise ConfigError(f"rerank.k: must be >= 2 (diversity needs item pairs), got {rerank.k}")
 
     formats = defaults.formats
     if get("report.formats") is not None:

@@ -304,8 +304,8 @@ def distinct_user_counts(inter: Interactions, num_items: int) -> np.ndarray:
     length num_items. Robust to duplicate (user, item) pairs."""
     if len(inter) == 0:
         return np.zeros(num_items, dtype=np.int64)
-    pairs = np.unique(np.column_stack([inter.items, inter.users]), axis=0)
-    return np.bincount(pairs[:, 0], minlength=num_items).astype(np.int64)
+    pairs = np.unique(inter.items.astype(np.int64) * inter.num_users + inter.users)
+    return np.bincount(pairs // inter.num_users, minlength=num_items).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .dataset import (
     write_split_files,
 )
 from .metrics import evaluate_all, judgments_from_interactions
-from .rerank import RecommendationLists, RerankConfig, adjusted_scores, rerank_exact, write_lists
+from .rerank import RecommendationLists, RerankConfig, rerank_exact, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores
 from .util import atomic_write_text, sha256_file
@@ -162,7 +162,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str, threads: int = 1)
 
     judgments = judgments_from_interactions(artifacts.split.test)
     rows: list[ReportRow] = []
-    pending_lists: list[tuple[Path, RecommendationLists, ScoreMatrix, ScoreMatrix]] = []
+    pending_lists: list[tuple[Path, RecommendationLists, ScoreMatrix, float]] = []
 
     for name in cfg.scorers:
         raw = clock.run(f"score[{name}]", _score_one, cfg, name, artifacts, threads)
@@ -188,12 +188,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str, threads: int = 1)
                 cfg.rerank.k,
             )
             rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=report))
-            adjusted = adjusted_scores(scored, artifacts.partition, lam, cfg.rerank.per_user_lambda)
-            pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, scored, adjusted))
+            pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, scored, lam))
 
     # all stages succeeded; now write the list files and reports
-    for path, lists, scored, adjusted in pending_lists:
-        files[path.stem] = write_lists(path, lists, ds, artifacts.partition, scored, adjusted)
+    for path, lists, scored, lam in pending_lists:
+        files[path.stem] = write_lists(path, lists, ds, artifacts.partition, scored, lam, cfg.rerank.per_user_lambda)
     renderers = {"csv": render_csv, "json": render_json, "md": render_markdown}
     for fmt_name in cfg.formats:
         files[f"report_{fmt_name}"] = atomic_write_text(

@@ -163,9 +163,14 @@ def adjusted_scores(
         raise ValueError("partition length does not match score matrix width")
     if lam == 0.0:
         return ScoreMatrix(matrix.values.copy(), masked_seen=matrix.masked_seen)
-    delta = lam if per_user_lambda else lam / matrix.num_users
-    shift = np.where(part.short_head, -delta, delta)
+    shift = _fairness_shift(part, lam, matrix.num_users, per_user_lambda)
     return ScoreMatrix(matrix.values + shift, masked_seen=matrix.masked_seen)
+
+
+def _fairness_shift(part: PopularityPartition, lam: float, num_users: int, per_user_lambda: bool) -> np.ndarray:
+    """Per-item score shift: -delta for short-head items, +delta for long-tail."""
+    delta = lam if per_user_lambda else lam / num_users
+    return np.where(part.short_head, -delta, delta)
 
 
 def _selection_order(s_row: np.ndarray, r_row: np.ndarray, tie_break: str) -> np.ndarray:
@@ -327,24 +332,20 @@ def write_lists(
     ds: Dataset,
     part: PopularityPartition,
     original: ScoreMatrix,
-    adjusted: ScoreMatrix,
+    lam: float,
+    per_user_lambda: bool,
 ) -> Path:
     """Write per-user list lines:
-    user_key<TAB>rank<TAB>item_key<TAB>original_score<TAB>adjusted_score<TAB>{short|long}."""
-    lines = []
-    for u in range(lists.num_users):
-        for rank, item in enumerate(lists.items[u].tolist(), start=1):
-            group = "short" if part.short_head[item] else "long"
-            lines.append(
-                "\t".join(
-                    (
-                        ds.user_keys[u],
-                        str(rank),
-                        ds.item_keys[item],
-                        format(original.values[u, item], ".10g"),
-                        format(adjusted.values[u, item], ".10g"),
-                        group,
-                    )
-                )
-            )
+    user_key<TAB>rank<TAB>item_key<TAB>original_score<TAB>adjusted_score<TAB>{short|long}.
+    The adjusted score is the original plus the shift `adjusted_scores`
+    applies, bit for bit, and the original itself at lam 0 (so -0.0 stays)."""
+    items = lists.items
+    scores = np.take_along_axis(original.values, items, axis=1)
+    adjusted = scores + _fairness_shift(part, lam, original.num_users, per_user_lambda)[items] if lam else scores
+    flat = items.ravel()
+    keys = np.asarray(ds.item_keys, dtype=object)[flat].tolist()
+    groups = np.where(part.short_head[flat], "short", "long").tolist()
+    prefixes = [f"{user}\t{rank}\t" for user in ds.user_keys[: lists.num_users] for rank in range(1, lists.k + 1)]
+    line = "{}{}\t{:.10g}\t{:.10g}\t{}".format
+    lines = map(line, prefixes, keys, scores.ravel().tolist(), adjusted.ravel().tolist(), groups)
     return atomic_write_text(path, "\n".join(lines) + "\n")

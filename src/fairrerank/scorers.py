@@ -262,15 +262,20 @@ def read_scores(path: Path | str, ds: Dataset, fill: float = 0.0, delimiter: str
 
 
 def write_scores(path: Path | str, matrix: ScoreMatrix, ds: Dataset, delimiter: str = "\t") -> Path:
-    """Export a score matrix as one "user item score" triple per cell.
-    Sentinel (masked/absent) cells are omitted; they re-import as fill."""
-    lines = []
-    for u in range(matrix.num_users):
-        row = matrix.values[u]
-        for i in range(matrix.num_items):
-            if math.isfinite(row[i]):
-                lines.append(delimiter.join((ds.user_keys[u], ds.item_keys[i], repr(float(row[i])))))
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    """Export a score matrix as one "user item score" line per finite cell,
+    the score in shortest round-trip repr; masked cells are left out and
+    re-import as fill. A row bytewise equal to the previous one (0.0 and
+    -0.0 compare equal but print differently) reuses its formatted tails."""
+    cells = [delimiter + key + delimiter for key in ds.item_keys]
+    chunks, prev, tails = [], None, []
+    for u, row in enumerate(matrix.values):
+        raw = row.tobytes()
+        if raw != prev:
+            prev, keep = raw, np.flatnonzero(np.isfinite(row))
+            tails = [cells[i] + r for i, r in zip(keep.tolist(), map(repr, row[keep].tolist()))]
+        if tails:
+            chunks.append(ds.user_keys[u] + ("\n" + ds.user_keys[u]).join(tails))
+    return atomic_write_text(path, "\n".join(chunks) + "\n")
 
 
 def mask_seen(matrix: ScoreMatrix, train: Interactions) -> ScoreMatrix:

@@ -46,6 +46,17 @@ class TestConfigParsing:
         pairs = parse_config_text("# hi\n\nrerank.k = 3  # trailing\n")
         assert pairs == {"rerank.k": "3"}
 
+    def test_hash_inside_value_is_kept(self):
+        pairs = parse_config_text("input.path = data/run#3.tsv\nscorer.names = mf\t# tab comment\n#k = v\n")
+        assert pairs == {"input.path": "data/run#3.tsv", "scorer.names": "mf"}
+
+    def test_input_path_containing_hash_loads(self, tmp_path):
+        data = tmp_path / "run#3.tsv"
+        write_zipf_dataset(data, 10, 8, 1.0, per_user=4, seed=1)
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text(f"input.path = {data}  # the third run\n")
+        assert load_config(cfg_file).input_path == str(data)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: rernk.k"):
             build_config({"rernk.k": "3"})
@@ -287,6 +298,11 @@ class TestExitCodes:
         # k larger than the catalog fails inside the rerank stage
         config, _ = demo
         assert main(["run", "--config", str(config), "--set", "rerank.k=500"]) == 2
+
+    def test_single_item_lists_rejected_at_config_time(self, demo, capsys):
+        config, _ = demo
+        assert main(["run", "--config", str(config), "--set", "rerank.k=1"]) == 1
+        assert "rerank.k" in capsys.readouterr().err
 
     def test_bad_usage_is_validation_error(self):
         assert main(["run"]) == 1

@@ -195,6 +195,14 @@ class TestPartitionPopularity:
         counts = distinct_user_counts(train, 2)
         assert counts.tolist() == [1, 2]
 
+    def test_counts_ignore_duplicate_pairs(self):
+        rng = np.random.default_rng(4)
+        users = rng.integers(0, 7, 60)
+        items = rng.integers(0, 9, 60)
+        inter = Interactions(users, items, np.ones(60), 7, 11)
+        expected = [len({u for u, i in zip(users.tolist(), items.tolist()) if i == j}) for j in range(11)]
+        assert distinct_user_counts(inter, 11).tolist() == expected
+
     def test_empty_catalog_errors(self):
         train = Interactions.from_triples([], 1, 0)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from conftest import make_partition
-from fairrerank.dataset import Interactions
+from fairrerank.dataset import InteractionRecord, Interactions, build_dataset
 from fairrerank.rerank import (
     RecommendationLists,
     RerankConfig,
@@ -17,6 +17,7 @@ from fairrerank.rerank import (
     plain_topk,
     rerank_exact,
     rerank_oracle,
+    write_lists,
 )
 from fairrerank.scorers import MASKED, ScoreMatrix
 from fairrerank.synthetic import random_rerank_instance
@@ -291,3 +292,64 @@ class TestRerankConfigValidation:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             RerankConfig(lambda_grid=())
+
+
+class TestWriteLists:
+    """Golden bytes: scores print with .10g, the adjusted score is the
+    original plus the group's shift, and at lam 0 a -0.0 stays -0."""
+
+    @pytest.fixture
+    def inputs(self):
+        ds = build_dataset([InteractionRecord(u, i) for u in ("a", "b") for i in ("w", "x", "y", "z")])
+        scores = ScoreMatrix(np.array([[0.5, -0.0, 0.25, 0.125], [0.0, 1.0, -0.0, 1 / 3]]))
+        part = make_partition([True, False, True, False])
+        lists = RecommendationLists(items=np.array([[0, 1], [3, 2]]), num_items=4)
+        return ds, scores, part, lists
+
+    def test_lambda_zero_golden(self, inputs, tmp_path):
+        ds, scores, part, lists = inputs
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.0, False)
+        assert path.read_bytes() == (
+            b"a\t1\tw\t0.5\t0.5\tshort\n"
+            b"a\t2\tx\t-0\t-0\tlong\n"
+            b"b\t1\tz\t0.3333333333\t0.3333333333\tlong\n"
+            b"b\t2\ty\t-0\t-0\tshort\n"
+        )
+
+    def test_positive_lambda_golden(self, inputs, tmp_path):
+        # delta = lam / num_users = 0.25
+        ds, scores, part, lists = inputs
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.5, False)
+        assert path.read_bytes() == (
+            b"a\t1\tw\t0.5\t0.25\tshort\n"
+            b"a\t2\tx\t-0\t0.25\tlong\n"
+            b"b\t1\tz\t0.3333333333\t0.5833333333\tlong\n"
+            b"b\t2\ty\t-0\t-0.25\tshort\n"
+        )
+
+    def test_per_user_lambda_golden(self, inputs, tmp_path):
+        ds, scores, part, lists = inputs
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.1, True)
+        assert path.read_bytes() == (
+            b"a\t1\tw\t0.5\t0.4\tshort\n"
+            b"a\t2\tx\t-0\t0.1\tlong\n"
+            b"b\t1\tz\t0.3333333333\t0.4333333333\tlong\n"
+            b"b\t2\ty\t-0\t-0.1\tshort\n"
+        )
+
+    @pytest.mark.parametrize("lam, per_user", [(0.0, False), (0.7, False), (0.03, True)])
+    def test_adjusted_column_matches_adjusted_scores(self, tmp_path, lam, per_user):
+        rng = np.random.default_rng(5)
+        inst = random_rerank_instance(rng)
+        m, n = inst.scores.num_users, inst.scores.num_items
+        ds = build_dataset([InteractionRecord(f"u{u}", f"i{i}") for u in range(m) for i in range(n)])
+        lists = rerank_exact(inst.scores, inst.part, RerankConfig(k=inst.k, lam=lam, per_user_lambda=per_user))
+        path = write_lists(tmp_path / "l.tsv", lists, ds, inst.part, inst.scores, lam, per_user)
+        adjusted = adjusted_scores(inst.scores, inst.part, lam, per_user)
+        expected = [
+            f"u{u}\t{rank}\ti{item}\t{inst.scores.values[u, item]:.10g}\t{adjusted.values[u, item]:.10g}"
+            f"\t{'short' if inst.part.short_head[item] else 'long'}"
+            for u in range(m)
+            for rank, item in enumerate(lists.items[u].tolist(), start=1)
+        ]
+        assert path.read_text().splitlines() == expected

@@ -13,6 +13,7 @@ from fairrerank.scorers import (
     mf_scorer,
     popularity_scorer,
     random_scorer,
+    read_scores,
     train_mf_factors,
     write_scores,
 )
@@ -181,6 +182,61 @@ class TestLoadScores:
         loaded = load_scores(["a\tx\t0.5"], small_ds, fill=MASKED)
         assert loaded.values[0, 0] == 0.5
         assert np.count_nonzero(np.isfinite(loaded.values)) == 1
+
+
+class TestWriteScores:
+    """Golden bytes: one line per finite cell, scores in repr."""
+
+    @pytest.fixture
+    def ds(self):
+        return build_dataset([InteractionRecord(u, i) for u in ("a", "b", "c") for i in ("x", "y")])
+
+    def _written(self, tmp_path, ds, rows):
+        return write_scores(tmp_path / "s.tsv", ScoreMatrix(np.array(rows, dtype=np.float64)), ds).read_bytes()
+
+    def test_identical_rows(self, tmp_path, ds):
+        assert self._written(tmp_path, ds, [[0.5, 0.25]] * 3) == (
+            b"a\tx\t0.5\na\ty\t0.25\nb\tx\t0.5\nb\ty\t0.25\nc\tx\t0.5\nc\ty\t0.25\n"
+        )
+
+    def test_negative_zero_after_zero_row(self, tmp_path, ds):
+        assert self._written(tmp_path, ds, [[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]) == (
+            b"a\tx\t0.0\na\ty\t1.0\nb\tx\t-0.0\nb\ty\t1.0\nc\tx\t0.0\nc\ty\t1.0\n"
+        )
+
+    def test_masked_cells_skipped(self, tmp_path, ds):
+        rows = [[MASKED, 0.5], [0.25, MASKED], [MASKED, MASKED]]
+        assert self._written(tmp_path, ds, rows) == b"a\ty\t0.5\nb\tx\t0.25\n"
+
+    def test_all_masked_writes_newline(self, tmp_path, ds):
+        assert self._written(tmp_path, ds, [[MASKED, MASKED]] * 3) == b"\n"
+
+    def test_exponent_form(self, tmp_path, ds):
+        assert self._written(tmp_path, ds, [[1e-05, 1e16], [-2.5e-300, 0.1], [1e16, 1e-05]]) == (
+            b"a\tx\t1e-05\na\ty\t1e+16\nb\tx\t-2.5e-300\nb\ty\t0.1\nc\tx\t1e+16\nc\ty\t1e-05\n"
+        )
+
+    def test_matches_cell_by_cell_reference(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = rng.choice([0.0, -0.0, 0.5, 1e-05, 1e16, MASKED], size=(12, 5))
+        values[3] = values[2]
+        values[7:10] = rng.random(5)
+        ds = build_dataset([InteractionRecord(f"u{u}", f"i{i}") for u in range(12) for i in range(5)])
+        path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
+        expected = [
+            f"u{u}\ti{i}\t{float(values[u, i])!r}" for u in range(12) for i in range(5) if np.isfinite(values[u, i])
+        ]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+    def test_round_trip_through_read_scores(self, tmp_path, ds):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((3, 2)) * 10.0 ** rng.integers(-20, 20, (3, 2))
+        values[1] = [-0.0, MASKED]
+        values[2] = values[0]
+        path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
+        loaded = read_scores(path, ds, fill=MASKED)
+        assert loaded.values.tobytes() == values.tobytes()
+        assert loaded.import_coverage == 5 / 6
 
 
 class TestMaskSeen:
