@@ -6,7 +6,8 @@ after whitespace, so a value like `data/run#3.tsv` keeps it. Every key must
 be recognized; unknown keys are errors rather than silently ignored, so
 typos cannot corrupt an experiment. The parsed config snapshots to
 canonical key/value text that re-parses to an equal config, which is what
-the run manifest stores.
+the run manifest stores. Each key is one row of `KEYS`, which drives both
+the parsing and the snapshot.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from .rerank import RerankConfig
@@ -96,169 +98,128 @@ def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, item) for item in items)
 
 
-def _parse_name_list(key: str, value: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in value.split(",") if part.strip())
-    if not names:
-        raise ConfigError(f"{key}: expected a comma-separated list")
-    for name in names:
-        if name not in allowed:
-            raise ConfigError(f"{key}: unknown value {name!r}; expected one of {allowed}")
-    return names
+def _parse_ratios(key: str, value: str) -> tuple[float, ...]:
+    parsed = _parse_float_list(key, value)
+    if len(parsed) != 3:
+        raise ConfigError(f"{key}: expected three numbers, got {len(parsed)}")
+    if any(r <= 0 for r in parsed):
+        raise ConfigError(f"{key}: all ratios must be positive")
+    if abs(sum(parsed) - 1.0) > 1e-9:
+        raise ConfigError(f"{key}: must sum to 1, got {sum(parsed)!r}")
+    return parsed
 
 
-_KNOWN_KEYS = (
-    "input.path",
-    "input.delimiter",
-    "input.header",
-    "split.seed",
-    "split.ratios",
-    "partition.ratio",
-    "scorer.names",
-    "scorer.import_path",
-    "scorer.fill",
-    "scorer.mask_seen",
-    "random.seed",
-    "mf.dim",
-    "mf.reg",
-    "mf.iters",
-    "mf.alpha",
-    "mf.seed",
-    "rerank.k",
-    "rerank.lambda",
-    "rerank.lambda_grid",
-    "rerank.per_user_lambda",
-    "rerank.pool_size",
-    "output.dir",
-    "report.formats",
+def _parse_fraction(key: str, value: str) -> float:
+    out = _parse_float(key, value)
+    if not 0.0 < out < 1.0:
+        raise ConfigError(f"{key}: must be in (0, 1), got {out!r}")
+    return out
+
+
+def _parse_fill(key: str, value: str) -> float:
+    return MASKED if value == "sentinel" else _parse_float(key, value)
+
+
+def _parse_text(key: str, value: str) -> str | None:
+    return value or None
+
+
+def _parse_delimiter(key: str, value: str) -> str | None:
+    if value and value not in ("tab", "comma"):
+        raise ConfigError(f"{key}: expected 'tab' or 'comma', got {value!r}")
+    return value or None
+
+
+def _name_list(allowed: tuple[str, ...]):
+    def parse(key: str, value: str) -> tuple[str, ...]:
+        names = tuple(part.strip() for part in value.split(",") if part.strip())
+        if not names:
+            raise ConfigError(f"{key}: expected a comma-separated list")
+        for i, name in enumerate(names):
+            if name not in allowed:
+                raise ConfigError(f"{key}: unknown value {name!r}; expected one of {allowed}")
+            if name in names[:i]:
+                raise ConfigError(f"{key}: {name!r} is listed more than once")
+        return names
+
+    return parse
+
+
+def _show_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _show_floats(values: tuple[float, ...] | None) -> str | None:
+    return None if values is None else ",".join(repr(v) for v in values)
+
+
+# One row per config key: the key, its dotted field on ExperimentConfig, the
+# parser (returning None keeps the field's default) and the canonical text
+# the snapshot stores (None leaves the key out). The README table lists the
+# same keys in the same order.
+KEYS = (
+    ("input.path", "input_path", _parse_text, str),
+    ("input.delimiter", "delimiter", _parse_delimiter, str),
+    ("input.header", "header", _parse_bool, _show_bool),
+    ("split.seed", "split_seed", _parse_int, str),
+    ("split.ratios", "ratios", _parse_ratios, _show_floats),
+    ("partition.ratio", "partition_ratio", _parse_fraction, repr),
+    ("scorer.names", "scorers", _name_list(SCORER_NAMES), ",".join),
+    ("scorer.import_path", "import_path", _parse_text, lambda path: path or None),
+    ("scorer.fill", "fill", _parse_fill, lambda fill: "sentinel" if fill == MASKED else repr(fill)),
+    ("scorer.mask_seen", "mask_seen", _parse_bool, _show_bool),
+    ("random.seed", "random_seed", _parse_int, str),
+    ("mf.dim", "mf.latent_dim", _parse_int, str),
+    ("mf.reg", "mf.regularization", _parse_float, repr),
+    ("mf.iters", "mf.iterations", _parse_int, str),
+    ("mf.alpha", "mf.confidence_alpha", _parse_float, repr),
+    ("mf.seed", "mf.seed", _parse_int, str),
+    ("rerank.k", "rerank.k", _parse_int, str),
+    ("rerank.lambda", "rerank.lam", _parse_float, repr),
+    ("rerank.lambda_grid", "rerank.lambda_grid", _parse_float_list, _show_floats),
+    ("rerank.per_user_lambda", "rerank.per_user_lambda", _parse_bool, _show_bool),
+    ("rerank.pool_size", "rerank.pool_size", _parse_int, str),
+    ("output.dir", "out_dir", _parse_text, str),
+    ("report.formats", "formats", _name_list(REPORT_FORMATS), ",".join),
 )
 
 
 def build_config(pairs: dict[str, str]) -> ExperimentConfig:
     """Validate a key/value mapping and build the typed config."""
-    unknown = sorted(set(pairs) - set(_KNOWN_KEYS))
+    unknown = sorted(set(pairs) - {key for key, *_ in KEYS})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    defaults = ExperimentConfig()
+    fields: dict[str, dict[str, object]] = {"": {}, "mf": {}, "rerank": {}}
+    for key, path, parse, _ in KEYS:
+        if pairs.get(key) is None:
+            continue
+        group, _, name = path.rpartition(".")
+        try:
+            value = parse(key, pairs[key])
+        except ConfigError as exc:
+            # a scalar of a nested config reports under the group prefix its
+            # range checks use below; the grid's list errors stand alone
+            if group and parse is not _parse_float_list:
+                raise ConfigError(f"{group}.*: {exc}") from None
+            raise
+        if value is not None:
+            fields[group][name] = value
+    for group, cls in (("mf", MFConfig), ("rerank", RerankConfig)):
+        try:
+            fields[""][group] = cls(**fields[group])
+        except ValueError as exc:
+            raise ConfigError(f"{group}.*: {exc}") from None
+    cfg = ExperimentConfig(**fields[""])
 
-    def get(key: str) -> str | None:
-        return pairs.get(key)
-
-    delimiter = get("input.delimiter") or defaults.delimiter
-    if delimiter not in ("tab", "comma"):
-        raise ConfigError(f"input.delimiter: expected 'tab' or 'comma', got {delimiter!r}")
-
-    ratios = defaults.ratios
-    if get("split.ratios") is not None:
-        parsed = _parse_float_list("split.ratios", pairs["split.ratios"])
-        if len(parsed) != 3:
-            raise ConfigError(f"split.ratios: expected three numbers, got {len(parsed)}")
-        if any(r <= 0 for r in parsed):
-            raise ConfigError("split.ratios: all ratios must be positive")
-        if abs(sum(parsed) - 1.0) > 1e-9:
-            raise ConfigError(f"split.ratios: must sum to 1, got {sum(parsed)!r}")
-        ratios = (parsed[0], parsed[1], parsed[2])
-
-    partition_ratio = defaults.partition_ratio
-    if get("partition.ratio") is not None:
-        partition_ratio = _parse_float("partition.ratio", pairs["partition.ratio"])
-        if not 0.0 < partition_ratio < 1.0:
-            raise ConfigError(f"partition.ratio: must be in (0, 1), got {partition_ratio!r}")
-
-    scorers = defaults.scorers
-    if get("scorer.names") is not None:
-        scorers = _parse_name_list("scorer.names", pairs["scorer.names"], SCORER_NAMES)
-
-    import_path = get("scorer.import_path") or ""
-    if "import" in scorers and not import_path:
+    if "import" in cfg.scorers and not cfg.import_path:
         raise ConfigError("scorer.import_path is required when scorer.names includes 'import'")
-
-    fill = defaults.fill
-    if get("scorer.fill") is not None:
-        fill_text = pairs["scorer.fill"]
-        fill = MASKED if fill_text == "sentinel" else _parse_float("scorer.fill", fill_text)
-
-    try:
-        mf = MFConfig(
-            latent_dim=_parse_int("mf.dim", pairs["mf.dim"]) if get("mf.dim") is not None else defaults.mf.latent_dim,
-            regularization=(
-                _parse_float("mf.reg", pairs["mf.reg"]) if get("mf.reg") is not None else defaults.mf.regularization
-            ),
-            iterations=(
-                _parse_int("mf.iters", pairs["mf.iters"]) if get("mf.iters") is not None else defaults.mf.iterations
-            ),
-            confidence_alpha=(
-                _parse_float("mf.alpha", pairs["mf.alpha"])
-                if get("mf.alpha") is not None
-                else defaults.mf.confidence_alpha
-            ),
-            seed=_parse_int("mf.seed", pairs["mf.seed"]) if get("mf.seed") is not None else defaults.mf.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mf.*: {exc}") from None
-
-    grid: tuple[float, ...] | None = defaults.rerank.lambda_grid
-    if get("rerank.lambda_grid") is not None:
-        grid = _parse_float_list("rerank.lambda_grid", pairs["rerank.lambda_grid"])
-    try:
-        rerank = RerankConfig(
-            k=_parse_int("rerank.k", pairs["rerank.k"]) if get("rerank.k") is not None else defaults.rerank.k,
-            lam=(
-                _parse_float("rerank.lambda", pairs["rerank.lambda"])
-                if get("rerank.lambda") is not None
-                else defaults.rerank.lam
-            ),
-            lambda_grid=grid,
-            per_user_lambda=(
-                _parse_bool("rerank.per_user_lambda", pairs["rerank.per_user_lambda"])
-                if get("rerank.per_user_lambda") is not None
-                else defaults.rerank.per_user_lambda
-            ),
-            pool_size=(
-                _parse_int("rerank.pool_size", pairs["rerank.pool_size"])
-                if get("rerank.pool_size") is not None
-                else defaults.rerank.pool_size
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"rerank.*: {exc}") from None
-    if rerank.k < 2:
-        raise ConfigError(f"rerank.k: must be >= 2 (diversity needs item pairs), got {rerank.k}")
-
-    formats = defaults.formats
-    if get("report.formats") is not None:
-        formats = _parse_name_list("report.formats", pairs["report.formats"], REPORT_FORMATS)
-
-    return ExperimentConfig(
-        input_path=get("input.path") or "",
-        delimiter=delimiter,
-        header=_parse_bool("input.header", pairs["input.header"]) if get("input.header") is not None else False,
-        split_seed=_parse_int("split.seed", pairs["split.seed"]) if get("split.seed") is not None else defaults.split_seed,
-        ratios=ratios,
-        partition_ratio=partition_ratio,
-        scorers=scorers,
-        import_path=import_path,
-        fill=fill,
-        mask_seen=(
-            _parse_bool("scorer.mask_seen", pairs["scorer.mask_seen"])
-            if get("scorer.mask_seen") is not None
-            else defaults.mask_seen
-        ),
-        random_seed=(
-            _parse_int("random.seed", pairs["random.seed"]) if get("random.seed") is not None else defaults.random_seed
-        ),
-        mf=mf,
-        rerank=rerank,
-        out_dir=get("output.dir") or defaults.out_dir,
-        formats=formats,
-    )
+    if cfg.rerank.k < 2:
+        raise ConfigError(f"rerank.k: must be >= 2 (diversity needs item pairs), got {cfg.rerank.k}")
+    return cfg
 
 
-def load_config(
-    path: Path | str | None,
-    overrides: dict[str, str] | None = None,
-    require_input: bool = True,
-) -> ExperimentConfig:
+def load_config(path: Path | str | None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Load a config file, apply flag overrides, validate paths."""
     pairs: dict[str, str] = {}
     if path is not None:
@@ -269,44 +230,16 @@ def load_config(
     if overrides:
         pairs.update(overrides)
     cfg = build_config(pairs)
-    if require_input:
-        if not cfg.input_path:
-            raise ConfigError("input.path is required")
-        if not Path(cfg.input_path).is_file():
-            raise ConfigError(f"input.path not found: {cfg.input_path}")
-        if "import" in cfg.scorers and not Path(cfg.import_path).is_file():
-            raise ConfigError(f"scorer.import_path not found: {cfg.import_path}")
+    if not cfg.input_path:
+        raise ConfigError("input.path is required")
+    if not Path(cfg.input_path).is_file():
+        raise ConfigError(f"input.path not found: {cfg.input_path}")
+    if "import" in cfg.scorers and not Path(cfg.import_path).is_file():
+        raise ConfigError(f"scorer.import_path not found: {cfg.import_path}")
     return cfg
 
 
 def config_snapshot(cfg: ExperimentConfig) -> dict[str, str]:
     """Canonical key/value form; build_config(snapshot) == cfg."""
-    grid = cfg.rerank.lambda_grid
-    snapshot = {
-        "input.path": cfg.input_path,
-        "input.delimiter": cfg.delimiter,
-        "input.header": "true" if cfg.header else "false",
-        "split.seed": str(cfg.split_seed),
-        "split.ratios": ",".join(repr(r) for r in cfg.ratios),
-        "partition.ratio": repr(cfg.partition_ratio),
-        "scorer.names": ",".join(cfg.scorers),
-        "scorer.fill": "sentinel" if cfg.fill == MASKED else repr(cfg.fill),
-        "scorer.mask_seen": "true" if cfg.mask_seen else "false",
-        "random.seed": str(cfg.random_seed),
-        "mf.dim": str(cfg.mf.latent_dim),
-        "mf.reg": repr(cfg.mf.regularization),
-        "mf.iters": str(cfg.mf.iterations),
-        "mf.alpha": repr(cfg.mf.confidence_alpha),
-        "mf.seed": str(cfg.mf.seed),
-        "rerank.k": str(cfg.rerank.k),
-        "rerank.lambda": repr(cfg.rerank.lam),
-        "rerank.per_user_lambda": "true" if cfg.rerank.per_user_lambda else "false",
-        "rerank.pool_size": str(cfg.rerank.pool_size),
-        "output.dir": cfg.out_dir,
-        "report.formats": ",".join(cfg.formats),
-    }
-    if cfg.import_path:
-        snapshot["scorer.import_path"] = cfg.import_path
-    if grid is not None:
-        snapshot["rerank.lambda_grid"] = ",".join(repr(g) for g in grid)
-    return snapshot
+    texts = ((key, show(attrgetter(path)(cfg))) for key, path, _, show in KEYS)
+    return {key: text for key, text in texts if text is not None}

@@ -138,12 +138,7 @@ def coverage(lists: RecommendationLists, num_items: int) -> float:
     return len(np.unique(lists.items)) / num_items
 
 
-def personalization(
-    lists: RecommendationLists,
-    method: str = "auto",
-    sample_pairs: int = PERSONALIZATION_SAMPLE_PAIRS,
-    seed: int = 0,
-) -> float:
+def personalization(lists: RecommendationLists, method: str = "auto", seed: int = 0) -> float:
     """One minus the mean pairwise list overlap. Exact over all user pairs
     while feasible; above PERSONALIZATION_EXACT_LIMIT users, estimated over
     seeded sampled pairs."""
@@ -162,7 +157,7 @@ def personalization(
         rng = np.random.default_rng(seed)
         rows = [frozenset(lists.items[u].tolist()) for u in range(m)]
         overlap_sum = 0.0
-        remaining = sample_pairs
+        remaining = PERSONALIZATION_SAMPLE_PAIRS
         while remaining > 0:
             us = rng.integers(0, m, size=2 * remaining)
             vs = rng.integers(0, m, size=2 * remaining)
@@ -171,7 +166,7 @@ def personalization(
             for u, v in zip(us.tolist(), vs.tolist()):
                 overlap_sum += len(rows[u] & rows[v]) / k
             remaining -= len(us)
-        return 1.0 - overlap_sum / sample_pairs
+        return 1.0 - overlap_sum / PERSONALIZATION_SAMPLE_PAIRS
     raise ValueError(f"unknown method {method!r}")
 
 

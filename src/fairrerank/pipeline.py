@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
@@ -31,7 +31,7 @@ from .dataset import (
     write_split_files,
 )
 from .metrics import evaluate_all, judgments_from_interactions
-from .rerank import RecommendationLists, RerankConfig, rerank_exact, write_lists
+from .rerank import RecommendationLists, rerank_exact, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores
 from .util import atomic_write_text, sha256_file
@@ -136,16 +136,6 @@ def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifact
     return artifacts, files
 
 
-def _grid_for(cfg: ExperimentConfig) -> list[float]:
-    if cfg.rerank.lambda_grid is not None:
-        grid = list(cfg.rerank.lambda_grid)
-    else:
-        grid = [cfg.rerank.lam]
-    if not grid or grid[0] != 0.0:
-        grid = [0.0] + [g for g in grid if g != 0.0]
-    return grid
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | str, threads: int = 1) -> RunResult:
     """The `run` command: the full pipeline over every configured scorer and
     every grid point, emitting list files, reports, and the manifest."""
@@ -170,13 +160,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str, threads: int = 1)
             f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", raw, ds
         )
         scored = mask_seen(raw, artifacts.split.train) if cfg.mask_seen else raw
-        for lam in _grid_for(cfg):
-            point_cfg = RerankConfig(
-                k=cfg.rerank.k,
-                lam=lam,
-                per_user_lambda=cfg.rerank.per_user_lambda,
-                pool_size=cfg.rerank.pool_size,
-            )
+        for lam in cfg.rerank.lambda_points():
+            point_cfg = replace(cfg.rerank, lam=lam, lambda_grid=None)
             lists = clock.run(f"rerank[{name},{lam:g}]", rerank_exact, scored, artifacts.partition, point_cfg)
             report = clock.run(
                 f"evaluate[{name},{lam:g}]",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -85,6 +85,13 @@ class RerankConfig:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("lambda_grid must be strictly ascending")
             object.__setattr__(self, "lambda_grid", grid)
+
+    def lambda_points(self) -> tuple[float, ...]:
+        """The λ values a run evaluates: the grid, or the single `lam` when
+        there is none, with the 0.0 fairness-unaware baseline prepended when
+        it is not already first."""
+        grid = self.lambda_grid if self.lambda_grid is not None else (self.lam,)
+        return grid if grid[0] == 0.0 else (0.0, *grid)
 
 
 @dataclass(frozen=True)
@@ -309,18 +316,9 @@ def lambda_sweep(
 
     if cfg.lambda_grid is None:
         raise ValueError("lambda_sweep requires cfg.lambda_grid")
-    grid = list(cfg.lambda_grid)
-    if grid[0] != 0.0:
-        grid = [0.0] + grid
     results: list[tuple[float, "EvaluationReport"]] = []
-    for lam in grid:
-        point_cfg = RerankConfig(
-            k=cfg.k,
-            lam=lam,
-            per_user_lambda=cfg.per_user_lambda,
-            pool_size=cfg.pool_size,
-        )
-        lists = rerank_exact(matrix, part, point_cfg)
+    for lam in cfg.lambda_points():
+        lists = rerank_exact(matrix, part, replace(cfg, lam=lam, lambda_grid=None))
         report = evaluate_all(lists, judgments, train, part, cfg.k)
         results.append((lam, report))
     return results

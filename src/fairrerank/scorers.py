@@ -215,10 +215,8 @@ def mf_scorer(train: Interactions, cfg: MFConfig = MFConfig(), threads: int = 1)
     return ScoreMatrix(user_factors @ item_factors.T)
 
 
-def load_scores(
-    source: Iterable[str], ds: Dataset, fill: float = 0.0, delimiter: str = "\t"
-) -> ScoreMatrix:
-    """Import externally computed scores from "user_key<sep>item_key<sep>score"
+def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreMatrix:
+    """Import externally computed scores from "user_key<TAB>item_key<TAB>score"
     lines. Cells absent from the file take `fill` (use -inf to make them
     unselectable); later duplicates overwrite earlier ones. The fraction of
     cells provided is recorded on the result and logged when below 1.
@@ -230,7 +228,7 @@ def load_scores(
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
-        parts = line.split(delimiter)
+        parts = line.split("\t")
         if len(parts) != 3:
             raise DataError(f"expected 3 fields, got {len(parts)}", lineno)
         user_key, item_key, score_text = (p.strip() for p in parts)
@@ -256,17 +254,17 @@ def load_scores(
     return ScoreMatrix(values, import_coverage=coverage)
 
 
-def read_scores(path: Path | str, ds: Dataset, fill: float = 0.0, delimiter: str = "\t") -> ScoreMatrix:
+def read_scores(path: Path | str, ds: Dataset, fill: float = 0.0) -> ScoreMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_scores(fh, ds, fill=fill, delimiter=delimiter)
+        return load_scores(fh, ds, fill=fill)
 
 
-def write_scores(path: Path | str, matrix: ScoreMatrix, ds: Dataset, delimiter: str = "\t") -> Path:
+def write_scores(path: Path | str, matrix: ScoreMatrix, ds: Dataset) -> Path:
     """Export a score matrix as one "user item score" line per finite cell,
     the score in shortest round-trip repr; masked cells are left out and
     re-import as fill. A row bytewise equal to the previous one (0.0 and
     -0.0 compare equal but print differently) reuses its formatted tails."""
-    cells = [delimiter + key + delimiter for key in ds.item_keys]
+    cells = ["\t" + key + "\t" for key in ds.item_keys]
     chunks, prev, tails = [], None, []
     for u, row in enumerate(matrix.values):
         raw = row.tobytes()

@@ -304,6 +304,17 @@ class TestExitCodes:
         assert main(["run", "--config", str(config), "--set", "rerank.k=1"]) == 1
         assert "rerank.k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, key, value",
+        [("scorer.names=popularity,popularity", "scorer.names", "'popularity'"), ("report.formats=csv,csv", "report.formats", "'csv'")],
+    )
+    def test_duplicate_list_value_is_validation_error(self, demo, capsys, override, key, value):
+        config, base = demo
+        assert main(["run", "--config", str(config), "--out", str(base / "dup"), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert key in err and value in err
+        assert not (base / "dup").exists()
+
     def test_bad_usage_is_validation_error(self):
         assert main(["run"]) == 1
 
