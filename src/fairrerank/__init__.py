@@ -13,79 +13,23 @@ __version__ = "0.1.0"
 
 from .config import ConfigError, ExperimentConfig, build_config, config_snapshot, load_config
 from .dataset import (
-    DataError,
-    Dataset,
-    InputFormat,
-    InteractionRecord,
-    Interactions,
-    PopularityPartition,
-    SplitTriple,
-    build_dataset,
-    parse_interactions,
-    partition_popularity,
-    read_interactions,
-    split,
+    DataError, Dataset, InputFormat, InteractionRecord, Interactions, PopularityPartition, SplitTriple,
+    build_dataset, parse_interactions, partition_popularity, read_interactions, split,
 )
-from .metrics import EvaluationReport, evaluate_all, judgments_from_interactions
+from .metrics import EvalContext, EvaluationReport, eval_context, evaluate, evaluate_all, judgments_from_interactions
 from .rerank import (
-    FairnessValue,
-    RecommendationLists,
-    RerankConfig,
-    adjusted_scores,
-    fairness_gap,
-    lambda_sweep,
-    plain_topk,
-    rerank_exact,
-    rerank_oracle,
+    FairnessValue, RecommendationLists, RerankConfig,
+    adjusted_scores, fairness_gap, lambda_sweep, plain_topk, rerank_exact, rerank_oracle, rerank_path,
 )
-from .scorers import (
-    MASKED,
-    MFConfig,
-    ScoreMatrix,
-    load_scores,
-    mask_seen,
-    mf_scorer,
-    popularity_scorer,
-    random_scorer,
-)
+from .scorers import MASKED, MFConfig, ScoreMatrix, load_scores, mask_seen, mf_scorer, popularity_scorer, random_scorer
 
 __all__ = [
     "__version__",
-    "ConfigError",
-    "ExperimentConfig",
-    "build_config",
-    "config_snapshot",
-    "load_config",
-    "DataError",
-    "Dataset",
-    "InputFormat",
-    "InteractionRecord",
-    "Interactions",
-    "PopularityPartition",
-    "SplitTriple",
-    "build_dataset",
-    "parse_interactions",
-    "partition_popularity",
-    "read_interactions",
-    "split",
-    "EvaluationReport",
-    "evaluate_all",
-    "judgments_from_interactions",
-    "FairnessValue",
-    "RecommendationLists",
-    "RerankConfig",
-    "adjusted_scores",
-    "fairness_gap",
-    "lambda_sweep",
-    "plain_topk",
-    "rerank_exact",
-    "rerank_oracle",
-    "MASKED",
-    "MFConfig",
-    "ScoreMatrix",
-    "load_scores",
-    "mask_seen",
-    "mf_scorer",
-    "popularity_scorer",
-    "random_scorer",
+    "ConfigError", "ExperimentConfig", "build_config", "config_snapshot", "load_config",
+    "DataError", "Dataset", "InputFormat", "InteractionRecord", "Interactions", "PopularityPartition", "SplitTriple",
+    "build_dataset", "parse_interactions", "partition_popularity", "read_interactions", "split",
+    "EvalContext", "EvaluationReport", "eval_context", "evaluate", "evaluate_all", "judgments_from_interactions",
+    "FairnessValue", "RecommendationLists", "RerankConfig",
+    "adjusted_scores", "fairness_gap", "lambda_sweep", "plain_topk", "rerank_exact", "rerank_oracle", "rerank_path",
+    "MASKED", "MFConfig", "ScoreMatrix", "load_scores", "mask_seen", "mf_scorer", "popularity_scorer", "random_scorer",
 ]

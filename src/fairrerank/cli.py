@@ -38,16 +38,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fairrerank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("split", True),
-        ("score", True),
-        ("rerank", True),
-        ("evaluate", True),
-        ("run", True),
-        ("verify", False),
-    ):
+    for name in ("split", "score", "rerank", "evaluate", "run", "verify"):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=Path, required=needs_config, default=None)
+        cmd.add_argument("--config", type=Path, required=name != "verify", default=None)
         cmd.add_argument("--seed", type=int, default=None, help="override split.seed")
         cmd.add_argument("--threads", type=int, default=1)
         cmd.add_argument("--out", type=Path, default=None, help="override the output directory")

@@ -40,6 +40,7 @@ __all__ = [
     "split",
     "partition_popularity",
     "distinct_user_counts",
+    "check_split",
     "write_split_files",
     "write_partition_file",
 ]
@@ -308,6 +309,21 @@ def distinct_user_counts(inter: Interactions, num_items: int) -> np.ndarray:
     return np.bincount(pairs // inter.num_users, minlength=num_items).astype(np.int64)
 
 
+def check_split(ds: Dataset, triple: SplitTriple, k: int, mask_seen: bool) -> None:
+    """Reject a split that top-k lists cannot be built and scored on: an
+    empty test split (no judged user), or users left with fewer than k
+    unseen items when seen items are masked. A k above the catalog size is
+    left to the re-ranker."""
+    if len(triple.test) == 0:
+        raise DataError(f"no user has relevance judgments: all {ds.num_users} users have fewer than "
+                        f"3 interactions, so the test split is empty (first user {ds.user_keys[0]!r})")
+    selectable = ds.num_items - np.bincount(triple.train.users, minlength=ds.num_users)
+    short = np.flatnonzero(selectable < k) if mask_seen and k <= ds.num_items else []
+    if len(short):
+        raise DataError(f"{len(short)} users have fewer than rerank.k={k} unseen items to select "
+                        f"(first user {ds.user_keys[short[0]]!r} has {selectable[short[0]]})")
+
+
 @dataclass(frozen=True)
 class PopularityPartition:
     """Binary short-head marking over the catalog plus the per-item
@@ -344,32 +360,22 @@ def partition_popularity(train: Interactions, num_items: int, ratio: float = 0.2
     return PopularityPartition(short_head=short, popularity_count=counts)
 
 
-def _format_weight(w: float) -> str:
-    return repr(float(w))
-
-
 def write_split_files(
     split_triple: SplitTriple, ds: Dataset, out_dir: Path | str, fmt: InputFormat = InputFormat()
 ) -> dict[str, Path]:
     """Write train/valid/test as delimiter-separated files with the original
-    keys. Returns the mapping from split name to written path."""
-    out_dir = Path(out_dir)
+    keys, the weight in repr. Returns the mapping from split name to written path."""
+    out_dir, sep = Path(out_dir), fmt.delimiter
     written: dict[str, Path] = {}
     for name, inter in (("train", split_triple.train), ("valid", split_triple.valid), ("test", split_triple.test)):
-        lines = []
-        for u, i, w in zip(inter.users.tolist(), inter.items.tolist(), inter.weights.tolist()):
-            lines.append(fmt.delimiter.join((ds.user_keys[u], ds.item_keys[i], _format_weight(w))))
-        text = "\n".join(lines)
-        if lines:
-            text += "\n"
+        rows = zip(inter.users.tolist(), inter.items.tolist(), inter.weights.tolist())
+        text = "".join([f"{ds.user_keys[u]}{sep}{ds.item_keys[i]}{sep}{w!r}\n" for u, i, w in rows])
         written[name] = atomic_write_text(out_dir / f"{name}.tsv", text)
     return written
 
 
 def write_partition_file(part: PopularityPartition, ds: Dataset, path: Path | str) -> Path:
     """Write one line per catalog item: item_key<TAB>count<TAB>{short|long}."""
-    lines = []
-    for j in range(part.num_items):
-        group = "short" if part.short_head[j] else "long"
-        lines.append(f"{ds.item_keys[j]}\t{int(part.popularity_count[j])}\t{group}")
+    groups = np.where(part.short_head, "short", "long").tolist()
+    lines = map("{}\t{}\t{}".format, ds.item_keys, part.popularity_count.tolist(), groups)
     return atomic_write_text(path, "\n".join(lines) + "\n")

@@ -42,6 +42,9 @@ __all__ = [
     "personalization",
     "serendipity",
     "exposure_counts",
+    "EvalContext",
+    "eval_context",
+    "evaluate",
     "evaluate_all",
 ]
 
@@ -65,70 +68,115 @@ def _truncate(lists: RecommendationLists, k: int) -> np.ndarray:
     return lists.items[:, :k]
 
 
+def _keys(users: np.ndarray, items: np.ndarray, num_items: int) -> np.ndarray:
+    """Sorted user * num_items + item keys, closed by a sentinel that no
+    key equals, so a lookup never runs off the end."""
+    return np.append(np.sort(users * num_items + items), np.iinfo(np.int64).max)
+
+
+def _hits(items: np.ndarray, keys: np.ndarray, num_items: int, users: np.ndarray | None = None) -> np.ndarray:
+    """True where (users[r], items[r, c]) is among `keys`, users defaulting
+    to the row numbers: for lists and the judgments, the m x k hit matrix."""
+    wanted = (np.arange(len(items)) if users is None else users)[:, None] * num_items + items
+    return keys[np.searchsorted(keys, wanted)] == wanted
+
+
+def _judgment_keys(judgments: list[set[int]], num_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """The judgments as `_keys`, and the number of judged items per user."""
+    sizes = np.fromiter(map(len, judgments), dtype=np.int64, count=len(judgments))
+    items = np.fromiter((item for judged in judgments for item in judged), dtype=np.int64, count=int(sizes.sum()))
+    return _keys(np.repeat(np.arange(len(judgments)), sizes), items, num_items), sizes
+
+
+def _discounts(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank discounts 1/log2(r+1) for r = 1..k, and the ideal DCG of c
+    relevant items for c = 0..k."""
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    return discounts, np.array([float(np.sum(discounts[:c])) for c in range(k + 1)])
+
+
+def _accuracy(hits: np.ndarray, sizes: np.ndarray, discounts: np.ndarray, idcg: np.ndarray) -> tuple[float, float, float]:
+    """Mean precision, recall and NDCG over the users with judgments."""
+    sizes = sizes[: len(hits)]
+    judged = sizes > 0
+    if not judged.any():
+        raise ValueError("no user has relevance judgments")
+    count = hits.sum(axis=1)[judged]
+    # a C-ordered product makes each row sum the same pairwise sum as one
+    # list's np.sum
+    dcg = np.ascontiguousarray(hits * discounts).sum(axis=1)[judged]
+    ndcg = dcg / idcg[np.minimum(sizes, hits.shape[1])][judged]
+    return float(np.mean(count / hits.shape[1])), float(np.mean(count / sizes[judged])), float(np.mean(ndcg))
+
+
+def _novelty(items: np.ndarray, counts: np.ndarray, num_users: int) -> float:
+    probed = np.maximum(counts[items.ravel()], 1) / float(num_users)
+    return float(np.mean(-np.log2(probed)))
+
+
+def _diversity(items: np.ndarray, train: Interactions, counts: np.ndarray) -> float:
+    k = items.shape[1]
+    if k < 2:
+        raise ValueError("diversity needs lists of at least 2 items")
+    # co-interaction Gram matrix of the recommended items only; its entries
+    # are exact integer counts, as the per-list dot products were
+    recommended, slot = np.unique(items, return_inverse=True)
+    row_of = np.full(len(counts), -1, dtype=np.int64)
+    row_of[recommended] = np.arange(len(recommended))
+    rows = row_of[train.items]
+    vectors = np.zeros((len(recommended), train.num_users), dtype=np.float64)
+    vectors[rows[rows >= 0], train.users[rows >= 0]] = 1.0
+    gram = vectors @ vectors.T
+    first, second = np.triu_indices(k, 1)
+    slot, norm_sq = slot.reshape(items.shape), counts[items].astype(np.float64)
+    # sqrt of the product of squared norms keeps cosines of identical
+    # integer-count columns exactly 1
+    denom = np.sqrt(norm_sq[:, first] * norm_sq[:, second])
+    sim = np.where(denom > 0, gram[slot[:, first], slot[:, second]] / np.where(denom > 0, denom, 1.0), 0.0)
+    # column gathers come out in Fortran order; a C-ordered copy makes each
+    # row sum the same pairwise sum as one list's np.sum
+    return float(np.mean(1.0 - np.ascontiguousarray(sim).sum(axis=1) / (k * (k - 1) / 2)))
+
+
+def _popular_mask(counts: np.ndarray, k: int) -> np.ndarray:
+    """The global top-k items by train count (ties by lower index)."""
+    popular = np.zeros(len(counts), dtype=bool)
+    popular[np.lexsort((np.arange(len(counts)), -counts))[:k]] = True
+    return popular
+
+
+def _serendipity(items: np.ndarray, popular: np.ndarray) -> float:
+    return float(np.mean((~popular[items]).sum(axis=1) / items.shape[1]))
+
+
+def _exposure(items: np.ndarray, hits: np.ndarray, short_head: np.ndarray) -> tuple[int, int, int, int]:
+    short = short_head[items]
+    short_count, rel_short = int(np.count_nonzero(short)), int(np.count_nonzero(hits & short))
+    return short_count, rel_short, items.size - short_count, int(np.count_nonzero(hits)) - rel_short
+
+
 def precision_recall_at_k(
     lists: RecommendationLists, judgments: list[set[int]], k: int
 ) -> tuple[float, float]:
     """Mean precision and recall over users with at least one judgment."""
-    items = _truncate(lists, k)
-    precisions: list[float] = []
-    recalls: list[float] = []
-    for u in range(lists.num_users):
-        judged = judgments[u]
-        if not judged:
-            continue
-        hits = sum(1 for item in items[u].tolist() if item in judged)
-        precisions.append(hits / k)
-        recalls.append(hits / len(judged))
-    if not precisions:
-        raise ValueError("no user has relevance judgments")
-    return float(np.mean(precisions)), float(np.mean(recalls))
+    keys, sizes = _judgment_keys(judgments, lists.num_items)
+    return _accuracy(_hits(_truncate(lists, k), keys, lists.num_items), sizes, *_discounts(k))[:2]
 
 
 def ndcg_at_k(lists: RecommendationLists, judgments: list[set[int]], k: int) -> float:
-    items = _truncate(lists, k)
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    scores: list[float] = []
-    for u in range(lists.num_users):
-        judged = judgments[u]
-        if not judged:
-            continue
-        rel = np.array([1.0 if item in judged else 0.0 for item in items[u].tolist()])
-        dcg = float(np.sum(rel * discounts))
-        idcg = float(np.sum(discounts[: min(k, len(judged))]))
-        scores.append(dcg / idcg)
-    if not scores:
-        raise ValueError("no user has relevance judgments")
-    return float(np.mean(scores))
+    keys, sizes = _judgment_keys(judgments, lists.num_items)
+    return _accuracy(_hits(_truncate(lists, k), keys, lists.num_items), sizes, *_discounts(k))[2]
 
 
 def novelty(lists: RecommendationLists, train: Interactions, num_users: int) -> float:
     """Mean self-information (bits) of recommended items under their
     train-split popularity; a count floor of 1 keeps unseen items finite."""
-    counts = distinct_user_counts(train, lists.num_items)
-    probed = np.maximum(counts[lists.items.ravel()], 1) / float(num_users)
-    return float(np.mean(-np.log2(probed)))
+    return _novelty(lists.items, distinct_user_counts(train, lists.num_items), num_users)
 
 
 def diversity(lists: RecommendationLists, train: Interactions) -> float:
     """Mean intra-list dissimilarity of item co-interaction patterns."""
-    if lists.k < 2:
-        raise ValueError("diversity needs lists of at least 2 items")
-    item_user = np.zeros((lists.num_items, train.num_users), dtype=np.float64)
-    item_user[train.items, train.users] = 1.0
-    norm_sq = item_user.sum(axis=1)  # binary vectors: squared norm = count
-    per_user: list[float] = []
-    k = lists.k
-    pair_count = k * (k - 1) / 2
-    for u in range(lists.num_users):
-        vectors = item_user[lists.items[u]]
-        gram = vectors @ vectors.T
-        # sqrt of the product of squared norms keeps cosines of identical
-        # integer-count columns exactly 1
-        denom = np.sqrt(np.outer(norm_sq[lists.items[u]], norm_sq[lists.items[u]]))
-        sim = np.where(denom > 0, gram / np.where(denom > 0, denom, 1.0), 0.0)
-        upper = sim[np.triu_indices(k, 1)]
-        per_user.append(1.0 - float(upper.sum()) / pair_count)
-    return float(np.mean(per_user))
+    return _diversity(lists.items, train, distinct_user_counts(train, lists.num_items))
 
 
 def coverage(lists: RecommendationLists, num_items: int) -> float:
@@ -155,37 +203,29 @@ def personalization(lists: RecommendationLists, method: str = "auto", seed: int 
         return 1.0 - inter_total / (pairs * k)
     if method == "sampled":
         rng = np.random.default_rng(seed)
-        rows = [frozenset(lists.items[u].tolist()) for u in range(m)]
-        overlap_sum = 0.0
+        firsts, seconds = [], []
         remaining = PERSONALIZATION_SAMPLE_PAIRS
         while remaining > 0:
             us = rng.integers(0, m, size=2 * remaining)
             vs = rng.integers(0, m, size=2 * remaining)
             keep = us != vs
-            us, vs = us[keep][:remaining], vs[keep][:remaining]
-            for u, v in zip(us.tolist(), vs.tolist()):
-                overlap_sum += len(rows[u] & rows[v]) / k
-            remaining -= len(us)
-        return 1.0 - overlap_sum / PERSONALIZATION_SAMPLE_PAIRS
+            firsts.append(us[keep][:remaining])
+            seconds.append(vs[keep][:remaining])
+            remaining -= len(firsts[-1])
+        # a sampled pair's overlap: the first list's items found in the second
+        keys = _keys(np.repeat(np.arange(m), k), lists.items.ravel(), lists.num_items)
+        overlap = _hits(lists.items[np.concatenate(firsts)], keys, lists.num_items, np.concatenate(seconds)).sum(axis=1)
+        # added pair by pair, in draw order
+        overlap_sum = np.cumsum(np.concatenate(([0.0], overlap / k)))[-1]
+        return 1.0 - float(overlap_sum) / PERSONALIZATION_SAMPLE_PAIRS
     raise ValueError(f"unknown method {method!r}")
-
-
-def _popular_topk(train: Interactions, num_items: int, k: int) -> set[int]:
-    counts = distinct_user_counts(train, num_items)
-    order = np.lexsort((np.arange(num_items), -counts))
-    return set(order[:k].tolist())
 
 
 def serendipity(lists: RecommendationLists, train: Interactions, k: int) -> float:
     """Mean unexpectedness: the fraction of each user's list that a primitive
     global-popularity recommender would not have shown."""
     items = _truncate(lists, k)
-    primitive = _popular_topk(train, lists.num_items, k)
-    per_user = [
-        sum(1 for item in items[u].tolist() if item not in primitive) / k
-        for u in range(lists.num_users)
-    ]
-    return float(np.mean(per_user))
+    return _serendipity(items, _popular_mask(distinct_user_counts(train, lists.num_items), k))
 
 
 def exposure_counts(
@@ -196,17 +236,8 @@ def exposure_counts(
     that user's judgments."""
     if part.num_items != lists.num_items:
         raise ValueError("partition length does not match lists")
-    short_count = long_count = rel_short = rel_long = 0
-    for u in range(lists.num_users):
-        judged = judgments[u]
-        for item in lists.items[u].tolist():
-            if part.short_head[item]:
-                short_count += 1
-                rel_short += item in judged
-            else:
-                long_count += 1
-                rel_long += item in judged
-    return short_count, rel_short, long_count, rel_long
+    keys, _ = _judgment_keys(judgments, lists.num_items)
+    return _exposure(lists.items, _hits(lists.items, keys, lists.num_items), part.short_head)
 
 
 @dataclass(frozen=True)
@@ -229,15 +260,7 @@ class EvaluationReport:
     k: int
     evaluated_users: int
 
-    _UNIT_FIELDS = (
-        "ndcg",
-        "precision",
-        "recall",
-        "diversity",
-        "coverage",
-        "personalization",
-        "serendipity",
-    )
+    _UNIT_FIELDS = ("ndcg", "precision", "recall", "diversity", "coverage", "personalization", "serendipity")
 
     def validate(self) -> None:
         for name in self._UNIT_FIELDS:
@@ -257,6 +280,71 @@ class EvaluationReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+@dataclass(frozen=True)
+class EvalContext:
+    """What the metrics need from one split, computed once and shared by
+    every list set scored against it."""
+
+    judged: np.ndarray  # the judgments as sorted user * num_items + item keys
+    judged_sizes: np.ndarray  # judged items per user
+    counts: np.ndarray  # distinct train users per item
+    popular: np.ndarray  # the global top-k items by train count, as a mask
+    discounts: np.ndarray  # 1/log2(r+1) for ranks r = 1..k
+    idcg: np.ndarray  # ideal DCG of c relevant items, c = 0..k
+    train: Interactions  # the train incidence, as (user, item) pairs
+    part: PopularityPartition
+    k: int
+
+
+def eval_context(
+    judgments: list[set[int]], train: Interactions, part: PopularityPartition, k: int
+) -> EvalContext:
+    """Build the shared evaluation context of one split for top-k lists."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    judged, sizes = _judgment_keys(judgments, part.num_items)
+    counts = distinct_user_counts(train, part.num_items)
+    discounts, idcg = _discounts(k)
+    return EvalContext(judged, sizes, counts, _popular_mask(counts, k), discounts, idcg, train, part, k)
+
+
+def evaluate(ctx: EvalContext, lists: RecommendationLists) -> EvaluationReport:
+    """Compute the full metric suite for one set of lists against a
+    context: every metric comes from one m x k hit matrix and the context.
+
+    evaluated_users counts the lists evaluated (all of them); accuracy
+    metrics internally average over the subset of users with judgments.
+    """
+    k, part = ctx.k, ctx.part
+    if part.num_items != lists.num_items:
+        raise ValueError("partition length does not match lists")
+    if lists.k != k:
+        lists = RecommendationLists(items=_truncate(lists, k).copy(), num_items=lists.num_items)
+    items = lists.items
+    hits = _hits(items, ctx.judged, lists.num_items)
+    precision, recall, ndcg = _accuracy(hits, ctx.judged_sizes, ctx.discounts, ctx.idcg)
+    short_count, rel_short, long_count, rel_long = _exposure(items, hits, part.short_head)
+    report = EvaluationReport(
+        ndcg=ndcg,
+        precision=precision,
+        recall=recall,
+        novelty=_novelty(items, ctx.counts, ctx.train.num_users),
+        diversity=_diversity(items, ctx.train, ctx.counts),
+        coverage=coverage(lists, part.num_items),
+        personalization=personalization(lists),
+        serendipity=_serendipity(items, ctx.popular),
+        short_count=short_count,
+        rel_short=rel_short,
+        long_count=long_count,
+        rel_long=rel_long,
+        fairness_gap=fairness_gap(lists, part).gap,
+        k=k,
+        evaluated_users=lists.num_users,
+    )
+    report.validate()
+    return report
+
+
 def evaluate_all(
     lists: RecommendationLists,
     judgments: list[set[int]],
@@ -264,33 +352,6 @@ def evaluate_all(
     part: PopularityPartition,
     k: int,
 ) -> EvaluationReport:
-    """Compute the full metric suite for one set of lists.
-
-    evaluated_users counts the lists evaluated (all of them); accuracy
-    metrics internally average over the subset of users with judgments.
-    """
-    if lists.k > k:
-        lists = RecommendationLists(items=lists.items[:, :k].copy(), num_items=lists.num_items)
-    precision, recall = precision_recall_at_k(lists, judgments, k)
-    ndcg = ndcg_at_k(lists, judgments, k)
-    short_count, rel_short, long_count, rel_long = exposure_counts(lists, judgments, part)
-    fairness = fairness_gap(lists, part)
-    report = EvaluationReport(
-        ndcg=ndcg,
-        precision=precision,
-        recall=recall,
-        novelty=novelty(lists, train, train.num_users),
-        diversity=diversity(lists, train),
-        coverage=coverage(lists, part.num_items),
-        personalization=personalization(lists),
-        serendipity=serendipity(lists, train, k),
-        short_count=short_count,
-        rel_short=rel_short,
-        long_count=long_count,
-        rel_long=rel_long,
-        fairness_gap=fairness.gap,
-        k=k,
-        evaluated_users=lists.num_users,
-    )
-    report.validate()
-    return report
+    """Compute the full metric suite for one set of lists: `evaluate` on a
+    context built for these lists alone."""
+    return evaluate(eval_context(judgments, train, part, k), lists)

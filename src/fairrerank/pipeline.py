@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -24,14 +24,15 @@ from .dataset import (
     PopularityPartition,
     SplitTriple,
     build_dataset,
+    check_split,
     partition_popularity,
     read_interactions,
     split,
     write_partition_file,
     write_split_files,
 )
-from .metrics import evaluate_all, judgments_from_interactions
-from .rerank import RecommendationLists, rerank_exact, write_lists
+from .metrics import eval_context, evaluate, judgments_from_interactions
+from .rerank import RecommendationLists, rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores
 from .util import atomic_write_text, sha256_file
@@ -118,21 +119,28 @@ def _write_manifest(
     return atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifacts, dict[str, Path]]:
-    """The `split` command: ingest, split, partition, write artifacts."""
-    out_dir = Path(out_dir)
-    clock = _StageClock()
+def _split_files(
+    cfg: ExperimentConfig, out_dir: Path, clock: _StageClock, for_run: bool
+) -> tuple[SplitArtifacts, dict[str, Path]]:
+    """Ingest, split and partition, then write the split and partition
+    files. For a run, a split it cannot use fails first (exit 1)."""
     ds = clock.run("ingest", _ingest, cfg)
     artifacts = clock.run("split", _split_stage, cfg, ds)
+    if for_run:
+        check_split(ds, artifacts.split, cfg.rerank.k, cfg.mask_seen)
     fmt = InputFormat.from_name(cfg.delimiter, False)
-    files = clock.run("write", write_split_files, artifacts.split, ds, out_dir, fmt)
+    files = clock.run("split_files", write_split_files, artifacts.split, ds, out_dir, fmt)
     files["partition"] = clock.run(
         "partition_file", write_partition_file, artifacts.partition, ds, out_dir / "partition.tsv"
     )
-    manifest = _write_manifest(
-        out_dir / "manifest.json", cfg, {"input": Path(cfg.input_path)}, files, clock
-    )
-    files["manifest"] = manifest
+    return artifacts, files
+
+
+def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifacts, dict[str, Path]]:
+    """The `split` command: ingest, split, partition, write artifacts."""
+    clock = _StageClock()
+    artifacts, files = _split_files(cfg, Path(out_dir), clock, for_run=False)
+    files["manifest"] = _write_manifest(Path(out_dir) / "manifest.json", cfg, {"input": Path(cfg.input_path)}, files, clock)
     return artifacts, files
 
 
@@ -141,16 +149,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str, threads: int = 1)
     every grid point, emitting list files, reports, and the manifest."""
     out_dir = Path(out_dir)
     clock = _StageClock()
-    ds = clock.run("ingest", _ingest, cfg)
-    artifacts = clock.run("split", _split_stage, cfg, ds)
-
-    fmt = InputFormat.from_name(cfg.delimiter, False)
-    files = clock.run("split_files", write_split_files, artifacts.split, ds, out_dir, fmt)
-    files["partition"] = clock.run(
-        "partition_file", write_partition_file, artifacts.partition, ds, out_dir / "partition.tsv"
-    )
+    artifacts, files = _split_files(cfg, out_dir, clock, for_run=True)
+    ds = artifacts.dataset
 
     judgments = judgments_from_interactions(artifacts.split.test)
+    ctx = clock.run("eval_context", eval_context, judgments, artifacts.split.train, artifacts.partition, cfg.rerank.k)
+    lambdas = cfg.rerank.lambda_points()
     rows: list[ReportRow] = []
     pending_lists: list[tuple[Path, RecommendationLists, ScoreMatrix, float]] = []
 
@@ -160,18 +164,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str, threads: int = 1)
             f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", raw, ds
         )
         scored = mask_seen(raw, artifacts.split.train) if cfg.mask_seen else raw
-        for lam in cfg.rerank.lambda_points():
-            point_cfg = replace(cfg.rerank, lam=lam, lambda_grid=None)
-            lists = clock.run(f"rerank[{name},{lam:g}]", rerank_exact, scored, artifacts.partition, point_cfg)
-            report = clock.run(
-                f"evaluate[{name},{lam:g}]",
-                evaluate_all,
-                lists,
-                judgments,
-                artifacts.split.train,
-                artifacts.partition,
-                cfg.rerank.k,
-            )
+        point_lists = clock.run(f"rerank[{name}]", rerank_path, scored, artifacts.partition, cfg.rerank, lambdas)
+        for lam, lists in zip(lambdas, point_lists):
+            report = clock.run(f"evaluate[{name},{lam:g}]", evaluate, ctx, lists)
             rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=report))
             pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, scored, lam))
 

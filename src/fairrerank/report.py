@@ -15,24 +15,10 @@ from .metrics import EvaluationReport
 
 __all__ = ["ReportRow", "render_csv", "render_json", "render_markdown"]
 
-CSV_COLUMNS = (
-    "model",
-    "type",
-    "lambda",
-    "NDCG",
-    "Pre",
-    "Rec",
-    "Nov",
-    "Div",
-    "Cov",
-    "Per",
-    "Ser",
-    "Short",
-    "Rel_Short",
-    "Long",
-    "Rel_Long",
-    "F",
-)
+CSV_COLUMNS = tuple("model,type,lambda,NDCG,Pre,Rec,Nov,Div,Cov,Per,Ser,Short,Rel_Short,Long,Rel_Long,F".split(","))
+# the report fields behind the metric columns, in column order
+_FLOAT_FIELDS = ("ndcg", "precision", "recall", "novelty", "diversity", "coverage", "personalization", "serendipity")
+_COUNT_FIELDS = ("short_count", "rel_short", "long_count", "rel_long")
 
 
 @dataclass(frozen=True)
@@ -45,18 +31,8 @@ class ReportRow:
 
 def _metric_cells(report: EvaluationReport, float_fmt: str, int_fmt) -> list[str]:
     return [
-        format(report.ndcg, float_fmt),
-        format(report.precision, float_fmt),
-        format(report.recall, float_fmt),
-        format(report.novelty, float_fmt),
-        format(report.diversity, float_fmt),
-        format(report.coverage, float_fmt),
-        format(report.personalization, float_fmt),
-        format(report.serendipity, float_fmt),
-        int_fmt(report.short_count),
-        int_fmt(report.rel_short),
-        int_fmt(report.long_count),
-        int_fmt(report.rel_long),
+        *(format(getattr(report, name), float_fmt) for name in _FLOAT_FIELDS),
+        *(int_fmt(getattr(report, name)) for name in _COUNT_FIELDS),
         format(report.fairness_gap, float_fmt),
     ]
 

@@ -7,7 +7,8 @@ mean of short-head minus long-tail selections). Because that gap is a sum
 of independent per-(user, item) terms, the whole program decomposes: adding
 -lam/m to every short-head score and +lam/m to every long-tail score turns
 it into a per-user top-K selection over adjusted scores, which the exact
-solver performs directly. The oracle re-solves each user's selection by
+solver performs directly, for a whole λ grid at once (`rerank_path`). The
+oracle re-solves each user's selection by
 exhaustive subset enumeration and exists solely to certify that reduction
 and the tie-break rules.
 
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "FairnessValue",
     "fairness_gap",
     "adjusted_scores",
+    "rerank_path",
     "rerank_exact",
     "rerank_oracle",
     "plain_topk",
@@ -127,12 +129,15 @@ class RecommendationLists:
         items per list, indices within the catalog."""
         if self.items.size and (self.items.min() < 0 or self.items.max() >= self.num_items):
             raise ValueError("list contains an out-of-catalog item index")
-        for u in range(self.num_users):
-            row = self.items[u]
-            if len(set(row.tolist())) != self.k:
-                raise ValueError(f"user {u}: list has duplicate items")
-            if scores is not None and not np.isfinite(scores.values[u, row]).all():
-                raise ValueError(f"user {u}: list contains a masked item")
+        ordered = np.sort(self.items, axis=1)
+        duplicate = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        masked = np.zeros_like(duplicate)
+        if scores is not None:
+            masked = ~np.isfinite(scores.values[np.arange(self.num_users)[:, None], self.items]).all(axis=1)
+        if (duplicate | masked).any():
+            u = int(np.argmax(duplicate | masked))
+            problem = "list has duplicate items" if duplicate[u] else "list contains a masked item"
+            raise ValueError(f"user {u}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -180,22 +185,104 @@ def _fairness_shift(part: PopularityPartition, lam: float, num_users: int, per_u
     return np.where(part.short_head, -delta, delta)
 
 
-def _selection_order(s_row: np.ndarray, r_row: np.ndarray, tie_break: str) -> np.ndarray:
-    # lexsort: last key is primary. Masked cells (-inf) sort to the end
-    # under either rule because the primary key is the adjusted score.
-    idx = np.arange(len(s_row))
-    if tie_break == "default":
-        return np.lexsort((idx, -r_row, -s_row))
-    if tie_break == "inverted":
-        # test hook: flips the secondary/tertiary tie directions only, so a
-        # correct equivalence battery must catch it via set comparison
-        return np.lexsort((-idx, r_row, -s_row))
-    raise ValueError(f"unknown tie_break {tie_break!r}")
+# Step 1 of the λ path works on blocks of users of about this many cells,
+# so its temporaries stay small next to the score matrix.
+_BLOCK_CELLS = 1 << 16
 
 
-def _display_order(selection: np.ndarray, r_row: np.ndarray) -> np.ndarray:
-    order = np.lexsort((selection, -r_row[selection]))
-    return selection[order]
+def _top_mask(block: np.ndarray, count: int, lowest_first: bool = True) -> np.ndarray:
+    """Mark each row's `count` largest values; ties at the boundary go to
+    the lower column index (the higher one when not `lowest_first`)."""
+    kth = np.partition(block, -count, axis=1)[:, -count, None]
+    above = block > kth
+    tied = block == kth if lowest_first else (block == kth)[:, ::-1]
+    tied &= np.cumsum(tied, axis=1) <= count - above.sum(axis=1, keepdims=True)
+    return above | (tied if lowest_first else tied[:, ::-1])
+
+
+def _pooled(block: np.ndarray, pool_size: int) -> np.ndarray:
+    """The scores with every cell outside each user's top-`pool_size` pool
+    (by original score, ties by lower index) made unselectable."""
+    if not pool_size or pool_size >= block.shape[1]:
+        return block
+    return np.where(_top_mask(block, pool_size), block, -np.inf)
+
+
+def _group_candidates(
+    values: np.ndarray, part: PopularityPartition, cfg: RerankConfig, lowest_first: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step 1 of the λ path: each user's top-k items of each group by
+    original score. A group's shift is one constant, and fl(r + c) is
+    monotone in r, so no λ reorders a group and every λ's selection lies
+    among these candidates. Returns the (m, C) candidate items and their
+    pooled original scores."""
+    m, n = values.shape
+    groups = [cols for cols in (np.flatnonzero(part.short_head), np.flatnonzero(~part.short_head)) if len(cols)]
+    takes = [min(cfg.k, len(cols)) for cols in groups]
+    items = np.empty((m, sum(takes)), dtype=np.int64)
+    scores = np.empty((m, sum(takes)), dtype=np.float64)
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, m, step):
+        block = _pooled(values[lo : lo + step], cfg.pool_size)
+        at = 0
+        for cols, take in zip(groups, takes):
+            sub = block[:, cols]
+            keep = _top_mask(sub, take, lowest_first) if take < len(cols) else np.ones(sub.shape, dtype=bool)
+            rows = len(sub)
+            items[lo : lo + rows, at : at + take] = cols[np.nonzero(keep)[1]].reshape(rows, take)
+            scores[lo : lo + rows, at : at + take] = sub[keep].reshape(rows, take)
+            at += take
+    return items, scores
+
+
+def rerank_path(
+    matrix: ScoreMatrix,
+    part: PopularityPartition,
+    cfg: RerankConfig,
+    lambdas: Sequence[float],
+    tie_break: str = "default",
+) -> list[RecommendationLists]:
+    """Solve the fairness-adjusted selection exactly at every λ in `lambdas`
+    (cfg.lam and cfg.lambda_grid are not read): per user, the k items with
+    the largest adjusted scores. The per-group candidates are picked once
+    (step 1); each λ then sorts only those (step 2). Returns one
+    display-ordered list set per λ, each with its objective (the selected
+    adjusted scores, summed per user in ascending item order and added user
+    by user). `tie_break="inverted"` is a test hook that flips the original
+    score and index tie directions, in both steps."""
+    if tie_break not in ("default", "inverted"):
+        raise ValueError(f"unknown tie_break {tie_break!r}")
+    if any(lam < 0 for lam in lambdas):
+        raise ValueError("lam must be >= 0")
+    if part.num_items != matrix.num_items:
+        raise ValueError("partition length does not match score matrix width")
+    m, n = matrix.num_users, matrix.num_items
+    if cfg.k > n:
+        raise ValueError(f"k={cfg.k} exceeds catalog size {n}")
+    default = tie_break == "default"
+    cand, original = _group_candidates(matrix.values, part, cfg, lowest_first=default)
+    rows = np.arange(m)[:, None]
+    out: list[RecommendationLists] = []
+    for lam in lambdas:
+        shift = _fairness_shift(part, lam, m, cfg.per_user_lambda) if lam else None
+        adjusted = original + shift[cand] if lam else original
+        keys = (cand, -original, -adjusted) if default else (-cand, original, -adjusted)
+        pick = np.lexsort(keys, axis=1)[:, : cfg.k]
+        top, top_adjusted = cand[rows, pick], adjusted[rows, pick]
+        infeasible = ~np.isfinite(top_adjusted).all(axis=1)
+        if infeasible.any():
+            u = int(np.argmax(infeasible))
+            row = _pooled(matrix.values[u : u + 1], cfg.pool_size)[0]
+            selectable = int(np.count_nonzero(np.isfinite(row + shift if lam else row)))
+            raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
+        # canonical ascending-index summation keeps the objective reproducible
+        sums = top_adjusted[rows, np.argsort(top, axis=1)].sum(axis=1)
+        objective = float(np.cumsum(np.concatenate(([0.0], sums)))[-1])
+        display = np.lexsort((top, -original[rows, pick]), axis=1)
+        lists = RecommendationLists(items=top[rows, display], num_items=n, objective=objective)
+        lists.validate(matrix)
+        out.append(lists)
+    return out
 
 
 def rerank_exact(
@@ -204,34 +291,9 @@ def rerank_exact(
     cfg: RerankConfig,
     tie_break: str = "default",
 ) -> RecommendationLists:
-    """Solve the fairness-adjusted selection exactly: per user, the k items
-    with the largest adjusted scores. Returns display-ordered lists with the
-    achieved objective (total selected adjusted score)."""
-    adjusted = adjusted_scores(matrix, part, cfg.lam, cfg.per_user_lambda)
-    m, n = matrix.num_users, matrix.num_items
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds catalog size {n}")
-    out = np.empty((m, cfg.k), dtype=np.int64)
-    objective = 0.0
-    for u in range(m):
-        s_row = adjusted.values[u]
-        r_row = matrix.values[u]
-        if cfg.pool_size and cfg.pool_size < n:
-            pool = np.lexsort((np.arange(n), -r_row))[: cfg.pool_size]
-            candidates = pool
-        else:
-            candidates = np.arange(n)
-        order = candidates[_selection_order(s_row[candidates], r_row[candidates], tie_break)]
-        top = order[: cfg.k]
-        if len(top) < cfg.k or not np.isfinite(s_row[top]).all():
-            selectable = int(np.count_nonzero(np.isfinite(s_row[candidates])))
-            raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
-        # canonical ascending-index summation keeps the objective reproducible
-        objective += float(np.sum(s_row[np.sort(top)]))
-        out[u] = _display_order(top, r_row)
-    lists = RecommendationLists(items=out, num_items=n, objective=objective)
-    lists.validate(matrix)
-    return lists
+    """Solve the fairness-adjusted selection exactly at cfg.lam: the
+    one-point `rerank_path`."""
+    return rerank_path(matrix, part, cfg, (cfg.lam,), tie_break)[0]
 
 
 _COMBINATION_CACHE: dict[tuple[int, int], np.ndarray] = {}
@@ -281,14 +343,14 @@ def rerank_oracle(
             chosen = subset_items[finalists[0]]
         else:
             rank_of = np.empty(n, dtype=np.int64)
-            order = _selection_order(s_row, r_row, "default")
-            rank_of[order] = np.arange(n)
+            rank_of[np.lexsort((np.arange(n), -r_row, -s_row))] = np.arange(n)
             chosen = min(
                 (subset_items[i] for i in finalists),
                 key=lambda items: tuple(sorted(rank_of[items].tolist())),
             )
         objective_terms.append(best_sum)
-        out[u] = _display_order(np.asarray(chosen), r_row)
+        chosen = np.asarray(chosen)
+        out[u] = chosen[np.lexsort((chosen, -r_row[chosen]))]
     lists = RecommendationLists(items=out, num_items=n, objective=math.fsum(objective_terms))
     lists.validate(matrix)
     return lists
@@ -312,16 +374,13 @@ def lambda_sweep(
 ) -> list[tuple[float, "EvaluationReport"]]:
     """Re-rank and fully evaluate at every grid point, prepending the 0.0
     fairness-unaware baseline if the grid does not already start with it."""
-    from .metrics import evaluate_all  # deferred: metrics imports fairness_gap from here
+    from .metrics import eval_context, evaluate  # deferred: metrics imports fairness_gap from here
 
     if cfg.lambda_grid is None:
         raise ValueError("lambda_sweep requires cfg.lambda_grid")
-    results: list[tuple[float, "EvaluationReport"]] = []
-    for lam in cfg.lambda_points():
-        lists = rerank_exact(matrix, part, replace(cfg, lam=lam, lambda_grid=None))
-        report = evaluate_all(lists, judgments, train, part, cfg.k)
-        results.append((lam, report))
-    return results
+    lambdas = cfg.lambda_points()
+    ctx = eval_context(judgments, train, part, cfg.k)
+    return [(lam, evaluate(ctx, lists)) for lam, lists in zip(lambdas, rerank_path(matrix, part, cfg, lambdas))]
 
 
 def write_lists(
@@ -338,12 +397,17 @@ def write_lists(
     The adjusted score is the original plus the shift `adjusted_scores`
     applies, bit for bit, and the original itself at lam 0 (so -0.0 stays)."""
     items = lists.items
-    scores = np.take_along_axis(original.values, items, axis=1)
-    adjusted = scores + _fairness_shift(part, lam, original.num_users, per_user_lambda)[items] if lam else scores
     flat = items.ravel()
+    scores = np.take_along_axis(original.values, items, axis=1).ravel()
+    adjusted = scores + _fairness_shift(part, lam, original.num_users, per_user_lambda)[flat] if lam else scores
+    # each distinct bit pattern is formatted once; keyed on the bytes, not
+    # the value, so -0.0 still prints "-0"
+    bits, slot = np.unique((np.concatenate((scores, adjusted)) if lam else scores).view(np.int64), return_inverse=True)
+    text = list(map("{:.10g}".format, bits.view(np.float64).tolist()))
+    cells = list(map(text.__getitem__, slot.tolist()))
     keys = np.asarray(ds.item_keys, dtype=object)[flat].tolist()
     groups = np.where(part.short_head[flat], "short", "long").tolist()
-    prefixes = [f"{user}\t{rank}\t" for user in ds.user_keys[: lists.num_users] for rank in range(1, lists.k + 1)]
-    line = "{}{}\t{:.10g}\t{:.10g}\t{}".format
-    lines = map(line, prefixes, keys, scores.ravel().tolist(), adjusted.ravel().tolist(), groups)
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    users = [user for user in ds.user_keys[: lists.num_users] for _ in range(lists.k)]
+    ranks = [str(rank) for rank in range(1, lists.k + 1)] * lists.num_users
+    rows = zip(users, ranks, keys, cells, cells[flat.size :] if lam else cells, groups)
+    return atomic_write_text(path, "\n".join([f"{u}\t{r}\t{key}\t{s}\t{a}\t{g}" for u, r, key, s, a, g in rows]) + "\n")

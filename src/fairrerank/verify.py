@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Interactions, partition_popularity
 from .metrics import evaluate_all
-from .rerank import RecommendationLists, RerankConfig, fairness_gap, plain_topk, rerank_exact, rerank_oracle
+from .rerank import RecommendationLists, RerankConfig, fairness_gap, plain_topk, rerank_oracle, rerank_path
 from .synthetic import random_rerank_instance
 
 __all__ = ["CheckOutcome", "run_battery", "DEFAULT_LAMBDA_GRID"]
@@ -31,127 +31,89 @@ class CheckOutcome:
     seconds: float
 
 
+def _check(name: str):
+    """Decorator: time a check that returns (passed, detail) and report it
+    as a CheckOutcome named `name`."""
+
+    def wrap(check):
+        def run(*args) -> CheckOutcome:
+            start = time.perf_counter()
+            passed, detail = check(*args)
+            return CheckOutcome(name, passed, detail, time.perf_counter() - start)
+
+        return run
+
+    return wrap
+
+
 def _instances(count: int, seed: int):
     rng = np.random.default_rng(seed)
     for index in range(count):
         yield random_rerank_instance(rng, quantized=(index % 2 == 1))
 
 
-def _check_oracle_equivalence(count: int, seed: int, tie_break: str) -> CheckOutcome:
+@_check("oracle_equivalence")
+def _check_oracle_equivalence(count: int, seed: int, tie_break: str):
     """Exact solver vs exhaustive oracle: objective within 1e-9 and the
     selected sets identical on every (instance, lambda) pair; the lambda=0
     selection must equal the plain top-k of the raw scores."""
-    start = time.perf_counter()
     checked = 0
     for idx, inst in enumerate(_instances(count, seed)):
-        cfg0 = RerankConfig(k=inst.k, lam=0.0)
         baseline = plain_topk(inst.scores, inst.k)
-        for lam in DEFAULT_LAMBDA_GRID:
-            cfg = RerankConfig(k=inst.k, lam=lam)
-            fast = rerank_exact(inst.scores, inst.part, cfg, tie_break=tie_break)
-            slow = rerank_oracle(inst.scores, inst.part, cfg)
+        path = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), DEFAULT_LAMBDA_GRID, tie_break=tie_break)
+        for lam, fast in zip(DEFAULT_LAMBDA_GRID, path):
+            slow = rerank_oracle(inst.scores, inst.part, RerankConfig(k=inst.k, lam=lam))
             if abs(fast.objective - slow.objective) > 1e-9:
-                return CheckOutcome(
-                    "oracle_equivalence",
-                    False,
-                    f"instance {idx} lambda={lam:g}: objective gap "
-                    f"{abs(fast.objective - slow.objective):.3e}",
-                    time.perf_counter() - start,
-                )
+                return False, f"instance {idx} lambda={lam:g}: objective gap {abs(fast.objective - slow.objective):.3e}"
             for u in range(fast.num_users):
-                if set(fast.items[u].tolist()) != set(slow.items[u].tolist()):
-                    return CheckOutcome(
-                        "oracle_equivalence",
-                        False,
-                        f"instance {idx} lambda={lam:g} user {u}: sets differ "
-                        f"{sorted(fast.items[u].tolist())} vs {sorted(slow.items[u].tolist())}",
-                        time.perf_counter() - start,
-                    )
+                fast_set, slow_set = sorted(fast.items[u].tolist()), sorted(slow.items[u].tolist())
+                if fast_set != slow_set:
+                    return False, f"instance {idx} lambda={lam:g} user {u}: sets differ {fast_set} vs {slow_set}"
             checked += 1
-        zero = rerank_exact(inst.scores, inst.part, cfg0, tie_break=tie_break)
-        if not np.array_equal(zero.items, baseline.items):
-            return CheckOutcome(
-                "oracle_equivalence",
-                False,
-                f"instance {idx}: lambda=0 selection differs from plain top-k",
-                time.perf_counter() - start,
-            )
-    return CheckOutcome(
-        "oracle_equivalence",
-        True,
-        f"{count} instances x {len(DEFAULT_LAMBDA_GRID)} lambdas ({checked} comparisons)",
-        time.perf_counter() - start,
-    )
+        # the grid starts at 0, so path[0] is the lambda = 0 selection
+        if not np.array_equal(path[0].items, baseline.items):
+            return False, f"instance {idx}: lambda=0 selection differs from plain top-k"
+    return True, f"{count} instances x {len(DEFAULT_LAMBDA_GRID)} lambdas ({checked} comparisons)"
 
 
-def _check_monotone_exposure(count: int, seed: int, tie_break: str) -> CheckOutcome:
+@_check("monotone_exposure")
+def _check_monotone_exposure(count: int, seed: int, tie_break: str):
     """Short-head selections never increase along an ascending lambda grid,
     per user and hence in aggregate, and the fairness gap never increases;
     past num_users * score range the short-head count is exactly zero and
     the gap is exactly -k."""
-    start = time.perf_counter()
     for idx, inst in enumerate(_instances(count, seed)):
         m, k = inst.scores.num_users, inst.k
-        previous_user_short = None
-        previous_gap = None
-        for lam in DEFAULT_LAMBDA_GRID:
-            lists = rerank_exact(inst.scores, inst.part, RerankConfig(k=k, lam=lam), tie_break=tie_break)
+        previous_user_short = previous_gap = None
+        lambdas = (*DEFAULT_LAMBDA_GRID, inst.saturating_lambda)
+        *path, saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), lambdas, tie_break=tie_break)
+        for lam, lists in zip(DEFAULT_LAMBDA_GRID, path):
             fairness = fairness_gap(lists, inst.part)
             if fairness.short_count + fairness.long_count != m * k:
-                return CheckOutcome(
-                    "monotone_exposure",
-                    False,
-                    f"instance {idx} lambda={lam:g}: exposure identity violated",
-                    time.perf_counter() - start,
-                )
+                return False, f"instance {idx} lambda={lam:g}: exposure identity violated"
             if not -k <= fairness.gap <= k:
-                return CheckOutcome(
-                    "monotone_exposure",
-                    False,
-                    f"instance {idx} lambda={lam:g}: gap {fairness.gap} out of bounds",
-                    time.perf_counter() - start,
-                )
+                return False, f"instance {idx} lambda={lam:g}: gap {fairness.gap} out of bounds"
             user_short = inst.part.short_head[lists.items].sum(axis=1)
             if previous_user_short is not None and np.any(user_short > previous_user_short):
                 worst = int(np.argmax(user_short - previous_user_short))
-                return CheckOutcome(
-                    "monotone_exposure",
-                    False,
-                    f"instance {idx} lambda={lam:g}: user {worst} short count rose "
-                    f"{int(previous_user_short[worst])} -> {int(user_short[worst])}",
-                    time.perf_counter() - start,
-                )
+                rise = f"{int(previous_user_short[worst])} -> {int(user_short[worst])}"
+                return False, f"instance {idx} lambda={lam:g}: user {worst} short count rose {rise}"
             if previous_gap is not None and fairness.gap > previous_gap + 1e-12:
-                return CheckOutcome(
-                    "monotone_exposure",
-                    False,
-                    f"instance {idx} lambda={lam:g}: gap rose {previous_gap} -> {fairness.gap}",
-                    time.perf_counter() - start,
-                )
+                return False, f"instance {idx} lambda={lam:g}: gap rose {previous_gap} -> {fairness.gap}"
             previous_user_short = user_short
             previous_gap = fairness.gap
-        saturated = rerank_exact(
-            inst.scores, inst.part, RerankConfig(k=k, lam=inst.saturating_lambda), tie_break=tie_break
-        )
         sat_fair = fairness_gap(saturated, inst.part)
         if sat_fair.short_count != 0 or sat_fair.gap != -k:
-            return CheckOutcome(
-                "monotone_exposure",
-                False,
-                f"instance {idx}: saturation failed (short={sat_fair.short_count}, gap={sat_fair.gap})",
-                time.perf_counter() - start,
-            )
-    return CheckOutcome(
-        "monotone_exposure", True, f"{count} instances, per-user", time.perf_counter() - start
-    )
+            return False, f"instance {idx}: saturation failed (short={sat_fair.short_count}, gap={sat_fair.gap})"
+    return True, f"{count} instances, per-user"
 
 
 _CATALOG_EXPECTATIONS = ((2060, 412), (1019, 203), (1189, 237), (1507, 301))
 
 
-def _check_partition_sizes() -> CheckOutcome:
+@_check("partition_sizes")
+def _check_partition_sizes():
     """floor(0.2 * n) short-head items for the four reference catalog sizes."""
-    start = time.perf_counter()
     rng = np.random.default_rng(7)
     for n, expected in _CATALOG_EXPECTATIONS:
         users = rng.integers(0, 50, size=3 * n)
@@ -159,18 +121,8 @@ def _check_partition_sizes() -> CheckOutcome:
         train = Interactions(users, items, np.ones(3 * n), 50, n)
         part = partition_popularity(train, n, ratio=0.2)
         if part.num_short != expected:
-            return CheckOutcome(
-                "partition_sizes",
-                False,
-                f"n={n}: got {part.num_short} short-head, expected {expected}",
-                time.perf_counter() - start,
-            )
-    return CheckOutcome(
-        "partition_sizes",
-        True,
-        ", ".join(f"{n}->{s}" for n, s in _CATALOG_EXPECTATIONS),
-        time.perf_counter() - start,
-    )
+            return False, f"n={n}: got {part.num_short} short-head, expected {expected}"
+    return True, ", ".join(f"{n}->{s}" for n, s in _CATALOG_EXPECTATIONS)
 
 
 def _random_evaluation(rng: np.random.Generator):
@@ -187,10 +139,10 @@ def _random_evaluation(rng: np.random.Generator):
     return RecommendationLists(items=lists.astype(np.int64), num_items=n), judgments, train, part, k
 
 
-def _check_metric_bounds(count: int, seed: int) -> CheckOutcome:
+@_check("metric_bounds")
+def _check_metric_bounds(count: int, seed: int):
     """Every bounded report field stays in range over random evaluations
     (EvaluationReport.validate re-checks the exposure identity too)."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     for idx in range(count):
         lists, judgments, train, part, k = _random_evaluation(rng)
@@ -198,14 +150,10 @@ def _check_metric_bounds(count: int, seed: int) -> CheckOutcome:
             report = evaluate_all(lists, judgments, train, part, k)
             report.validate()
         except ValueError as exc:
-            return CheckOutcome(
-                "metric_bounds", False, f"evaluation {idx}: {exc}", time.perf_counter() - start
-            )
+            return False, f"evaluation {idx}: {exc}"
         if not math.isfinite(report.novelty):
-            return CheckOutcome(
-                "metric_bounds", False, f"evaluation {idx}: non-finite novelty", time.perf_counter() - start
-            )
-    return CheckOutcome("metric_bounds", True, f"{count} random evaluations", time.perf_counter() - start)
+            return False, f"evaluation {idx}: non-finite novelty"
+    return True, f"{count} random evaluations"
 
 
 def run_battery(

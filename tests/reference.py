@@ -1,0 +1,184 @@
+"""Per-user reference implementations of the exact re-ranker and of the
+list metrics, kept for the tests only.
+
+These are the straightforward one-user-at-a-time loops the vectorized
+library code replaced. The property tests in `test_vectorized.py` check
+that the library gives the same lists, the same objective and the same
+report fields, bit for bit, on seeded random inputs.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fairrerank.dataset import distinct_user_counts
+from fairrerank.metrics import PERSONALIZATION_SAMPLE_PAIRS, EvaluationReport
+from fairrerank.rerank import RecommendationLists, adjusted_scores, fairness_gap
+
+
+def _selection_order(s_row, r_row, tie_break):
+    idx = np.arange(len(s_row))
+    if tie_break == "default":
+        return np.lexsort((idx, -r_row, -s_row))
+    if tie_break == "inverted":
+        return np.lexsort((-idx, r_row, -s_row))
+    raise ValueError(f"unknown tie_break {tie_break!r}")
+
+
+def rerank_exact(matrix, part, cfg, tie_break="default"):
+    """Per user: sort the candidates by (adjusted desc, original desc,
+    index asc), keep the first k, add their adjusted scores in ascending
+    index order to the objective, display by (original desc, index asc)."""
+    adjusted = adjusted_scores(matrix, part, cfg.lam, cfg.per_user_lambda)
+    m, n = matrix.num_users, matrix.num_items
+    if cfg.k > n:
+        raise ValueError(f"k={cfg.k} exceeds catalog size {n}")
+    out = np.empty((m, cfg.k), dtype=np.int64)
+    objective = 0.0
+    for u in range(m):
+        s_row = adjusted.values[u]
+        r_row = matrix.values[u]
+        if cfg.pool_size and cfg.pool_size < n:
+            candidates = np.lexsort((np.arange(n), -r_row))[: cfg.pool_size]
+        else:
+            candidates = np.arange(n)
+        order = candidates[_selection_order(s_row[candidates], r_row[candidates], tie_break)]
+        top = order[: cfg.k]
+        if len(top) < cfg.k or not np.isfinite(s_row[top]).all():
+            selectable = int(np.count_nonzero(np.isfinite(s_row[candidates])))
+            raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
+        objective += float(np.sum(s_row[np.sort(top)]))
+        out[u] = top[np.lexsort((top, -r_row[top]))]
+    return RecommendationLists(items=out, num_items=n, objective=objective)
+
+
+def precision_recall_at_k(lists, judgments, k):
+    items = lists.items[:, :k]
+    precisions, recalls = [], []
+    for u in range(lists.num_users):
+        judged = judgments[u]
+        if not judged:
+            continue
+        hits = sum(1 for item in items[u].tolist() if item in judged)
+        precisions.append(hits / k)
+        recalls.append(hits / len(judged))
+    if not precisions:
+        raise ValueError("no user has relevance judgments")
+    return float(np.mean(precisions)), float(np.mean(recalls))
+
+
+def ndcg_at_k(lists, judgments, k):
+    items = lists.items[:, :k]
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    scores = []
+    for u in range(lists.num_users):
+        judged = judgments[u]
+        if not judged:
+            continue
+        rel = np.array([1.0 if item in judged else 0.0 for item in items[u].tolist()])
+        dcg = float(np.sum(rel * discounts))
+        idcg = float(np.sum(discounts[: min(k, len(judged))]))
+        scores.append(dcg / idcg)
+    if not scores:
+        raise ValueError("no user has relevance judgments")
+    return float(np.mean(scores))
+
+
+def novelty(lists, train, num_users):
+    counts = distinct_user_counts(train, lists.num_items)
+    probed = np.maximum(counts[lists.items.ravel()], 1) / float(num_users)
+    return float(np.mean(-np.log2(probed)))
+
+
+def diversity(lists, train):
+    item_user = np.zeros((lists.num_items, train.num_users), dtype=np.float64)
+    item_user[train.items, train.users] = 1.0
+    norm_sq = item_user.sum(axis=1)
+    per_user = []
+    k = lists.k
+    pair_count = k * (k - 1) / 2
+    for u in range(lists.num_users):
+        vectors = item_user[lists.items[u]]
+        gram = vectors @ vectors.T
+        denom = np.sqrt(np.outer(norm_sq[lists.items[u]], norm_sq[lists.items[u]]))
+        sim = np.where(denom > 0, gram / np.where(denom > 0, denom, 1.0), 0.0)
+        upper = sim[np.triu_indices(k, 1)]
+        per_user.append(1.0 - float(upper.sum()) / pair_count)
+    return float(np.mean(per_user))
+
+
+def coverage(lists, num_items):
+    return len(np.unique(lists.items)) / num_items
+
+
+def personalization_sampled(lists, seed=0):
+    m, k = lists.num_users, lists.k
+    rng = np.random.default_rng(seed)
+    rows = [frozenset(lists.items[u].tolist()) for u in range(m)]
+    overlap_sum = 0.0
+    remaining = PERSONALIZATION_SAMPLE_PAIRS
+    while remaining > 0:
+        us = rng.integers(0, m, size=2 * remaining)
+        vs = rng.integers(0, m, size=2 * remaining)
+        keep = us != vs
+        us, vs = us[keep][:remaining], vs[keep][:remaining]
+        for u, v in zip(us.tolist(), vs.tolist()):
+            overlap_sum += len(rows[u] & rows[v]) / k
+        remaining -= len(us)
+    return 1.0 - overlap_sum / PERSONALIZATION_SAMPLE_PAIRS
+
+
+def personalization_exact(lists):
+    m, k = lists.num_users, lists.k
+    counts = np.bincount(lists.items.ravel(), minlength=lists.num_items)
+    inter_total = float(np.sum(counts * (counts - 1) // 2))
+    return 1.0 - inter_total / (m * (m - 1) / 2 * k)
+
+
+def serendipity(lists, train, k):
+    items = lists.items[:, :k]
+    counts = distinct_user_counts(train, lists.num_items)
+    order = np.lexsort((np.arange(lists.num_items), -counts))
+    primitive = set(order[:k].tolist())
+    per_user = [
+        sum(1 for item in items[u].tolist() if item not in primitive) / k for u in range(lists.num_users)
+    ]
+    return float(np.mean(per_user))
+
+
+def exposure_counts(lists, judgments, part):
+    short_count = long_count = rel_short = rel_long = 0
+    for u in range(lists.num_users):
+        judged = judgments[u]
+        for item in lists.items[u].tolist():
+            if part.short_head[item]:
+                short_count += 1
+                rel_short += item in judged
+            else:
+                long_count += 1
+                rel_long += item in judged
+    return short_count, rel_short, long_count, rel_long
+
+
+def evaluate_all(lists, judgments, train, part, k):
+    if lists.k > k:
+        lists = RecommendationLists(items=lists.items[:, :k].copy(), num_items=lists.num_items)
+    precision, recall = precision_recall_at_k(lists, judgments, k)
+    short_count, rel_short, long_count, rel_long = exposure_counts(lists, judgments, part)
+    return EvaluationReport(
+        ndcg=ndcg_at_k(lists, judgments, k),
+        precision=precision,
+        recall=recall,
+        novelty=novelty(lists, train, train.num_users),
+        diversity=diversity(lists, train),
+        coverage=coverage(lists, part.num_items),
+        personalization=personalization_exact(lists),
+        serendipity=serendipity(lists, train, k),
+        short_count=short_count,
+        rel_short=rel_short,
+        long_count=long_count,
+        rel_long=rel_long,
+        fairness_gap=fairness_gap(lists, part).gap,
+        k=k,
+        evaluated_users=lists.num_users,
+    )

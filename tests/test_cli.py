@@ -299,6 +299,32 @@ class TestExitCodes:
         config, _ = demo
         assert main(["run", "--config", str(config), "--set", "rerank.k=500"]) == 2
 
+    @staticmethod
+    def _config(tmp_path, rows, k):
+        data = tmp_path / "log.tsv"
+        data.write_text("\n".join(rows) + "\n")
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"input.path = {data}\nscorer.names = popularity\nrerank.k = {k}\noutput.dir = {tmp_path / 'out'}\n")
+        return config
+
+    def test_heavy_user_fails_at_split_time(self, tmp_path, capsys):
+        # 40 items and k = 15: after masking its 28 train items, the user
+        # who saw every item has 12 left
+        rows = [f"heavy\ti{i}" for i in range(40)] + [f"u{u}\ti{(7 * u + j) % 40}" for u in range(20) for j in range(6)]
+        assert main(["run", "--config", str(self._config(tmp_path, rows, 15))]) == 1
+        err = capsys.readouterr().err
+        assert "1 users have fewer than rerank.k=15 unseen items to select (first user 'heavy' has 12)" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_judged_user_fails_at_split_time(self, tmp_path, capsys):
+        # two interactions per user: everything stays in train
+        rows = [f"u{u}\ti{(u + j) % 10}" for u in range(8) for j in range(2)]
+        assert main(["run", "--config", str(self._config(tmp_path, rows, 3))]) == 1
+        err = capsys.readouterr().err
+        assert "no user has relevance judgments: all 8 users have fewer than 3 interactions" in err
+        assert "(first user 'u0')" in err
+        assert not (tmp_path / "out").exists()
+
     def test_single_item_lists_rejected_at_config_time(self, demo, capsys):
         config, _ = demo
         assert main(["run", "--config", str(config), "--set", "rerank.k=1"]) == 1

@@ -337,6 +337,46 @@ class TestWriteLists:
             b"b\t2\ty\t-0\t-0.1\tshort\n"
         )
 
+    @pytest.fixture
+    def repeated(self):
+        # users a and b have bitwise-identical rows; 0.0 and -0.0 both appear
+        ds = build_dataset([InteractionRecord(u, i) for u in ("a", "b", "c") for i in ("w", "x", "y", "z")])
+        scores = ScoreMatrix(np.array([[0.0, -0.0, 0.5, 0.5], [0.0, -0.0, 0.5, 0.5], [-0.0, 0.0, 0.5, 0.25]]))
+        part = make_partition([True, False, True, False])
+        lists = RecommendationLists(items=np.array([[2, 0, 1], [2, 1, 0], [3, 0, 1]]), num_items=4)
+        return ds, scores, part, lists
+
+    def test_repeated_values_and_signed_zeros_lambda_zero(self, repeated, tmp_path):
+        ds, scores, part, lists = repeated
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.0, False)
+        assert path.read_bytes() == (
+            b"a\t1\ty\t0.5\t0.5\tshort\n"
+            b"a\t2\tw\t0\t0\tshort\n"
+            b"a\t3\tx\t-0\t-0\tlong\n"
+            b"b\t1\ty\t0.5\t0.5\tshort\n"
+            b"b\t2\tx\t-0\t-0\tlong\n"
+            b"b\t3\tw\t0\t0\tshort\n"
+            b"c\t1\tz\t0.25\t0.25\tlong\n"
+            b"c\t2\tw\t-0\t-0\tshort\n"
+            b"c\t3\tx\t0\t0\tlong\n"
+        )
+
+    def test_repeated_values_and_signed_zeros_positive_lambda(self, repeated, tmp_path):
+        # delta = 0.75 / 3 users = 0.25
+        ds, scores, part, lists = repeated
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.75, False)
+        assert path.read_bytes() == (
+            b"a\t1\ty\t0.5\t0.25\tshort\n"
+            b"a\t2\tw\t0\t-0.25\tshort\n"
+            b"a\t3\tx\t-0\t0.25\tlong\n"
+            b"b\t1\ty\t0.5\t0.25\tshort\n"
+            b"b\t2\tx\t-0\t0.25\tlong\n"
+            b"b\t3\tw\t0\t-0.25\tshort\n"
+            b"c\t1\tz\t0.25\t0.5\tlong\n"
+            b"c\t2\tw\t-0\t-0.25\tshort\n"
+            b"c\t3\tx\t0\t0.25\tlong\n"
+        )
+
     @pytest.mark.parametrize("lam, per_user", [(0.0, False), (0.7, False), (0.03, True)])
     def test_adjusted_column_matches_adjusted_scores(self, tmp_path, lam, per_user):
         rng = np.random.default_rng(5)
