@@ -42,7 +42,7 @@ def _build_parser() -> _Parser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=Path, required=name != "verify", default=None)
         cmd.add_argument("--seed", type=int, default=None, help="override split.seed")
-        cmd.add_argument("--threads", type=int, default=1)
+        cmd.add_argument("--threads", type=int, default=1, help="ignored; deleted at the next benchmark change")
         cmd.add_argument("--out", type=Path, default=None, help="override the output directory")
         cmd.add_argument("--format", choices=("csv", "json", "md"), default=None, help="override report.formats")
         cmd.add_argument(
@@ -104,7 +104,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     # incrementally, and recomputation guarantees they are never stale
     cfg = _load(args)
     out_dir = _resolve_out_dir(args, cfg)
-    result = run_experiment(cfg, out_dir, threads=args.threads)
+    result = run_experiment(cfg, out_dir)
     if args.command in ("evaluate", "run"):
         sys.stdout.write(render_markdown(result.rows))
     print(f"wrote {len(result.files)} files to {out_dir} (manifest: {result.manifest_path})")

@@ -195,14 +195,7 @@ def build_config(pairs: dict[str, str]) -> ExperimentConfig:
         if pairs.get(key) is None:
             continue
         group, _, name = path.rpartition(".")
-        try:
-            value = parse(key, pairs[key])
-        except ConfigError as exc:
-            # a scalar of a nested config reports under the group prefix its
-            # range checks use below; the grid's list errors stand alone
-            if group and parse is not _parse_float_list:
-                raise ConfigError(f"{group}.*: {exc}") from None
-            raise
+        value = parse(key, pairs[key])
         if value is not None:
             fields[group][name] = value
     for group, cls in (("mf", MFConfig), ("rerank", RerankConfig)):

@@ -194,17 +194,12 @@ class Dataset:
         return len(self.item_keys)
 
 
-_DEDUP_RULES = ("max", "sum", "first")
-
-
-def build_dataset(records: Sequence[InteractionRecord], dedup: str = "max") -> Dataset:
+def build_dataset(records: Sequence[InteractionRecord]) -> Dataset:
     """Index users and items in first-appearance order and merge duplicate
-    (user, item) pairs with the chosen aggregation rule (default: max weight,
-    which makes re-ingestion idempotent)."""
+    (user, item) pairs into one with the max weight, which makes
+    re-ingestion idempotent."""
     if not records:
         raise DataError("no interaction records")
-    if dedup not in _DEDUP_RULES:
-        raise ValueError(f"unknown dedup rule {dedup!r}; expected one of {_DEDUP_RULES}")
 
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
@@ -212,14 +207,7 @@ def build_dataset(records: Sequence[InteractionRecord], dedup: str = "max") -> D
     for rec in records:
         u = user_index.setdefault(rec.user_key, len(user_index))
         i = item_index.setdefault(rec.item_key, len(item_index))
-        key = (u, i)
-        if key not in merged:
-            merged[key] = rec.weight
-        elif dedup == "max":
-            merged[key] = max(merged[key], rec.weight)
-        elif dedup == "sum":
-            merged[key] += rec.weight
-        # "first": keep the existing weight
+        merged[(u, i)] = max(merged.get((u, i), rec.weight), rec.weight)
 
     pairs = sorted(merged)
     users = np.array([p[0] for p in pairs], dtype=np.int64)
@@ -310,10 +298,14 @@ def distinct_user_counts(inter: Interactions, num_items: int) -> np.ndarray:
 
 
 def check_split(ds: Dataset, triple: SplitTriple, k: int, mask_seen: bool) -> None:
-    """Reject a split that top-k lists cannot be built and scored on: an
-    empty test split (no judged user), or users left with fewer than k
-    unseen items when seen items are masked. A k above the catalog size is
-    left to the re-ranker."""
+    """Reject a split that top-k lists cannot be built and scored on: a
+    single user (personalization compares pairs of lists), an empty test
+    split (no judged user), or users left with fewer than k unseen items
+    when seen items are masked. A k above the catalog size is left to the
+    re-ranker."""
+    if ds.num_users < 2:
+        raise DataError(f"a run needs at least 2 users (personalization compares their lists), got "
+                        f"{ds.num_users} (first user {ds.user_keys[0]!r})")
     if len(triple.test) == 0:
         raise DataError(f"no user has relevance judgments: all {ds.num_users} users have fewer than "
                         f"3 interactions, so the test split is empty (first user {ds.user_keys[0]!r})")

@@ -16,6 +16,8 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ExperimentConfig, config_snapshot
 from .dataset import (
@@ -89,12 +91,12 @@ def _split_stage(cfg: ExperimentConfig, ds: Dataset) -> SplitArtifacts:
     return SplitArtifacts(ds, triple, part)
 
 
-def _score_one(cfg: ExperimentConfig, name: str, artifacts: SplitArtifacts, threads: int) -> ScoreMatrix:
+def _score_one(cfg: ExperimentConfig, name: str, artifacts: SplitArtifacts) -> ScoreMatrix:
     train = artifacts.split.train
     if name == "popularity":
         return popularity_scorer(train)
     if name == "mf":
-        return mf_scorer(train, cfg.mf, threads=threads)
+        return mf_scorer(train, cfg.mf)
     if name == "random":
         return random_scorer(train.num_users, train.num_items, cfg.random_seed)
     if name == "import":
@@ -144,7 +146,7 @@ def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifact
     return artifacts, files
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path | str, threads: int = 1) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     """The `run` command: the full pipeline over every configured scorer and
     every grid point, emitting list files, reports, and the manifest."""
     out_dir = Path(out_dir)
@@ -156,10 +158,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str, threads: int = 1)
     ctx = clock.run("eval_context", eval_context, judgments, artifacts.split.train, artifacts.partition, cfg.rerank.k)
     lambdas = cfg.rerank.lambda_points()
     rows: list[ReportRow] = []
-    pending_lists: list[tuple[Path, RecommendationLists, ScoreMatrix, float]] = []
+    pending_lists: list[tuple[Path, RecommendationLists, np.ndarray, float]] = []
 
     for name in cfg.scorers:
-        raw = clock.run(f"score[{name}]", _score_one, cfg, name, artifacts, threads)
+        raw = clock.run(f"score[{name}]", _score_one, cfg, name, artifacts)
         files[f"scores_{name}"] = clock.run(
             f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", raw, ds
         )
@@ -168,11 +170,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str, threads: int = 1)
         for lam, lists in zip(lambdas, point_lists):
             report = clock.run(f"evaluate[{name},{lam:g}]", evaluate, ctx, lists)
             rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=report))
-            pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, scored, lam))
+            # keep only the m x K listed original scores, not the m x n matrix
+            listed = np.take_along_axis(scored.values, lists.items, axis=1)
+            pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, listed, lam))
 
     # all stages succeeded; now write the list files and reports
-    for path, lists, scored, lam in pending_lists:
-        files[path.stem] = write_lists(path, lists, ds, artifacts.partition, scored, lam, cfg.rerank.per_user_lambda)
+    for path, lists, listed, lam in pending_lists:
+        files[path.stem] = write_lists(path, lists, ds, artifacts.partition, listed, lam, cfg.rerank.per_user_lambda)
     renderers = {"csv": render_csv, "json": render_json, "md": render_markdown}
     for fmt_name in cfg.formats:
         files[f"report_{fmt_name}"] = atomic_write_text(

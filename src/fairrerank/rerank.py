@@ -174,9 +174,9 @@ def adjusted_scores(
     if part.num_items != matrix.num_items:
         raise ValueError("partition length does not match score matrix width")
     if lam == 0.0:
-        return ScoreMatrix(matrix.values.copy(), masked_seen=matrix.masked_seen)
+        return ScoreMatrix(matrix.values.copy())
     shift = _fairness_shift(part, lam, matrix.num_users, per_user_lambda)
-    return ScoreMatrix(matrix.values + shift, masked_seen=matrix.masked_seen)
+    return ScoreMatrix(matrix.values + shift)
 
 
 def _fairness_shift(part: PopularityPartition, lam: float, num_users: int, per_user_lambda: bool) -> np.ndarray:
@@ -388,18 +388,19 @@ def write_lists(
     lists: RecommendationLists,
     ds: Dataset,
     part: PopularityPartition,
-    original: ScoreMatrix,
+    listed: np.ndarray,
     lam: float,
     per_user_lambda: bool,
 ) -> Path:
     """Write per-user list lines:
     user_key<TAB>rank<TAB>item_key<TAB>original_score<TAB>adjusted_score<TAB>{short|long}.
-    The adjusted score is the original plus the shift `adjusted_scores`
-    applies, bit for bit, and the original itself at lam 0 (so -0.0 stays)."""
-    items = lists.items
-    flat = items.ravel()
-    scores = np.take_along_axis(original.values, items, axis=1).ravel()
-    adjusted = scores + _fairness_shift(part, lam, original.num_users, per_user_lambda)[flat] if lam else scores
+    `listed` holds the original scores of the listed items, shaped like
+    `lists.items`. The adjusted score is the original plus the shift
+    `adjusted_scores` applies, bit for bit, and the original itself at lam 0
+    (so -0.0 stays)."""
+    flat = lists.items.ravel()
+    scores = listed.ravel()
+    adjusted = scores + _fairness_shift(part, lam, lists.num_users, per_user_lambda)[flat] if lam else scores
     # each distinct bit pattern is formatted once; keyed on the bytes, not
     # the value, so -0.0 still prints "-0"
     bits, slot = np.unique((np.concatenate((scores, adjusted)) if lam else scores).view(np.int64), return_inverse=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -48,7 +47,6 @@ class ScoreMatrix:
     unselectable; every other cell must be finite."""
 
     values: np.ndarray
-    masked_seen: bool = False
     import_coverage: float | None = None
 
     def __post_init__(self):
@@ -112,63 +110,41 @@ def random_scorer(num_users: int, num_items: int, seed: int) -> ScoreMatrix:
     return ScoreMatrix(rng.random((num_users, num_items)))
 
 
-def _group_by(index: np.ndarray, companion: np.ndarray, weights: np.ndarray, size: int):
-    """Group (companion, weight) arrays by the values of `index` (0..size-1).
-    Returns two lists of arrays, one pair per index value."""
+def _sort_by_row(index: np.ndarray, companion: np.ndarray, weights: np.ndarray, size: int):
+    """Stable-sort (companion, weight) pairs by their row in `index`
+    (0..size-1). Returns the sorted companions and weights and the size+1
+    row bounds: row r's pairs are [bounds[r], bounds[r + 1])."""
     order = np.argsort(index, kind="stable")
-    sorted_index = index[order]
-    starts = np.searchsorted(sorted_index, np.arange(size), side="left")
-    stops = np.searchsorted(sorted_index, np.arange(size), side="right")
-    comp_sorted = companion[order]
-    w_sorted = weights[order]
-    return (
-        [comp_sorted[a:b] for a, b in zip(starts, stops)],
-        [w_sorted[a:b] for a, b in zip(starts, stops)],
-    )
+    bounds = np.searchsorted(index[order], np.arange(size + 1))
+    return companion[order], weights[order], bounds.tolist()
 
 
 def _solve_half(
     this: np.ndarray,
     other: np.ndarray,
-    seen: list[np.ndarray],
-    seen_w: list[np.ndarray],
+    seen: np.ndarray,
+    seen_w: np.ndarray,
+    bounds: list[int],
     reg: float,
     alpha: float,
-    threads: int,
 ) -> None:
     """One ALS half-step: re-solve every row of `this` against the frozen
-    `other` factors. Row solves are independent, so the result does not
-    depend on how rows are distributed over threads."""
+    `other` factors, row r from its pairs seen[lo:hi], seen_w[lo:hi]."""
     dim = other.shape[1]
     gram = other.T @ other + reg * np.eye(dim)
-
-    def solve_range(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            cols = seen[r]
-            if len(cols) == 0:
-                # all preference targets are 0, so the exact solve is 0
-                this[r] = 0.0
-                continue
-            conf_minus_one = alpha * seen_w[r]
-            factors = other[cols]
-            a = gram + (factors.T * conf_minus_one) @ factors
-            b = factors.T @ (1.0 + conf_minus_one)
-            this[r] = np.linalg.solve(a, b)
-
-    nrows = this.shape[0]
-    if threads <= 1 or nrows < 2 * threads:
-        solve_range(0, nrows)
-        return
-    bounds = np.linspace(0, nrows, threads + 1, dtype=int)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(solve_range, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-        for fut in futures:
-            fut.result()
+    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo == hi:
+            # all preference targets are 0, so the exact solve is 0
+            this[r] = 0.0
+            continue
+        conf_minus_one = alpha * seen_w[lo:hi]
+        factors = other[seen[lo:hi]]
+        a = gram + (factors.T * conf_minus_one) @ factors
+        b = factors.T @ (1.0 + conf_minus_one)
+        this[r] = np.linalg.solve(a, b)
 
 
-def train_mf_factors(
-    train: Interactions, cfg: MFConfig = MFConfig(), threads: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[np.ndarray, np.ndarray]:
     """Alternating least squares on the implicit-feedback objective with
     confidence 1 + alpha*w on observed cells and binary preference targets.
 
@@ -182,12 +158,12 @@ def train_mf_factors(
     user_factors = rng.standard_normal((m, cfg.latent_dim)) * 0.01
     item_factors = rng.standard_normal((n, cfg.latent_dim)) * 0.01
 
-    user_seen, user_w = _group_by(train.users, train.items, train.weights, m)
-    item_seen, item_w = _group_by(train.items, train.users, train.weights, n)
+    by_user = _sort_by_row(train.users, train.items, train.weights, m)
+    by_item = _sort_by_row(train.items, train.users, train.weights, n)
 
     for it in range(cfg.iterations):
-        _solve_half(user_factors, item_factors, user_seen, user_w, cfg.regularization, cfg.confidence_alpha, threads)
-        _solve_half(item_factors, user_factors, item_seen, item_w, cfg.regularization, cfg.confidence_alpha, threads)
+        _solve_half(user_factors, item_factors, *by_user, cfg.regularization, cfg.confidence_alpha)
+        _solve_half(item_factors, user_factors, *by_item, cfg.regularization, cfg.confidence_alpha)
         if not (np.isfinite(user_factors).all() and np.isfinite(item_factors).all()):
             raise RuntimeError(f"non-finite factor values at ALS iteration {it}")
     return user_factors, item_factors
@@ -209,9 +185,9 @@ def mf_objective(
     return loss + penalty
 
 
-def mf_scorer(train: Interactions, cfg: MFConfig = MFConfig(), threads: int = 1) -> ScoreMatrix:
+def mf_scorer(train: Interactions, cfg: MFConfig = MFConfig()) -> ScoreMatrix:
     """Matrix-factorization scorer: R = user_factors @ item_factors.T."""
-    user_factors, item_factors = train_mf_factors(train, cfg, threads)
+    user_factors, item_factors = train_mf_factors(train, cfg)
     return ScoreMatrix(user_factors @ item_factors.T)
 
 
@@ -286,4 +262,4 @@ def mask_seen(matrix: ScoreMatrix, train: Interactions) -> ScoreMatrix:
         )
     values = matrix.values.copy()
     values[train.users, train.items] = MASKED
-    return ScoreMatrix(values, masked_seen=True, import_coverage=matrix.import_coverage)
+    return ScoreMatrix(values, import_coverage=matrix.import_coverage)

@@ -156,17 +156,12 @@ def _check_metric_bounds(count: int, seed: int):
     return True, f"{count} random evaluations"
 
 
-def run_battery(
-    instances: int = 200,
-    seed: int = 20240,
-    tie_break: str = "default",
-    metric_evaluations: int = 100,
-) -> list[CheckOutcome]:
+def run_battery(instances: int = 200, seed: int = 20240, tie_break: str = "default") -> list[CheckOutcome]:
     """Run all checks; `tie_break` is a test hook that, when set to
     "inverted", must make the equivalence check fail."""
     return [
         _check_oracle_equivalence(instances, seed, tie_break),
         _check_monotone_exposure(max(instances // 4, 25), seed + 1, tie_break),
         _check_partition_sizes(),
-        _check_metric_bounds(metric_evaluations, seed + 2),
+        _check_metric_bounds(100, seed + 2),
     ]

@@ -1,10 +1,11 @@
-"""Per-user reference implementations of the exact re-ranker and of the
-list metrics, kept for the tests only.
+"""Per-user reference implementations of the exact re-ranker, of the
+list metrics and of the ALS half-step, kept for the tests only.
 
 These are the straightforward one-user-at-a-time loops the vectorized
 library code replaced. The property tests in `test_vectorized.py` check
 that the library gives the same lists, the same objective and the same
-report fields, bit for bit, on seeded random inputs.
+report fields, bit for bit, on seeded random inputs; `test_scorers.py`
+checks that the library's ALS factors equal these, bit for bit.
 """
 
 from __future__ import annotations
@@ -182,3 +183,47 @@ def evaluate_all(lists, judgments, train, part, k):
         k=k,
         evaluated_users=lists.num_users,
     )
+
+
+def _group_by(index, companion, weights, size):
+    """Per index value 0..size-1, the arrays of its companions and weights."""
+    order = np.argsort(index, kind="stable")
+    sorted_index = index[order]
+    starts = np.searchsorted(sorted_index, np.arange(size), side="left")
+    stops = np.searchsorted(sorted_index, np.arange(size), side="right")
+    comp_sorted = companion[order]
+    w_sorted = weights[order]
+    return (
+        [comp_sorted[a:b] for a, b in zip(starts, stops)],
+        [w_sorted[a:b] for a, b in zip(starts, stops)],
+    )
+
+
+def _solve_half(this, other, seen, seen_w, reg, alpha):
+    dim = other.shape[1]
+    gram = other.T @ other + reg * np.eye(dim)
+    for r in range(this.shape[0]):
+        cols = seen[r]
+        if len(cols) == 0:
+            this[r] = 0.0
+            continue
+        conf_minus_one = alpha * seen_w[r]
+        factors = other[cols]
+        a = gram + (factors.T * conf_minus_one) @ factors
+        b = factors.T @ (1.0 + conf_minus_one)
+        this[r] = np.linalg.solve(a, b)
+
+
+def train_mf_factors(train, cfg):
+    """ALS with one list of (columns, weights) arrays per row, solved one
+    row at a time."""
+    m, n = train.num_users, train.num_items
+    rng = np.random.default_rng(cfg.seed)
+    user_factors = rng.standard_normal((m, cfg.latent_dim)) * 0.01
+    item_factors = rng.standard_normal((n, cfg.latent_dim)) * 0.01
+    user_seen, user_w = _group_by(train.users, train.items, train.weights, m)
+    item_seen, item_w = _group_by(train.items, train.users, train.weights, n)
+    for _ in range(cfg.iterations):
+        _solve_half(user_factors, item_factors, user_seen, user_w, cfg.regularization, cfg.confidence_alpha)
+        _solve_half(item_factors, user_factors, item_seen, item_w, cfg.regularization, cfg.confidence_alpha)
+    return user_factors, item_factors

@@ -1,9 +1,12 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fairrerank.cli import main
+from fairrerank.cli import _build_parser, main
 from fairrerank.config import (
     ConfigError,
     build_config,
@@ -325,6 +328,14 @@ class TestExitCodes:
         assert "(first user 'u0')" in err
         assert not (tmp_path / "out").exists()
 
+    def test_single_user_fails_at_split_time(self, tmp_path, capsys):
+        rows = [f"solo\ti{i}" for i in range(30)]
+        assert main(["run", "--config", str(self._config(tmp_path, rows, 5))]) == 1
+        err = capsys.readouterr().err
+        assert "a run needs at least 2 users" in err
+        assert "got 1 (first user 'solo')" in err
+        assert not (tmp_path / "out").exists()
+
     def test_single_item_lists_rejected_at_config_time(self, demo, capsys):
         config, _ = demo
         assert main(["run", "--config", str(config), "--set", "rerank.k=1"]) == 1
@@ -348,3 +359,19 @@ class TestExitCodes:
         assert main(["verify", "--instances", "20"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4
+
+
+def _readme_flags():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("\nFlags on every command: ", 1)[1].split("Output directory precedence", 1)[0]
+    every, verify_only = paragraph.split("`verify` also takes", 1)
+    return tuple(set(re.findall(r"`(--[a-z-]+)", part)) for part in (every, verify_only))
+
+
+def test_readme_flags_match_the_parser():
+    every, verify_only = _readme_flags()
+    commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"split", "score", "rerank", "evaluate", "run", "verify"}
+    for name, cmd in commands.items():
+        flags = {flag for action in cmd._actions for flag in action.option_strings} - {"-h", "--help"}
+        assert flags == (every | verify_only if name == "verify" else every), name

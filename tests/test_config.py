@@ -103,56 +103,56 @@ CASES = [
         "8",
         "8",
         "8.0",
-        "mf.*: mf.dim: expected an integer, got '8.0'",
-        ConfigError("mf.*: mf.dim: expected an integer, got ''"),
+        "mf.dim: expected an integer, got '8.0'",
+        ConfigError("mf.dim: expected an integer, got ''"),
     ),
     (
         "mf.reg",
         "1e-3",
         "0.001",
         "small",
-        "mf.*: mf.reg: expected a number, got 'small'",
-        ConfigError("mf.*: mf.reg: expected a number, got ''"),
+        "mf.reg: expected a number, got 'small'",
+        ConfigError("mf.reg: expected a number, got ''"),
     ),
     (
         "mf.iters",
         "5",
         "5",
         "many",
-        "mf.*: mf.iters: expected an integer, got 'many'",
-        ConfigError("mf.*: mf.iters: expected an integer, got ''"),
+        "mf.iters: expected an integer, got 'many'",
+        ConfigError("mf.iters: expected an integer, got ''"),
     ),
     (
         "mf.alpha",
         "10",
         "10.0",
         "inf",
-        "mf.*: mf.alpha: expected a finite number, got 'inf'",
-        ConfigError("mf.*: mf.alpha: expected a number, got ''"),
+        "mf.alpha: expected a finite number, got 'inf'",
+        ConfigError("mf.alpha: expected a number, got ''"),
     ),
     (
         "mf.seed",
         "9",
         "9",
         "x",
-        "mf.*: mf.seed: expected an integer, got 'x'",
-        ConfigError("mf.*: mf.seed: expected an integer, got ''"),
+        "mf.seed: expected an integer, got 'x'",
+        ConfigError("mf.seed: expected an integer, got ''"),
     ),
     (
         "rerank.k",
         "5",
         "5",
         "ten",
-        "rerank.*: rerank.k: expected an integer, got 'ten'",
-        ConfigError("rerank.*: rerank.k: expected an integer, got ''"),
+        "rerank.k: expected an integer, got 'ten'",
+        ConfigError("rerank.k: expected an integer, got ''"),
     ),
     (
         "rerank.lambda",
         "2.5",
         "2.5",
         "x",
-        "rerank.*: rerank.lambda: expected a number, got 'x'",
-        ConfigError("rerank.*: rerank.lambda: expected a number, got ''"),
+        "rerank.lambda: expected a number, got 'x'",
+        ConfigError("rerank.lambda: expected a number, got ''"),
     ),
     (
         "rerank.lambda_grid",
@@ -167,16 +167,16 @@ CASES = [
         "TRUE",
         "true",
         "on",
-        "rerank.*: rerank.per_user_lambda: expected a boolean, got 'on'",
-        ConfigError("rerank.*: rerank.per_user_lambda: expected a boolean, got ''"),
+        "rerank.per_user_lambda: expected a boolean, got 'on'",
+        ConfigError("rerank.per_user_lambda: expected a boolean, got ''"),
     ),
     (
         "rerank.pool_size",
         "20",
         "20",
         "2.5",
-        "rerank.*: rerank.pool_size: expected an integer, got '2.5'",
-        ConfigError("rerank.*: rerank.pool_size: expected an integer, got ''"),
+        "rerank.pool_size: expected an integer, got '2.5'",
+        ConfigError("rerank.pool_size: expected an integer, got ''"),
     ),
     # any text is a valid output directory; there is no malformed value
     ("output.dir", "results", "results", None, None, "out"),

@@ -86,12 +86,6 @@ class TestBuildDataset:
         assert ds.user_index == {"b": 0, "a": 1}
         assert ds.item_index == {"y": 0, "x": 1}
 
-    def test_sum_rule(self):
-        ds = build_dataset(
-            [InteractionRecord("u", "i", 2.0), InteractionRecord("u", "i", 3.0)], dedup="sum"
-        )
-        assert ds.interactions.weights[0] == 5.0
-
 
 def _records_for_user_counts(counts):
     records = []

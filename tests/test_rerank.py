@@ -96,11 +96,10 @@ class TestAdjustedScores:
 
     def test_masked_cells_stay_masked(self):
         values = np.array([[0.5, MASKED]])
-        matrix = ScoreMatrix(values, masked_seen=True)
+        matrix = ScoreMatrix(values)
         part = make_partition([False, False])
         adjusted = adjusted_scores(matrix, part, 1.0)
         assert adjusted.values[0, 1] == MASKED
-        assert adjusted.masked_seen
 
 
 class TestRerankExact:
@@ -142,7 +141,7 @@ class TestRerankExact:
 
     def test_user_with_too_few_selectable_items_errors(self):
         values = np.array([[0.5, MASKED, MASKED], [0.1, 0.2, 0.3]])
-        matrix = ScoreMatrix(values, masked_seen=True)
+        matrix = ScoreMatrix(values)
         part = make_partition([False, False, False])
         with pytest.raises(ValueError, match="user 0"):
             rerank_exact(matrix, part, RerankConfig(k=2))
@@ -151,7 +150,7 @@ class TestRerankExact:
         rng = np.random.default_rng(4)
         values = rng.random((5, 8))
         values[:, :3] = MASKED  # best columns masked away
-        matrix = ScoreMatrix(values, masked_seen=True)
+        matrix = ScoreMatrix(values)
         part = make_partition([True, False] * 4)
         lists = rerank_exact(matrix, part, RerankConfig(k=3, lam=0.5))
         assert np.all(lists.items >= 3)
@@ -225,7 +224,7 @@ class TestRerankOracle:
 
     def test_respects_masked_cells(self):
         values = np.array([[MASKED, 0.4, 0.6, 0.1]])
-        matrix = ScoreMatrix(values, masked_seen=True)
+        matrix = ScoreMatrix(values)
         part = make_partition([True, True, False, False])
         lists = rerank_oracle(matrix, part, RerankConfig(k=2, lam=0.0))
         assert 0 not in lists.items[0].tolist()
@@ -294,6 +293,11 @@ class TestRerankConfigValidation:
             RerankConfig(lambda_grid=())
 
 
+def _listed(scores, lists):
+    """The listed items' original scores, as `write_lists` takes them."""
+    return np.take_along_axis(scores.values, lists.items, axis=1)
+
+
 class TestWriteLists:
     """Golden bytes: scores print with .10g, the adjusted score is the
     original plus the group's shift, and at lam 0 a -0.0 stays -0."""
@@ -304,11 +308,11 @@ class TestWriteLists:
         scores = ScoreMatrix(np.array([[0.5, -0.0, 0.25, 0.125], [0.0, 1.0, -0.0, 1 / 3]]))
         part = make_partition([True, False, True, False])
         lists = RecommendationLists(items=np.array([[0, 1], [3, 2]]), num_items=4)
-        return ds, scores, part, lists
+        return ds, _listed(scores, lists), part, lists
 
     def test_lambda_zero_golden(self, inputs, tmp_path):
-        ds, scores, part, lists = inputs
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.0, False)
+        ds, listed, part, lists = inputs
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.0, False)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.5\tshort\n"
             b"a\t2\tx\t-0\t-0\tlong\n"
@@ -318,8 +322,8 @@ class TestWriteLists:
 
     def test_positive_lambda_golden(self, inputs, tmp_path):
         # delta = lam / num_users = 0.25
-        ds, scores, part, lists = inputs
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.5, False)
+        ds, listed, part, lists = inputs
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.5, False)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.25\tshort\n"
             b"a\t2\tx\t-0\t0.25\tlong\n"
@@ -328,8 +332,8 @@ class TestWriteLists:
         )
 
     def test_per_user_lambda_golden(self, inputs, tmp_path):
-        ds, scores, part, lists = inputs
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.1, True)
+        ds, listed, part, lists = inputs
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.1, True)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.4\tshort\n"
             b"a\t2\tx\t-0\t0.1\tlong\n"
@@ -344,11 +348,11 @@ class TestWriteLists:
         scores = ScoreMatrix(np.array([[0.0, -0.0, 0.5, 0.5], [0.0, -0.0, 0.5, 0.5], [-0.0, 0.0, 0.5, 0.25]]))
         part = make_partition([True, False, True, False])
         lists = RecommendationLists(items=np.array([[2, 0, 1], [2, 1, 0], [3, 0, 1]]), num_items=4)
-        return ds, scores, part, lists
+        return ds, _listed(scores, lists), part, lists
 
     def test_repeated_values_and_signed_zeros_lambda_zero(self, repeated, tmp_path):
-        ds, scores, part, lists = repeated
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.0, False)
+        ds, listed, part, lists = repeated
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.0, False)
         assert path.read_bytes() == (
             b"a\t1\ty\t0.5\t0.5\tshort\n"
             b"a\t2\tw\t0\t0\tshort\n"
@@ -363,8 +367,8 @@ class TestWriteLists:
 
     def test_repeated_values_and_signed_zeros_positive_lambda(self, repeated, tmp_path):
         # delta = 0.75 / 3 users = 0.25
-        ds, scores, part, lists = repeated
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, scores, 0.75, False)
+        ds, listed, part, lists = repeated
+        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.75, False)
         assert path.read_bytes() == (
             b"a\t1\ty\t0.5\t0.25\tshort\n"
             b"a\t2\tw\t0\t-0.25\tshort\n"
@@ -384,7 +388,7 @@ class TestWriteLists:
         m, n = inst.scores.num_users, inst.scores.num_items
         ds = build_dataset([InteractionRecord(f"u{u}", f"i{i}") for u in range(m) for i in range(n)])
         lists = rerank_exact(inst.scores, inst.part, RerankConfig(k=inst.k, lam=lam, per_user_lambda=per_user))
-        path = write_lists(tmp_path / "l.tsv", lists, ds, inst.part, inst.scores, lam, per_user)
+        path = write_lists(tmp_path / "l.tsv", lists, ds, inst.part, _listed(inst.scores, lists), lam, per_user)
         adjusted = adjusted_scores(inst.scores, inst.part, lam, per_user)
         expected = [
             f"u{u}\t{rank}\ti{item}\t{inst.scores.values[u, item]:.10g}\t{adjusted.values[u, item]:.10g}"

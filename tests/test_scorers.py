@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import reference
 from fairrerank.dataset import DataError, InteractionRecord, Interactions, build_dataset
 from fairrerank.scorers import (
     MASKED,
@@ -132,12 +133,18 @@ class TestMFScorer:
         b = mf_scorer(train, cfg)
         assert np.array_equal(a.values, b.values)
 
-    def test_thread_count_does_not_change_result(self):
-        train = _block_train()
-        cfg = MFConfig(latent_dim=6, iterations=5, seed=21)
-        a = mf_scorer(train, cfg, threads=1)
-        b = mf_scorer(train, cfg, threads=4)
-        assert np.array_equal(a.values, b.values)
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 3])
+    def test_factors_equal_the_per_row_reference(self, iterations):
+        # unsorted pairs, non-unit weights, and users and items with no pair
+        rng = np.random.default_rng(17)
+        m, n = 30, 24
+        pairs = rng.choice((m - 4) * (n - 3), size=140, replace=False)
+        users, items = pairs // (n - 3) + 2, pairs % (n - 3) + 1
+        train = Interactions(users, items, rng.uniform(0.5, 4.0, size=140), m, n)
+        assert np.bincount(users, minlength=m).min() == 0 and np.bincount(items, minlength=n).min() == 0
+        cfg = MFConfig(latent_dim=5, iterations=iterations, regularization=0.2, confidence_alpha=7.5, seed=4)
+        got, expected = train_mf_factors(train, cfg), reference.train_mf_factors(train, cfg)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -244,7 +251,6 @@ class TestMaskSeen:
         scores = popularity_scorer(tiny_train)
         masked = mask_seen(scores, tiny_train)
         assert masked.values[0, 0] == MASKED
-        assert masked.masked_seen
 
     def test_unseen_cells_unchanged_bit_for_bit(self, tiny_train):
         scores = random_scorer(6, 5, seed=0)
