@@ -16,10 +16,10 @@ from .dataset import (
     DataError, Dataset, InputFormat, InteractionRecord, Interactions, PopularityPartition, SplitTriple,
     build_dataset, parse_interactions, partition_popularity, read_interactions, split,
 )
-from .metrics import EvalContext, EvaluationReport, eval_context, evaluate, evaluate_all, judgments_from_interactions
+from .metrics import EvalContext, EvaluationReport, eval_context, evaluate, judgments_from_interactions
 from .rerank import (
     FairnessValue, RecommendationLists, RerankConfig,
-    adjusted_scores, fairness_gap, lambda_sweep, plain_topk, rerank_exact, rerank_oracle, rerank_path,
+    adjusted_scores, fairness_gap, lambda_sweep, rerank_oracle, rerank_path,
 )
 from .scorers import MASKED, MFConfig, ScoreMatrix, load_scores, mask_seen, mf_scorer, popularity_scorer, random_scorer
 
@@ -28,8 +28,8 @@ __all__ = [
     "ConfigError", "ExperimentConfig", "build_config", "config_snapshot", "load_config",
     "DataError", "Dataset", "InputFormat", "InteractionRecord", "Interactions", "PopularityPartition", "SplitTriple",
     "build_dataset", "parse_interactions", "partition_popularity", "read_interactions", "split",
-    "EvalContext", "EvaluationReport", "eval_context", "evaluate", "evaluate_all", "judgments_from_interactions",
+    "EvalContext", "EvaluationReport", "eval_context", "evaluate", "judgments_from_interactions",
     "FairnessValue", "RecommendationLists", "RerankConfig",
-    "adjusted_scores", "fairness_gap", "lambda_sweep", "plain_topk", "rerank_exact", "rerank_oracle", "rerank_path",
+    "adjusted_scores", "fairness_gap", "lambda_sweep", "rerank_oracle", "rerank_path",
     "MASKED", "MFConfig", "ScoreMatrix", "load_scores", "mask_seen", "mf_scorer", "popularity_scorer", "random_scorer",
 ]

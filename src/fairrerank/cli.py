@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Commands: split, score, rerank, evaluate, run, verify. All take a config
-file plus optional flag overrides; `verify` needs no config. Exit codes:
+Commands: split, run, verify. All take a config file plus optional flag
+overrides; `verify` needs no config. Exit codes:
 0 success, 1 validation error (bad config/flags or a failed verification
 battery), 2 runtime failure.
 
@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fairrerank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("split", "score", "rerank", "evaluate", "run", "verify"):
+    for name in ("split", "run", "verify"):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=Path, required=name != "verify", default=None)
         cmd.add_argument("--seed", type=int, default=None, help="override split.seed")
@@ -98,15 +98,11 @@ def _cmd_split(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pipeline(args: argparse.Namespace) -> int:
-    # score/rerank/evaluate/run share the deterministic full pipeline; the
-    # staged commands exist so artifacts can be produced and inspected
-    # incrementally, and recomputation guarantees they are never stale
+def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out_dir = _resolve_out_dir(args, cfg)
     result = run_experiment(cfg, out_dir)
-    if args.command in ("evaluate", "run"):
-        sys.stdout.write(render_markdown(result.rows))
+    sys.stdout.write(render_markdown(result.rows))
     print(f"wrote {len(result.files)} files to {out_dir} (manifest: {result.manifest_path})")
     return 0
 
@@ -130,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_split(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        return _cmd_pipeline(args)
+        return _cmd_run(args)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

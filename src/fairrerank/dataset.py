@@ -162,18 +162,6 @@ class Interactions:
     def __len__(self) -> int:
         return int(self.users.shape[0])
 
-    @staticmethod
-    def from_triples(
-        triples: Sequence[tuple[int, int, float]], num_users: int, num_items: int
-    ) -> "Interactions":
-        users = np.array([t[0] for t in triples], dtype=np.int64)
-        items = np.array([t[1] for t in triples], dtype=np.int64)
-        weights = np.array([t[2] for t in triples], dtype=np.float64)
-        return Interactions(users, items, weights, num_users, num_items)
-
-    def pair_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.users.tolist(), self.items.tolist()))
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -34,18 +34,9 @@ from .rerank import RecommendationLists, fairness_gap
 __all__ = [
     "EvaluationReport",
     "judgments_from_interactions",
-    "precision_recall_at_k",
-    "ndcg_at_k",
-    "novelty",
-    "diversity",
-    "coverage",
-    "personalization",
-    "serendipity",
-    "exposure_counts",
     "EvalContext",
     "eval_context",
     "evaluate",
-    "evaluate_all",
 ]
 
 PERSONALIZATION_EXACT_LIMIT = 5000
@@ -155,49 +146,18 @@ def _exposure(items: np.ndarray, hits: np.ndarray, short_head: np.ndarray) -> tu
     return short_count, rel_short, items.size - short_count, int(np.count_nonzero(hits)) - rel_short
 
 
-def precision_recall_at_k(
-    lists: RecommendationLists, judgments: list[set[int]], k: int
-) -> tuple[float, float]:
-    """Mean precision and recall over users with at least one judgment."""
-    keys, sizes = _judgment_keys(judgments, lists.num_items)
-    return _accuracy(_hits(_truncate(lists, k), keys, lists.num_items), sizes, *_discounts(k))[:2]
-
-
-def ndcg_at_k(lists: RecommendationLists, judgments: list[set[int]], k: int) -> float:
-    keys, sizes = _judgment_keys(judgments, lists.num_items)
-    return _accuracy(_hits(_truncate(lists, k), keys, lists.num_items), sizes, *_discounts(k))[2]
-
-
-def novelty(lists: RecommendationLists, train: Interactions, num_users: int) -> float:
-    """Mean self-information (bits) of recommended items under their
-    train-split popularity; a count floor of 1 keeps unseen items finite."""
-    return _novelty(lists.items, distinct_user_counts(train, lists.num_items), num_users)
-
-
-def diversity(lists: RecommendationLists, train: Interactions) -> float:
-    """Mean intra-list dissimilarity of item co-interaction patterns."""
-    return _diversity(lists.items, train, distinct_user_counts(train, lists.num_items))
-
-
-def coverage(lists: RecommendationLists, num_items: int) -> float:
-    """Fraction of the catalog appearing in at least one list."""
-    if num_items < 1:
-        raise ValueError("num_items must be >= 1")
-    return len(np.unique(lists.items)) / num_items
-
-
-def personalization(lists: RecommendationLists, method: str = "auto", seed: int = 0) -> float:
+def _personalization(items: np.ndarray, num_items: int, method: str = "auto", seed: int = 0) -> float:
     """One minus the mean pairwise list overlap. Exact over all user pairs
     while feasible; above PERSONALIZATION_EXACT_LIMIT users, estimated over
     seeded sampled pairs."""
-    m, k = lists.num_users, lists.k
+    m, k = items.shape
     if m < 2:
         raise ValueError("personalization needs at least 2 users")
     if method == "auto":
         method = "exact" if m <= PERSONALIZATION_EXACT_LIMIT else "sampled"
     if method == "exact":
         # total pairwise intersection = sum over items of C(lists containing it, 2)
-        counts = np.bincount(lists.items.ravel(), minlength=lists.num_items)
+        counts = np.bincount(items.ravel(), minlength=num_items)
         inter_total = float(np.sum(counts * (counts - 1) // 2))
         pairs = m * (m - 1) / 2
         return 1.0 - inter_total / (pairs * k)
@@ -213,31 +173,12 @@ def personalization(lists: RecommendationLists, method: str = "auto", seed: int 
             seconds.append(vs[keep][:remaining])
             remaining -= len(firsts[-1])
         # a sampled pair's overlap: the first list's items found in the second
-        keys = _keys(np.repeat(np.arange(m), k), lists.items.ravel(), lists.num_items)
-        overlap = _hits(lists.items[np.concatenate(firsts)], keys, lists.num_items, np.concatenate(seconds)).sum(axis=1)
+        keys = _keys(np.repeat(np.arange(m), k), items.ravel(), num_items)
+        overlap = _hits(items[np.concatenate(firsts)], keys, num_items, np.concatenate(seconds)).sum(axis=1)
         # added pair by pair, in draw order
         overlap_sum = np.cumsum(np.concatenate(([0.0], overlap / k)))[-1]
         return 1.0 - float(overlap_sum) / PERSONALIZATION_SAMPLE_PAIRS
     raise ValueError(f"unknown method {method!r}")
-
-
-def serendipity(lists: RecommendationLists, train: Interactions, k: int) -> float:
-    """Mean unexpectedness: the fraction of each user's list that a primitive
-    global-popularity recommender would not have shown."""
-    items = _truncate(lists, k)
-    return _serendipity(items, _popular_mask(distinct_user_counts(train, lists.num_items), k))
-
-
-def exposure_counts(
-    lists: RecommendationLists, judgments: list[set[int]], part: PopularityPartition
-) -> tuple[int, int, int, int]:
-    """Slot tallies over all lists: (short_count, rel_short, long_count,
-    rel_long), where the rel_* subcounts require the slot's item to be in
-    that user's judgments."""
-    if part.num_items != lists.num_items:
-        raise ValueError("partition length does not match lists")
-    keys, _ = _judgment_keys(judgments, lists.num_items)
-    return _exposure(lists.items, _hits(lists.items, keys, lists.num_items), part.short_head)
 
 
 @dataclass(frozen=True)
@@ -330,8 +271,8 @@ def evaluate(ctx: EvalContext, lists: RecommendationLists) -> EvaluationReport:
         recall=recall,
         novelty=_novelty(items, ctx.counts, ctx.train.num_users),
         diversity=_diversity(items, ctx.train, ctx.counts),
-        coverage=coverage(lists, part.num_items),
-        personalization=personalization(lists),
+        coverage=len(np.unique(items)) / part.num_items,
+        personalization=_personalization(items, lists.num_items),
         serendipity=_serendipity(items, ctx.popular),
         short_count=short_count,
         rel_short=rel_short,
@@ -343,15 +284,3 @@ def evaluate(ctx: EvalContext, lists: RecommendationLists) -> EvaluationReport:
     )
     report.validate()
     return report
-
-
-def evaluate_all(
-    lists: RecommendationLists,
-    judgments: list[set[int]],
-    train: Interactions,
-    part: PopularityPartition,
-    k: int,
-) -> EvaluationReport:
-    """Compute the full metric suite for one set of lists: `evaluate` on a
-    context built for these lists alone."""
-    return evaluate(eval_context(judgments, train, part, k), lists)

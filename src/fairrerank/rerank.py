@@ -42,9 +42,7 @@ __all__ = [
     "fairness_gap",
     "adjusted_scores",
     "rerank_path",
-    "rerank_exact",
     "rerank_oracle",
-    "plain_topk",
     "lambda_sweep",
     "write_lists",
 ]
@@ -115,14 +113,6 @@ class RecommendationLists:
     @property
     def k(self) -> int:
         return int(self.items.shape[1])
-
-    def selection_matrix(self) -> np.ndarray:
-        """The implied binary selection matrix: True where an item is in
-        that user's list."""
-        sel = np.zeros((self.num_users, self.num_items), dtype=bool)
-        rows = np.repeat(np.arange(self.num_users), self.k)
-        sel[rows, self.items.ravel()] = True
-        return sel
 
     def validate(self, scores: ScoreMatrix | None = None) -> None:
         """Check the structural constraints: exactly k distinct selectable
@@ -285,17 +275,6 @@ def rerank_path(
     return out
 
 
-def rerank_exact(
-    matrix: ScoreMatrix,
-    part: PopularityPartition,
-    cfg: RerankConfig,
-    tie_break: str = "default",
-) -> RecommendationLists:
-    """Solve the fairness-adjusted selection exactly at cfg.lam: the
-    one-point `rerank_path`."""
-    return rerank_path(matrix, part, cfg, (cfg.lam,), tie_break)[0]
-
-
 _COMBINATION_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -354,15 +333,6 @@ def rerank_oracle(
     lists = RecommendationLists(items=out, num_items=n, objective=math.fsum(objective_terms))
     lists.validate(matrix)
     return lists
-
-
-def plain_topk(matrix: ScoreMatrix, k: int) -> RecommendationLists:
-    """Fairness-unaware per-user top-k of the raw scores (ties by index)."""
-    part = PopularityPartition(
-        short_head=np.zeros(matrix.num_items, dtype=bool),
-        popularity_count=np.zeros(matrix.num_items, dtype=np.int64),
-    )
-    return rerank_exact(matrix, part, RerankConfig(k=k, lam=0.0))
 
 
 def lambda_sweep(

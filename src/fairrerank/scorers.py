@@ -64,10 +64,6 @@ class ScoreMatrix:
     def num_items(self) -> int:
         return int(self.values.shape[1])
 
-    def selectable(self) -> np.ndarray:
-        """Boolean mask of cells eligible for selection."""
-        return np.isfinite(self.values)
-
 
 @dataclass(frozen=True)
 class MFConfig:

@@ -1,5 +1,6 @@
 """Per-user reference implementations of the exact re-ranker, of the
-list metrics and of the ALS half-step, kept for the tests only.
+list metrics and of the ALS half-step, and a top-k sorted without the
+solver, kept for the tests only.
 
 These are the straightforward one-user-at-a-time loops the vectorized
 library code replaced. The property tests in `test_vectorized.py` check
@@ -227,3 +228,10 @@ def train_mf_factors(train, cfg):
         _solve_half(user_factors, item_factors, user_seen, user_w, cfg.regularization, cfg.confidence_alpha)
         _solve_half(item_factors, user_factors, item_seen, item_w, cfg.regularization, cfg.confidence_alpha)
     return user_factors, item_factors
+
+
+def plain_topk(values, k):
+    """Each row's k best items by score descending, ties by lower index: the
+    fairness-unaware top-k in display order, sorted without the solver."""
+    index = np.broadcast_to(np.arange(values.shape[1]), values.shape)
+    return np.lexsort((index, -values), axis=1)[:, :k]

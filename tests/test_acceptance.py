@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import reference
+from conftest import evaluated
 from fairrerank.cli import main
 from fairrerank.dataset import Interactions, build_dataset, partition_popularity, split
-from fairrerank.metrics import evaluate_all, judgments_from_interactions
-from fairrerank.rerank import RerankConfig, fairness_gap, plain_topk, rerank_exact, rerank_oracle
+from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
+from fairrerank.rerank import RecommendationLists, RerankConfig, fairness_gap, rerank_oracle, rerank_path
 from fairrerank.scorers import MFConfig, mask_seen, mf_scorer
 from fairrerank.synthetic import random_rerank_instance, write_zipf_dataset, zipf_interaction_records
 from fairrerank.verify import DEFAULT_LAMBDA_GRID, run_battery
@@ -31,7 +33,7 @@ def test_c1_oracle_equivalence_within_budget():
         inst = random_rerank_instance(rng, quantized=(index % 2 == 1))
         for lam in DEFAULT_LAMBDA_GRID:
             cfg = RerankConfig(k=inst.k, lam=lam)
-            fast = rerank_exact(inst.scores, inst.part, cfg)
+            fast = rerank_path(inst.scores, inst.part, cfg, (lam,))[0]
             slow = rerank_oracle(inst.scores, inst.part, cfg)
             assert abs(fast.objective - slow.objective) <= 1e-9
             for u in range(fast.num_users):
@@ -45,11 +47,10 @@ def test_c1_oracle_equivalence_within_budget():
 def test_c2_lambda_zero_identity():
     """lambda = 0 selections equal the plain top-K of the raw scores."""
     rng = np.random.default_rng(BATTERY_SEED + 1)
-    for _ in range(ORACLE_INSTANCES):
-        inst = random_rerank_instance(rng)
-        fair = rerank_exact(inst.scores, inst.part, RerankConfig(k=inst.k, lam=0.0))
-        plain = plain_topk(inst.scores, inst.k)
-        assert np.array_equal(fair.items, plain.items)
+    for index in range(ORACLE_INSTANCES):
+        inst = random_rerank_instance(rng, quantized=(index % 2 == 1))
+        fair = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))[0]
+        assert np.array_equal(fair.items, reference.plain_topk(inst.scores.values, inst.k))
     print(f"C2 lambda-zero identity: PASS ({ORACLE_INSTANCES} instances)")
 
 
@@ -62,15 +63,13 @@ def test_c3_monotone_exposure_and_saturation():
         m, k = inst.scores.num_users, inst.k
         shorts, gaps = [], []
         for lam in DEFAULT_LAMBDA_GRID:
-            lists = rerank_exact(inst.scores, inst.part, RerankConfig(k=k, lam=lam))
+            lists = rerank_path(inst.scores, inst.part, RerankConfig(k=k), (lam,))[0]
             value = fairness_gap(lists, inst.part)
             shorts.append(value.short_count)
             gaps.append(value.gap)
         assert all(b <= a for a, b in zip(shorts, shorts[1:]))
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
-        saturated = rerank_exact(
-            inst.scores, inst.part, RerankConfig(k=k, lam=inst.saturating_lambda)
-        )
+        saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), (inst.saturating_lambda,))[0]
         sat = fairness_gap(saturated, inst.part)
         assert sat.short_count == 0
         assert sat.gap == -k
@@ -95,9 +94,7 @@ def test_c5_exposure_identity():
     rng = np.random.default_rng(BATTERY_SEED + 3)
     for _ in range(50):
         inst = random_rerank_instance(rng)
-        lists = rerank_exact(
-            inst.scores, inst.part, RerankConfig(k=inst.k, lam=float(rng.random() * 2))
-        )
+        lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (float(rng.random() * 2),))[0]
         value = fairness_gap(lists, inst.part)
         assert value.short_count + value.long_count == lists.num_users * inst.k
     print("C5 exposure identity: PASS (50 runs + reference arithmetic)")
@@ -106,17 +103,13 @@ def test_c5_exposure_identity():
 def test_c6_metric_golden_values():
     """NDCG closed-form check at rank 2, the precision/recall hand case, and
     bounded metrics staying in [0, 1] over 100 random evaluations."""
-    from fairrerank.rerank import RecommendationLists
-
     lists = RecommendationLists(items=np.array([[0, 3, 1]], dtype=np.int64), num_items=5)
-    from fairrerank.metrics import ndcg_at_k, precision_recall_at_k
-
-    assert ndcg_at_k(lists, [{3}], 3) == approx(1.0 / math.log2(3), abs=1e-12)
+    assert evaluated(lists, [{3}], k=3).ndcg == approx(1.0 / math.log2(3), abs=1e-12)
 
     ten = RecommendationLists(items=np.arange(10, dtype=np.int64).reshape(1, 10), num_items=20)
-    precision, recall = precision_recall_at_k(ten, [{0, 1, 15, 16}], 10)
-    assert precision == approx(0.2)
-    assert recall == approx(0.5)
+    report = evaluated(ten, [{0, 1, 15, 16}], k=10)
+    assert report.precision == approx(0.2)
+    assert report.recall == approx(0.5)
 
     from fairrerank.verify import _check_metric_bounds
 
@@ -135,11 +128,10 @@ def test_c7_desk_scale_trend_reproduction():
     triple = split(ds, seed=7)
     part = partition_popularity(triple.train, ds.num_items)
     scores = mask_seen(mf_scorer(triple.train, MFConfig(seed=7)), triple.train)
-    judgments = judgments_from_interactions(triple.test)
+    ctx = eval_context(judgments_from_interactions(triple.test), triple.train, part, 10)
 
     def run(lam):
-        lists = rerank_exact(scores, part, RerankConfig(k=10, lam=lam))
-        return evaluate_all(lists, judgments, triple.train, part, 10)
+        return evaluate(ctx, rerank_path(scores, part, RerankConfig(k=10), (lam,))[0])
 
     base = run(0.0)
     witnesses = []

@@ -15,9 +15,9 @@ from fairrerank.config import (
     parse_config_text,
 )
 from fairrerank.dataset import build_dataset, partition_popularity, read_interactions, split
-from fairrerank.metrics import evaluate_all, judgments_from_interactions
+from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
 from fairrerank.pipeline import run_experiment
-from fairrerank.rerank import RerankConfig, rerank_exact
+from fairrerank.rerank import RerankConfig, rerank_path
 from fairrerank.scorers import mask_seen, popularity_scorer
 from fairrerank.synthetic import write_zipf_dataset
 
@@ -191,9 +191,9 @@ class TestRunCommand:
         triple = split(ds, cfg.ratios, cfg.split_seed)
         part = partition_popularity(triple.train, ds.num_items, cfg.partition_ratio)
         scores = mask_seen(popularity_scorer(triple.train), triple.train)
-        lists = rerank_exact(scores, part, RerankConfig(k=cfg.rerank.k, lam=0.0))
+        lists = rerank_path(scores, part, RerankConfig(k=cfg.rerank.k), (0.0,))[0]
         judgments = judgments_from_interactions(triple.test)
-        direct = evaluate_all(lists, judgments, triple.train, part, cfg.rerank.k)
+        direct = evaluate(eval_context(judgments, triple.train, part, cfg.rerank.k), lists)
         n_row = next(row.report for row in result.rows if row.row_type == "N")
         assert n_row == direct
 
@@ -244,7 +244,7 @@ class TestRunCommand:
         config, base = demo
         cfg = load_config(config)
         data = tmp_path / "comma.csv"
-        rows = [line.replace("\t", ",") for line in open(cfg.input_path).read().splitlines()]
+        rows = [line.replace("\t", ",") for line in Path(cfg.input_path).read_text().splitlines()]
         data.write_text("user,item,weight\n" + "\n".join(rows) + "\n")
         out = tmp_path / "comma_out"
         code = main([
@@ -355,23 +355,31 @@ class TestExitCodes:
     def test_bad_usage_is_validation_error(self):
         assert main(["run"]) == 1
 
+    def test_removed_staged_command_is_validation_error(self, demo, capsys):
+        config, _ = demo
+        assert main(["score", "--config", str(config)]) == 1
+        assert "invalid choice: 'score'" in capsys.readouterr().err
+
     def test_verify_passes_on_correct_build(self, capsys):
         assert main(["verify", "--instances", "20"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4
 
 
-def _readme_flags():
+def _readme_cli():
+    """The README's command set, its flags on every command and its
+    verify-only flags."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = set(re.findall(r"`([a-z]+)`", text.split("\nCommands: ", 1)[1].split("\n", 1)[0]))
     paragraph = text.split("\nFlags on every command: ", 1)[1].split("Output directory precedence", 1)[0]
     every, verify_only = paragraph.split("`verify` also takes", 1)
-    return tuple(set(re.findall(r"`(--[a-z-]+)", part)) for part in (every, verify_only))
+    return commands, *(set(re.findall(r"`(--[a-z-]+)", part)) for part in (every, verify_only))
 
 
 def test_readme_flags_match_the_parser():
-    every, verify_only = _readme_flags()
+    readme_commands, every, verify_only = _readme_cli()
     commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    assert set(commands) == {"split", "score", "rerank", "evaluate", "run", "verify"}
+    assert set(commands) == readme_commands
     for name, cmd in commands.items():
         flags = {flag for action in cmd._actions for flag in action.option_strings} - {"-h", "--help"}
         assert flags == (every | verify_only if name == "verify" else every), name

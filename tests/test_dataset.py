@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interactions, pair_set
 from fairrerank.dataset import (
     DataError,
     Dataset,
@@ -119,7 +120,7 @@ class TestSplit:
         ds = build_dataset(_records_for_user_counts([40]))
         a = split(ds, seed=1)
         b = split(ds, seed=2)
-        assert a.test.pair_set() != b.test.pair_set()
+        assert pair_set(a.test) != pair_set(b.test)
 
     def test_bad_ratios_rejected(self):
         ds = build_dataset(_records_for_user_counts([5]))
@@ -136,12 +137,12 @@ class TestSplit:
     def test_partition_is_disjoint_and_complete(self, counts, seed):
         ds = build_dataset(_records_for_user_counts(counts))
         triple = split(ds, seed=seed)
-        train, valid, test = triple.train.pair_set(), triple.valid.pair_set(), triple.test.pair_set()
+        train, valid, test = pair_set(triple.train), pair_set(triple.valid), pair_set(triple.test)
         assert len(triple.train) + len(triple.valid) + len(triple.test) == len(ds.interactions)
         assert not train & valid
         assert not train & test
         assert not valid & test
-        assert train | valid | test == ds.interactions.pair_set()
+        assert train | valid | test == pair_set(ds.interactions)
 
     @given(c=st.integers(min_value=3, max_value=200))
     @settings(max_examples=50, deadline=None)
@@ -164,7 +165,7 @@ class TestSplit:
 class TestPartitionPopularity:
     @pytest.mark.parametrize("n,expected", [(2060, 412), (1019, 203), (1189, 237), (1507, 301)])
     def test_reference_catalog_sizes(self, n, expected):
-        train = Interactions.from_triples([(0, 0, 1.0)], 1, n)
+        train = interactions([(0, 0, 1.0)], 1, n)
         part = partition_popularity(train, n)
         assert part.num_short == expected
 
@@ -179,13 +180,13 @@ class TestPartitionPopularity:
         triples = [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0)]
         for item in (1, 2, 3):
             triples += [(0, item, 1.0), (1, item, 1.0)]
-        train = Interactions.from_triples(triples, 3, 10)
+        train = interactions(triples, 3, 10)
         part = partition_popularity(train, 10, ratio=0.3)
         assert part.num_short == 3
         assert list(np.flatnonzero(part.short_head)) == [0, 1, 2]
 
     def test_counts_are_distinct_users_not_weights(self):
-        train = Interactions.from_triples([(0, 0, 100.0), (0, 1, 1.0), (1, 1, 1.0)], 2, 2)
+        train = interactions([(0, 0, 100.0), (0, 1, 1.0), (1, 1, 1.0)], 2, 2)
         counts = distinct_user_counts(train, 2)
         assert counts.tolist() == [1, 2]
 
@@ -198,7 +199,7 @@ class TestPartitionPopularity:
         assert distinct_user_counts(inter, 11).tolist() == expected
 
     def test_empty_catalog_errors(self):
-        train = Interactions.from_triples([], 1, 0)
+        train = interactions([], 1, 0)
         with pytest.raises(ValueError):
             partition_popularity(train, 0)
 

@@ -5,21 +5,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from conftest import make_partition
+import reference
+from conftest import evaluated, interactions, make_partition
 from fairrerank.dataset import Interactions
-from fairrerank.metrics import (
-    EvaluationReport,
-    coverage,
-    diversity,
-    evaluate_all,
-    exposure_counts,
-    judgments_from_interactions,
-    ndcg_at_k,
-    novelty,
-    personalization,
-    precision_recall_at_k,
-    serendipity,
-)
+from fairrerank.metrics import EvaluationReport, _personalization, eval_context, evaluate, judgments_from_interactions
 from fairrerank.rerank import RecommendationLists
 
 
@@ -30,158 +19,160 @@ def lists_of(rows, num_items):
 class TestPrecisionRecall:
     def test_perfect_list(self):
         lists = lists_of([[0, 1, 2]], 5)
-        precision, recall = precision_recall_at_k(lists, [{0, 1, 2}], 3)
-        assert (precision, recall) == (1.0, 1.0)
+        report = evaluated(lists, [{0, 1, 2}], k=3)
+        assert (report.precision, report.recall) == (1.0, 1.0)
 
     def test_zero_hits(self):
         lists = lists_of([[0, 1], [2, 3]], 6)
-        precision, recall = precision_recall_at_k(lists, [{4}, {5}], 2)
-        assert (precision, recall) == (0.0, 0.0)
+        report = evaluated(lists, [{4}, {5}], k=2)
+        assert (report.precision, report.recall) == (0.0, 0.0)
 
     def test_hand_case_two_hits_of_four_judged(self):
         lists = lists_of([[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]], 20)
-        precision, recall = precision_recall_at_k(lists, [{0, 1, 15, 16}], 10)
-        assert precision == approx(0.2)
-        assert recall == approx(0.5)
+        report = evaluated(lists, [{0, 1, 15, 16}], k=10)
+        assert report.precision == approx(0.2)
+        assert report.recall == approx(0.5)
 
     def test_users_without_judgments_skipped(self):
         lists = lists_of([[0, 1], [0, 1]], 4)
-        precision, recall = precision_recall_at_k(lists, [{0, 1}, set()], 2)
-        assert (precision, recall) == (1.0, 1.0)
+        report = evaluated(lists, [{0, 1}, set()], k=2)
+        assert (report.precision, report.recall) == (1.0, 1.0)
 
     def test_no_judged_user_errors(self):
         lists = lists_of([[0, 1]], 4)
-        with pytest.raises(ValueError):
-            precision_recall_at_k(lists, [set()], 2)
+        with pytest.raises(ValueError, match="no user has relevance judgments"):
+            evaluated(lists, [set()], k=2)
 
 
 class TestNdcg:
     def test_single_relevant_at_rank_one(self):
         lists = lists_of([[3, 0, 1]], 5)
-        assert ndcg_at_k(lists, [{3}], 3) == approx(1.0)
+        assert evaluated(lists, [{3}], k=3).ndcg == approx(1.0)
 
     def test_single_relevant_at_rank_two(self):
         lists = lists_of([[0, 3, 1]], 5)
-        assert ndcg_at_k(lists, [{3}], 3) == approx(1.0 / math.log2(3), abs=1e-12)
+        assert evaluated(lists, [{3}], k=3).ndcg == approx(1.0 / math.log2(3), abs=1e-12)
 
     def test_no_hits_is_zero(self):
         lists = lists_of([[0, 1, 2]], 5)
-        assert ndcg_at_k(lists, [{4}], 3) == 0.0
+        assert evaluated(lists, [{4}], k=3).ndcg == 0.0
 
     def test_truncated_ideal_normalizer(self):
         # 2 judged items, both in the list at ranks 1-2: ideal order, so 1.0
         lists = lists_of([[0, 1, 2]], 5)
-        assert ndcg_at_k(lists, [{0, 1}], 3) == approx(1.0)
+        assert evaluated(lists, [{0, 1}], k=3).ndcg == approx(1.0)
 
     def test_ranks_below_k_are_ignored(self):
         a = lists_of([[0, 1, 2, 3]], 8)
         b = lists_of([[0, 1, 6, 7]], 8)
         judged = [{0, 6}]
-        assert ndcg_at_k(a, judged, 2) == ndcg_at_k(b, judged, 2)
-        assert precision_recall_at_k(a, judged, 2) == precision_recall_at_k(b, judged, 2)
+        report_a, report_b = evaluated(a, judged, k=2), evaluated(b, judged, k=2)
+        assert report_a.ndcg == report_b.ndcg
+        assert (report_a.precision, report_a.recall) == (report_b.precision, report_b.recall)
 
 
 class TestNovelty:
     def test_item_seen_by_everyone_contributes_zero_bits(self):
-        train = Interactions.from_triples([(u, 0, 1.0) for u in range(4)], 4, 2)
-        lists = lists_of([[0], [0], [0], [0]], 2)
-        assert novelty(lists, train, 4) == 0.0
+        train = interactions([(u, i, 1.0) for u in range(4) for i in range(2)], 4, 2)
+        lists = lists_of([[0, 1], [0, 1], [0, 1], [0, 1]], 2)
+        assert evaluated(lists, train=train).novelty == 0.0
 
     def test_rare_item_bits(self):
-        train = Interactions.from_triples([(0, 0, 1.0)], 1024, 2)
-        lists = lists_of([[0]], 2)
-        assert novelty(lists, train, 1024) == approx(10.0)
+        train = interactions([(0, 0, 1.0), (1, 1, 1.0)], 1024, 2)
+        lists = lists_of([[0, 1]], 2)
+        assert evaluated(lists, train=train).novelty == approx(10.0)
 
     def test_unseen_item_uses_count_floor_of_one(self):
-        train = Interactions.from_triples([(0, 0, 1.0)], 8, 2)
-        lists = lists_of([[1]], 2)
-        assert novelty(lists, train, 8) == approx(3.0)  # -log2(1/8)
+        train = interactions([(0, 0, 1.0)], 8, 3)
+        lists = lists_of([[1, 2]], 3)
+        assert evaluated(lists, train=train).novelty == approx(3.0)  # -log2(1/8)
 
     def test_most_popular_lists_minimize_novelty(self):
         # toy 5-item catalog with distinct popularities 5,4,3,2,1
         triples = [(u, i, 1.0) for i in range(5) for u in range(5 - i)]
-        train = Interactions.from_triples(triples, 5, 5)
-        popular = novelty(lists_of([[0, 1]], 5), train, 5)
+        train = interactions(triples, 5, 5)
+        popular = evaluated(lists_of([[0, 1]], 5), train=train).novelty
         for pair in itertools.combinations(range(5), 2):
-            assert novelty(lists_of([list(pair)], 5), train, 5) >= popular
+            assert evaluated(lists_of([list(pair)], 5), train=train).novelty >= popular
 
 
 class TestDiversity:
     def test_identical_columns_give_zero(self):
-        train = Interactions.from_triples(
+        train = interactions(
             [(0, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)], 3, 3
         )
         lists = lists_of([[0, 1]], 3)
-        assert diversity(lists, train) == 0.0
+        assert evaluated(lists, train=train).diversity == 0.0
 
     def test_disjoint_user_sets_give_one(self):
-        train = Interactions.from_triples([(0, 0, 1.0), (1, 1, 1.0)], 2, 2)
+        train = interactions([(0, 0, 1.0), (1, 1, 1.0)], 2, 2)
         lists = lists_of([[0, 1]], 2)
-        assert diversity(lists, train) == 1.0
+        assert evaluated(lists, train=train).diversity == 1.0
 
     def test_three_item_hand_case(self):
         # items 0,1 identical (users {0,1}); item 2 disjoint (user {2})
-        train = Interactions.from_triples(
+        train = interactions(
             [(0, 0, 1.0), (1, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0)], 3, 3
         )
         lists = lists_of([[0, 1, 2]], 3)
-        assert diversity(lists, train) == approx(2.0 / 3.0)
+        assert evaluated(lists, train=train).diversity == approx(2.0 / 3.0)
 
     def test_zero_vector_similarity_defined_as_zero(self):
-        train = Interactions.from_triples([(0, 0, 1.0)], 2, 3)
+        train = interactions([(0, 0, 1.0)], 2, 3)
         lists = lists_of([[0, 2]], 3)  # item 2 never interacted
-        assert diversity(lists, train) == 1.0
+        assert evaluated(lists, train=train).diversity == 1.0
 
     def test_k1_rejected(self):
-        train = Interactions.from_triples([(0, 0, 1.0)], 1, 2)
-        with pytest.raises(ValueError):
-            diversity(lists_of([[0]], 2), train)
+        train = interactions([(0, 0, 1.0)], 1, 2)
+        with pytest.raises(ValueError, match="at least 2 items"):
+            evaluated(lists_of([[0]], 2), train=train)
 
 
 class TestCoverage:
     def test_identical_lists_cover_k_over_n(self):
         lists = lists_of([[0, 1, 2]] * 7, 12)
-        assert coverage(lists, 12) == approx(3 / 12)
+        assert evaluated(lists).coverage == approx(3 / 12)
 
     def test_full_catalog_coverage(self):
         lists = lists_of([[0, 1], [2, 3]], 4)
-        assert coverage(lists, 4) == 1.0
+        assert evaluated(lists).coverage == 1.0
 
     def test_reference_fraction(self):
-        rows = [[j] for j in range(412)]
-        assert coverage(lists_of(rows, 2060), 2060) == approx(0.2)
+        rows = [[2 * j, 2 * j + 1] for j in range(206)]
+        assert evaluated(lists_of(rows, 2060)).coverage == approx(0.2)
 
     def test_monotone_under_new_distinct_item(self):
         base = lists_of([[0, 1], [0, 1]], 6)
         widened = lists_of([[0, 1], [0, 5]], 6)
-        assert coverage(widened, 6) >= coverage(base, 6)
+        assert evaluated(widened).coverage >= evaluated(base).coverage
 
 
 class TestPersonalization:
     def test_identical_lists_score_zero(self):
         lists = lists_of([[0, 1, 2]] * 4, 6)
-        assert personalization(lists) == 0.0
+        assert evaluated(lists).personalization == 0.0
 
     def test_disjoint_lists_score_one(self):
         lists = lists_of([[0, 1], [2, 3], [4, 5]], 6)
-        assert personalization(lists) == 1.0
+        assert evaluated(lists).personalization == 1.0
 
     def test_half_overlap_pair(self):
         a = list(range(10))
         b = list(range(5, 15))
         lists = lists_of([a, b], 15)
-        assert personalization(lists) == approx(0.5)
+        assert evaluated(lists).personalization == approx(0.5)
 
     def test_single_user_rejected(self):
-        with pytest.raises(ValueError):
-            personalization(lists_of([[0, 1]], 3))
+        ctx = eval_context([{0}], interactions([], 1, 3), make_partition([False] * 3), 2)
+        with pytest.raises(ValueError, match="at least 2 users"):
+            evaluate(ctx, lists_of([[0, 1]], 3))
 
     def test_exact_and_sampled_agree_within_tolerance(self):
         rng = np.random.default_rng(77)
         rows = np.stack([rng.choice(50, size=10, replace=False) for _ in range(1000)])
         lists = RecommendationLists(items=rows.astype(np.int64), num_items=50)
-        exact = personalization(lists, method="exact")
-        sampled = personalization(lists, method="sampled", seed=5)
+        exact = evaluated(lists).personalization
+        sampled = _personalization(lists.items, lists.num_items, method="sampled", seed=5)
         assert sampled == approx(exact, abs=0.01)
 
 
@@ -189,29 +180,30 @@ class TestSerendipity:
     def _train(self):
         # popularity order: item0 (3 users) > item1 (2) > item2 (1); k=2 primitive = {0,1}
         triples = [(0, 0, 1.0), (1, 0, 1.0), (2, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0)]
-        return Interactions.from_triples(triples, 3, 5)
+        return interactions(triples, 3, 5)
 
     def test_primitive_list_scores_zero(self):
         train = self._train()
-        assert serendipity(lists_of([[0, 1]], 5), train, 2) == 0.0
+        assert evaluated(lists_of([[0, 1]], 5), train=train, k=2).serendipity == 0.0
 
     def test_disjoint_from_primitive_scores_one(self):
         train = self._train()
-        assert serendipity(lists_of([[3, 4]], 5), train, 2) == 1.0
+        assert evaluated(lists_of([[3, 4]], 5), train=train, k=2).serendipity == 1.0
 
     def test_one_of_ten_from_primitive(self):
         triples = [(u, i, 1.0) for i in range(10) for u in range(20 - i)]
-        train = Interactions.from_triples(triples, 20, 25)
+        train = interactions(triples, 20, 25)
         # primitive top-10 = items 0..9; list keeps item 0 plus 9 outsiders
         lists = lists_of([[0] + list(range(10, 19))], 25)
-        assert serendipity(lists, train, 10) == approx(0.9)
+        assert evaluated(lists, train=train, k=10).serendipity == approx(0.9)
 
 
 class TestExposureCounts:
     def test_totals_match_slots(self):
         part = make_partition([True, True, False, False, False])
         lists = lists_of([[0, 2], [1, 3], [2, 4]], 5)
-        short, rel_short, long, rel_long = exposure_counts(lists, [{0}, set(), {4}], part)
+        report = evaluated(lists, [{0}, set(), {4}], part=part)
+        short, rel_short, long, rel_long = report.short_count, report.rel_short, report.long_count, report.rel_long
         assert short + long == 3 * 2
         assert (short, long) == (2, 4)
         assert (rel_short, rel_long) == (1, 1)
@@ -220,14 +212,16 @@ class TestExposureCounts:
         part = make_partition([True, False])
         lists = lists_of([[0, 1]] * 3, 2)
         judgments = [{0, 1}, {0}, set()]
-        short, rel_short, long, rel_long = exposure_counts(lists, judgments, part)
+        report = evaluated(lists, judgments, part=part)
+        short, rel_short, long, rel_long = report.short_count, report.rel_short, report.long_count, report.rel_long
         assert rel_short <= short
         assert rel_long <= long
 
     def test_all_long_tail_lists_give_zero_short(self):
         part = make_partition([True, False, False])
         lists = lists_of([[1, 2]] * 4, 3)
-        short, rel_short, _, _ = exposure_counts(lists, [set()] * 4, part)
+        report = evaluated(lists, part=part)
+        short, rel_short = report.short_count, report.rel_short
         assert short == 0
         assert rel_short == 0
 
@@ -252,10 +246,10 @@ def _full_inputs(seed=0, m=8, n=12, k=3):
 class TestEvaluateAll:
     def test_composes_component_metrics(self):
         lists, judgments, train, part, k = _full_inputs()
-        report = evaluate_all(lists, judgments, train, part, k)
-        assert report.precision == precision_recall_at_k(lists, judgments, k)[0]
-        assert report.ndcg == ndcg_at_k(lists, judgments, k)
-        assert report.coverage == coverage(lists, part.num_items)
+        report = evaluated(lists, judgments, train, part, k)
+        assert report.precision == reference.precision_recall_at_k(lists, judgments, k)[0]
+        assert report.ndcg == reference.ndcg_at_k(lists, judgments, k)
+        assert report.coverage == reference.coverage(lists, part.num_items)
         assert report.short_count + report.long_count == lists.num_users * k
         assert report.k == k
         assert report.evaluated_users == lists.num_users
@@ -265,8 +259,8 @@ class TestEvaluateAll:
         perm = np.random.default_rng(1).permutation(lists.num_users)
         shuffled = RecommendationLists(items=lists.items[perm], num_items=lists.num_items)
         shuffled_judgments = [judgments[u] for u in perm]
-        a = evaluate_all(lists, judgments, train, part, k)
-        b = evaluate_all(shuffled, shuffled_judgments, train, part, k)
+        a = evaluated(lists, judgments, train, part, k)
+        b = evaluated(shuffled, shuffled_judgments, train, part, k)
         for field in ("ndcg", "precision", "recall", "novelty", "diversity", "coverage",
                       "personalization", "serendipity", "fairness_gap"):
             assert getattr(a, field) == approx(getattr(b, field))
@@ -276,13 +270,13 @@ class TestEvaluateAll:
 
     def test_hit_count_consistency_when_all_users_judged(self):
         lists, judgments, train, part, k = _full_inputs(seed=3)
-        report = evaluate_all(lists, judgments, train, part, k)
+        report = evaluated(lists, judgments, train, part, k)
         hits = report.rel_short + report.rel_long
         assert report.precision * k * report.evaluated_users == approx(hits)
 
     def test_bounds_validated(self):
         lists, judgments, train, part, k = _full_inputs(seed=5)
-        report = evaluate_all(lists, judgments, train, part, k)
+        report = evaluated(lists, judgments, train, part, k)
         report.validate()
 
     def test_invalid_report_rejected(self):
@@ -294,6 +288,6 @@ class TestEvaluateAll:
             ).validate()
 
     def test_judgments_from_interactions(self):
-        test_set = Interactions.from_triples([(0, 1, 1.0), (0, 2, 1.0), (2, 0, 1.0)], 3, 4)
+        test_set = interactions([(0, 1, 1.0), (0, 2, 1.0), (2, 0, 1.0)], 3, 4)
         judgments = judgments_from_interactions(test_set)
         assert judgments == [{1, 2}, set(), {0}]

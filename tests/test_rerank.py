@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from conftest import make_partition
-from fairrerank.dataset import InteractionRecord, Interactions, build_dataset
+import reference
+from conftest import interactions, make_partition
+from fairrerank.dataset import InteractionRecord, build_dataset
 from fairrerank.rerank import (
     RecommendationLists,
     RerankConfig,
     adjusted_scores,
     fairness_gap,
     lambda_sweep,
-    plain_topk,
-    rerank_exact,
     rerank_oracle,
+    rerank_path,
     write_lists,
 )
 from fairrerank.scorers import MASKED, ScoreMatrix
@@ -60,7 +60,7 @@ class TestFairnessGap:
         rng = np.random.default_rng(0)
         for _ in range(25):
             inst = random_rerank_instance(rng)
-            lists = rerank_exact(inst.scores, inst.part, RerankConfig(k=inst.k, lam=float(rng.random())))
+            lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (float(rng.random()),))[0]
             value = fairness_gap(lists, inst.part)
             m, k = inst.scores.num_users, inst.k
             assert value.short_count + value.long_count == m * k
@@ -105,11 +105,10 @@ class TestAdjustedScores:
 class TestRerankExact:
     def test_lambda_zero_equals_plain_topk(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            inst = random_rerank_instance(rng)
-            fair = rerank_exact(inst.scores, inst.part, RerankConfig(k=inst.k, lam=0.0))
-            plain = plain_topk(inst.scores, inst.k)
-            assert np.array_equal(fair.items, plain.items)
+        for index in range(20):
+            inst = random_rerank_instance(rng, quantized=(index % 2 == 1))
+            fair = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))[0]
+            assert np.array_equal(fair.items, reference.plain_topk(inst.scores.values, inst.k))
 
     def test_two_user_example_matches_enumeration(self):
         # independent oracle: exhaustive C(4,2) enumeration per user
@@ -125,16 +124,14 @@ class TestRerankExact:
             )
             expected.append(set(best))
         assert expected == [{2, 3}, {2, 3}]
-        lists = rerank_exact(matrix, part, RerankConfig(k=k, lam=lam))
+        lists = rerank_path(matrix, part, RerankConfig(k=k), (lam,))[0]
         assert [set(row.tolist()) for row in lists.items] == expected
 
     def test_saturating_lambda_forces_all_long_tail(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             inst = random_rerank_instance(rng)
-            lists = rerank_exact(
-                inst.scores, inst.part, RerankConfig(k=inst.k, lam=inst.saturating_lambda)
-            )
+            lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (inst.saturating_lambda,))[0]
             value = fairness_gap(lists, inst.part)
             assert value.short_count == 0
             assert value.gap == -inst.k
@@ -144,7 +141,7 @@ class TestRerankExact:
         matrix = ScoreMatrix(values)
         part = make_partition([False, False, False])
         with pytest.raises(ValueError, match="user 0"):
-            rerank_exact(matrix, part, RerankConfig(k=2))
+            rerank_path(matrix, part, RerankConfig(k=2), (0.0,))
 
     def test_never_selects_masked_cells(self):
         rng = np.random.default_rng(4)
@@ -152,20 +149,20 @@ class TestRerankExact:
         values[:, :3] = MASKED  # best columns masked away
         matrix = ScoreMatrix(values)
         part = make_partition([True, False] * 4)
-        lists = rerank_exact(matrix, part, RerankConfig(k=3, lam=0.5))
+        lists = rerank_path(matrix, part, RerankConfig(k=3), (0.5,))[0]
         assert np.all(lists.items >= 3)
 
     def test_display_order_follows_original_scores(self):
         matrix = ScoreMatrix(np.array([[0.1, 0.9, 0.5, 0.7]]))
         part = make_partition([False, True, False, False])
         # large lambda selects the three long-tail items; display by R desc
-        lists = rerank_exact(matrix, part, RerankConfig(k=3, lam=10.0))
+        lists = rerank_path(matrix, part, RerankConfig(k=3), (10.0,))[0]
         assert lists.items[0].tolist() == [3, 2, 0]
 
     def test_objective_is_total_adjusted_score(self):
         matrix = ScoreMatrix(np.array([[0.6, 0.4], [0.2, 0.8]]))
         part = make_partition([True, False])
-        lists = rerank_exact(matrix, part, RerankConfig(k=1, lam=0.5))
+        lists = rerank_path(matrix, part, RerankConfig(k=1), (0.5,))[0]
         # per-slot shift 0.25: user0 max(0.35, 0.65)=0.65, user1 max(-0.05, 1.05)=1.05
         assert lists.items[:, 0].tolist() == [1, 1]
         assert lists.objective == approx(1.7)
@@ -173,18 +170,10 @@ class TestRerankExact:
     def test_pool_size_restricts_candidates(self):
         matrix = ScoreMatrix(np.array([[0.9, 0.8, 0.2, 0.1]]))
         part = make_partition([True, True, False, False])
-        wide = rerank_exact(matrix, part, RerankConfig(k=2, lam=8.0))
-        pooled = rerank_exact(matrix, part, RerankConfig(k=2, lam=8.0, pool_size=2))
+        wide = rerank_path(matrix, part, RerankConfig(k=2), (8.0,))[0]
+        pooled = rerank_path(matrix, part, RerankConfig(k=2, pool_size=2), (8.0,))[0]
         assert set(wide.items[0].tolist()) == {2, 3}
         assert set(pooled.items[0].tolist()) == {0, 1}
-
-    def test_selection_matrix_view(self):
-        lists = RecommendationLists(items=np.array([[0, 2], [1, 2]]), num_items=4)
-        sel = lists.selection_matrix()
-        assert sel.tolist() == [
-            [True, False, True, False],
-            [False, True, True, False],
-        ]
 
 
 class TestRerankOracle:
@@ -200,7 +189,7 @@ class TestRerankOracle:
         lists = rerank_oracle(matrix, part, RerankConfig(k=1, lam=0.3))
         # items 1 and 2 tie at adjusted 0.5 and original 0.2; lower index wins
         assert lists.items[0].tolist() == [1]
-        exact = rerank_exact(matrix, part, RerankConfig(k=1, lam=0.3))
+        exact = rerank_path(matrix, part, RerankConfig(k=1), (0.3,))[0]
         assert exact.items[0].tolist() == [1]
 
     def test_instance_too_large_rejected(self):
@@ -215,7 +204,7 @@ class TestRerankOracle:
         rng = np.random.default_rng(seed)
         inst = random_rerank_instance(rng, quantized=bool(seed % 2))
         cfg = RerankConfig(k=inst.k, lam=lam_tenths / 10)
-        fast = rerank_exact(inst.scores, inst.part, cfg)
+        fast = rerank_path(inst.scores, inst.part, cfg, (cfg.lam,))[0]
         slow = rerank_oracle(inst.scores, inst.part, cfg)
         assert fast.objective == approx(slow.objective, abs=1e-9)
         for u in range(fast.num_users):
@@ -234,7 +223,7 @@ def _sweep_inputs():
     rng = np.random.default_rng(9)
     inst = random_rerank_instance(rng, max_users=4, max_items=10, max_k=3, min_k=2, min_users=2)
     m, n = inst.scores.num_users, inst.scores.num_items
-    train = Interactions.from_triples(
+    train = interactions(
         [(u, int(rng.integers(0, n)), 1.0) for u in range(m)], m, n
     )
     judgments = [{int(rng.integers(0, n))} for _ in range(m)]
@@ -261,7 +250,7 @@ class TestLambdaSweep:
         for _ in range(10):
             inst = random_rerank_instance(rng, max_users=4, max_items=10, max_k=3, min_k=2, min_users=2)
             m, n = inst.scores.num_users, inst.scores.num_items
-            train = Interactions.from_triples([(0, 0, 1.0)], m, n)
+            train = interactions([(0, 0, 1.0)], m, n)
             judgments = [{0} for _ in range(m)]
             cfg = RerankConfig(k=inst.k, lambda_grid=grid)
             results = lambda_sweep(inst.scores, inst.part, cfg, judgments, train)
@@ -387,7 +376,7 @@ class TestWriteLists:
         inst = random_rerank_instance(rng)
         m, n = inst.scores.num_users, inst.scores.num_items
         ds = build_dataset([InteractionRecord(f"u{u}", f"i{i}") for u in range(m) for i in range(n)])
-        lists = rerank_exact(inst.scores, inst.part, RerankConfig(k=inst.k, lam=lam, per_user_lambda=per_user))
+        lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k, per_user_lambda=per_user), (lam,))[0]
         path = write_lists(tmp_path / "l.tsv", lists, ds, inst.part, _listed(inst.scores, lists), lam, per_user)
         adjusted = adjusted_scores(inst.scores, inst.part, lam, per_user)
         expected = [
