@@ -350,7 +350,7 @@ def write_split_files(
     for name, inter in (("train", split_triple.train), ("valid", split_triple.valid), ("test", split_triple.test)):
         rows = zip(inter.users.tolist(), inter.items.tolist(), inter.weights.tolist())
         text = "".join([f"{ds.user_keys[u]}{sep}{ds.item_keys[i]}{sep}{w!r}\n" for u, i, w in rows])
-        written[name] = atomic_write_text(out_dir / f"{name}.tsv", text)
+        written[name] = atomic_write_text(out_dir / f"{name}.tsv", (text,))
     return written
 
 
@@ -358,4 +358,4 @@ def write_partition_file(part: PopularityPartition, ds: Dataset, path: Path | st
     """Write one line per catalog item: item_key<TAB>count<TAB>{short|long}."""
     groups = np.where(part.short_head, "short", "long").tolist()
     lines = map("{}\t{}\t{}".format, ds.item_keys, part.popularity_count.tolist(), groups)
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, ("\n".join(lines) + "\n",))

@@ -34,9 +34,9 @@ from .dataset import (
     write_split_files,
 )
 from .metrics import eval_context, evaluate, judgments_from_interactions
-from .rerank import RecommendationLists, rerank_path, write_lists
+from .rerank import RecommendationLists, format_scores, rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
-from .scorers import ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores
+from .scorers import MASKED, ScoreMatrix, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores
 from .util import atomic_write_text, sha256_file
 
 __all__ = ["StageError", "SplitArtifacts", "RunResult", "run_split", "run_experiment"]
@@ -118,7 +118,7 @@ def _write_manifest(
         "outputs": {name: sha256_file(p) for name, p in sorted(outputs.items())},
         "stages_seconds": clock.seconds,
     }
-    return atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return atomic_write_text(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n",))
 
 
 def _split_files(
@@ -158,21 +158,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     ctx = clock.run("eval_context", eval_context, judgments, artifacts.split.train, artifacts.partition, cfg.rerank.k)
     lambdas = cfg.rerank.lambda_points()
     rows: list[ReportRow] = []
-    pending_lists: list[tuple[Path, RecommendationLists, np.ndarray, float]] = []
+    pending_lists: list[tuple[Path, RecommendationLists, tuple[np.ndarray, list[str]], float]] = []
 
     for name in cfg.scorers:
-        raw = clock.run(f"score[{name}]", _score_one, cfg, name, artifacts)
+        scores = clock.run(f"score[{name}]", _score_one, cfg, name, artifacts)
         files[f"scores_{name}"] = clock.run(
-            f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", raw, ds
+            f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", scores, ds
         )
-        scored = mask_seen(raw, artifacts.split.train) if cfg.mask_seen else raw
-        point_lists = clock.run(f"rerank[{name}]", rerank_path, scored, artifacts.partition, cfg.rerank, lambdas)
-        for lam, lists in zip(lambdas, point_lists):
+        if cfg.mask_seen:  # as mask_seen does, but in place: the export is written
+            scores.values[artifacts.split.train.users, artifacts.split.train.items] = MASKED
+        point_lists = clock.run(f"rerank[{name}]", rerank_path, scores, artifacts.partition, cfg.rerank, lambdas)
+        # keep the m x K listed original scores, formatted once for all λ files
+        listed = np.stack([np.take_along_axis(scores.values, lists.items, axis=1) for lists in point_lists])
+        text, size = format_scores(listed), listed[0].size
+        del scores  # so two m x n matrices are never alive at once
+        for j, (lam, lists) in enumerate(zip(lambdas, point_lists)):
             report = clock.run(f"evaluate[{name},{lam:g}]", evaluate, ctx, lists)
             rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=report))
-            # keep only the m x K listed original scores, not the m x n matrix
-            listed = np.take_along_axis(scored.values, lists.items, axis=1)
-            pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, listed, lam))
+            shared = (listed[j], text[j * size : (j + 1) * size])
+            pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, shared, lam))
 
     # all stages succeeded; now write the list files and reports
     for path, lists, listed, lam in pending_lists:
@@ -180,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     renderers = {"csv": render_csv, "json": render_json, "md": render_markdown}
     for fmt_name in cfg.formats:
         files[f"report_{fmt_name}"] = atomic_write_text(
-            out_dir / f"report.{fmt_name}", renderers[fmt_name](rows)
+            out_dir / f"report.{fmt_name}", (renderers[fmt_name](rows),)
         )
 
     inputs = {"input": Path(cfg.input_path)}

@@ -39,6 +39,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 MASKED = float("-inf")
+_EXPORT_ROWS = 64  # users per chunk of the score export
 
 
 @dataclass(frozen=True)
@@ -234,18 +235,28 @@ def read_scores(path: Path | str, ds: Dataset, fill: float = 0.0) -> ScoreMatrix
 def write_scores(path: Path | str, matrix: ScoreMatrix, ds: Dataset) -> Path:
     """Export a score matrix as one "user item score" line per finite cell,
     the score in shortest round-trip repr; masked cells are left out and
-    re-import as fill. A row bytewise equal to the previous one (0.0 and
+    re-import as fill. Written _EXPORT_ROWS users at a time, so its size does
+    not add to peak memory. A row bytewise equal to the previous one (0.0 and
     -0.0 compare equal but print differently) reuses its formatted tails."""
     cells = ["\t" + key + "\t" for key in ds.item_keys]
-    chunks, prev, tails = [], None, []
-    for u, row in enumerate(matrix.values):
-        raw = row.tobytes()
-        if raw != prev:
-            prev, keep = raw, np.flatnonzero(np.isfinite(row))
-            tails = [cells[i] + r for i, r in zip(keep.tolist(), map(repr, row[keep].tolist()))]
-        if tails:
-            chunks.append(ds.user_keys[u] + ("\n" + ds.user_keys[u]).join(tails))
-    return atomic_write_text(path, "\n".join(chunks) + "\n")
+
+    def text():
+        # "\n".join(every row's lines) + "\n", in pieces: after each piece,
+        # the "" left in `chunks` puts the "\n" before the next row
+        chunks, prev, tails = [], None, []
+        for u, row in enumerate(matrix.values):
+            raw = row.tobytes()
+            if raw != prev:
+                prev, keep = raw, np.flatnonzero(np.isfinite(row))
+                tails = [cells[i] + r for i, r in zip(keep.tolist(), map(repr, row[keep].tolist()))]
+            if tails:
+                chunks.append(ds.user_keys[u] + ("\n" + ds.user_keys[u]).join(tails))
+            if len(chunks) == _EXPORT_ROWS:
+                yield "\n".join(chunks)
+                chunks = [""]
+        yield "\n".join(chunks) + "\n"
+
+    return atomic_write_text(path, text())
 
 
 def mask_seen(matrix: ScoreMatrix, train: Interactions) -> ScoreMatrix:

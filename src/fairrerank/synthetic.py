@@ -86,4 +86,4 @@ def write_zipf_dataset(path, num_users: int, num_items: int, exponent: float = 1
 
     records = zipf_interaction_records(num_users, num_items, exponent, per_user, seed)
     lines = [f"{r.user_key}\t{r.item_key}\t{r.weight!r}" for r in records]
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    return atomic_write_text(path, ("\n".join(lines) + "\n",))

@@ -6,17 +6,19 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 
-def atomic_write_text(path: Path | str, text: str) -> Path:
-    """Write `text` to `path` via a temp file + rename, so readers never
-    observe a partially written file and failed writes leave no output."""
+def atomic_write_text(path: Path | str, parts: Iterable[str]) -> Path:
+    """Write the text chunks `parts` to `path`, one at a time, via a temp file
+    + rename: readers never see a partial file, and a failed write leaves none."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8"))
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -17,9 +17,10 @@ from fairrerank.config import (
 from fairrerank.dataset import build_dataset, partition_popularity, read_interactions, split
 from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
 from fairrerank.pipeline import run_experiment
-from fairrerank.rerank import RerankConfig, rerank_path
-from fairrerank.scorers import mask_seen, popularity_scorer
+from fairrerank.rerank import RerankConfig, format_scores, rerank_path, write_lists
+from fairrerank.scorers import mask_seen, popularity_scorer, random_scorer, write_scores
 from fairrerank.synthetic import write_zipf_dataset
+from fairrerank.util import sha256_file
 
 
 @pytest.fixture
@@ -196,6 +197,30 @@ class TestRunCommand:
         direct = evaluate(eval_context(judgments, triple.train, part, cfg.rerank.k), lists)
         n_row = next(row.report for row in result.rows if row.row_type == "N")
         assert n_row == direct
+
+    def test_in_place_masking_matches_masking_a_copy(self, demo, tmp_path):
+        # the run stamps MASKED into each scorer's own matrix after its
+        # export; the files must equal those of the copying mask_seen path
+        config, base = demo
+        cfg = load_config(config, {"scorer.names": "popularity,random"})
+        result = run_experiment(cfg, base / "direct")
+        ds = build_dataset(read_interactions(cfg.input_path))
+        triple = split(ds, cfg.ratios, cfg.split_seed)
+        part = partition_popularity(triple.train, ds.num_items, cfg.partition_ratio)
+        lambdas = cfg.rerank.lambda_points()
+        for name, raw in (
+            ("popularity", popularity_scorer(triple.train)),
+            ("random", random_scorer(ds.num_users, ds.num_items, cfg.random_seed)),
+        ):
+            export = write_scores(tmp_path / f"scores_{name}.tsv", raw, ds)
+            assert result.files[f"scores_{name}"].read_bytes() == export.read_bytes()
+            masked = mask_seen(raw, triple.train)
+            for lam, lists in zip(lambdas, rerank_path(masked, part, cfg.rerank, lambdas)):
+                listed = np.take_along_axis(masked.values, lists.items, axis=1)
+                expected = write_lists(tmp_path / "l.tsv", lists, ds, part, (listed, format_scores(listed)), lam, False)
+                assert result.files[f"lists_{name}_lambda{lam:g}"].read_bytes() == expected.read_bytes()
+        manifest = json.loads(result.manifest_path.read_text())
+        assert manifest["outputs"] == {name: sha256_file(path) for name, path in result.files.items()}
 
     def test_env_var_overrides_output_dir(self, demo, monkeypatch):
         config, base = demo

@@ -14,6 +14,7 @@ from fairrerank.rerank import (
     RerankConfig,
     adjusted_scores,
     fairness_gap,
+    format_scores,
     lambda_sweep,
     rerank_oracle,
     rerank_path,
@@ -283,8 +284,10 @@ class TestRerankConfigValidation:
 
 
 def _listed(scores, lists):
-    """The listed items' original scores, as `write_lists` takes them."""
-    return np.take_along_axis(scores.values, lists.items, axis=1)
+    """The listed items' original scores and their text, as `write_lists`
+    takes them."""
+    values = np.take_along_axis(scores.values, lists.items, axis=1)
+    return values, format_scores(values)
 
 
 class TestWriteLists:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -233,6 +235,43 @@ class TestWriteScores:
             f"u{u}\ti{i}\t{float(values[u, i])!r}" for u in range(12) for i in range(5) if np.isfinite(values[u, i])
         ]
         assert path.read_text() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("users", [1, 63, 64, 65, 70, 130, 200])
+    def test_row_chunks_match_cell_by_cell_reference(self, tmp_path, users):
+        # the export is written in chunks of rows: identical rows and an
+        # all-masked run span chunk boundaries, and with 70 users the last
+        # 6 rows are masked, so the file ends right after a full chunk
+        rng = np.random.default_rng(users)
+        values = rng.choice([0.0, -0.0, 0.5, 1e-05, 1e16, MASKED], size=(users, 4))
+        values[60:70] = values[59 % users]
+        values[120:136] = MASKED
+        if users == 70:
+            values[64:] = MASKED
+        ds = build_dataset([InteractionRecord(f"u{u}", f"i{i}") for u in range(users) for i in range(4)])
+        path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
+        expected = [
+            f"u{u}\ti{i}\t{float(values[u, i])!r}" for u in range(users) for i in range(4) if np.isfinite(values[u, i])
+        ]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+    def test_peak_memory_is_a_small_fraction_of_the_export(self, tmp_path):
+        # streamed in row chunks: formatting the export never holds the
+        # whole file (as one joined string and its encoding, about 2x)
+        users, items = 2400, 100
+        values = np.random.default_rng(2).random((users, items))
+        ds = build_dataset(
+            [InteractionRecord(f"user{u:08d}", f"item{u % items:08d}") for u in range(users)]
+            + [InteractionRecord("user00000000", f"item{i:08d}") for i in range(items)]
+        )
+        tracemalloc.start()
+        try:
+            path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size >= 10_000_000
+        assert peak < size / 4, f"peak {peak} bytes for a {size}-byte export"
 
     def test_round_trip_through_read_scores(self, tmp_path, ds):
         rng = np.random.default_rng(3)

@@ -1,0 +1,34 @@
+import hashlib
+
+import pytest
+
+from fairrerank.util import atomic_write_text, sha256_file
+
+
+def _failing_parts():
+    # more than one buffer of bytes reaches the temp file before the failure
+    yield "x" * 200_000
+    yield "second chunk\n"
+    raise RuntimeError("chunk source failed")
+
+
+def test_chunks_are_written_in_order_as_utf8(tmp_path):
+    path = atomic_write_text(tmp_path / "sub" / "t.txt", iter(["a\t\u03bb\n", "", "b\r\n"]))
+    assert path == tmp_path / "sub" / "t.txt"
+    assert path.read_bytes() == "a\t\u03bb\nb\r\n".encode("utf-8")
+    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_raising_chunk_source_leaves_no_file(tmp_path):
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        atomic_write_text(tmp_path / "out.tsv", _failing_parts())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_raising_chunk_source_keeps_the_old_file(tmp_path):
+    target = tmp_path / "out.tsv"
+    target.write_bytes(b"old bytes\n")
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        atomic_write_text(target, _failing_parts())
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
