@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .dataset import DataError
-from .pipeline import run_experiment, run_split
+from .pipeline import StageError, run_experiment, run_split
 from .report import render_markdown
 from .verify import run_battery
 
@@ -82,8 +82,12 @@ def _resolve_out_dir(args: argparse.Namespace, cfg: ExperimentConfig) -> Path:
     return Path(cfg.out_dir)
 
 
+def _load(args: argparse.Namespace) -> ExperimentConfig:
+    return load_config(args.config, _overrides_from_args(args))
+
+
 def _cmd_split(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _overrides_from_args(args))
+    cfg = _load(args)
     out_dir = _resolve_out_dir(args, cfg)
     artifacts, files = run_split(cfg, out_dir)
     print(f"split: {len(artifacts.split.train)} train / {len(artifacts.split.valid)} valid / "
@@ -95,7 +99,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _overrides_from_args(args))
+    cfg = _load(args)
     out_dir = _resolve_out_dir(args, cfg)
     result = run_experiment(cfg, out_dir)
     sys.stdout.write(render_markdown(result.rows))
@@ -126,7 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # noqa: BLE001 - CLI boundary; StageError included
+    except StageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

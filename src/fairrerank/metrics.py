@@ -41,7 +41,6 @@ __all__ = [
 
 PERSONALIZATION_EXACT_LIMIT = 5000
 PERSONALIZATION_SAMPLE_PAIRS = 100_000
-DIVERSITY_BLOCK_USERS = 2048  # users per block of the diversity Gram's incidence matrix
 
 
 def judgments_from_interactions(inter: Interactions) -> list[set[int]]:
@@ -110,19 +109,15 @@ def _diversity(items: np.ndarray, train: Interactions, counts: np.ndarray) -> fl
     k = items.shape[1]
     if k < 2:
         raise ValueError("diversity needs lists of at least 2 items")
-    # co-interaction Gram of the recommended items only, summed over user
-    # blocks; its entries are exact integer counts, whatever the block size
+    # co-interaction Gram matrix of the recommended items only; its entries
+    # are exact integer counts, as the per-list dot products were
     recommended, slot = np.unique(items, return_inverse=True)
     row_of = np.full(len(counts), -1, dtype=np.int64)
     row_of[recommended] = np.arange(len(recommended))
     rows = row_of[train.items]
-    rows, users = rows[rows >= 0], train.users[rows >= 0]
-    gram = np.zeros((len(recommended), len(recommended)))
-    for lo in range(0, train.num_users, DIVERSITY_BLOCK_USERS):
-        cut = (users >= lo) & (users < lo + DIVERSITY_BLOCK_USERS)
-        block = np.zeros((len(recommended), min(DIVERSITY_BLOCK_USERS, train.num_users - lo)))
-        block[rows[cut], users[cut] - lo] = 1.0
-        gram += block @ block.T
+    vectors = np.zeros((len(recommended), train.num_users), dtype=np.float64)
+    vectors[rows[rows >= 0], train.users[rows >= 0]] = 1.0
+    gram = vectors @ vectors.T
     first, second = np.triu_indices(k, 1)
     slot, norm_sq = slot.reshape(items.shape), counts[items].astype(np.float64)
     # sqrt of the product of squared norms keeps cosines of identical

@@ -34,7 +34,7 @@ from .dataset import (
     write_split_files,
 )
 from .metrics import eval_context, evaluate, judgments_from_interactions
-from .rerank import RecommendationLists, format_scores, rerank_path, write_lists
+from .rerank import RecommendationLists, rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import MASKED, ScoreMatrix, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores
 from .util import atomic_write_text, sha256_file
@@ -158,7 +158,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     ctx = clock.run("eval_context", eval_context, judgments, artifacts.split.train, artifacts.partition, cfg.rerank.k)
     lambdas = cfg.rerank.lambda_points()
     rows: list[ReportRow] = []
-    pending_lists: list[tuple[Path, RecommendationLists, tuple[np.ndarray, list[str]], float]] = []
+    pending_lists: list[tuple[Path, RecommendationLists, np.ndarray, float]] = []
 
     for name in cfg.scorers:
         scores = clock.run(f"score[{name}]", _score_one, cfg, name, artifacts)
@@ -168,15 +168,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
         if cfg.mask_seen:  # as mask_seen does, but in place: the export is written
             scores.values[artifacts.split.train.users, artifacts.split.train.items] = MASKED
         point_lists = clock.run(f"rerank[{name}]", rerank_path, scores, artifacts.partition, cfg.rerank, lambdas)
-        # keep the m x K listed original scores, formatted once for all λ files
-        listed = np.stack([np.take_along_axis(scores.values, lists.items, axis=1) for lists in point_lists])
-        text, size = format_scores(listed), listed[0].size
+        # keep only the m x K listed original scores, not the m x n matrix
+        listed = [np.take_along_axis(scores.values, lists.items, axis=1) for lists in point_lists]
         del scores  # so two m x n matrices are never alive at once
-        for j, (lam, lists) in enumerate(zip(lambdas, point_lists)):
+        for lam, lists, top in zip(lambdas, point_lists, listed):
             report = clock.run(f"evaluate[{name},{lam:g}]", evaluate, ctx, lists)
             rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=report))
-            shared = (listed[j], text[j * size : (j + 1) * size])
-            pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, shared, lam))
+            pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, top, lam))
 
     # all stages succeeded; now write the list files and reports
     for path, lists, listed, lam in pending_lists:

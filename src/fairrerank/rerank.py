@@ -44,7 +44,6 @@ __all__ = [
     "rerank_path",
     "rerank_oracle",
     "lambda_sweep",
-    "format_scores",
     "write_lists",
 ]
 
@@ -354,36 +353,32 @@ def lambda_sweep(
     return [(lam, evaluate(ctx, lists)) for lam, lists in zip(lambdas, rerank_path(matrix, part, cfg, lambdas))]
 
 
-def format_scores(values: np.ndarray) -> list[str]:
-    """The `.10g` text of every value, in row order, each distinct bit
-    pattern formatted once (the bytes, not the value: -0.0 prints "-0")."""
-    bits, slot = np.unique(values.view(np.int64), return_inverse=True)
-    text = list(map("{:.10g}".format, bits.view(np.float64).tolist()))
-    return list(map(text.__getitem__, slot.ravel().tolist()))
-
-
 def write_lists(
     path: Path | str,
     lists: RecommendationLists,
     ds: Dataset,
     part: PopularityPartition,
-    listed: tuple[np.ndarray, Sequence[str]],
+    listed: np.ndarray,
     lam: float,
     per_user_lambda: bool,
 ) -> Path:
     """Write per-user list lines:
     user_key<TAB>rank<TAB>item_key<TAB>original_score<TAB>adjusted_score<TAB>{short|long}.
     `listed` holds the original scores of the listed items, shaped like
-    `lists.items`, and their `format_scores` text, which a scorer's λ files
-    share. The adjusted score is the original plus the shift
-    `adjusted_scores` applies, bit for bit, and the original itself at lam 0."""
-    scores, original = listed
+    `lists.items`. The adjusted score is the original plus the shift
+    `adjusted_scores` applies, bit for bit, and the original itself at lam 0
+    (so -0.0 stays)."""
     flat = lists.items.ravel()
-    shift = _fairness_shift(part, lam, lists.num_users, per_user_lambda)[flat] if lam else None
-    adjusted = format_scores(scores.ravel() + shift) if lam else original
+    scores = listed.ravel()
+    adjusted = scores + _fairness_shift(part, lam, lists.num_users, per_user_lambda)[flat] if lam else scores
+    # each distinct bit pattern is formatted once; keyed on the bytes, not
+    # the value, so -0.0 still prints "-0"
+    bits, slot = np.unique((np.concatenate((scores, adjusted)) if lam else scores).view(np.int64), return_inverse=True)
+    text = list(map("{:.10g}".format, bits.view(np.float64).tolist()))
+    cells = list(map(text.__getitem__, slot.tolist()))
     keys = np.asarray(ds.item_keys, dtype=object)[flat].tolist()
     groups = np.where(part.short_head[flat], "short", "long").tolist()
     users = [user for user in ds.user_keys[: lists.num_users] for _ in range(lists.k)]
     ranks = [str(rank) for rank in range(1, lists.k + 1)] * lists.num_users
-    rows = zip(users, ranks, keys, original, adjusted, groups)
+    rows = zip(users, ranks, keys, cells, cells[flat.size :] if lam else cells, groups)
     return atomic_write_text(path, ("\n".join([f"{u}\t{r}\t{key}\t{s}\t{a}\t{g}" for u, r, key, s, a, g in rows]) + "\n",))

@@ -17,7 +17,7 @@ from fairrerank.config import (
 from fairrerank.dataset import build_dataset, partition_popularity, read_interactions, split
 from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
 from fairrerank.pipeline import run_experiment
-from fairrerank.rerank import RerankConfig, format_scores, rerank_path, write_lists
+from fairrerank.rerank import RerankConfig, rerank_path, write_lists
 from fairrerank.scorers import mask_seen, popularity_scorer, random_scorer, write_scores
 from fairrerank.synthetic import write_zipf_dataset
 from fairrerank.util import sha256_file
@@ -217,7 +217,7 @@ class TestRunCommand:
             masked = mask_seen(raw, triple.train)
             for lam, lists in zip(lambdas, rerank_path(masked, part, cfg.rerank, lambdas)):
                 listed = np.take_along_axis(masked.values, lists.items, axis=1)
-                expected = write_lists(tmp_path / "l.tsv", lists, ds, part, (listed, format_scores(listed)), lam, False)
+                expected = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, lam, False)
                 assert result.files[f"lists_{name}_lambda{lam:g}"].read_bytes() == expected.read_bytes()
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["outputs"] == {name: sha256_file(path) for name, path in result.files.items()}

@@ -14,7 +14,6 @@ from fairrerank.rerank import (
     RerankConfig,
     adjusted_scores,
     fairness_gap,
-    format_scores,
     lambda_sweep,
     rerank_oracle,
     rerank_path,
@@ -284,10 +283,8 @@ class TestRerankConfigValidation:
 
 
 def _listed(scores, lists):
-    """The listed items' original scores and their text, as `write_lists`
-    takes them."""
-    values = np.take_along_axis(scores.values, lists.items, axis=1)
-    return values, format_scores(values)
+    """The listed items' original scores, as `write_lists` takes them."""
+    return np.take_along_axis(scores.values, lists.items, axis=1)
 
 
 class TestWriteLists:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import reference
-from fairrerank import metrics
 from fairrerank.dataset import Interactions, PopularityPartition
 from fairrerank.metrics import _personalization, eval_context, evaluate
 from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_path
@@ -143,18 +142,6 @@ def test_metrics_match_per_user_reference():
         want = reference.evaluate_all(lists, judgments, train, part, k)
         for field, value in got.as_dict().items():
             assert _same(value, getattr(want, field)), field
-
-
-@pytest.mark.parametrize("block_users", [1, 3, 7])
-def test_diversity_gram_block_size_changes_no_bit(monkeypatch, block_users):
-    # the Gram is summed over blocks of users; with blocks smaller than the
-    # user count every value must still equal the per-user reference's
-    monkeypatch.setattr(metrics, "DIVERSITY_BLOCK_USERS", block_users)
-    rng = np.random.default_rng(2025)
-    for _ in range(40):
-        lists, judgments, train, part, k = _evaluation(rng)
-        got = evaluate(eval_context(judgments, train, part, k), lists)
-        assert _same(got.diversity, reference.evaluate_all(lists, judgments, train, part, k).diversity)
 
 
 def test_sampled_personalization_matches_pair_loop():
