@@ -108,6 +108,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be >= 1, got {args.instances}")
     outcomes = run_battery(instances=args.instances, seed=args.battery_seed)
     failed = False
     for outcome in outcomes:

@@ -175,7 +175,6 @@ KEYS = (
     ("mf.alpha", "mf.confidence_alpha", _parse_float, repr),
     ("mf.seed", "mf.seed", _parse_int, str),
     ("rerank.k", "rerank.k", _parse_int, str),
-    ("rerank.lambda", "rerank.lam", _parse_float, repr),
     ("rerank.lambda_grid", "rerank.lambda_grid", _parse_float_list, _show_floats),
     ("rerank.per_user_lambda", "rerank.per_user_lambda", _parse_bool, _show_bool),
     ("rerank.pool_size", "rerank.pool_size", _parse_int, str),

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import Interactions, PopularityPartition, distinct_user_counts
-from .rerank import RecommendationLists, fairness_gap
+from .rerank import RecommendationLists
 
 __all__ = [
     "EvaluationReport",
@@ -278,7 +278,7 @@ def evaluate(ctx: EvalContext, lists: RecommendationLists) -> EvaluationReport:
         rel_short=rel_short,
         long_count=long_count,
         rel_long=rel_long,
-        fairness_gap=fairness_gap(lists, part).gap,
+        fairness_gap=(short_count - long_count) / lists.num_users,
         k=k,
         evaluated_users=lists.num_users,
     )

@@ -3,10 +3,10 @@ lambda grid -> evaluate -> report, plus the run manifest.
 
 Each stage is deterministic given the config and input bytes, so re-running
 a config reproduces every output file byte for byte. Output files are
-written atomically (temp file + rename) and the report files are written
-only after every stage has succeeded, so a failed run cannot leave partial
-reports behind. Any stage failure is wrapped in StageError naming the
-stage.
+written atomically (temp file + rename). Each list file is written as soon
+as its λ point is evaluated; only the report files wait until every stage
+has succeeded, so a failed run cannot leave partial reports behind. Any
+stage failure is wrapped in StageError naming the stage.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_snapshot
@@ -34,9 +32,9 @@ from .dataset import (
     write_split_files,
 )
 from .metrics import eval_context, evaluate, judgments_from_interactions
-from .rerank import RecommendationLists, rerank_path, write_lists
+from .rerank import rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
-from .scorers import MASKED, ScoreMatrix, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores
+from .scorers import ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores
 from .util import atomic_write_text, sha256_file
 
 __all__ = ["StageError", "SplitArtifacts", "RunResult", "run_split", "run_experiment"]
@@ -148,7 +146,9 @@ def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifact
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     """The `run` command: the full pipeline over every configured scorer and
-    every grid point, emitting list files, reports, and the manifest."""
+    every grid point, emitting list files, reports, and the manifest. Each
+    scorer's matrix is exported, then masked in place and re-ranked, and
+    dropped before its lists are evaluated and written."""
     out_dir = Path(out_dir)
     clock = _StageClock()
     artifacts, files = _split_files(cfg, out_dir, clock, for_run=True)
@@ -158,27 +158,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     ctx = clock.run("eval_context", eval_context, judgments, artifacts.split.train, artifacts.partition, cfg.rerank.k)
     lambdas = cfg.rerank.lambda_points()
     rows: list[ReportRow] = []
-    pending_lists: list[tuple[Path, RecommendationLists, np.ndarray, float]] = []
 
     for name in cfg.scorers:
         scores = clock.run(f"score[{name}]", _score_one, cfg, name, artifacts)
         files[f"scores_{name}"] = clock.run(
             f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", scores, ds
         )
-        if cfg.mask_seen:  # as mask_seen does, but in place: the export is written
-            scores.values[artifacts.split.train.users, artifacts.split.train.items] = MASKED
+        if cfg.mask_seen:  # after the export, which keeps the seen cells
+            mask_seen(scores, artifacts.split.train)
         point_lists = clock.run(f"rerank[{name}]", rerank_path, scores, artifacts.partition, cfg.rerank, lambdas)
-        # keep only the m x K listed original scores, not the m x n matrix
-        listed = [np.take_along_axis(scores.values, lists.items, axis=1) for lists in point_lists]
-        del scores  # so two m x n matrices are never alive at once
-        for lam, lists, top in zip(lambdas, point_lists, listed):
+        del scores  # the lists carry their scores; two m x n matrices are never alive at once
+        for lam, lists in zip(lambdas, point_lists):
             report = clock.run(f"evaluate[{name},{lam:g}]", evaluate, ctx, lists)
             rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=report))
-            pending_lists.append((out_dir / f"lists_{name}_lambda{lam:g}.tsv", lists, top, lam))
+            path = out_dir / f"lists_{name}_lambda{lam:g}.tsv"
+            files[path.stem] = write_lists(path, lists, ds, artifacts.partition)
 
-    # all stages succeeded; now write the list files and reports
-    for path, lists, listed, lam in pending_lists:
-        files[path.stem] = write_lists(path, lists, ds, artifacts.partition, listed, lam, cfg.rerank.per_user_lambda)
+    # all stages succeeded; now write the reports
     renderers = {"csv": render_csv, "json": render_json, "md": render_markdown}
     for fmt_name in cfg.formats:
         files[f"report_{fmt_name}"] = atomic_write_text(

@@ -52,7 +52,7 @@ ORACLE_SUBSET_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class RerankConfig:
-    """Selection size, fairness trade-off, and optional sweep grid.
+    """Selection size, λ grid, and how λ scales.
 
     With per_user_lambda=False (the default) the per-item score adjustment
     is lam/num_users, matching a trade-off stated against the user-averaged
@@ -62,7 +62,6 @@ class RerankConfig:
     """
 
     k: int = 10
-    lam: float = 0.0
     lambda_grid: tuple[float, ...] | None = None
     per_user_lambda: bool = False
     pool_size: int = 0
@@ -70,8 +69,6 @@ class RerankConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
         if self.pool_size < 0:
             raise ValueError("pool_size must be >= 0")
         if self.pool_size and self.pool_size < self.k:
@@ -80,17 +77,17 @@ class RerankConfig:
             grid = tuple(self.lambda_grid)
             if not grid:
                 raise ValueError("lambda_grid must be nonempty when present")
-            if any(g < 0 for g in grid):
-                raise ValueError("lambda_grid values must be >= 0")
+            if not all(g >= 0 and math.isfinite(g) for g in grid):
+                raise ValueError("lambda_grid values must be finite and >= 0")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError("lambda_grid must be strictly ascending")
             object.__setattr__(self, "lambda_grid", grid)
 
     def lambda_points(self) -> tuple[float, ...]:
-        """The λ values a run evaluates: the grid, or the single `lam` when
-        there is none, with the 0.0 fairness-unaware baseline prepended when
-        it is not already first."""
-        grid = self.lambda_grid if self.lambda_grid is not None else (self.lam,)
+        """The λ values a run evaluates: the grid (0.0 when there is none),
+        with the 0.0 fairness-unaware baseline prepended when it is not
+        already first."""
+        grid = self.lambda_grid or (0.0,)
         return grid if grid[0] == 0.0 else (0.0, *grid)
 
 
@@ -101,6 +98,8 @@ class RecommendationLists:
     items: np.ndarray  # (num_users, k) int64
     num_items: int
     objective: float | None = None
+    scores: np.ndarray | None = None  # the listed items' original scores, from the solver
+    adjusted: np.ndarray | None = None  # and their fairness-adjusted scores
 
     def __post_init__(self):
         if self.items.ndim != 2:
@@ -159,14 +158,18 @@ def adjusted_scores(
     """Shift short-head scores down and long-tail scores up by the per-item
     fairness penalty. Masked cells stay masked (-inf shifted by a finite
     amount is still -inf); lam == 0 returns the scores bit-for-bit."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    _check_lam(lam)
     if part.num_items != matrix.num_items:
         raise ValueError("partition length does not match score matrix width")
     if lam == 0.0:
         return ScoreMatrix(matrix.values.copy())
     shift = _fairness_shift(part, lam, matrix.num_users, per_user_lambda)
     return ScoreMatrix(matrix.values + shift)
+
+
+def _check_lam(lam: float) -> None:
+    if not (lam >= 0 and math.isfinite(lam)):
+        raise ValueError(f"lam must be >= 0 and finite, got {lam!r}")
 
 
 def _fairness_shift(part: PopularityPartition, lam: float, num_users: int, per_user_lambda: bool) -> np.ndarray:
@@ -233,17 +236,18 @@ def rerank_path(
     tie_break: str = "default",
 ) -> list[RecommendationLists]:
     """Solve the fairness-adjusted selection exactly at every λ in `lambdas`
-    (cfg.lam and cfg.lambda_grid are not read): per user, the k items with
-    the largest adjusted scores. The per-group candidates are picked once
-    (step 1); each λ then sorts only those (step 2). Returns one
-    display-ordered list set per λ, each with its objective (the selected
-    adjusted scores, summed per user in ascending item order and added user
-    by user). `tie_break="inverted"` is a test hook that flips the original
-    score and index tie directions, in both steps."""
+    (cfg.lambda_grid is not read): per user, the k items with the largest
+    adjusted scores. The per-group candidates are picked once (step 1);
+    each λ then sorts only those (step 2). Returns one display-ordered list
+    set per λ, with the listed items' original and adjusted scores and the
+    objective (the selected adjusted scores, summed per user in ascending
+    item order and added user by user). `tie_break="inverted"` is a test
+    hook that flips the original score and index tie directions, in both
+    steps."""
     if tie_break not in ("default", "inverted"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    if any(lam < 0 for lam in lambdas):
-        raise ValueError("lam must be >= 0")
+    for lam in lambdas:
+        _check_lam(lam)
     if part.num_items != matrix.num_items:
         raise ValueError("partition length does not match score matrix width")
     m, n = matrix.num_users, matrix.num_items
@@ -258,7 +262,9 @@ def rerank_path(
         adjusted = original + shift[cand] if lam else original
         keys = (cand, -original, -adjusted) if default else (-cand, original, -adjusted)
         pick = np.lexsort(keys, axis=1)[:, : cfg.k]
-        top, top_adjusted = cand[rows, pick], adjusted[rows, pick]
+        # in display order: original score descending, ties by lower index
+        pick = pick[rows, np.lexsort((cand[rows, pick], -original[rows, pick]), axis=1)]
+        top, top_original, top_adjusted = cand[rows, pick], original[rows, pick], adjusted[rows, pick]
         infeasible = ~np.isfinite(top_adjusted).all(axis=1)
         if infeasible.any():
             u = int(np.argmax(infeasible))
@@ -268,8 +274,7 @@ def rerank_path(
         # canonical ascending-index summation keeps the objective reproducible
         sums = top_adjusted[rows, np.argsort(top, axis=1)].sum(axis=1)
         objective = float(np.cumsum(np.concatenate(([0.0], sums)))[-1])
-        display = np.lexsort((top, -original[rows, pick]), axis=1)
-        lists = RecommendationLists(items=top[rows, display], num_items=n, objective=objective)
+        lists = RecommendationLists(top, n, objective, scores=top_original, adjusted=top_adjusted)
         lists.validate(matrix)
         out.append(lists)
     return out
@@ -287,16 +292,17 @@ def _combinations(count: int, k: int) -> np.ndarray:
 
 
 def rerank_oracle(
-    matrix: ScoreMatrix, part: PopularityPartition, cfg: RerankConfig
+    matrix: ScoreMatrix, part: PopularityPartition, cfg: RerankConfig, lam: float
 ) -> RecommendationLists:
-    """Reference solver by exhaustive enumeration of every k-subset per user.
+    """Reference solver at one λ by exhaustive enumeration of every k-subset
+    per user.
 
     Subset sums are refined with exact (correctly rounded) summation before
     comparison, and ties are resolved toward the subset whose items come
     first in the documented selection order, so a correct exact solver must
     match it set-for-set.
     """
-    adjusted = adjusted_scores(matrix, part, cfg.lam, cfg.per_user_lambda)
+    adjusted = adjusted_scores(matrix, part, lam, cfg.per_user_lambda)
     m, n = matrix.num_users, matrix.num_items
     out = np.empty((m, cfg.k), dtype=np.int64)
     objective_terms: list[float] = []
@@ -344,7 +350,7 @@ def lambda_sweep(
 ) -> list[tuple[float, "EvaluationReport"]]:
     """Re-rank and fully evaluate at every grid point, prepending the 0.0
     fairness-unaware baseline if the grid does not already start with it."""
-    from .metrics import eval_context, evaluate  # deferred: metrics imports fairness_gap from here
+    from .metrics import eval_context, evaluate  # deferred: metrics imports RecommendationLists from here
 
     if cfg.lambda_grid is None:
         raise ValueError("lambda_sweep requires cfg.lambda_grid")
@@ -353,32 +359,23 @@ def lambda_sweep(
     return [(lam, evaluate(ctx, lists)) for lam, lists in zip(lambdas, rerank_path(matrix, part, cfg, lambdas))]
 
 
-def write_lists(
-    path: Path | str,
-    lists: RecommendationLists,
-    ds: Dataset,
-    part: PopularityPartition,
-    listed: np.ndarray,
-    lam: float,
-    per_user_lambda: bool,
-) -> Path:
+def write_lists(path: Path | str, lists: RecommendationLists, ds: Dataset, part: PopularityPartition) -> Path:
     """Write per-user list lines:
-    user_key<TAB>rank<TAB>item_key<TAB>original_score<TAB>adjusted_score<TAB>{short|long}.
-    `listed` holds the original scores of the listed items, shaped like
-    `lists.items`. The adjusted score is the original plus the shift
-    `adjusted_scores` applies, bit for bit, and the original itself at lam 0
-    (so -0.0 stays)."""
+    user_key<TAB>rank<TAB>item_key<TAB>original_score<TAB>adjusted_score<TAB>{short|long},
+    the two scores as the solver kept them on `lists` (at λ = 0 the adjusted
+    score is the original, bit for bit, so -0.0 stays)."""
+    if lists.scores is None or lists.adjusted is None:
+        raise ValueError("lists carry no scores; write the lists rerank_path returns")
     flat = lists.items.ravel()
-    scores = listed.ravel()
-    adjusted = scores + _fairness_shift(part, lam, lists.num_users, per_user_lambda)[flat] if lam else scores
     # each distinct bit pattern is formatted once; keyed on the bytes, not
     # the value, so -0.0 still prints "-0"
-    bits, slot = np.unique((np.concatenate((scores, adjusted)) if lam else scores).view(np.int64), return_inverse=True)
+    both = np.concatenate((lists.scores.ravel(), lists.adjusted.ravel()))
+    bits, slot = np.unique(both.view(np.int64), return_inverse=True)
     text = list(map("{:.10g}".format, bits.view(np.float64).tolist()))
     cells = list(map(text.__getitem__, slot.tolist()))
     keys = np.asarray(ds.item_keys, dtype=object)[flat].tolist()
     groups = np.where(part.short_head[flat], "short", "long").tolist()
     users = [user for user in ds.user_keys[: lists.num_users] for _ in range(lists.k)]
     ranks = [str(rank) for rank in range(1, lists.k + 1)] * lists.num_users
-    rows = zip(users, ranks, keys, cells, cells[flat.size :] if lam else cells, groups)
+    rows = zip(users, ranks, keys, cells, cells[flat.size :], groups)
     return atomic_write_text(path, ("\n".join([f"{u}\t{r}\t{key}\t{s}\t{a}\t{g}" for u, r, key, s, a, g in rows]) + "\n",))

@@ -3,9 +3,10 @@ externally computed scores.
 
 Every scorer returns a dense (num_users x num_items) float64 matrix of
 predicted preferences wrapped in :class:`ScoreMatrix`. `mask_seen` stamps
-train-seen cells with a -inf sentinel so downstream top-K selection can
-never return an already-consumed item. All scorers are deterministic
-functions of their inputs and seed.
+train-seen cells with a -inf sentinel, in place, so downstream top-K
+selection can never return an already-consumed item; export a matrix with
+`write_scores` before masking it to keep the seen cells in the file. All
+scorers are deterministic functions of their inputs and seed.
 """
 
 from __future__ import annotations
@@ -260,13 +261,13 @@ def write_scores(path: Path | str, matrix: ScoreMatrix, ds: Dataset) -> Path:
 
 
 def mask_seen(matrix: ScoreMatrix, train: Interactions) -> ScoreMatrix:
-    """Stamp train-seen cells with the MASKED sentinel; unseen cells are
-    unchanged bit-for-bit and masking is idempotent."""
+    """Stamp train-seen cells with the MASKED sentinel in `matrix.values`
+    and return the same matrix; unseen cells are unchanged bit-for-bit and
+    masking is idempotent. Mask a copy to keep the original scores."""
     if matrix.num_users != train.num_users or matrix.num_items != train.num_items:
         raise ValueError(
             f"score matrix is {matrix.num_users}x{matrix.num_items} but train universe is "
             f"{train.num_users}x{train.num_items}"
         )
-    values = matrix.values.copy()
-    values[train.users, train.items] = MASKED
-    return ScoreMatrix(values, import_coverage=matrix.import_coverage)
+    matrix.values[train.users, train.items] = MASKED
+    return matrix

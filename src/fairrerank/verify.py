@@ -59,9 +59,10 @@ def _check_oracle_equivalence(count: int, seed: int, tie_break: str):
     lists must equal the plain top-k of the raw scores, in display order."""
     checked = 0
     for idx, inst in enumerate(_instances(count, seed)):
-        path = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), DEFAULT_LAMBDA_GRID, tie_break=tie_break)
+        cfg = RerankConfig(k=inst.k)
+        path = rerank_path(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID, tie_break=tie_break)
         for lam, fast in zip(DEFAULT_LAMBDA_GRID, path):
-            slow = rerank_oracle(inst.scores, inst.part, RerankConfig(k=inst.k, lam=lam))
+            slow = rerank_oracle(inst.scores, inst.part, cfg, lam)
             if abs(fast.objective - slow.objective) > 1e-9:
                 return False, f"instance {idx} lambda={lam:g}: objective gap {abs(fast.objective - slow.objective):.3e}"
             for u in range(fast.num_users):

@@ -27,11 +27,11 @@ def _selection_order(s_row, r_row, tie_break):
     raise ValueError(f"unknown tie_break {tie_break!r}")
 
 
-def rerank_exact(matrix, part, cfg, tie_break="default"):
-    """Per user: sort the candidates by (adjusted desc, original desc,
+def rerank_exact(matrix, part, cfg, lam, tie_break="default"):
+    """At one λ, per user: sort the candidates by (adjusted desc, original desc,
     index asc), keep the first k, add their adjusted scores in ascending
     index order to the objective, display by (original desc, index asc)."""
-    adjusted = adjusted_scores(matrix, part, cfg.lam, cfg.per_user_lambda)
+    adjusted = adjusted_scores(matrix, part, lam, cfg.per_user_lambda)
     m, n = matrix.num_users, matrix.num_items
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds catalog size {n}")

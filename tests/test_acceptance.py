@@ -31,10 +31,10 @@ def test_c1_oracle_equivalence_within_budget():
     comparisons = 0
     for index in range(ORACLE_INSTANCES):
         inst = random_rerank_instance(rng, quantized=(index % 2 == 1))
+        cfg = RerankConfig(k=inst.k)
         for lam in DEFAULT_LAMBDA_GRID:
-            cfg = RerankConfig(k=inst.k, lam=lam)
             fast = rerank_path(inst.scores, inst.part, cfg, (lam,))[0]
-            slow = rerank_oracle(inst.scores, inst.part, cfg)
+            slow = rerank_oracle(inst.scores, inst.part, cfg, lam)
             assert abs(fast.objective - slow.objective) <= 1e-9
             for u in range(fast.num_users):
                 assert set(fast.items[u].tolist()) == set(slow.items[u].tolist())

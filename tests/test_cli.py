@@ -18,7 +18,7 @@ from fairrerank.dataset import build_dataset, partition_popularity, read_interac
 from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
 from fairrerank.pipeline import run_experiment
 from fairrerank.rerank import RerankConfig, rerank_path, write_lists
-from fairrerank.scorers import mask_seen, popularity_scorer, random_scorer, write_scores
+from fairrerank.scorers import ScoreMatrix, mask_seen, popularity_scorer, random_scorer, write_scores
 from fairrerank.synthetic import write_zipf_dataset
 from fairrerank.util import sha256_file
 
@@ -200,7 +200,7 @@ class TestRunCommand:
 
     def test_in_place_masking_matches_masking_a_copy(self, demo, tmp_path):
         # the run stamps MASKED into each scorer's own matrix after its
-        # export; the files must equal those of the copying mask_seen path
+        # export; the files must equal those from masking an explicit copy
         config, base = demo
         cfg = load_config(config, {"scorer.names": "popularity,random"})
         result = run_experiment(cfg, base / "direct")
@@ -214,10 +214,9 @@ class TestRunCommand:
         ):
             export = write_scores(tmp_path / f"scores_{name}.tsv", raw, ds)
             assert result.files[f"scores_{name}"].read_bytes() == export.read_bytes()
-            masked = mask_seen(raw, triple.train)
+            masked = mask_seen(ScoreMatrix(raw.values.copy()), triple.train)
             for lam, lists in zip(lambdas, rerank_path(masked, part, cfg.rerank, lambdas)):
-                listed = np.take_along_axis(masked.values, lists.items, axis=1)
-                expected = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, lam, False)
+                expected = write_lists(tmp_path / "l.tsv", lists, ds, part)
                 assert result.files[f"lists_{name}_lambda{lam:g}"].read_bytes() == expected.read_bytes()
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["outputs"] == {name: sha256_file(path) for name, path in result.files.items()}
@@ -360,6 +359,13 @@ class TestExitCodes:
         assert "a run needs at least 2 users" in err
         assert "got 1 (first user 'solo')" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_verify_needs_at_least_one_instance(self, capsys, count):
+        assert main(["verify", "--instances", count]) == 1
+        captured = capsys.readouterr()
+        assert f"--instances must be >= 1, got {count}" in captured.err
+        assert "[PASS]" not in captured.out
 
     def test_single_item_lists_rejected_at_config_time(self, demo, capsys):
         config, _ = demo

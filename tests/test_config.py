@@ -147,14 +147,6 @@ CASES = [
         ConfigError("rerank.k: expected an integer, got ''"),
     ),
     (
-        "rerank.lambda",
-        "2.5",
-        "2.5",
-        "x",
-        "rerank.lambda: expected a number, got 'x'",
-        ConfigError("rerank.lambda: expected a number, got ''"),
-    ),
-    (
         "rerank.lambda_grid",
         "0,2,10.5",
         "0.0,2.0,10.5",
@@ -205,7 +197,7 @@ def input_file(tmp_path):
 
 
 def test_cases_cover_every_key():
-    assert len(KEYS) == 23 and len(set(KEYS)) == 23
+    assert len(KEYS) == 22 and len(set(KEYS)) == 22
     assert set(KEYS) == set(config_snapshot(build_config({"scorer.import_path": "s", "rerank.lambda_grid": "1"})))
 
 
@@ -248,7 +240,7 @@ def test_empty_value(key):
         ({"scorer.names": "mf,import", "scorer.import_path": ""}, "scorer.import_path is required when scorer.names includes 'import'"),
         ({"rerank.k": "1"}, "rerank.k: must be >= 2 (diversity needs item pairs), got 1"),
         ({"rerank.k": "3", "rerank.pool_size": "2"}, "rerank.*: pool_size must be 0 (unlimited) or >= k"),
-        ({"rerank.lambda": "-1"}, "rerank.*: lam must be >= 0"),
+        ({"rerank.lambda_grid": "0,-1"}, "rerank.*: lambda_grid values must be finite and >= 0"),
         ({"rerank.lambda_grid": "1.0,0.5"}, "rerank.*: lambda_grid must be strictly ascending"),
         ({"mf.dim": "0"}, "mf.*: latent_dim must be >= 1"),
         ({"mf.alpha": "0"}, "mf.*: confidence_alpha must be positive"),

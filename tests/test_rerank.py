@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,13 +181,13 @@ class TestRerankOracle:
     def test_forced_selection_when_catalog_equals_k(self):
         matrix = ScoreMatrix(np.array([[0.3, 0.1, 0.2]]))
         part = make_partition([True, False, False])
-        lists = rerank_oracle(matrix, part, RerankConfig(k=3, lam=1.0))
+        lists = rerank_oracle(matrix, part, RerankConfig(k=3), 1.0)
         assert set(lists.items[0].tolist()) == {0, 1, 2}
 
     def test_tie_on_adjusted_breaks_by_index_among_equal_originals(self):
         matrix = ScoreMatrix(np.array([[0.2, 0.2, 0.2]]))
         part = make_partition([True, False, False])
-        lists = rerank_oracle(matrix, part, RerankConfig(k=1, lam=0.3))
+        lists = rerank_oracle(matrix, part, RerankConfig(k=1), 0.3)
         # items 1 and 2 tie at adjusted 0.5 and original 0.2; lower index wins
         assert lists.items[0].tolist() == [1]
         exact = rerank_path(matrix, part, RerankConfig(k=1), (0.3,))[0]
@@ -196,16 +197,16 @@ class TestRerankOracle:
         matrix = ScoreMatrix(np.zeros((1, 60)))
         part = make_partition([False] * 60)
         with pytest.raises(ValueError, match="oracle limit"):
-            rerank_oracle(matrix, part, RerankConfig(k=8, lam=0.0))
+            rerank_oracle(matrix, part, RerankConfig(k=8), 0.0)
 
     @given(seed=st.integers(min_value=0, max_value=10_000), lam_tenths=st.integers(0, 20))
     @settings(max_examples=60, deadline=None)
     def test_matches_exact_solver(self, seed, lam_tenths):
         rng = np.random.default_rng(seed)
         inst = random_rerank_instance(rng, quantized=bool(seed % 2))
-        cfg = RerankConfig(k=inst.k, lam=lam_tenths / 10)
-        fast = rerank_path(inst.scores, inst.part, cfg, (cfg.lam,))[0]
-        slow = rerank_oracle(inst.scores, inst.part, cfg)
+        cfg, lam = RerankConfig(k=inst.k), lam_tenths / 10
+        fast = rerank_path(inst.scores, inst.part, cfg, (lam,))[0]
+        slow = rerank_oracle(inst.scores, inst.part, cfg, lam)
         assert fast.objective == approx(slow.objective, abs=1e-9)
         for u in range(fast.num_users):
             assert set(fast.items[u].tolist()) == set(slow.items[u].tolist())
@@ -215,7 +216,7 @@ class TestRerankOracle:
         values = np.array([[MASKED, 0.4, 0.6, 0.1]])
         matrix = ScoreMatrix(values)
         part = make_partition([True, True, False, False])
-        lists = rerank_oracle(matrix, part, RerankConfig(k=2, lam=0.0))
+        lists = rerank_oracle(matrix, part, RerankConfig(k=2), 0.0)
         assert 0 not in lists.items[0].tolist()
 
 
@@ -271,7 +272,18 @@ class TestRerankConfigValidation:
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            RerankConfig(lam=-0.1)
+            RerankConfig(lambda_grid=(-0.1,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(ValueError, match="lambda_grid values must be finite"):
+            RerankConfig(lambda_grid=(0.0, bad))
+        with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
+            adjusted_scores(ScoreMatrix(np.zeros((1, 2))), make_partition([True, False]), bad)
+
+    def test_lambda_points_default_to_the_baseline(self):
+        assert RerankConfig().lambda_points() == (0.0,)
+        assert RerankConfig(lambda_grid=(2.5,)).lambda_points() == (0.0, 2.5)
 
     def test_pool_smaller_than_k_rejected(self):
         with pytest.raises(ValueError):
@@ -282,9 +294,12 @@ class TestRerankConfigValidation:
             RerankConfig(lambda_grid=())
 
 
-def _listed(scores, lists):
-    """The listed items' original scores, as `write_lists` takes them."""
-    return np.take_along_axis(scores.values, lists.items, axis=1)
+def _scored(lists, matrix, part, lam, per_user=False):
+    """Hand-picked lists with the scores the solver would keep on them: the
+    listed cells of the matrix and of `adjusted_scores`."""
+    adjusted = adjusted_scores(matrix, part, lam, per_user)
+    scores, shifted = (np.take_along_axis(m.values, lists.items, axis=1) for m in (matrix, adjusted))
+    return replace(lists, scores=scores, adjusted=shifted)
 
 
 class TestWriteLists:
@@ -297,11 +312,17 @@ class TestWriteLists:
         scores = ScoreMatrix(np.array([[0.5, -0.0, 0.25, 0.125], [0.0, 1.0, -0.0, 1 / 3]]))
         part = make_partition([True, False, True, False])
         lists = RecommendationLists(items=np.array([[0, 1], [3, 2]]), num_items=4)
-        return ds, _listed(scores, lists), part, lists
+        return ds, scores, part, lists
+
+    def test_lists_without_scores_rejected(self, inputs, tmp_path):
+        ds, _, part, lists = inputs
+        with pytest.raises(ValueError, match="lists carry no scores"):
+            write_lists(tmp_path / "l.tsv", lists, ds, part)
+        assert not (tmp_path / "l.tsv").exists()
 
     def test_lambda_zero_golden(self, inputs, tmp_path):
-        ds, listed, part, lists = inputs
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.0, False)
+        ds, scores, part, lists = inputs
+        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), ds, part)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.5\tshort\n"
             b"a\t2\tx\t-0\t-0\tlong\n"
@@ -311,8 +332,8 @@ class TestWriteLists:
 
     def test_positive_lambda_golden(self, inputs, tmp_path):
         # delta = lam / num_users = 0.25
-        ds, listed, part, lists = inputs
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.5, False)
+        ds, scores, part, lists = inputs
+        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.5), ds, part)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.25\tshort\n"
             b"a\t2\tx\t-0\t0.25\tlong\n"
@@ -321,8 +342,8 @@ class TestWriteLists:
         )
 
     def test_per_user_lambda_golden(self, inputs, tmp_path):
-        ds, listed, part, lists = inputs
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.1, True)
+        ds, scores, part, lists = inputs
+        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.1, per_user=True), ds, part)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.4\tshort\n"
             b"a\t2\tx\t-0\t0.1\tlong\n"
@@ -337,11 +358,11 @@ class TestWriteLists:
         scores = ScoreMatrix(np.array([[0.0, -0.0, 0.5, 0.5], [0.0, -0.0, 0.5, 0.5], [-0.0, 0.0, 0.5, 0.25]]))
         part = make_partition([True, False, True, False])
         lists = RecommendationLists(items=np.array([[2, 0, 1], [2, 1, 0], [3, 0, 1]]), num_items=4)
-        return ds, _listed(scores, lists), part, lists
+        return ds, scores, part, lists
 
     def test_repeated_values_and_signed_zeros_lambda_zero(self, repeated, tmp_path):
-        ds, listed, part, lists = repeated
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.0, False)
+        ds, scores, part, lists = repeated
+        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), ds, part)
         assert path.read_bytes() == (
             b"a\t1\ty\t0.5\t0.5\tshort\n"
             b"a\t2\tw\t0\t0\tshort\n"
@@ -356,8 +377,8 @@ class TestWriteLists:
 
     def test_repeated_values_and_signed_zeros_positive_lambda(self, repeated, tmp_path):
         # delta = 0.75 / 3 users = 0.25
-        ds, listed, part, lists = repeated
-        path = write_lists(tmp_path / "l.tsv", lists, ds, part, listed, 0.75, False)
+        ds, scores, part, lists = repeated
+        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.75), ds, part)
         assert path.read_bytes() == (
             b"a\t1\ty\t0.5\t0.25\tshort\n"
             b"a\t2\tw\t0\t-0.25\tshort\n"
@@ -377,7 +398,7 @@ class TestWriteLists:
         m, n = inst.scores.num_users, inst.scores.num_items
         ds = build_dataset([InteractionRecord(f"u{u}", f"i{i}") for u in range(m) for i in range(n)])
         lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k, per_user_lambda=per_user), (lam,))[0]
-        path = write_lists(tmp_path / "l.tsv", lists, ds, inst.part, _listed(inst.scores, lists), lam, per_user)
+        path = write_lists(tmp_path / "l.tsv", lists, ds, inst.part)
         adjusted = adjusted_scores(inst.scores, inst.part, lam, per_user)
         expected = [
             f"u{u}\t{rank}\ti{item}\t{inst.scores.values[u, item]:.10g}\t{adjusted.values[u, item]:.10g}"

@@ -292,15 +292,24 @@ class TestMaskSeen:
 
     def test_unseen_cells_unchanged_bit_for_bit(self, tiny_train):
         scores = random_scorer(6, 5, seed=0)
+        original = scores.values.copy()
         masked = mask_seen(scores, tiny_train)
         unseen = np.isfinite(masked.values)
-        assert np.array_equal(masked.values[unseen], scores.values[unseen])
+        assert masked.values[unseen].tobytes() == original[unseen].tobytes()
+        assert not unseen.all()
+
+    def test_masks_in_place_and_returns_the_same_matrix(self, tiny_train):
+        scores = random_scorer(6, 5, seed=0)
+        values = scores.values
+        assert mask_seen(scores, tiny_train) is scores
+        assert scores.values is values
+        assert (values[tiny_train.users, tiny_train.items] == MASKED).all()
 
     def test_masking_is_idempotent(self, tiny_train):
         scores = random_scorer(6, 5, seed=0)
-        once = mask_seen(scores, tiny_train)
-        twice = mask_seen(once, tiny_train)
-        assert np.array_equal(once.values, twice.values)
+        once = mask_seen(scores, tiny_train).values.copy()
+        twice = mask_seen(scores, tiny_train)
+        assert twice.values.tobytes() == once.tobytes()
 
     def test_dimension_mismatch_rejected(self, tiny_train):
         with pytest.raises(ValueError):

@@ -3,15 +3,13 @@ metrics give exactly what the per-user reference loops in `reference.py`
 give. Lists and objectives must be equal (the objective with ==), and every
 report field equal by repr, so no changed bit goes unnoticed."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import reference
 from fairrerank.dataset import Interactions, PopularityPartition
 from fairrerank.metrics import _personalization, eval_context, evaluate
-from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_path
+from fairrerank.rerank import RecommendationLists, RerankConfig, adjusted_scores, rerank_path
 from fairrerank.scorers import MASKED, ScoreMatrix
 
 LAMBDAS = (0.0, 0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 100.0)
@@ -46,7 +44,7 @@ def _reference_path(matrix, part, cfg, tie_break):
     out = []
     for lam in LAMBDAS:
         try:
-            out.append(reference.rerank_exact(matrix, part, replace(cfg, lam=lam), tie_break))
+            out.append(reference.rerank_exact(matrix, part, cfg, lam, tie_break))
         except ValueError as exc:
             return out, str(exc)
     return out, None
@@ -66,9 +64,13 @@ def test_rerank_path_matches_per_user_reference(kind, tie_break):
             assert str(caught.value) == error
             errors += 1
             continue
-        for got, want in zip(rerank_path(matrix, part, cfg, LAMBDAS, tie_break), expected):
+        for lam, got, want in zip(LAMBDAS, rerank_path(matrix, part, cfg, LAMBDAS, tie_break), expected):
             assert np.array_equal(got.items, want.items)
             assert got.objective == want.objective and repr(got.objective) == repr(want.objective)
+            # the kept scores are the matrix's and adjusted_scores' cells, bit for bit
+            adjusted = adjusted_scores(matrix, part, lam, cfg.per_user_lambda)
+            assert got.scores.tobytes() == np.take_along_axis(matrix.values, got.items, axis=1).tobytes()
+            assert got.adjusted.tobytes() == np.take_along_axis(adjusted.values, got.items, axis=1).tobytes()
             compared += 1
     assert compared > 250 and errors > 5
 
@@ -89,6 +91,9 @@ def test_rerank_path_rejects_bad_arguments():
     part = PopularityPartition(short_head=np.array([True, False, False]), popularity_count=np.zeros(3, dtype=np.int64))
     with pytest.raises(ValueError, match="lam must be >= 0"):
         rerank_path(matrix, part, RerankConfig(k=2), (0.0, -1.0))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"lam must be >= 0 and finite, got {bad}"):
+            rerank_path(matrix, part, RerankConfig(k=2), (0.0, bad))
     with pytest.raises(ValueError, match="unknown tie_break"):
         rerank_path(matrix, part, RerankConfig(k=2), (0.0,), tie_break="sideways")
     with pytest.raises(ValueError, match="exceeds catalog size"):
