@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Commands: split, run, verify. All take a config file plus optional flag
-overrides; `verify` needs no config. Exit codes:
-0 success, 1 validation error (bad config/flags or a failed verification
-battery), 2 runtime failure.
+Commands: split, run, verify. `split` and `run` take a config file plus
+optional flag overrides; `verify` takes only --instances and
+--battery-seed. Exit codes: 0 success, 1 validation error (bad
+config/flags, input the run cannot use, or a failed verification battery),
+2 runtime failure.
 
 The output directory resolves in precedence order: --out flag, the
 FAIRRERANK_OUT environment variable, then the config's output.dir.
@@ -38,9 +39,9 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fairrerank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("split", "run", "verify"):
+    for name in ("split", "run"):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=Path, required=name != "verify", default=None)
+        cmd.add_argument("--config", type=Path, required=True)
         cmd.add_argument("--seed", type=int, default=None, help="override split.seed")
         cmd.add_argument("--threads", type=int, default=1, help="ignored; deleted at the next benchmark change")
         cmd.add_argument("--out", type=Path, default=None, help="override the output directory")
@@ -53,9 +54,9 @@ def _build_parser() -> _Parser:
             metavar="KEY=VALUE",
             help="override any config key (repeatable)",
         )
-        if name == "verify":
-            cmd.add_argument("--instances", type=int, default=200)
-            cmd.add_argument("--battery-seed", type=int, default=20240)
+    verify = sub.add_parser("verify")
+    verify.add_argument("--instances", type=int, default=200)
+    verify.add_argument("--battery-seed", type=int, default=20240)
     return parser
 
 
@@ -110,6 +111,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be >= 1, got {args.instances}")
+    if args.battery_seed < 0:
+        raise ConfigError(f"--battery-seed must be >= 0, got {args.battery_seed}")
     outcomes = run_battery(instances=args.instances, seed=args.battery_seed)
     failed = False
     for outcome in outcomes:

@@ -81,6 +81,13 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
+def _parse_seed(key: str, value: str) -> int:
+    out = _parse_int(key, value)
+    if out < 0:
+        raise ConfigError(f"{key}: expected a non-negative integer, got {value!r}")
+    return out
+
+
 def _parse_float(key: str, value: str) -> float:
     try:
         out = float(value)
@@ -161,19 +168,19 @@ KEYS = (
     ("input.path", "input_path", _parse_text, str),
     ("input.delimiter", "delimiter", _parse_delimiter, str),
     ("input.header", "header", _parse_bool, _show_bool),
-    ("split.seed", "split_seed", _parse_int, str),
+    ("split.seed", "split_seed", _parse_seed, str),
     ("split.ratios", "ratios", _parse_ratios, _show_floats),
     ("partition.ratio", "partition_ratio", _parse_fraction, repr),
     ("scorer.names", "scorers", _name_list(SCORER_NAMES), ",".join),
     ("scorer.import_path", "import_path", _parse_text, lambda path: path or None),
     ("scorer.fill", "fill", _parse_fill, lambda fill: "sentinel" if fill == MASKED else repr(fill)),
     ("scorer.mask_seen", "mask_seen", _parse_bool, _show_bool),
-    ("random.seed", "random_seed", _parse_int, str),
+    ("random.seed", "random_seed", _parse_seed, str),
     ("mf.dim", "mf.latent_dim", _parse_int, str),
     ("mf.reg", "mf.regularization", _parse_float, repr),
     ("mf.iters", "mf.iterations", _parse_int, str),
     ("mf.alpha", "mf.confidence_alpha", _parse_float, repr),
-    ("mf.seed", "mf.seed", _parse_int, str),
+    ("mf.seed", "mf.seed", _parse_seed, str),
     ("rerank.k", "rerank.k", _parse_int, str),
     ("rerank.lambda_grid", "rerank.lambda_grid", _parse_float_list, _show_floats),
     ("rerank.per_user_lambda", "rerank.per_user_lambda", _parse_bool, _show_bool),

@@ -16,8 +16,8 @@ Formulas:
   diversity   = mean over users of 1 - mean pairwise cosine similarity of
                 the list items' binary train-interaction columns
   coverage    = distinct recommended items / catalog size
-  personalization = 1 - mean pairwise list overlap/k (exact over all user
-                pairs up to 5000 users, sampled above)
+  personalization = 1 - mean pairwise list overlap/k, exact over all user
+                pairs
   serendipity = mean fraction of each list outside the global top-k
                 most-popular train items
 """
@@ -38,10 +38,6 @@ __all__ = [
     "eval_context",
     "evaluate",
 ]
-
-PERSONALIZATION_EXACT_LIMIT = 5000
-PERSONALIZATION_SAMPLE_PAIRS = 100_000
-
 
 def judgments_from_interactions(inter: Interactions) -> list[set[int]]:
     """Per-user relevant-item sets from a held-out interaction split."""
@@ -65,10 +61,10 @@ def _keys(users: np.ndarray, items: np.ndarray, num_items: int) -> np.ndarray:
     return np.append(np.sort(users * num_items + items), np.iinfo(np.int64).max)
 
 
-def _hits(items: np.ndarray, keys: np.ndarray, num_items: int, users: np.ndarray | None = None) -> np.ndarray:
-    """True where (users[r], items[r, c]) is among `keys`, users defaulting
-    to the row numbers: for lists and the judgments, the m x k hit matrix."""
-    wanted = (np.arange(len(items)) if users is None else users)[:, None] * num_items + items
+def _hits(items: np.ndarray, keys: np.ndarray, num_items: int) -> np.ndarray:
+    """True where (row r, items[r, c]) is among `keys`: for lists and the
+    judgments, the m x k hit matrix."""
+    wanted = np.arange(len(items))[:, None] * num_items + items
     return keys[np.searchsorted(keys, wanted)] == wanted
 
 
@@ -146,39 +142,16 @@ def _exposure(items: np.ndarray, hits: np.ndarray, short_head: np.ndarray) -> tu
     return short_count, rel_short, items.size - short_count, int(np.count_nonzero(hits)) - rel_short
 
 
-def _personalization(items: np.ndarray, num_items: int, method: str = "auto", seed: int = 0) -> float:
-    """One minus the mean pairwise list overlap. Exact over all user pairs
-    while feasible; above PERSONALIZATION_EXACT_LIMIT users, estimated over
-    seeded sampled pairs."""
+def _personalization(items: np.ndarray, num_items: int) -> float:
+    """One minus the mean pairwise list overlap, exact over all user pairs."""
     m, k = items.shape
     if m < 2:
         raise ValueError("personalization needs at least 2 users")
-    if method == "auto":
-        method = "exact" if m <= PERSONALIZATION_EXACT_LIMIT else "sampled"
-    if method == "exact":
-        # total pairwise intersection = sum over items of C(lists containing it, 2)
-        counts = np.bincount(items.ravel(), minlength=num_items)
-        inter_total = float(np.sum(counts * (counts - 1) // 2))
-        pairs = m * (m - 1) / 2
-        return 1.0 - inter_total / (pairs * k)
-    if method == "sampled":
-        rng = np.random.default_rng(seed)
-        firsts, seconds = [], []
-        remaining = PERSONALIZATION_SAMPLE_PAIRS
-        while remaining > 0:
-            us = rng.integers(0, m, size=2 * remaining)
-            vs = rng.integers(0, m, size=2 * remaining)
-            keep = us != vs
-            firsts.append(us[keep][:remaining])
-            seconds.append(vs[keep][:remaining])
-            remaining -= len(firsts[-1])
-        # a sampled pair's overlap: the first list's items found in the second
-        keys = _keys(np.repeat(np.arange(m), k), items.ravel(), num_items)
-        overlap = _hits(items[np.concatenate(firsts)], keys, num_items, np.concatenate(seconds)).sum(axis=1)
-        # added pair by pair, in draw order
-        overlap_sum = np.cumsum(np.concatenate(([0.0], overlap / k)))[-1]
-        return 1.0 - float(overlap_sum) / PERSONALIZATION_SAMPLE_PAIRS
-    raise ValueError(f"unknown method {method!r}")
+    # total pairwise intersection = sum over items of C(lists containing it, 2)
+    counts = np.bincount(items.ravel(), minlength=num_items)
+    inter_total = float(np.sum(counts * (counts - 1) // 2))
+    pairs = m * (m - 1) / 2
+    return 1.0 - inter_total / (pairs * k)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ Each stage is deterministic given the config and input bytes, so re-running
 a config reproduces every output file byte for byte. Output files are
 written atomically (temp file + rename). Each list file is written as soon
 as its λ point is evaluated; only the report files wait until every stage
-has succeeded, so a failed run cannot leave partial reports behind. Any
-stage failure is wrapped in StageError naming the stage.
+has succeeded, so a failed run cannot leave partial reports behind. A
+stage failure is wrapped in StageError naming the stage, except malformed
+input (DataError), which is re-raised as a DataError naming the stage.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 from . import __version__
 from .config import ExperimentConfig, config_snapshot
 from .dataset import (
+    DataError,
     Dataset,
     InputFormat,
     PopularityPartition,
@@ -71,6 +73,8 @@ class _StageClock:
         start = time.perf_counter()
         try:
             result = func(*args, **kwargs)
+        except DataError as exc:  # input the run cannot use, not a runtime failure
+            raise DataError(f"stage '{stage}' failed: {exc}") from exc
         except Exception as exc:
             raise StageError(stage, exc) from exc
         self.seconds[stage] = round(time.perf_counter() - start, 6)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from fairrerank.dataset import distinct_user_counts
-from fairrerank.metrics import PERSONALIZATION_SAMPLE_PAIRS, EvaluationReport
+from fairrerank.metrics import EvaluationReport
 from fairrerank.rerank import RecommendationLists, adjusted_scores, fairness_gap
 
 
@@ -111,23 +111,6 @@ def diversity(lists, train):
 
 def coverage(lists, num_items):
     return len(np.unique(lists.items)) / num_items
-
-
-def personalization_sampled(lists, seed=0):
-    m, k = lists.num_users, lists.k
-    rng = np.random.default_rng(seed)
-    rows = [frozenset(lists.items[u].tolist()) for u in range(m)]
-    overlap_sum = 0.0
-    remaining = PERSONALIZATION_SAMPLE_PAIRS
-    while remaining > 0:
-        us = rng.integers(0, m, size=2 * remaining)
-        vs = rng.integers(0, m, size=2 * remaining)
-        keep = us != vs
-        us, vs = us[keep][:remaining], vs[keep][:remaining]
-        for u, v in zip(us.tolist(), vs.tolist()):
-            overlap_sum += len(rows[u] & rows[v]) / k
-        remaining -= len(us)
-    return 1.0 - overlap_sum / PERSONALIZATION_SAMPLE_PAIRS
 
 
 def personalization_exact(lists):

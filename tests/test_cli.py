@@ -367,6 +367,45 @@ class TestExitCodes:
         assert f"--instances must be >= 1, got {count}" in captured.err
         assert "[PASS]" not in captured.out
 
+    @pytest.mark.parametrize("argv", [["--seed", "3"], ["--config", "x.cfg"]], ids=["seed", "config"])
+    def test_verify_rejects_data_command_flags(self, capsys, argv):
+        assert main(["verify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(argv)}" in captured.err
+        assert "[PASS]" not in captured.out
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["--seed", "-1"], "split.seed"), *((["--set", f"{key}=-1"], key) for key in ("split.seed", "random.seed", "mf.seed"))],
+        ids=["--seed", "split.seed", "random.seed", "mf.seed"],
+    )
+    def test_negative_seed_is_validation_error(self, demo, capsys, argv, key):
+        config, base = demo
+        out = base / "neg"
+        assert main(["run", "--config", str(config), "--out", str(out), *argv]) == 1
+        assert f"{key}: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_battery_seed_is_validation_error(self, capsys):
+        assert main(["verify", "--battery-seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--battery-seed must be >= 0, got -1" in captured.err
+        assert "[PASS]" not in captured.out
+
+    def test_malformed_log_line_is_validation_error(self, tmp_path, capsys):
+        config = self._config(tmp_path, ["u0\ti0\t-3.0", "u1\ti1"], 2)
+        assert main(["run", "--config", str(config)]) == 1
+        assert "error: stage 'ingest' failed: line 1: negative weight -3.0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_import_line_is_validation_error(self, demo, capsys):
+        config, base = demo
+        scores = base / "scores.tsv"
+        scores.write_text("nobody\tnothing\t1.0\n")
+        overrides = ["--set", "scorer.names=import", "--set", f"scorer.import_path={scores}"]
+        assert main(["run", "--config", str(config), *overrides]) == 1
+        assert "error: stage 'score[import]' failed: line 1: unknown user key 'nobody'" in capsys.readouterr().err
+
     def test_single_item_lists_rejected_at_config_time(self, demo, capsys):
         config, _ = demo
         assert main(["run", "--config", str(config), "--set", "rerank.k=1"]) == 1
@@ -398,19 +437,20 @@ class TestExitCodes:
 
 
 def _readme_cli():
-    """The README's command set, its flags on every command and its
-    verify-only flags."""
+    """The README's command set, the flags of `split` and `run`, and the
+    flags of `verify`."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     commands = set(re.findall(r"`([a-z]+)`", text.split("\nCommands: ", 1)[1].split("\n", 1)[0]))
-    paragraph = text.split("\nFlags on every command: ", 1)[1].split("Output directory precedence", 1)[0]
-    every, verify_only = paragraph.split("`verify` also takes", 1)
-    return commands, *(set(re.findall(r"`(--[a-z-]+)", part)) for part in (every, verify_only))
+    data = text.split("\nFlags on `split` and `run`: ", 1)[1].split("\n\n", 1)[0]
+    verify = text.split("\n`verify` takes only its own two flags: ", 1)[1].split("\n\n", 1)[0]
+    return commands, *(set(re.findall(r"`(--[a-z-]+)", part)) for part in (data, verify))
 
 
 def test_readme_flags_match_the_parser():
-    readme_commands, every, verify_only = _readme_cli()
+    readme_commands, data_flags, verify_flags = _readme_cli()
     commands = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
     assert set(commands) == readme_commands
+    assert verify_flags == {"--instances", "--battery-seed"}
     for name, cmd in commands.items():
         flags = {flag for action in cmd._actions for flag in action.option_strings} - {"-h", "--help"}
-        assert flags == (every | verify_only if name == "verify" else every), name
+        assert flags == (verify_flags if name == "verify" else data_flags), name

@@ -8,7 +8,7 @@ from pytest import approx
 import reference
 from conftest import evaluated, interactions, make_partition
 from fairrerank.dataset import Interactions
-from fairrerank.metrics import EvaluationReport, _personalization, eval_context, evaluate, judgments_from_interactions
+from fairrerank.metrics import EvaluationReport, eval_context, evaluate, judgments_from_interactions
 from fairrerank.rerank import RecommendationLists
 
 
@@ -167,13 +167,13 @@ class TestPersonalization:
         with pytest.raises(ValueError, match="at least 2 users"):
             evaluate(ctx, lists_of([[0, 1]], 3))
 
-    def test_exact_and_sampled_agree_within_tolerance(self):
-        rng = np.random.default_rng(77)
-        rows = np.stack([rng.choice(50, size=10, replace=False) for _ in range(1000)])
-        lists = RecommendationLists(items=rows.astype(np.int64), num_items=50)
-        exact = evaluated(lists).personalization
-        sampled = _personalization(lists.items, lists.num_items, method="sampled", seed=5)
-        assert sampled == approx(exact, abs=0.01)
+    def test_exact_above_5000_users(self):
+        # two groups of g users with disjoint lists, identical within a
+        # group: a pair overlaps fully iff both users are in one group
+        g, k = 2600, 10
+        rows = [list(range(k))] * g + [list(range(k, 2 * k))] * g
+        expected = 1.0 - 2 * math.comb(g, 2) / math.comb(2 * g, 2)
+        assert evaluated(lists_of(rows, 2 * k)).personalization == approx(expected, rel=1e-12)
 
 
 class TestSerendipity:

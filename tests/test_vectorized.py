@@ -8,7 +8,7 @@ import pytest
 
 import reference
 from fairrerank.dataset import Interactions, PopularityPartition
-from fairrerank.metrics import _personalization, eval_context, evaluate
+from fairrerank.metrics import eval_context, evaluate
 from fairrerank.rerank import RecommendationLists, RerankConfig, adjusted_scores, rerank_path
 from fairrerank.scorers import MASKED, ScoreMatrix
 
@@ -147,15 +147,6 @@ def test_metrics_match_per_user_reference():
         want = reference.evaluate_all(lists, judgments, train, part, k)
         for field, value in got.as_dict().items():
             assert _same(value, getattr(want, field)), field
-
-
-def test_sampled_personalization_matches_pair_loop():
-    rng = np.random.default_rng(8)
-    for _ in range(2):
-        lists, *_ = _evaluation(rng)
-        for seed in (0, 5):
-            sampled = _personalization(lists.items, lists.num_items, "sampled", seed)
-            assert _same(sampled, reference.personalization_sampled(lists, seed))
 
 
 def test_one_context_serves_every_list_set():
