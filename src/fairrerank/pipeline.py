@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +37,9 @@ from .dataset import (
 from .metrics import eval_context, evaluate, judgments_from_interactions
 from .rerank import rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
-from .scorers import ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores
+from .scorers import (
+    ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, score_cells, write_scores,
+)
 from .util import atomic_write_text, sha256_file
 
 __all__ = ["StageError", "SplitArtifacts", "RunResult", "run_split", "run_experiment"]
@@ -127,11 +130,14 @@ def _split_files(
     cfg: ExperimentConfig, out_dir: Path, clock: _StageClock, for_run: bool
 ) -> tuple[SplitArtifacts, dict[str, Path]]:
     """Ingest, split and partition, then write the split and partition
-    files. For a run, a split it cannot use fails first (exit 1)."""
+    files. For a run, an unusable split or import file fails first (exit 1)."""
     ds = clock.run("ingest", _ingest, cfg)
     artifacts = clock.run("split", _split_stage, cfg, ds)
     if for_run:
         check_split(ds, artifacts.split, cfg.rerank.k, cfg.mask_seen)
+        if "import" in cfg.scorers:
+            with open(cfg.import_path, "r", encoding="utf-8") as fh:  # read again to score, not kept
+                clock.run("score[import]", deque, score_cells(fh, ds), maxlen=0)
     fmt = InputFormat.from_name(cfg.delimiter, False)
     files = clock.run("split_files", write_split_files, artifacts.split, ds, out_dir, fmt)
     files["partition"] = clock.run(

@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +31,7 @@ __all__ = [
     "mf_scorer",
     "train_mf_factors",
     "mf_objective",
+    "score_cells",
     "load_scores",
     "read_scores",
     "write_scores",
@@ -41,6 +42,7 @@ logger = logging.getLogger(__name__)
 
 MASKED = float("-inf")
 _EXPORT_ROWS = 64  # users per chunk of the score export
+_BLOCK = 1 << 16  # floats per stacked operand of an ALS half-step
 
 
 @dataclass(frozen=True)
@@ -114,32 +116,34 @@ def _sort_by_row(index: np.ndarray, companion: np.ndarray, weights: np.ndarray, 
     row bounds: row r's pairs are [bounds[r], bounds[r + 1])."""
     order = np.argsort(index, kind="stable")
     bounds = np.searchsorted(index[order], np.arange(size + 1))
-    return companion[order], weights[order], bounds.tolist()
+    return companion[order], weights[order], bounds
 
 
-def _solve_half(
-    this: np.ndarray,
-    other: np.ndarray,
-    seen: np.ndarray,
-    seen_w: np.ndarray,
-    bounds: list[int],
-    reg: float,
-    alpha: float,
-) -> None:
+def _solve_half(this: np.ndarray, other: np.ndarray, seen: np.ndarray, seen_w: np.ndarray,
+                bounds: np.ndarray, reg: float, alpha: float) -> None:
     """One ALS half-step: re-solve every row of `this` against the frozen
-    `other` factors, row r from its pairs seen[lo:hi], seen_w[lo:hi]."""
+    `other` factors, row r from its pairs seen[lo:hi], seen_w[lo:hi] with
+    lo, hi = bounds[r], bounds[r + 1]. Rows with the same pair count L are
+    solved in stacks of B rows, B*max(L, d)*d <= _BLOCK: gather B x L x d
+    factors, build B systems, call `np.linalg.solve` once. Each slice keeps
+    one row's operand layout, so the result is bit for bit the per-row
+    solve. A row with no pairs has all targets 0 and is set to +0.0."""
     dim = other.shape[1]
     gram = other.T @ other + reg * np.eye(dim)
-    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if lo == hi:
-            # all preference targets are 0, so the exact solve is 0
-            this[r] = 0.0
-            continue
-        conf_minus_one = alpha * seen_w[lo:hi]
-        factors = other[seen[lo:hi]]
-        a = gram + (factors.T * conf_minus_one) @ factors
-        b = factors.T @ (1.0 + conf_minus_one)
-        this[r] = np.linalg.solve(a, b)
+    counts = np.diff(bounds)
+    this[counts == 0] = 0.0
+    for size in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == size)
+        step = max(1, _BLOCK // (max(size, dim) * dim))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            pos = bounds[block, None] + np.arange(size)
+            conf_minus_one = alpha * seen_w[pos]
+            factors = other[seen[pos]]
+            factors_t = factors.transpose(0, 2, 1)
+            a = gram + (factors_t * conf_minus_one[:, None, :]) @ factors
+            b = factors_t @ (1.0 + conf_minus_one)[:, :, None]  # (B, d, 1): stacked columns in numpy 1.x and 2.x
+            this[block] = np.linalg.solve(a, b)[:, :, 0]
 
 
 def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[np.ndarray, np.ndarray]:
@@ -189,15 +193,9 @@ def mf_scorer(train: Interactions, cfg: MFConfig = MFConfig()) -> ScoreMatrix:
     return ScoreMatrix(user_factors @ item_factors.T)
 
 
-def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreMatrix:
-    """Import externally computed scores from "user_key<TAB>item_key<TAB>score"
-    lines. Cells absent from the file take `fill` (use -inf to make them
-    unselectable); later duplicates overwrite earlier ones. The fraction of
-    cells provided is recorded on the result and logged when below 1.
-    """
-    m, n = ds.num_users, ds.num_items
-    values = np.full((m, n), fill, dtype=np.float64)
-    provided = np.zeros((m, n), dtype=bool)
+def score_cells(source: Iterable[str], ds: Dataset) -> Iterator[tuple[int, int, float]]:
+    """The checked (user, item, score) cell of each non-blank "user_key<TAB>
+    item_key<TAB>score" line; a malformed line raises a DataError naming it."""
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -216,8 +214,19 @@ def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreM
             raise DataError(f"unparseable score {score_text!r}", lineno) from None
         if not math.isfinite(score):
             raise DataError(f"non-finite score {score_text!r}", lineno)
-        u = ds.user_index[user_key]
-        i = ds.item_index[item_key]
+        yield ds.user_index[user_key], ds.item_index[item_key], score
+
+
+def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreMatrix:
+    """Import externally computed scores from "user_key<TAB>item_key<TAB>score"
+    lines. Cells absent from the file take `fill` (use -inf to make them
+    unselectable); later duplicates overwrite earlier ones. The fraction of
+    cells provided is recorded on the result and logged when below 1.
+    """
+    m, n = ds.num_users, ds.num_items
+    values = np.full((m, n), fill, dtype=np.float64)
+    provided = np.zeros((m, n), dtype=bool)
+    for u, i, score in score_cells(source, ds):
         values[u, i] = score
         provided[u, i] = True
     coverage = float(provided.sum()) / float(m * n)

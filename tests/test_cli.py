@@ -406,6 +406,18 @@ class TestExitCodes:
         assert main(["run", "--config", str(config), *overrides]) == 1
         assert "error: stage 'score[import]' failed: line 1: unknown user key 'nobody'" in capsys.readouterr().err
 
+    def test_malformed_import_line_fails_before_any_file_is_written(self, demo, capsys):
+        # popularity scores before import, so a check at score time would
+        # leave its export, its lists and the split files behind
+        config, base = demo
+        user, item = (base / "demo.tsv").read_text().split("\n")[0].split("\t")[:2]
+        scores = base / "scores.tsv"
+        scores.write_text(f"{user}\t{item}\t0.5\n\n{user}\t{item}\tnot-a-number\n")
+        overrides = ["--set", "scorer.names=popularity,import", "--set", f"scorer.import_path={scores}"]
+        assert main(["run", "--config", str(config), *overrides]) == 1
+        assert "error: stage 'score[import]' failed: line 3: unparseable score 'not-a-number'" in capsys.readouterr().err
+        assert not (base / "out").exists()
+
     def test_single_item_lists_rejected_at_config_time(self, demo, capsys):
         config, _ = demo
         assert main(["run", "--config", str(config), "--set", "rerank.k=1"]) == 1

@@ -6,6 +6,7 @@ from pytest import approx
 
 import reference
 from conftest import interactions
+from fairrerank import scorers
 from fairrerank.dataset import DataError, InteractionRecord, Interactions, build_dataset
 from fairrerank.scorers import (
     MASKED,
@@ -146,6 +147,44 @@ class TestMFScorer:
         cfg = MFConfig(latent_dim=5, iterations=iterations, regularization=0.2, confidence_alpha=7.5, seed=4)
         got, expected = train_mf_factors(train, cfg), reference.train_mf_factors(train, cfg)
         assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("block", [1, 80, 10**9], ids=["one-row-chunks", "split-groups", "whole-groups"])
+    def test_stacked_solve_equals_the_per_row_reference(self, monkeypatch, block):
+        # user u has u % 7 pairs, so every pair count from 0 to 6 is a group
+        # of 6 users; the items get many distinct counts, and 3 get none
+        rng = np.random.default_rng(23)
+        m, n, dim = 42, 30, 4
+        users = np.repeat(np.arange(m), np.arange(m) % 7)
+        items = np.concatenate([rng.choice(n - 3, size=u % 7, replace=False) for u in range(m)])
+        train = Interactions(users, items, rng.uniform(0.5, 4.0, size=len(users)), m, n)
+        item_counts = np.bincount(items, minlength=n)
+        assert len(np.unique(item_counts)) >= 6 and (item_counts == 0).sum() == 3
+        if block == 80:  # users with up to 4 pairs: a full chunk of 80 // (4 * 4) = 5 and a last one of 1
+            assert block // (dim * dim) == 5
+        monkeypatch.setattr(scorers, "_BLOCK", block)
+        cfg = MFConfig(latent_dim=dim, iterations=3, regularization=0.3, confidence_alpha=5.0, seed=8)
+        got, expected = train_mf_factors(train, cfg), reference.train_mf_factors(train, cfg)
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        assert not np.signbit(got[0][np.arange(m) % 7 == 0]).any()
+        assert not np.signbit(got[1][item_counts == 0]).any()
+
+    def test_stacked_solve_memory_is_chunked(self):
+        # every user has 2 pairs: one group of 4000 users, whose unchunked
+        # stack of d x d systems alone is the 8.2 MB bound
+        rng = np.random.default_rng(29)
+        m, n, dim = 4000, 500, 16
+        users = np.repeat(np.arange(m), 2)
+        items = np.concatenate([rng.choice(n, size=2, replace=False) for _ in range(m)])
+        train = Interactions(users, items, np.ones(len(users)), m, n)
+        cfg = MFConfig(latent_dim=dim, iterations=1, seed=2)
+        tracemalloc.start()
+        try:
+            train_mf_factors(train, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = m * dim * dim * 8
+        assert peak < stack, f"peak {peak} bytes against a {stack}-byte stack of systems"
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
