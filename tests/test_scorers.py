@@ -151,7 +151,9 @@ class TestMFScorer:
     @pytest.mark.parametrize("block", [1, 80, 10**9], ids=["one-row-chunks", "split-groups", "whole-groups"])
     def test_stacked_solve_equals_the_per_row_reference(self, monkeypatch, block):
         # user u has u % 7 pairs, so every pair count from 0 to 6 is a group
-        # of 6 users; the items get many distinct counts, and 3 get none
+        # of 6 users; the items get many distinct counts, and 3 get none.
+        # _BLOCK = 80 splits the groups with 1-4 pairs into chunks of
+        # 80 // (4 * 4) = 5 rows and 1
         rng = np.random.default_rng(23)
         m, n, dim = 42, 30, 4
         users = np.repeat(np.arange(m), np.arange(m) % 7)
@@ -159,8 +161,6 @@ class TestMFScorer:
         train = Interactions(users, items, rng.uniform(0.5, 4.0, size=len(users)), m, n)
         item_counts = np.bincount(items, minlength=n)
         assert len(np.unique(item_counts)) >= 6 and (item_counts == 0).sum() == 3
-        if block == 80:  # users with up to 4 pairs: a full chunk of 80 // (4 * 4) = 5 and a last one of 1
-            assert block // (dim * dim) == 5
         monkeypatch.setattr(scorers, "_BLOCK", block)
         cfg = MFConfig(latent_dim=dim, iterations=3, regularization=0.3, confidence_alpha=5.0, seed=8)
         got, expected = train_mf_factors(train, cfg), reference.train_mf_factors(train, cfg)
