@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .config import ConfigError, ExperimentConfig, build_config, config_snapshot, load_config
 from .dataset import (
-    DataError, Dataset, InputFormat, InteractionRecord, Interactions, PopularityPartition, SplitTriple,
+    DataError, Dataset, InputFormat, InteractionLog, Interactions, PopularityPartition, SplitTriple,
     build_dataset, parse_interactions, partition_popularity, read_interactions, split,
 )
 from .metrics import EvalContext, EvaluationReport, eval_context, evaluate, judgments_from_interactions
@@ -26,7 +26,7 @@ from .scorers import MASKED, MFConfig, ScoreMatrix, load_scores, mask_seen, mf_s
 __all__ = [
     "__version__",
     "ConfigError", "ExperimentConfig", "build_config", "config_snapshot", "load_config",
-    "DataError", "Dataset", "InputFormat", "InteractionRecord", "Interactions", "PopularityPartition", "SplitTriple",
+    "DataError", "Dataset", "InputFormat", "InteractionLog", "Interactions", "PopularityPartition", "SplitTriple",
     "build_dataset", "parse_interactions", "partition_popularity", "read_interactions", "split",
     "EvalContext", "EvaluationReport", "eval_context", "evaluate", "judgments_from_interactions",
     "FairnessValue", "RecommendationLists", "RerankConfig",

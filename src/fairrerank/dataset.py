@@ -6,21 +6,21 @@ Input files are delimiter-separated text (UTF-8), one interaction per line::
 
 Keys are opaque nonempty strings. Weights are nonnegative reals and default
 to 1.0 when the column is absent or empty. Timestamps are optional integer
-seconds and are carried through parsing but unused by the batch pipeline.
+seconds; they are checked, not stored, since no stage reads them.
 
-From parsed records the module builds a densely indexed :class:`Dataset`
-(users and items numbered in first-appearance order), a seeded per-user
-70/10/20 :class:`SplitTriple`, and the short-head/long-tail
-:class:`PopularityPartition` over the catalog. All outputs are immutable
-after construction and safe to share across workers.
+From the columnar :class:`InteractionLog` that parsing yields, the module
+builds a densely indexed :class:`Dataset`, a seeded per-user 70/10/20
+:class:`SplitTriple`, and the short-head/long-tail :class:`PopularityPartition`
+over the catalog. All outputs are immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .util import atomic_write_text
 __all__ = [
     "DataError",
     "InputFormat",
-    "InteractionRecord",
+    "InteractionLog",
     "Interactions",
     "Dataset",
     "SplitTriple",
@@ -79,27 +79,35 @@ class InputFormat:
 
 
 @dataclass(frozen=True)
-class InteractionRecord:
-    """One raw (user, item, weight) event, prior to indexing."""
+class InteractionLog:
+    """Parsed lines as columns, in file order, duplicates kept: line j is
+    user_keys[users[j]], item_keys[items[j]], weights[j]."""
 
-    user_key: str
-    item_key: str
-    weight: float = 1.0
-    timestamp: int | None = None
+    user_keys: tuple[str, ...]
+    item_keys: tuple[str, ...]
+    users: np.ndarray
+    items: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.users.shape[0])
 
 
-def parse_interactions(source: Iterable[str], fmt: InputFormat = InputFormat()) -> list[InteractionRecord]:
-    """Parse delimiter-separated interaction lines into records.
+def parse_interactions(source: Iterable[str], fmt: InputFormat = InputFormat()) -> InteractionLog:
+    """Parse delimiter-separated interaction lines into a columnar log, keys
+    numbered in first-appearance order; a timestamp is checked, not stored.
 
     Args:
         source: an iterable of text lines (an open text file works).
         fmt: delimiter and header settings.
 
     Raises:
-        DataError: on a malformed line, an empty key, or a negative or
-            non-finite weight; the error message names the offending line.
+        DataError: on a malformed line, an empty key, a negative or non-finite
+            weight, or a bad timestamp; the error message names the line.
     """
-    records: list[InteractionRecord] = []
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    users, items, weights = array("q"), array("q"), array("d")
     for lineno, raw in enumerate(source, start=1):
         if fmt.header and lineno == 1:
             continue
@@ -123,17 +131,18 @@ def parse_interactions(source: Iterable[str], fmt: InputFormat = InputFormat()) 
             raise DataError(f"non-finite weight {weight!r}", lineno)
         if weight < 0:
             raise DataError(f"negative weight {weight!r}", lineno)
-        timestamp: int | None = None
         if len(parts) == 4 and parts[3].strip():
             try:
-                timestamp = int(parts[3].strip())
+                int(parts[3].strip())
             except ValueError:
                 raise DataError(f"unparseable timestamp {parts[3].strip()!r}", lineno) from None
-        records.append(InteractionRecord(user_key, item_key, weight, timestamp))
-    return records
+        users.append(user_index.setdefault(user_key, len(user_index)))
+        items.append(item_index.setdefault(item_key, len(item_index)))
+        weights.append(weight)
+    return InteractionLog(tuple(user_index), tuple(item_index), *map(np.asarray, (users, items, weights)))
 
 
-def read_interactions(path: Path | str, fmt: InputFormat = InputFormat()) -> list[InteractionRecord]:
+def read_interactions(path: Path | str, fmt: InputFormat = InputFormat()) -> InteractionLog:
     """Read and parse an interaction file from disk."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_interactions(fh, fmt)
@@ -182,31 +191,22 @@ class Dataset:
         return len(self.item_keys)
 
 
-def build_dataset(records: Sequence[InteractionRecord]) -> Dataset:
-    """Index users and items in first-appearance order and merge duplicate
-    (user, item) pairs into one with the max weight, which makes
-    re-ingestion idempotent."""
-    if not records:
+def build_dataset(log: InteractionLog) -> Dataset:
+    """Merge duplicate (user, item) lines into one pair with the max weight,
+    which makes re-ingestion idempotent; equal weights keep the first line's
+    bits (-0.0 then 0.0 gives -0.0). Pairs are sorted by user, then item."""
+    if not len(log):
         raise DataError("no interaction records")
 
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    merged: dict[tuple[int, int], float] = {}
-    for rec in records:
-        u = user_index.setdefault(rec.user_key, len(user_index))
-        i = item_index.setdefault(rec.item_key, len(item_index))
-        merged[(u, i)] = max(merged.get((u, i), rec.weight), rec.weight)
-
-    pairs = sorted(merged)
-    users = np.array([p[0] for p in pairs], dtype=np.int64)
-    items = np.array([p[1] for p in pairs], dtype=np.int64)
-    weights = np.array([merged[p] for p in pairs], dtype=np.float64)
-    inter = Interactions(users, items, weights, len(user_index), len(item_index))
+    pairs = log.users * len(log.item_keys) + log.items
+    order = np.lexsort((-log.weights, pairs))  # stable: max weight first, ties in line order
+    keep = order[np.diff(pairs[order], prepend=-1) != 0]
+    inter = Interactions(log.users[keep], log.items[keep], log.weights[keep], len(log.user_keys), len(log.item_keys))
     return Dataset(
-        user_keys=tuple(user_index),
-        item_keys=tuple(item_index),
-        user_index=user_index,
-        item_index=item_index,
+        user_keys=log.user_keys,
+        item_keys=log.item_keys,
+        user_index=dict(zip(log.user_keys, range(len(log.user_keys)))),
+        item_index=dict(zip(log.item_keys, range(len(log.item_keys)))),
         interactions=inter,
     )
 

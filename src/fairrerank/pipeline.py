@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_snapshot
@@ -24,6 +25,7 @@ from .dataset import (
     DataError,
     Dataset,
     InputFormat,
+    Interactions,
     PopularityPartition,
     SplitTriple,
     build_dataset,
@@ -38,7 +40,7 @@ from .metrics import eval_context, evaluate, judgments_from_interactions
 from .rerank import rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import (
-    ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, score_cells, write_scores,
+    MASKED, ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, score_cells, write_scores,
 )
 from .util import atomic_write_text, sha256_file
 
@@ -86,8 +88,7 @@ class _StageClock:
 
 def _ingest(cfg: ExperimentConfig) -> Dataset:
     fmt = InputFormat.from_name(cfg.delimiter, cfg.header)
-    records = read_interactions(cfg.input_path, fmt)
-    return build_dataset(records)
+    return build_dataset(read_interactions(cfg.input_path, fmt))
 
 
 def _split_stage(cfg: ExperimentConfig, ds: Dataset) -> SplitArtifacts:
@@ -107,6 +108,24 @@ def _score_one(cfg: ExperimentConfig, name: str, artifacts: SplitArtifacts) -> S
     if name == "import":
         return read_scores(cfg.import_path, artifacts.dataset, fill=cfg.fill)
     raise ValueError(f"unknown scorer {name!r}")
+
+
+def _check_import(cfg: ExperimentConfig, ds: Dataset, train: Interactions) -> None:
+    """Check every line of the import file, then count each user's
+    selectable cells: the imported ones, and every other one unless
+    scorer.fill = sentinel, net of seen cells under mask_seen. Nothing is
+    kept: the import scorer reads the file again."""
+    selectable = np.full((ds.num_users, ds.num_items), cfg.fill != MASKED)
+    with open(cfg.import_path, "r", encoding="utf-8") as fh:
+        for u, i, _ in score_cells(fh, ds):
+            selectable[u, i] = True
+    if cfg.mask_seen:
+        selectable[train.users, train.items] = False
+    counts = selectable.sum(axis=1)
+    short = np.flatnonzero(counts < cfg.rerank.k) if cfg.rerank.k <= ds.num_items else []
+    if len(short):
+        raise DataError(f"{len(short)} users have fewer than rerank.k={cfg.rerank.k} selectable imported cells "
+                        f"with scorer.fill = sentinel (first user {ds.user_keys[short[0]]!r} has {counts[short[0]]})")
 
 
 def _write_manifest(
@@ -136,8 +155,7 @@ def _split_files(
     if for_run:
         check_split(ds, artifacts.split, cfg.rerank.k, cfg.mask_seen)
         if "import" in cfg.scorers:
-            with open(cfg.import_path, "r", encoding="utf-8") as fh:  # read again to score, not kept
-                clock.run("score[import]", deque, score_cells(fh, ds), maxlen=0)
+            clock.run("score[import]", _check_import, cfg, ds, artifacts.split.train)
     fmt = InputFormat.from_name(cfg.delimiter, False)
     files = clock.run("split_files", write_split_files, artifacts.split, ds, out_dir, fmt)
     files["partition"] = clock.run(

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import InteractionRecord, PopularityPartition
+from .dataset import PopularityPartition
 from .scorers import ScoreMatrix
 
-__all__ = ["RerankInstance", "random_rerank_instance", "zipf_interaction_records", "write_zipf_dataset"]
+__all__ = ["RerankInstance", "random_rerank_instance", "zipf_interaction_lines", "write_zipf_dataset"]
 
 
 class RerankInstance:
@@ -57,33 +57,32 @@ def random_rerank_instance(
     return RerankInstance(ScoreMatrix(values), part, k)
 
 
-def zipf_interaction_records(
+def zipf_interaction_lines(
     num_users: int,
     num_items: int,
     exponent: float = 1.0,
     per_user: int = 30,
     seed: int = 0,
-) -> list[InteractionRecord]:
-    """Interaction log whose item popularity follows a Zipf law: each user
-    consumes `per_user` distinct items drawn without replacement with
-    probability proportional to 1/rank^exponent."""
+) -> list[str]:
+    """Tab-separated interaction log lines (user u{u}, item i{i}, weight 1.0)
+    whose item popularity follows a Zipf law: each user consumes `per_user`
+    distinct items drawn without replacement with probability proportional
+    to 1/rank^exponent."""
     if per_user > num_items:
         raise ValueError("per_user cannot exceed num_items")
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, num_items + 1) ** exponent
     probs = weights / weights.sum()
-    records: list[InteractionRecord] = []
+    lines: list[str] = []
     for u in range(num_users):
         items = rng.choice(num_items, size=per_user, replace=False, p=probs)
-        for i in items.tolist():
-            records.append(InteractionRecord(f"u{u}", f"i{i}", 1.0))
-    return records
+        lines.extend(f"u{u}\ti{i}\t1.0" for i in items.tolist())
+    return lines
 
 
 def write_zipf_dataset(path, num_users: int, num_items: int, exponent: float = 1.0, per_user: int = 30, seed: int = 0):
     """Write a Zipf interaction log as tab-separated text; returns the path."""
     from .util import atomic_write_text
 
-    records = zipf_interaction_records(num_users, num_items, exponent, per_user, seed)
-    lines = [f"{r.user_key}\t{r.item_key}\t{r.weight!r}" for r in records]
+    lines = zipf_interaction_lines(num_users, num_items, exponent, per_user, seed)
     return atomic_write_text(path, ("\n".join(lines) + "\n",))

@@ -12,11 +12,11 @@ from pytest import approx
 import reference
 from conftest import evaluated
 from fairrerank.cli import main
-from fairrerank.dataset import Interactions, build_dataset, partition_popularity, split
+from fairrerank.dataset import Interactions, build_dataset, parse_interactions, partition_popularity, split
 from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
 from fairrerank.rerank import RecommendationLists, RerankConfig, fairness_gap, rerank_oracle, rerank_path
 from fairrerank.scorers import MFConfig, mask_seen, mf_scorer
-from fairrerank.synthetic import random_rerank_instance, write_zipf_dataset, zipf_interaction_records
+from fairrerank.synthetic import random_rerank_instance, write_zipf_dataset, zipf_interaction_lines
 from fairrerank.verify import DEFAULT_LAMBDA_GRID, run_battery
 
 ORACLE_INSTANCES = 200
@@ -123,8 +123,7 @@ def test_c7_desk_scale_trend_reproduction():
     some grid lambda strictly raises coverage, novelty, and long-tail
     exposure while NDCG stays within 20% of the unweighted baseline."""
     start = time.perf_counter()
-    records = zipf_interaction_records(500, 400, exponent=1.0, per_user=30, seed=7)
-    ds = build_dataset(records)
+    ds = build_dataset(parse_interactions(zipf_interaction_lines(500, 400, exponent=1.0, per_user=30, seed=7)))
     triple = split(ds, seed=7)
     part = partition_popularity(triple.train, ds.num_items)
     scores = mask_seen(mf_scorer(triple.train, MFConfig(seed=7)), triple.train)

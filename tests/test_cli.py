@@ -418,6 +418,30 @@ class TestExitCodes:
         assert "error: stage 'score[import]' failed: line 3: unparseable score 'not-a-number'" in capsys.readouterr().err
         assert not (base / "out").exists()
 
+    @pytest.mark.parametrize(
+        "mask, short",
+        [("true", "2 users have fewer than rerank.k=4 selectable imported cells with scorer.fill = sentinel "
+                  "(first user 'u0' has 3)"),
+         ("false", "1 users have fewer than rerank.k=4 selectable imported cells with scorer.fill = sentinel "
+                   "(first user 'u39' has 0)")],
+        ids=["mask_seen", "no_mask"],
+    )
+    def test_partial_sentinel_import_fails_before_any_file_is_written(self, demo, capsys, mask, short):
+        # u0 has scores for its 8 logged items only, 5 of them seen in train;
+        # u39 has none; everyone else has the whole catalog
+        config, base = demo
+        log = (base / "demo.tsv").read_text().splitlines()
+        items = sorted({line.split("\t")[1] for line in log})
+        lines = [f"u{u}\t{i}\t0.5" for u in range(1, 39) for i in items]
+        lines += [line.rsplit("\t", 1)[0] + "\t0.5" for line in log if line.startswith("u0\t")]
+        scores = base / "scores.tsv"
+        scores.write_text("\n".join(lines) + "\n")
+        overrides = ["scorer.names=popularity,import", f"scorer.import_path={scores}", "scorer.fill=sentinel",
+                     f"scorer.mask_seen={mask}"]
+        assert main(["run", "--config", str(config), *(arg for o in overrides for arg in ("--set", o))]) == 1
+        assert f"error: stage 'score[import]' failed: {short}" in capsys.readouterr().err
+        assert not (base / "out").exists()
+
     def test_single_item_lists_rejected_at_config_time(self, demo, capsys):
         config, _ = demo
         assert main(["run", "--config", str(config), "--set", "rerank.k=1"]) == 1

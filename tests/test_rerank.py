@@ -9,7 +9,7 @@ from pytest import approx
 
 import reference
 from conftest import interactions, make_partition
-from fairrerank.dataset import InteractionRecord, build_dataset
+from fairrerank.dataset import build_dataset, parse_interactions
 from fairrerank.rerank import (
     RecommendationLists,
     RerankConfig,
@@ -308,7 +308,7 @@ class TestWriteLists:
 
     @pytest.fixture
     def inputs(self):
-        ds = build_dataset([InteractionRecord(u, i) for u in ("a", "b") for i in ("w", "x", "y", "z")])
+        ds = build_dataset(parse_interactions([f"{u}\t{i}" for u in ("a", "b") for i in ("w", "x", "y", "z")]))
         scores = ScoreMatrix(np.array([[0.5, -0.0, 0.25, 0.125], [0.0, 1.0, -0.0, 1 / 3]]))
         part = make_partition([True, False, True, False])
         lists = RecommendationLists(items=np.array([[0, 1], [3, 2]]), num_items=4)
@@ -354,7 +354,7 @@ class TestWriteLists:
     @pytest.fixture
     def repeated(self):
         # users a and b have bitwise-identical rows; 0.0 and -0.0 both appear
-        ds = build_dataset([InteractionRecord(u, i) for u in ("a", "b", "c") for i in ("w", "x", "y", "z")])
+        ds = build_dataset(parse_interactions([f"{u}\t{i}" for u in ("a", "b", "c") for i in ("w", "x", "y", "z")]))
         scores = ScoreMatrix(np.array([[0.0, -0.0, 0.5, 0.5], [0.0, -0.0, 0.5, 0.5], [-0.0, 0.0, 0.5, 0.25]]))
         part = make_partition([True, False, True, False])
         lists = RecommendationLists(items=np.array([[2, 0, 1], [2, 1, 0], [3, 0, 1]]), num_items=4)
@@ -396,7 +396,7 @@ class TestWriteLists:
         rng = np.random.default_rng(5)
         inst = random_rerank_instance(rng)
         m, n = inst.scores.num_users, inst.scores.num_items
-        ds = build_dataset([InteractionRecord(f"u{u}", f"i{i}") for u in range(m) for i in range(n)])
+        ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(m) for i in range(n)]))
         lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k, per_user_lambda=per_user), (lam,))[0]
         path = write_lists(tmp_path / "l.tsv", lists, ds, inst.part)
         adjusted = adjusted_scores(inst.scores, inst.part, lam, per_user)

@@ -7,7 +7,7 @@ from pytest import approx
 import reference
 from conftest import interactions
 from fairrerank import scorers
-from fairrerank.dataset import DataError, InteractionRecord, Interactions, build_dataset
+from fairrerank.dataset import DataError, Interactions, build_dataset, parse_interactions
 from fairrerank.scorers import (
     MASKED,
     MFConfig,
@@ -197,9 +197,7 @@ class TestMFScorer:
 
 @pytest.fixture
 def small_ds():
-    return build_dataset(
-        [InteractionRecord("a", "x"), InteractionRecord("a", "y"), InteractionRecord("b", "x")]
-    )
+    return build_dataset(parse_interactions(["a\tx", "a\ty", "b\tx"]))
 
 
 class TestLoadScores:
@@ -236,7 +234,7 @@ class TestWriteScores:
 
     @pytest.fixture
     def ds(self):
-        return build_dataset([InteractionRecord(u, i) for u in ("a", "b", "c") for i in ("x", "y")])
+        return build_dataset(parse_interactions([f"{u}\t{i}" for u in ("a", "b", "c") for i in ("x", "y")]))
 
     def _written(self, tmp_path, ds, rows):
         return write_scores(tmp_path / "s.tsv", ScoreMatrix(np.array(rows, dtype=np.float64)), ds).read_bytes()
@@ -268,7 +266,7 @@ class TestWriteScores:
         values = rng.choice([0.0, -0.0, 0.5, 1e-05, 1e16, MASKED], size=(12, 5))
         values[3] = values[2]
         values[7:10] = rng.random(5)
-        ds = build_dataset([InteractionRecord(f"u{u}", f"i{i}") for u in range(12) for i in range(5)])
+        ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(12) for i in range(5)]))
         path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
         expected = [
             f"u{u}\ti{i}\t{float(values[u, i])!r}" for u in range(12) for i in range(5) if np.isfinite(values[u, i])
@@ -286,7 +284,7 @@ class TestWriteScores:
         values[120:136] = MASKED
         if users == 70:
             values[64:] = MASKED
-        ds = build_dataset([InteractionRecord(f"u{u}", f"i{i}") for u in range(users) for i in range(4)])
+        ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(users) for i in range(4)]))
         path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
         expected = [
             f"u{u}\ti{i}\t{float(values[u, i])!r}" for u in range(users) for i in range(4) if np.isfinite(values[u, i])
@@ -298,10 +296,10 @@ class TestWriteScores:
         # whole file (as one joined string and its encoding, about 2x)
         users, items = 2400, 100
         values = np.random.default_rng(2).random((users, items))
-        ds = build_dataset(
-            [InteractionRecord(f"user{u:08d}", f"item{u % items:08d}") for u in range(users)]
-            + [InteractionRecord("user00000000", f"item{i:08d}") for i in range(items)]
-        )
+        ds = build_dataset(parse_interactions(
+            [f"user{u:08d}\titem{u % items:08d}" for u in range(users)]
+            + [f"user00000000\titem{i:08d}" for i in range(items)]
+        ))
         tracemalloc.start()
         try:
             path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
