@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
+from .dataset import DELIMITER_NAMES
 from .rerank import RerankConfig
 from .scorers import MASKED, MFConfig
 
@@ -132,8 +133,8 @@ def _parse_text(key: str, value: str) -> str | None:
 
 
 def _parse_delimiter(key: str, value: str) -> str | None:
-    if value and value not in ("tab", "comma"):
-        raise ConfigError(f"{key}: expected 'tab' or 'comma', got {value!r}")
+    if value and value not in DELIMITER_NAMES:
+        raise ConfigError(f"{key}: expected {' or '.join(map(repr, DELIMITER_NAMES))}, got {value!r}")
     return value or None
 
 

@@ -11,7 +11,9 @@ seconds; they are checked, not stored, since no stage reads them.
 From the columnar :class:`InteractionLog` that parsing yields, the module
 builds a densely indexed :class:`Dataset`, a seeded per-user 70/10/20
 :class:`SplitTriple`, and the short-head/long-tail :class:`PopularityPartition`
-over the catalog. All outputs are immutable after construction.
+over the catalog, and writes the split and partition files. All outputs are
+immutable after construction. Whether a run can use a split (enough users,
+judged users and items for its top-k lists) is decided by the pipeline.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,12 +42,12 @@ __all__ = [
     "split",
     "partition_popularity",
     "distinct_user_counts",
-    "check_split",
     "write_split_files",
     "write_partition_file",
 ]
 
 DELIMITER_NAMES = {"tab": "\t", "comma": ","}
+_WRITE_LINES = 4096  # rows per chunk of a split file
 
 
 def _floor_exact(x: float) -> int:
@@ -231,7 +233,8 @@ def split(
     visited in index order) and cut at floor(r_train*c) and
     floor((r_train+r_valid)*c) of that user's c interactions. Users with
     fewer than 3 interactions keep everything in train so no training
-    profile is empty. Deterministic and byte-identical for a fixed seed.
+    profile is empty. Each pair gets one split label; a split is its pairs
+    sorted by (user, item). Deterministic and byte-identical for a fixed seed.
     """
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ValueError(f"ratios must be three positive numbers, got {ratios!r}")
@@ -241,39 +244,22 @@ def split(
     inter = ds.interactions
     rng = np.random.default_rng(seed)
     order = np.argsort(inter.users, kind="stable")
-    sorted_users = inter.users[order]
-    boundaries = np.flatnonzero(np.diff(sorted_users)) + 1
-    groups = np.split(order, boundaries)
-
-    buckets: tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]] = ([], [], [])
-    for grp in groups:
-        c = len(grp)
+    bounds = np.flatnonzero(np.diff(inter.users[order], prepend=-1, append=-1)).tolist()
+    label = np.zeros(len(inter), dtype=np.int8)  # 0 train, 1 valid, 2 test
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        c = end - start
         if c < 3:
-            buckets[0].append(grp)
             continue
-        shuffled = grp[rng.permutation(c)]
-        cut1 = _floor_exact(ratios[0] * c)
-        cut2 = _floor_exact((ratios[0] + ratios[1]) * c)
-        buckets[0].append(shuffled[:cut1])
-        buckets[1].append(shuffled[cut1:cut2])
-        buckets[2].append(shuffled[cut2:])
+        shuffled = order[start:end][rng.permutation(c)]
+        label[shuffled[_floor_exact(ratios[0] * c):]] = 1
+        label[shuffled[_floor_exact((ratios[0] + ratios[1]) * c):]] = 2
 
-    def _collect(parts: list[np.ndarray]) -> Interactions:
-        if parts:
-            idx = np.concatenate(parts)
-        else:
-            idx = np.array([], dtype=np.int64)
-        pair_order = np.lexsort((inter.items[idx], inter.users[idx]))
-        idx = idx[pair_order]
-        return Interactions(
-            inter.users[idx].copy(),
-            inter.items[idx].copy(),
-            inter.weights[idx].copy(),
-            inter.num_users,
-            inter.num_items,
-        )
+    def _collect(s: int) -> Interactions:
+        idx = np.flatnonzero(label == s)
+        idx = idx[np.lexsort((inter.items[idx], inter.users[idx]))]
+        return Interactions(inter.users[idx], inter.items[idx], inter.weights[idx], inter.num_users, inter.num_items)
 
-    return SplitTriple(_collect(buckets[0]), _collect(buckets[1]), _collect(buckets[2]), seed)
+    return SplitTriple(_collect(0), _collect(1), _collect(2), seed)
 
 
 def distinct_user_counts(inter: Interactions, num_items: int) -> np.ndarray:
@@ -283,25 +269,6 @@ def distinct_user_counts(inter: Interactions, num_items: int) -> np.ndarray:
         return np.zeros(num_items, dtype=np.int64)
     pairs = np.unique(inter.items.astype(np.int64) * inter.num_users + inter.users)
     return np.bincount(pairs // inter.num_users, minlength=num_items).astype(np.int64)
-
-
-def check_split(ds: Dataset, triple: SplitTriple, k: int, mask_seen: bool) -> None:
-    """Reject a split that top-k lists cannot be built and scored on: a
-    single user (personalization compares pairs of lists), an empty test
-    split (no judged user), or users left with fewer than k unseen items
-    when seen items are masked. A k above the catalog size is left to the
-    re-ranker."""
-    if ds.num_users < 2:
-        raise DataError(f"a run needs at least 2 users (personalization compares their lists), got "
-                        f"{ds.num_users} (first user {ds.user_keys[0]!r})")
-    if len(triple.test) == 0:
-        raise DataError(f"no user has relevance judgments: all {ds.num_users} users have fewer than "
-                        f"3 interactions, so the test split is empty (first user {ds.user_keys[0]!r})")
-    selectable = ds.num_items - np.bincount(triple.train.users, minlength=ds.num_users)
-    short = np.flatnonzero(selectable < k) if mask_seen and k <= ds.num_items else []
-    if len(short):
-        raise DataError(f"{len(short)} users have fewer than rerank.k={k} unseen items to select "
-                        f"(first user {ds.user_keys[short[0]]!r} has {selectable[short[0]]})")
 
 
 @dataclass(frozen=True)
@@ -344,14 +311,17 @@ def write_split_files(
     split_triple: SplitTriple, ds: Dataset, out_dir: Path | str, fmt: InputFormat = InputFormat()
 ) -> dict[str, Path]:
     """Write train/valid/test as delimiter-separated files with the original
-    keys, the weight in repr. Returns the mapping from split name to written path."""
+    keys, the weight in repr, _WRITE_LINES rows at a time, so a file's text is
+    never held whole. Returns the mapping from split name to written path."""
     out_dir, sep = Path(out_dir), fmt.delimiter
-    written: dict[str, Path] = {}
-    for name, inter in (("train", split_triple.train), ("valid", split_triple.valid), ("test", split_triple.test)):
-        rows = zip(inter.users.tolist(), inter.items.tolist(), inter.weights.tolist())
-        text = "".join([f"{ds.user_keys[u]}{sep}{ds.item_keys[i]}{sep}{w!r}\n" for u, i, w in rows])
-        written[name] = atomic_write_text(out_dir / f"{name}.tsv", (text,))
-    return written
+
+    def chunks(inter: Interactions) -> Iterator[str]:
+        for start in range(0, len(inter), _WRITE_LINES):
+            cols = (a[start : start + _WRITE_LINES].tolist() for a in (inter.users, inter.items, inter.weights))
+            yield "".join([f"{ds.user_keys[u]}{sep}{ds.item_keys[i]}{sep}{w!r}\n" for u, i, w in zip(*cols)])
+
+    triple = {"train": split_triple.train, "valid": split_triple.valid, "test": split_triple.test}
+    return {name: atomic_write_text(out_dir / f"{name}.tsv", chunks(inter)) for name, inter in triple.items()}
 
 
 def write_partition_file(part: PopularityPartition, ds: Dataset, path: Path | str) -> Path:

@@ -8,6 +8,9 @@ as its λ point is evaluated; only the report files wait until every stage
 has succeeded, so a failed run cannot leave partial reports behind. A
 stage failure is wrapped in StageError naming the stage, except malformed
 input (DataError), which is re-raised as a DataError naming the stage.
+A run checks its split in one gate, after the split and before the first
+file is written: input it cannot re-rank or score fails there with a
+DataError (exit 1 at the CLI), not in a later stage.
 """
 
 from __future__ import annotations
@@ -25,11 +28,9 @@ from .dataset import (
     DataError,
     Dataset,
     InputFormat,
-    Interactions,
     PopularityPartition,
     SplitTriple,
     build_dataset,
-    check_split,
     partition_popularity,
     read_interactions,
     split,
@@ -110,22 +111,43 @@ def _score_one(cfg: ExperimentConfig, name: str, artifacts: SplitArtifacts) -> S
     raise ValueError(f"unknown scorer {name!r}")
 
 
-def _check_import(cfg: ExperimentConfig, ds: Dataset, train: Interactions) -> None:
-    """Check every line of the import file, then count each user's
-    selectable cells: the imported ones, and every other one unless
-    scorer.fill = sentinel, net of seen cells under mask_seen. Nothing is
-    kept: the import scorer reads the file again."""
-    selectable = np.full((ds.num_users, ds.num_items), cfg.fill != MASKED)
-    with open(cfg.import_path, "r", encoding="utf-8") as fh:
-        for u, i, _ in score_cells(fh, ds):
-            selectable[u, i] = True
-    if cfg.mask_seen:
-        selectable[train.users, train.items] = False
-    counts = selectable.sum(axis=1)
-    short = np.flatnonzero(counts < cfg.rerank.k) if cfg.rerank.k <= ds.num_items else []
+def _short_users(ds: Dataset, counts: np.ndarray, k: int, what: str) -> None:
+    short = np.flatnonzero(counts < k)
     if len(short):
-        raise DataError(f"{len(short)} users have fewer than rerank.k={cfg.rerank.k} selectable imported cells "
-                        f"with scorer.fill = sentinel (first user {ds.user_keys[short[0]]!r} has {counts[short[0]]})")
+        raise DataError(f"{len(short)} users have fewer than rerank.k={k} {what} "
+                        f"(first user {ds.user_keys[short[0]]!r} has {counts[short[0]]})")
+
+
+def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageClock) -> None:
+    """Reject, with a DataError before any file is written, a split a run
+    cannot re-rank and score: one user (personalization compares pairs of
+    lists), no judged user, k above the catalog, users with fewer than k
+    unseen items under mask_seen, or a bad import file. The import checks run
+    in the score[import] stage and keep nothing: the scorer reads it again."""
+    ds, train, k = artifacts.dataset, artifacts.split.train, cfg.rerank.k
+    if ds.num_users < 2:
+        raise DataError(f"a run needs at least 2 users (personalization compares their lists), got "
+                        f"{ds.num_users} (first user {ds.user_keys[0]!r})")
+    if len(artifacts.split.test) == 0:
+        raise DataError(f"no user has relevance judgments: all {ds.num_users} users have fewer than "
+                        f"3 interactions, so the test split is empty (first user {ds.user_keys[0]!r})")
+    if k > ds.num_items:
+        raise DataError(f"rerank.k={k} exceeds the catalog of {ds.num_items} items")
+    if cfg.mask_seen:
+        unseen = ds.num_items - np.bincount(train.users, minlength=ds.num_users)
+        _short_users(ds, unseen, k, "unseen items to select")
+
+    def check_import() -> None:
+        selectable = np.full((ds.num_users, ds.num_items), cfg.fill != MASKED)
+        with open(cfg.import_path, "r", encoding="utf-8") as fh:
+            for u, i, _ in score_cells(fh, ds):
+                selectable[u, i] = True
+        if cfg.mask_seen:
+            selectable[train.users, train.items] = False
+        _short_users(ds, selectable.sum(axis=1), k, "selectable imported cells with scorer.fill = sentinel")
+
+    if "import" in cfg.scorers:
+        clock.run("score[import]", check_import)
 
 
 def _write_manifest(
@@ -145,29 +167,25 @@ def _write_manifest(
     return atomic_write_text(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n",))
 
 
-def _split_files(
-    cfg: ExperimentConfig, out_dir: Path, clock: _StageClock, for_run: bool
-) -> tuple[SplitArtifacts, dict[str, Path]]:
-    """Ingest, split and partition, then write the split and partition
-    files. For a run, an unusable split or import file fails first (exit 1)."""
+def _ingest_split(cfg: ExperimentConfig, clock: _StageClock) -> SplitArtifacts:
     ds = clock.run("ingest", _ingest, cfg)
-    artifacts = clock.run("split", _split_stage, cfg, ds)
-    if for_run:
-        check_split(ds, artifacts.split, cfg.rerank.k, cfg.mask_seen)
-        if "import" in cfg.scorers:
-            clock.run("score[import]", _check_import, cfg, ds, artifacts.split.train)
-    fmt = InputFormat.from_name(cfg.delimiter, False)
+    return clock.run("split", _split_stage, cfg, ds)
+
+
+def _write_split(cfg: ExperimentConfig, artifacts: SplitArtifacts, out_dir: Path, clock: _StageClock) -> dict[str, Path]:
+    ds, fmt = artifacts.dataset, InputFormat.from_name(cfg.delimiter, False)
     files = clock.run("split_files", write_split_files, artifacts.split, ds, out_dir, fmt)
     files["partition"] = clock.run(
         "partition_file", write_partition_file, artifacts.partition, ds, out_dir / "partition.tsv"
     )
-    return artifacts, files
+    return files
 
 
 def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifacts, dict[str, Path]]:
     """The `split` command: ingest, split, partition, write artifacts."""
     clock = _StageClock()
-    artifacts, files = _split_files(cfg, Path(out_dir), clock, for_run=False)
+    artifacts = _ingest_split(cfg, clock)
+    files = _write_split(cfg, artifacts, Path(out_dir), clock)
     files["manifest"] = _write_manifest(Path(out_dir) / "manifest.json", cfg, {"input": Path(cfg.input_path)}, files, clock)
     return artifacts, files
 
@@ -179,7 +197,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     dropped before its lists are evaluated and written."""
     out_dir = Path(out_dir)
     clock = _StageClock()
-    artifacts, files = _split_files(cfg, out_dir, clock, for_run=True)
+    artifacts = _ingest_split(cfg, clock)
+    _preflight(cfg, artifacts, clock)
+    files = _write_split(cfg, artifacts, out_dir, clock)
     ds = artifacts.dataset
 
     judgments = judgments_from_interactions(artifacts.split.test)

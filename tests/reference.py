@@ -1,19 +1,20 @@
 """Per-user reference implementations of the exact re-ranker, of the
-list metrics and of the ALS half-step, and a top-k sorted without the
-solver, kept for the tests only.
+list metrics, of the ALS half-step and of the split, and a top-k sorted
+without the solver, kept for the tests only.
 
 These are the straightforward one-user-at-a-time loops the vectorized
 library code replaced. The property tests in `test_vectorized.py` check
 that the library gives the same lists, the same objective and the same
 report fields, bit for bit, on seeded random inputs; `test_scorers.py`
-checks that the library's ALS factors equal these, bit for bit.
+checks that the library's ALS factors equal these, bit for bit, and
+`test_dataset.py` that the library's split gives these arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fairrerank.dataset import distinct_user_counts
+from fairrerank.dataset import Interactions, SplitTriple, _floor_exact, distinct_user_counts
 from fairrerank.metrics import EvaluationReport
 from fairrerank.rerank import RecommendationLists, adjusted_scores, fairness_gap
 
@@ -218,3 +219,34 @@ def plain_topk(values, k):
     fairness-unaware top-k in display order, sorted without the solver."""
     index = np.broadcast_to(np.arange(values.shape[1]), values.shape)
     return np.lexsort((index, -values), axis=1)[:, :k]
+
+
+def split(ds, ratios=(0.7, 0.1, 0.2), seed=42):
+    """Per user in index order, shuffle the user's pairs with one seeded
+    generator and cut them into train/valid/test buckets (users with fewer
+    than 3 pairs keep all in train); then concatenate each split's buckets
+    and sort it by (user, item)."""
+    inter = ds.interactions
+    rng = np.random.default_rng(seed)
+    order = np.argsort(inter.users, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(inter.users[order])) + 1)
+    buckets = ([], [], [])
+    for grp in groups:
+        c = len(grp)
+        if c < 3:
+            buckets[0].append(grp)
+            continue
+        shuffled = grp[rng.permutation(c)]
+        cut1 = _floor_exact(ratios[0] * c)
+        cut2 = _floor_exact((ratios[0] + ratios[1]) * c)
+        buckets[0].append(shuffled[:cut1])
+        buckets[1].append(shuffled[cut1:cut2])
+        buckets[2].append(shuffled[cut2:])
+
+    def collect(parts):
+        idx = np.concatenate(parts) if parts else np.array([], dtype=np.int64)
+        idx = idx[np.lexsort((inter.items[idx], inter.users[idx]))]
+        return Interactions(inter.users[idx].copy(), inter.items[idx].copy(), inter.weights[idx].copy(),
+                            inter.num_users, inter.num_items)
+
+    return SplitTriple(*map(collect, buckets), seed)

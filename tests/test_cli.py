@@ -321,10 +321,18 @@ class TestExitCodes:
         config, _ = demo
         assert main(["run", "--config", str(config), "--set", "bogus.key=1"]) == 1
 
-    def test_runtime_failure_is_exit_2(self, demo):
-        # k larger than the catalog fails inside the rerank stage
-        config, _ = demo
-        assert main(["run", "--config", str(config), "--set", "rerank.k=500"]) == 2
+    def test_runtime_failure_is_exit_2(self, demo, capsys):
+        # an output directory below a regular file fails when the first file is written
+        config, base = demo
+        (base / "blocker").write_text("")
+        assert main(["run", "--config", str(config), "--out", str(base / "blocker" / "out")]) == 2
+        assert "error: stage 'split_files' failed: [Errno 20] Not a directory" in capsys.readouterr().err
+
+    def test_k_above_the_catalog_fails_before_any_file_is_written(self, demo, capsys):
+        config, base = demo
+        assert main(["run", "--config", str(config), "--set", "rerank.k=500"]) == 1
+        assert "error: rerank.k=500 exceeds the catalog of 25 items" in capsys.readouterr().err
+        assert not (base / "out").exists()
 
     @staticmethod
     def _config(tmp_path, rows, k):

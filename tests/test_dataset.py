@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import interactions, pair_set
+from fairrerank import dataset
 from fairrerank.dataset import (
     DataError,
     Dataset,
@@ -212,6 +214,34 @@ class TestSplit:
         assert len(triple.valid) == cut2 - cut1
         assert len(triple.test) == c - cut2
 
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("source", ["seeded-log", "three-pairs-each", "hand-built-unsorted"])
+    def test_matches_the_bucket_reference(self, source, seed):
+        rng = np.random.default_rng(seed)
+        if source == "seeded-log":
+            # users with 1 to 30 lines over 40 items, duplicates merged
+            lines = [f"u{u}\ti{rng.integers(40)}\t{rng.random():.3f}"
+                     for u in range(60) for _ in range(rng.integers(1, 31))]
+            ds = build_dataset(parse_interactions([lines[j] for j in rng.permutation(len(lines))]))
+            assert {1, 2, 3} <= set(np.bincount(ds.interactions.users).tolist())
+        elif source == "three-pairs-each":
+            ds = build_dataset(_log_for_user_counts([3] * 9))
+        else:
+            pairs = rng.permutation(30 * 20)[:250]
+            inter = Interactions(pairs // 20, pairs % 20, rng.random(250), 30, 20)
+            user_keys, item_keys = tuple(f"u{u}" for u in range(30)), tuple(f"i{i}" for i in range(20))
+            ds = Dataset(user_keys, item_keys, {k: j for j, k in enumerate(user_keys)},
+                         {k: j for j, k in enumerate(item_keys)}, inter)
+        got, want = split(ds, seed=seed), reference.split(ds, seed=seed)
+        if source == "three-pairs-each":
+            assert len(got.valid) == 0
+        for name in ("train", "valid", "test"):
+            g, w = getattr(got, name), getattr(want, name)
+            for column in ("users", "items", "weights"):
+                a, b = getattr(g, column), getattr(w, column)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, column)
+            assert (g.num_users, g.num_items) == (w.num_users, w.num_items)
+
     def test_every_user_keeps_a_training_profile(self):
         ds = build_dataset(_log_for_user_counts([1, 2, 3, 4, 5, 50]))
         triple = split(ds, seed=3)
@@ -276,6 +306,32 @@ class TestArtifactFiles:
         first = files["train"].read_text().splitlines()[0].split("\t")
         assert first[0] in ds.user_index
         assert first[1] in ds.item_index
+
+    @pytest.mark.parametrize("lines", [1, 7, 10**9])
+    def test_split_file_bytes_do_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, lines):
+        # users of 3 pairs leave valid empty; its file is written empty
+        ds = build_dataset(_log_for_user_counts([3] * 8 + [1, 2]))
+        triple = split(ds, seed=5)
+        monkeypatch.setattr(dataset, "_WRITE_LINES", lines)
+        files = write_split_files(triple, ds, tmp_path, InputFormat(","))
+        for name in ("train", "valid", "test"):
+            inter = getattr(triple, name)
+            rows = zip(inter.users.tolist(), inter.items.tolist(), inter.weights.tolist())
+            want = "".join(f"{ds.user_keys[u]},{ds.item_keys[i]},{w!r}\n" for u, i, w in rows)
+            assert files[name].read_bytes() == want.encode()
+        assert files["valid"].read_bytes() == b""
+
+    def test_split_files_are_written_in_chunks(self, tmp_path):
+        path = write_zipf_dataset(tmp_path / "log.tsv", 2000, 1500, 1.0, per_user=40, seed=1)
+        ds = build_dataset(read_interactions(path))
+        triple = split(ds, seed=3)
+        tracemalloc.start()
+        try:
+            write_split_files(triple, ds, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000, f"peak {peak} bytes writing {len(ds.interactions)} split lines"
 
     def test_partition_file_has_one_line_per_item(self, tmp_path, tiny_train):
         ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u, i in zip(tiny_train.users, tiny_train.items)]))
