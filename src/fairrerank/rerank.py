@@ -8,9 +8,10 @@ of independent per-(user, item) terms, the whole program decomposes: adding
 -lam/m to every short-head score and +lam/m to every long-tail score turns
 it into a per-user top-K selection over adjusted scores, which the exact
 solver performs directly, for a whole λ grid at once (`rerank_path`). The
-oracle re-solves each user's selection by
-exhaustive subset enumeration and exists solely to certify that reduction
-and the tie-break rules.
+oracle re-solves each user's selection by exhaustive subset enumeration,
+also for a whole grid per call (`rerank_oracle`: each user's subsets are
+enumerated once and summed at every λ), and exists solely to certify that
+reduction and the tie-break rules.
 
 Tie-breaks are fully specified so solver and oracle can be compared
 set-for-set: higher adjusted score, then higher original score, then lower
@@ -20,6 +21,7 @@ descending (ties by index) so the scorer's relevance order is preserved.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -116,17 +118,24 @@ class RecommendationLists:
     def validate(self, scores: ScoreMatrix | None = None) -> None:
         """Check the structural constraints: exactly k distinct selectable
         items per list, indices within the catalog."""
-        if self.items.size and (self.items.min() < 0 or self.items.max() >= self.num_items):
-            raise ValueError("list contains an out-of-catalog item index")
-        ordered = np.sort(self.items, axis=1)
-        duplicate = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        masked = np.zeros_like(duplicate)
-        if scores is not None:
-            masked = ~np.isfinite(scores.values[np.arange(self.num_users)[:, None], self.items]).all(axis=1)
-        if (duplicate | masked).any():
-            u = int(np.argmax(duplicate | masked))
-            problem = "list has duplicate items" if duplicate[u] else "list contains a masked item"
-            raise ValueError(f"user {u}: {problem}")
+        _check_lists(self.items, self.num_items, None if scores is None else scores.values)
+
+
+def _check_lists(items: np.ndarray, num_items: int, values: np.ndarray | None = None) -> None:
+    """Validate a (…, m, k) stack of list sets in one call: indices within
+    the catalog, no duplicate in a list and, given the score values, no
+    masked cell. The first bad list in stack order names its user."""
+    if items.size and (items.min() < 0 or items.max() >= num_items):
+        raise ValueError("list contains an out-of-catalog item index")
+    ordered = np.sort(items, axis=-1)
+    duplicate = (ordered[..., 1:] == ordered[..., :-1]).any(axis=-1)
+    masked = np.zeros_like(duplicate)
+    if values is not None:
+        masked = ~np.isfinite(values[np.arange(items.shape[-2])[:, None], items]).all(axis=-1)
+    if (duplicate | masked).any():
+        at = np.unravel_index(np.argmax(duplicate | masked), duplicate.shape)
+        problem = "list has duplicate items" if duplicate[at] else "list contains a masked item"
+        raise ValueError(f"user {at[-1]}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +172,7 @@ def adjusted_scores(
         raise ValueError("partition length does not match score matrix width")
     if lam == 0.0:
         return ScoreMatrix(matrix.values.copy())
-    shift = _fairness_shift(part, lam, matrix.num_users, per_user_lambda)
-    return ScoreMatrix(matrix.values + shift)
+    return ScoreMatrix(matrix.values + _fairness_shifts(part, (lam,), matrix.num_users, per_user_lambda)[0])
 
 
 def _check_lam(lam: float) -> None:
@@ -172,9 +180,13 @@ def _check_lam(lam: float) -> None:
         raise ValueError(f"lam must be >= 0 and finite, got {lam!r}")
 
 
-def _fairness_shift(part: PopularityPartition, lam: float, num_users: int, per_user_lambda: bool) -> np.ndarray:
-    """Per-item score shift: -delta for short-head items, +delta for long-tail."""
-    delta = lam if per_user_lambda else lam / num_users
+def _fairness_shifts(
+    part: PopularityPartition, lambdas: Sequence[float], num_users: int, per_user_lambda: bool
+) -> np.ndarray:
+    """Per-λ, per-item score shifts, (L, n): -delta for short-head items,
+    +delta for long-tail."""
+    delta = np.asarray(lambdas, dtype=np.float64)[:, None]
+    delta = delta if per_user_lambda else delta / max(num_users, 1)  # no users, no cells to shift
     return np.where(part.short_head, -delta, delta)
 
 
@@ -238,12 +250,12 @@ def rerank_path(
     """Solve the fairness-adjusted selection exactly at every λ in `lambdas`
     (cfg.lambda_grid is not read): per user, the k items with the largest
     adjusted scores. The per-group candidates are picked once (step 1);
-    each λ then sorts only those (step 2). Returns one display-ordered list
-    set per λ, with the listed items' original and adjusted scores and the
-    objective (the selected adjusted scores, summed per user in ascending
-    item order and added user by user). `tie_break="inverted"` is a test
-    hook that flips the original score and index tie directions, in both
-    steps."""
+    each λ then sorts only those (step 2), as many λ points per sort as fit
+    in a step-1 block of cells. Returns one display-ordered list set per λ,
+    with the listed items' original and adjusted scores and the objective
+    (the selected adjusted scores, summed per user in ascending item order
+    and added user by user). `tie_break="inverted"` is a test hook that
+    flips the original score and index tie directions, in both steps."""
     if tie_break not in ("default", "inverted"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     for lam in lambdas:
@@ -255,90 +267,129 @@ def rerank_path(
         raise ValueError(f"k={cfg.k} exceeds catalog size {n}")
     default = tie_break == "default"
     cand, original = _group_candidates(matrix.values, part, cfg, lowest_first=default)
+    lams = np.asarray(lambdas, dtype=np.float64)
+    shifts = _fairness_shifts(part, lams, m, cfg.per_user_lambda)
     rows = np.arange(m)[:, None]
     out: list[RecommendationLists] = []
-    for lam in lambdas:
-        shift = _fairness_shift(part, lam, m, cfg.per_user_lambda) if lam else None
-        adjusted = original + shift[cand] if lam else original
-        keys = (cand, -original, -adjusted) if default else (-cand, original, -adjusted)
-        pick = np.lexsort(keys, axis=1)[:, : cfg.k]
+    # step 2 sorts as many λ points at once as fit in a step-1 block
+    step = max(1, _BLOCK_CELLS // max(cand.size, 1))
+    shape = (min(step, len(lams)), *cand.shape)
+    ties = [np.broadcast_to(key, shape) for key in ((cand, -original) if default else (-cand, original))]
+    for lo in range(0, len(lams), step):
+        chunk = lams[lo : lo + step]
+        at = np.arange(len(chunk))[:, None, None]
+        adjusted = original + shifts[lo : lo + step, cand]
+        adjusted[chunk == 0] = original  # λ = 0 keeps the original bits, -0.0 included
+        pick = np.lexsort((*(key[: len(chunk)] for key in ties), -adjusted), axis=-1)[..., : cfg.k]
         # in display order: original score descending, ties by lower index
-        pick = pick[rows, np.lexsort((cand[rows, pick], -original[rows, pick]), axis=1)]
-        top, top_original, top_adjusted = cand[rows, pick], original[rows, pick], adjusted[rows, pick]
-        infeasible = ~np.isfinite(top_adjusted).all(axis=1)
+        pick = pick[at, rows, np.lexsort((cand[rows, pick], -original[rows, pick]), axis=-1)]
+        top, top_original, top_adjusted = cand[rows, pick], original[rows, pick], adjusted[at, rows, pick]
+        infeasible = ~np.isfinite(top_adjusted).all(axis=-1)
         if infeasible.any():
-            u = int(np.argmax(infeasible))
+            point, u = np.unravel_index(np.argmax(infeasible), infeasible.shape)
             row = _pooled(matrix.values[u : u + 1], cfg.pool_size)[0]
-            selectable = int(np.count_nonzero(np.isfinite(row + shift if lam else row)))
+            selectable = int(np.count_nonzero(np.isfinite(row + shifts[lo + point] if chunk[point] else row)))
             raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
+        _check_lists(top, n, matrix.values)
         # canonical ascending-index summation keeps the objective reproducible
-        sums = top_adjusted[rows, np.argsort(top, axis=1)].sum(axis=1)
-        objective = float(np.cumsum(np.concatenate(([0.0], sums)))[-1])
-        lists = RecommendationLists(top, n, objective, scores=top_original, adjusted=top_adjusted)
-        lists.validate(matrix)
-        out.append(lists)
+        sums = top_adjusted[at, rows, np.argsort(top, axis=-1)].sum(axis=-1)
+        totals = np.cumsum(np.concatenate((np.zeros((len(chunk), 1)), sums), axis=1), axis=1)[:, -1]
+        out += [
+            RecommendationLists(top[i], n, float(totals[i]), scores=top_original[i], adjusted=top_adjusted[i])
+            for i in range(len(chunk))
+        ]
     return out
 
 
-_COMBINATION_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def _combinations(count: int, k: int) -> np.ndarray:
-    key = (count, k)
-    if key not in _COMBINATION_CACHE:
-        combos = np.array(list(itertools.combinations(range(count), k)), dtype=np.int64)
-        _COMBINATION_CACHE[key] = combos.reshape(-1, k)
-    return _COMBINATION_CACHE[key]
+    return np.array(list(itertools.combinations(range(count), k)), dtype=np.int64).reshape(-1, k)
 
 
 def rerank_oracle(
-    matrix: ScoreMatrix, part: PopularityPartition, cfg: RerankConfig, lam: float
-) -> RecommendationLists:
-    """Reference solver at one λ by exhaustive enumeration of every k-subset
-    per user.
+    matrix: ScoreMatrix, part: PopularityPartition, cfg: RerankConfig, lambdas: Sequence[float]
+) -> list[RecommendationLists]:
+    """Reference solver at every λ in `lambdas` (cfg.lambda_grid is not
+    read) by exhaustive enumeration of every k-subset per user.
 
-    Subset sums are refined with exact (correctly rounded) summation before
-    comparison, and ties are resolved toward the subset whose items come
-    first in the documented selection order, so a correct exact solver must
-    match it set-for-set.
+    A user's candidates at one λ are the cells of their pool (the top
+    cfg.pool_size items by original score, ties to the lower index) that
+    stay finite after that λ's shift. Subset sums are refined with exact
+    (correctly rounded) summation before comparison, and ties are resolved
+    toward the subset whose items come first in the documented selection
+    order, so a correct exact solver must match it set-for-set. Returns one
+    display-ordered list set per λ with its objective, as `rerank_path`
+    does; on bad input it raises what the first failing λ would raise.
     """
-    adjusted = adjusted_scores(matrix, part, lam, cfg.per_user_lambda)
-    m, n = matrix.num_users, matrix.num_items
-    out = np.empty((m, cfg.k), dtype=np.int64)
-    objective_terms: list[float] = []
+    for lam in lambdas:
+        _check_lam(lam)
+    if part.num_items != matrix.num_items:
+        raise ValueError("partition length does not match score matrix width")
+    values = matrix.values
+    m, n = values.shape
+    lams = np.asarray(lambdas, dtype=np.float64)
+    shifts = _fairness_shifts(part, lams, m, cfg.per_user_lambda)
+    # fl(r + c) is monotone in r, so a λ overflows some cell iff it
+    # overflows the column maximum
+    overflow = np.isposinf(values.max(axis=0, initial=-np.inf) + shifts).any(axis=1)
+    failures = [(at, -1, "score matrix contains NaN or +inf entries") for at in np.flatnonzero(overflow)]
+    outside = np.zeros(values.shape, dtype=bool)
+    if 0 < cfg.pool_size < n:
+        order = np.lexsort((np.broadcast_to(np.arange(n), values.shape), -values), axis=1)
+        np.put_along_axis(outside, order[:, cfg.pool_size :], True, axis=1)
+    items = np.empty((len(lams), m, cfg.k), dtype=np.int64)
+    terms = np.empty((len(lams), m))
+    zero, live = lams == 0, ~overflow
     for u in range(m):
-        s_row = adjusted.values[u]
-        r_row = matrix.values[u]
-        candidates = np.flatnonzero(np.isfinite(s_row))
-        if len(candidates) < cfg.k:
-            raise ValueError(f"user {u} has only {len(candidates)} selectable items; need {cfg.k}")
-        n_subsets = math.comb(len(candidates), cfg.k)
-        if n_subsets > ORACLE_SUBSET_LIMIT:
-            raise ValueError(
-                f"user {u}: {n_subsets} subsets exceed the oracle limit {ORACLE_SUBSET_LIMIT}"
-            )
-        combos = _combinations(len(candidates), cfg.k)
-        subset_items = candidates[combos]
-        sums = s_row[subset_items].sum(axis=1)
-        near = np.flatnonzero(sums >= sums.max() - 1e-9)
-        exact_sums = [math.fsum(s_row[subset_items[i]].tolist()) for i in near]
-        best_sum = max(exact_sums)
-        finalists = [near[i] for i, v in enumerate(exact_sums) if v == best_sum]
-        if len(finalists) == 1:
-            chosen = subset_items[finalists[0]]
-        else:
-            rank_of = np.empty(n, dtype=np.int64)
-            rank_of[np.lexsort((np.arange(n), -r_row, -s_row))] = np.arange(n)
-            chosen = min(
-                (subset_items[i] for i in finalists),
-                key=lambda items: tuple(sorted(rank_of[items].tolist())),
-            )
-        objective_terms.append(best_sum)
-        chosen = np.asarray(chosen)
-        out[u] = chosen[np.lexsort((chosen, -r_row[chosen]))]
-    lists = RecommendationLists(items=out, num_items=n, objective=math.fsum(objective_terms))
-    lists.validate(matrix)
-    return lists
+        r_row = values[u]
+        rows = r_row + shifts
+        rows[zero] = r_row
+        rows[:, outside[u]] = -np.inf
+        finite = np.isfinite(rows)
+        counts = finite.sum(axis=1)
+        # a shift moves each group's cells one way, so λ points with equal
+        # candidate counts have equal candidate sets
+        for count in set(counts[live].tolist()):
+            points = np.flatnonzero((counts == count) & live)
+            n_subsets = math.comb(count, cfg.k)
+            if count < cfg.k:
+                failures.append((points[0], u, f"user {u} has only {count} selectable items; need {cfg.k}"))
+            elif n_subsets > ORACLE_SUBSET_LIMIT:
+                message = f"user {u}: {n_subsets} subsets exceed the oracle limit {ORACLE_SUBSET_LIMIT}"
+                failures.append((points[0], u, message))
+            else:
+                subsets = np.flatnonzero(finite[points[0]])[_combinations(count, cfg.k)]
+                step = max(1, ORACLE_SUBSET_LIMIT // n_subsets)
+                for lo in range(0, len(points), step):
+                    _best_subsets(rows, r_row, subsets, points[lo : lo + step], items[:, u], terms[:, u])
+    if failures:
+        raise ValueError(min(failures)[2])
+    users = np.arange(m)[:, None]
+    items = items[np.arange(len(lams))[:, None, None], users, np.lexsort((items, -values[users, items]), axis=-1)]
+    _check_lists(items, n, values)
+    return [RecommendationLists(items[at], n, math.fsum(terms[at].tolist())) for at in range(len(lams))]
+
+
+def _best_subsets(
+    rows: np.ndarray, r_row: np.ndarray, subsets: np.ndarray, points: np.ndarray, items: np.ndarray, terms: np.ndarray
+) -> None:
+    """One user's best subset and its exact sum at each of `points`, the
+    rows of `rows` (the user's adjusted rows, one per λ) whose candidates
+    `subsets` enumerates; written to items[points] and terms[points]."""
+    sums = rows[points][:, subsets].sum(axis=2)
+    near = sums >= sums.max(axis=1, keepdims=True) - 1e-9
+    chosen = subsets[sums.argmax(axis=1)]
+    exact = [math.fsum(row) for row in rows[points[:, None], chosen].tolist()]
+    for i in np.flatnonzero(near.sum(axis=1) > 1):
+        s_row, candidates = rows[points[i]], np.flatnonzero(near[i])
+        exact_sums = [math.fsum(s_row[subsets[c]].tolist()) for c in candidates]
+        exact[i] = max(exact_sums)
+        rank_of = np.empty(len(s_row), dtype=np.int64)
+        rank_of[np.lexsort((np.arange(len(s_row)), -r_row, -s_row))] = np.arange(len(s_row))
+        finalists = [subsets[c] for c, v in zip(candidates, exact_sums) if v == exact[i]]
+        chosen[i] = min(finalists, key=lambda subset: tuple(sorted(rank_of[subset].tolist())))
+    items[points] = chosen
+    terms[points] = exact
 
 
 def lambda_sweep(

@@ -57,26 +57,29 @@ def _check_oracle_equivalence(count: int, seed: int, tie_break: str):
     """Exact solver vs exhaustive oracle: objective within 1e-9 and the
     selected sets identical on every (instance, lambda) pair; the lambda=0
     lists must equal the plain top-k of the raw scores, in display order."""
-    checked = 0
     for idx, inst in enumerate(_instances(count, seed)):
         cfg = RerankConfig(k=inst.k)
         path = rerank_path(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID, tie_break=tie_break)
-        for lam, fast in zip(DEFAULT_LAMBDA_GRID, path):
-            slow = rerank_oracle(inst.scores, inst.part, cfg, lam)
-            if abs(fast.objective - slow.objective) > 1e-9:
-                return False, f"instance {idx} lambda={lam:g}: objective gap {abs(fast.objective - slow.objective):.3e}"
-            for u in range(fast.num_users):
-                fast_set, slow_set = sorted(fast.items[u].tolist()), sorted(slow.items[u].tolist())
-                if fast_set != slow_set:
-                    return False, f"instance {idx} lambda={lam:g} user {u}: sets differ {fast_set} vs {slow_set}"
-            checked += 1
+        oracle = rerank_oracle(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID)
+        gaps = [abs(fast.objective - slow.objective) for fast, slow in zip(path, oracle)]
+        fast_sets, slow_sets = (np.sort([lists.items for lists in sets], axis=-1) for sets in (path, oracle))
+        differ = (fast_sets != slow_sets).any(axis=-1)
+        bad = (np.array(gaps) > 1e-9) | differ.any(axis=-1)
+        if bad.any():
+            at = int(np.argmax(bad))
+            lam = DEFAULT_LAMBDA_GRID[at]
+            if gaps[at] > 1e-9:
+                return False, f"instance {idx} lambda={lam:g}: objective gap {gaps[at]:.3e}"
+            u = int(np.argmax(differ[at]))
+            sets = f"{fast_sets[at, u].tolist()} vs {slow_sets[at, u].tolist()}"
+            return False, f"instance {idx} lambda={lam:g} user {u}: sets differ {sets}"
         # the grid starts at 0, so path[0] is the lambda = 0 selection; the
         # plain top-k is sorted here, independently of the solver
         values = inst.scores.values
         plain = np.lexsort((np.broadcast_to(np.arange(values.shape[1]), values.shape), -values), axis=1)[:, : inst.k]
         if not np.array_equal(path[0].items, plain):
             return False, f"instance {idx}: lambda=0 selection differs from plain top-k"
-    return True, f"{count} instances x {len(DEFAULT_LAMBDA_GRID)} lambdas ({checked} comparisons)"
+    return True, f"{count} instances x {len(DEFAULT_LAMBDA_GRID)} lambdas ({count * len(DEFAULT_LAMBDA_GRID)} comparisons)"
 
 
 @_check("monotone_exposure")

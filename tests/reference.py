@@ -1,6 +1,6 @@
 """Per-user reference implementations of the exact re-ranker, of the
-list metrics, of the ALS half-step and of the split, and a top-k sorted
-without the solver, kept for the tests only.
+one-λ oracle, of the list metrics, of the ALS half-step and of the split,
+and a top-k sorted without the solver, kept for the tests only.
 
 These are the straightforward one-user-at-a-time loops the vectorized
 library code replaced. The property tests in `test_vectorized.py` check
@@ -12,11 +12,13 @@ checks that the library's ALS factors equal these, bit for bit, and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from fairrerank.dataset import Interactions, SplitTriple, _floor_exact, distinct_user_counts
 from fairrerank.metrics import EvaluationReport
-from fairrerank.rerank import RecommendationLists, adjusted_scores, fairness_gap
+from fairrerank.rerank import ORACLE_SUBSET_LIMIT, RecommendationLists, _combinations, adjusted_scores, fairness_gap
 
 
 def _selection_order(s_row, r_row, tie_break):
@@ -53,6 +55,46 @@ def rerank_exact(matrix, part, cfg, lam, tie_break="default"):
         objective += float(np.sum(s_row[np.sort(top)]))
         out[u] = top[np.lexsort((top, -r_row[top]))]
     return RecommendationLists(items=out, num_items=n, objective=objective)
+
+
+def rerank_oracle(matrix, part, cfg, lam):
+    """The exhaustive oracle at one λ, one user at a time: enumerate every
+    k-subset of the user's finite pooled cells, refine the near-best sums
+    with math.fsum and break exact ties by the selection order."""
+    adjusted = adjusted_scores(matrix, part, lam, cfg.per_user_lambda)
+    m, n = matrix.num_users, matrix.num_items
+    out = np.empty((m, cfg.k), dtype=np.int64)
+    objective_terms = []
+    for u in range(m):
+        s_row = adjusted.values[u]
+        r_row = matrix.values[u]
+        pool = np.lexsort((np.arange(n), -r_row))[: cfg.pool_size] if 0 < cfg.pool_size < n else np.arange(n)
+        candidates = np.sort(pool[np.isfinite(s_row[pool])])
+        if len(candidates) < cfg.k:
+            raise ValueError(f"user {u} has only {len(candidates)} selectable items; need {cfg.k}")
+        n_subsets = math.comb(len(candidates), cfg.k)
+        if n_subsets > ORACLE_SUBSET_LIMIT:
+            raise ValueError(f"user {u}: {n_subsets} subsets exceed the oracle limit {ORACLE_SUBSET_LIMIT}")
+        subset_items = candidates[_combinations(len(candidates), cfg.k)]
+        sums = s_row[subset_items].sum(axis=1)
+        near = np.flatnonzero(sums >= sums.max() - 1e-9)
+        exact_sums = [math.fsum(s_row[subset_items[i]].tolist()) for i in near]
+        best_sum = max(exact_sums)
+        finalists = [near[i] for i, v in enumerate(exact_sums) if v == best_sum]
+        if len(finalists) == 1:
+            chosen = subset_items[finalists[0]]
+        else:
+            rank_of = np.empty(n, dtype=np.int64)
+            rank_of[np.lexsort((np.arange(n), -r_row, -s_row))] = np.arange(n)
+            chosen = min(
+                (subset_items[i] for i in finalists),
+                key=lambda items: tuple(sorted(rank_of[items].tolist())),
+            )
+        objective_terms.append(best_sum)
+        out[u] = chosen[np.lexsort((chosen, -r_row[chosen]))]
+    lists = RecommendationLists(items=out, num_items=n, objective=math.fsum(objective_terms))
+    lists.validate(matrix)
+    return lists
 
 
 def precision_recall_at_k(lists, judgments, k):

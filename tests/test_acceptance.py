@@ -34,7 +34,7 @@ def test_c1_oracle_equivalence_within_budget():
         cfg = RerankConfig(k=inst.k)
         for lam in DEFAULT_LAMBDA_GRID:
             fast = rerank_path(inst.scores, inst.part, cfg, (lam,))[0]
-            slow = rerank_oracle(inst.scores, inst.part, cfg, lam)
+            slow = rerank_oracle(inst.scores, inst.part, cfg, (lam,))[0]
             assert abs(fast.objective - slow.objective) <= 1e-9
             for u in range(fast.num_users):
                 assert set(fast.items[u].tolist()) == set(slow.items[u].tolist())

@@ -181,13 +181,13 @@ class TestRerankOracle:
     def test_forced_selection_when_catalog_equals_k(self):
         matrix = ScoreMatrix(np.array([[0.3, 0.1, 0.2]]))
         part = make_partition([True, False, False])
-        lists = rerank_oracle(matrix, part, RerankConfig(k=3), 1.0)
+        lists = rerank_oracle(matrix, part, RerankConfig(k=3), (1.0,))[0]
         assert set(lists.items[0].tolist()) == {0, 1, 2}
 
     def test_tie_on_adjusted_breaks_by_index_among_equal_originals(self):
         matrix = ScoreMatrix(np.array([[0.2, 0.2, 0.2]]))
         part = make_partition([True, False, False])
-        lists = rerank_oracle(matrix, part, RerankConfig(k=1), 0.3)
+        lists = rerank_oracle(matrix, part, RerankConfig(k=1), (0.3,))[0]
         # items 1 and 2 tie at adjusted 0.5 and original 0.2; lower index wins
         assert lists.items[0].tolist() == [1]
         exact = rerank_path(matrix, part, RerankConfig(k=1), (0.3,))[0]
@@ -197,7 +197,7 @@ class TestRerankOracle:
         matrix = ScoreMatrix(np.zeros((1, 60)))
         part = make_partition([False] * 60)
         with pytest.raises(ValueError, match="oracle limit"):
-            rerank_oracle(matrix, part, RerankConfig(k=8), 0.0)
+            rerank_oracle(matrix, part, RerankConfig(k=8), (0.0,))
 
     @given(seed=st.integers(min_value=0, max_value=10_000), lam_tenths=st.integers(0, 20))
     @settings(max_examples=60, deadline=None)
@@ -206,17 +206,31 @@ class TestRerankOracle:
         inst = random_rerank_instance(rng, quantized=bool(seed % 2))
         cfg, lam = RerankConfig(k=inst.k), lam_tenths / 10
         fast = rerank_path(inst.scores, inst.part, cfg, (lam,))[0]
-        slow = rerank_oracle(inst.scores, inst.part, cfg, lam)
+        slow = rerank_oracle(inst.scores, inst.part, cfg, (lam,))[0]
         assert fast.objective == approx(slow.objective, abs=1e-9)
         for u in range(fast.num_users):
             assert set(fast.items[u].tolist()) == set(slow.items[u].tolist())
             assert fast.items[u].tolist() == slow.items[u].tolist()  # same display order
 
+    @pytest.mark.parametrize("pool", ["k", "k+1", "n"])
+    def test_honours_the_pool_size(self, pool):
+        """Candidates are each user's top pool_size items by original score,
+        ties to the lower index, as in rerank_path."""
+        rng = np.random.default_rng(0)
+        for index in range(100):
+            inst = random_rerank_instance(rng, quantized=(index % 2 == 1))
+            size = {"k": inst.k, "k+1": inst.k + 1, "n": inst.scores.num_items}[pool]
+            cfg, lambdas = RerankConfig(k=inst.k, pool_size=size), (0.0, 1.0, 3.0)
+            path = rerank_path(inst.scores, inst.part, cfg, lambdas)
+            for fast, slow in zip(path, rerank_oracle(inst.scores, inst.part, cfg, lambdas)):
+                assert np.array_equal(fast.items, slow.items)
+                assert fast.objective == approx(slow.objective, abs=1e-9)
+
     def test_respects_masked_cells(self):
         values = np.array([[MASKED, 0.4, 0.6, 0.1]])
         matrix = ScoreMatrix(values)
         part = make_partition([True, True, False, False])
-        lists = rerank_oracle(matrix, part, RerankConfig(k=2), 0.0)
+        lists = rerank_oracle(matrix, part, RerankConfig(k=2), (0.0,))[0]
         assert 0 not in lists.items[0].tolist()
 
 

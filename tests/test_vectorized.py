@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 import reference
+from fairrerank import rerank
 from fairrerank.dataset import Interactions, PopularityPartition
 from fairrerank.metrics import eval_context, evaluate
-from fairrerank.rerank import RecommendationLists, RerankConfig, adjusted_scores, rerank_path
+from fairrerank.rerank import RecommendationLists, RerankConfig, adjusted_scores, rerank_oracle, rerank_path
 from fairrerank.scorers import MASKED, ScoreMatrix
+from fairrerank.synthetic import random_rerank_instance
 
 LAMBDAS = (0.0, 0.01, 0.05, 0.2, 0.5, 1.0, 3.0, 100.0)
 KINDS = ("continuous", "quantized", "popularity", "signed_zeros")
@@ -50,9 +52,7 @@ def _reference_path(matrix, part, cfg, tie_break):
     return out, None
 
 
-@pytest.mark.parametrize("tie_break", ["default", "inverted"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_rerank_path_matches_per_user_reference(kind, tie_break):
+def _check_against_reference(kind, tie_break):
     rng = np.random.default_rng(sum(map(ord, kind + tie_break)))
     compared = errors = 0
     for _ in range(120):
@@ -73,6 +73,21 @@ def test_rerank_path_matches_per_user_reference(kind, tie_break):
             assert got.adjusted.tobytes() == np.take_along_axis(adjusted.values, got.items, axis=1).tobytes()
             compared += 1
     assert compared > 250 and errors > 5
+
+
+@pytest.mark.parametrize("tie_break", ["default", "inverted"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_rerank_path_matches_per_user_reference(kind, tie_break):
+    _check_against_reference(kind, tie_break)
+
+
+@pytest.mark.parametrize("block", [1, rerank._BLOCK_CELLS, 10**9], ids=["one-cell", "default", "unbounded"])
+def test_rerank_path_does_not_depend_on_the_block_size(monkeypatch, block):
+    """Step 1 takes users and step 2 takes λ points in blocks of
+    _BLOCK_CELLS cells: one λ at a time, the default, or the whole grid."""
+    monkeypatch.setattr(rerank, "_BLOCK_CELLS", block)
+    for kind in KINDS:
+        _check_against_reference(kind, "default")
 
 
 def test_one_point_path_equals_its_grid_point():
@@ -101,6 +116,13 @@ def test_rerank_path_rejects_bad_arguments():
     assert rerank_path(matrix, part, RerankConfig(k=2), ()) == []
 
 
+def test_an_empty_matrix_gives_empty_lists():
+    part = PopularityPartition(short_head=np.array([True, False, False]), popularity_count=np.zeros(3, dtype=np.int64))
+    for solver in (rerank_path, rerank_oracle):
+        lists = solver(ScoreMatrix(np.zeros((0, 3))), part, RerankConfig(k=2), (0.0, 1.0))
+        assert [point.items.shape for point in lists] == [(0, 2), (0, 2)]
+
+
 def test_validate_reports_the_first_bad_user():
     values = np.array([[0.1, 0.2, 0.3], [0.1, MASKED, 0.3], [0.1, 0.2, 0.3]])
     lists = RecommendationLists(items=np.array([[0, 1], [1, 2], [2, 2]]), num_items=3)
@@ -108,6 +130,97 @@ def test_validate_reports_the_first_bad_user():
         lists.validate(ScoreMatrix(values))
     with pytest.raises(ValueError, match="user 2: list has duplicate items"):
         lists.validate()
+    # a stack of list sets names the first bad user of its first bad set
+    stack = np.array([[[0, 1], [0, 2], [2, 2]], [[0, 1], [1, 1], [0, 2]]])
+    with pytest.raises(ValueError, match="user 2: list has duplicate items"):
+        rerank._check_lists(stack, 3)
+    with pytest.raises(ValueError, match="user 1: list contains a masked item"):
+        rerank._check_lists(np.array([[[0, 1], [0, 1], [0, 2]], [[1, 1], [0, 2], [0, 2]]]), 3, values)
+    rerank._check_lists(stack[:, :1], 3, values)
+
+
+ORACLE_LAMBDAS = (0.0, 0.1, 0.5, 1.0, 3.0)
+ORACLE_CASES = ("continuous", "quantized", "masked", "per_user", "pooled", "no_zero", "to_minus_inf", "to_plus_inf")
+LARGEST = np.finfo(np.float64).max
+
+
+def _oracle_case(rng, case):
+    """A small instance of one case and its λ grid. The two overflow cases
+    end the grid with a per-item λ of 1e300 and, on about half the
+    instances, put ∓LARGEST in one user's short-head (long-tail) cell, which
+    that λ shifts to -inf (+inf); no other cell leaves the range."""
+    inst = random_rerank_instance(rng, quantized=case == "quantized")
+    values, short = inst.scores.values.copy(), inst.part.short_head
+    lambdas = ORACLE_LAMBDAS[1:] if case == "no_zero" else ORACLE_LAMBDAS
+    if case == "masked":
+        values[rng.random(values.shape) < 0.3] = MASKED
+    elif case in ("to_minus_inf", "to_plus_inf"):
+        minus = case == "to_minus_inf"
+        column = rng.choice(np.flatnonzero(short if minus else ~short))
+        if rng.random() < 0.5:
+            values[rng.integers(len(values)), column] = -LARGEST if minus else LARGEST
+        lambdas = (*ORACLE_LAMBDAS, 1e300)
+    pool = int(rng.integers(inst.k, values.shape[1] + 1)) if case == "pooled" else 0
+    per_user = case in ("per_user", "to_minus_inf", "to_plus_inf")
+    return ScoreMatrix(values), inst.part, RerankConfig(k=inst.k, pool_size=pool, per_user_lambda=per_user), lambdas
+
+
+def _one_point_oracles(matrix, part, cfg, lambdas):
+    """The reference oracle at each λ in turn, up to the first that raises,
+    with its message."""
+    out = []
+    for lam in lambdas:
+        try:
+            out.append(reference.rerank_oracle(matrix, part, cfg, lam))
+        except ValueError as exc:
+            return out, str(exc)
+    return out, None
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_grid_oracle_matches_the_one_point_reference(case):
+    """Lists in display order and objectives equal the one-λ reference
+    oracle's at every point; bad input raises what the reference raises at
+    the first λ that fails."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    compared = errors = 0
+    for _ in range(60):
+        matrix, part, cfg, lambdas = _oracle_case(rng, case)
+        with np.errstate(over="ignore"):  # both oracles add past LARGEST in the overflow cases
+            expected, error = _one_point_oracles(matrix, part, cfg, lambdas)
+            if error is not None:
+                with pytest.raises(ValueError) as caught:
+                    rerank_oracle(matrix, part, cfg, lambdas)
+                assert str(caught.value) == error
+                errors += 1
+                continue
+            got = rerank_oracle(matrix, part, cfg, lambdas)
+        assert len(got) == len(expected)
+        for point, want in zip(got, expected):
+            assert np.array_equal(point.items, want.items)
+            assert point.objective == want.objective
+        compared += 1
+    assert compared > 10
+    assert (errors > 0) == (case in ("masked", "to_plus_inf"))
+
+
+def test_solvers_report_the_first_failing_lambda():
+    # λ = 1e300 sends user 0's -LARGEST cell to -inf and LARGEST to +inf
+    part = PopularityPartition(short_head=np.array([False, True, True]), popularity_count=np.zeros(3, dtype=np.int64))
+    cfg, lambdas = RerankConfig(k=2, per_user_lambda=True), (0.0, 1e300)
+    short_at_the_last_point = [0.5, -LARGEST, MASKED]
+    cases = [
+        ([short_at_the_last_point, [0.75, MASKED, MASKED]], "user 1 has only 1 selectable items; need 2"),
+        ([short_at_the_last_point], "user 0 has only 1 selectable items; need 2"),
+        ([short_at_the_last_point, [LARGEST, 0.5, 0.25]], "score matrix contains NaN or +inf entries"),
+    ]
+    for rows, message in cases:
+        # rerank_path does not build the shifted matrix, so it has no +inf check
+        for solver in (rerank_oracle, rerank_path) if "+inf" not in message else (rerank_oracle,):
+            with np.errstate(over="ignore"), pytest.raises(ValueError) as caught:
+                solver(ScoreMatrix(np.array(rows)), part, cfg, lambdas)
+            assert str(caught.value) == message
+    assert rerank_oracle(ScoreMatrix(np.array(cases[0][0])), part, cfg, ()) == []
 
 
 def _evaluation(rng):
