@@ -19,7 +19,7 @@ from .dataset import (
 from .metrics import EvalContext, EvaluationReport, eval_context, evaluate, judgments_from_interactions
 from .rerank import (
     FairnessValue, RecommendationLists, RerankConfig,
-    adjusted_scores, fairness_gap, lambda_sweep, rerank_oracle, rerank_path,
+    fairness_gap, lambda_sweep, rerank_oracle, rerank_path,
 )
 from .scorers import MASKED, MFConfig, ScoreMatrix, load_scores, mask_seen, mf_scorer, popularity_scorer, random_scorer
 
@@ -30,6 +30,6 @@ __all__ = [
     "build_dataset", "parse_interactions", "partition_popularity", "read_interactions", "split",
     "EvalContext", "EvaluationReport", "eval_context", "evaluate", "judgments_from_interactions",
     "FairnessValue", "RecommendationLists", "RerankConfig",
-    "adjusted_scores", "fairness_gap", "lambda_sweep", "rerank_oracle", "rerank_path",
+    "fairness_gap", "lambda_sweep", "rerank_oracle", "rerank_path",
     "MASKED", "MFConfig", "ScoreMatrix", "load_scores", "mask_seen", "mf_scorer", "popularity_scorer", "random_scorer",
 ]

@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .dataset import DELIMITER_NAMES
-from .rerank import RerankConfig
+from .rerank import RerankConfig, lambda_label
 from .scorers import MASKED, MFConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "build_config", "load_config", "config_snapshot"]
@@ -157,8 +157,8 @@ def _show_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _show_floats(values: tuple[float, ...] | None) -> str | None:
-    return None if values is None else ",".join(repr(v) for v in values)
+def _show_floats(values: tuple[float, ...]) -> str:
+    return ",".join(repr(v) for v in values)
 
 
 # One row per config key: the key, its dotted field on ExperimentConfig, the
@@ -216,6 +216,11 @@ def build_config(pairs: dict[str, str]) -> ExperimentConfig:
         raise ConfigError("scorer.import_path is required when scorer.names includes 'import'")
     if cfg.rerank.k < 2:
         raise ConfigError(f"rerank.k: must be >= 2 (diversity needs item pairs), got {cfg.rerank.k}")
+    grid = cfg.rerank.lambda_grid
+    for a, b in zip(grid, grid[1:]):  # ascending, so equal labels are neighbours
+        if lambda_label(a) == lambda_label(b):
+            raise ConfigError(f"rerank.lambda_grid: {a!r} and {b!r} share the label {lambda_label(a)!r} "
+                              "that names their list files and report rows")
     return cfg
 
 

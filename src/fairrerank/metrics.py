@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import Interactions, PopularityPartition, distinct_user_counts
-from .rerank import RecommendationLists
+from .rerank import RecommendationLists, fairness_gap
 
 __all__ = [
     "EvaluationReport",
@@ -136,10 +136,9 @@ def _serendipity(items: np.ndarray, popular: np.ndarray) -> float:
     return float(np.mean((~popular[items]).sum(axis=1) / items.shape[1]))
 
 
-def _exposure(items: np.ndarray, hits: np.ndarray, short_head: np.ndarray) -> tuple[int, int, int, int]:
-    short = short_head[items]
-    short_count, rel_short = int(np.count_nonzero(short)), int(np.count_nonzero(hits & short))
-    return short_count, rel_short, items.size - short_count, int(np.count_nonzero(hits)) - rel_short
+def _relevant_exposure(items: np.ndarray, hits: np.ndarray, short_head: np.ndarray) -> tuple[int, int]:
+    rel_short = int(np.count_nonzero(hits & short_head[items]))
+    return rel_short, int(np.count_nonzero(hits)) - rel_short
 
 
 def _personalization(items: np.ndarray, num_items: int) -> float:
@@ -237,7 +236,8 @@ def evaluate(ctx: EvalContext, lists: RecommendationLists) -> EvaluationReport:
     items = lists.items
     hits = _hits(items, ctx.judged, lists.num_items)
     precision, recall, ndcg = _accuracy(hits, ctx.judged_sizes, ctx.discounts, ctx.idcg)
-    short_count, rel_short, long_count, rel_long = _exposure(items, hits, part.short_head)
+    rel_short, rel_long = _relevant_exposure(items, hits, part.short_head)
+    exposure = fairness_gap(lists, part)
     report = EvaluationReport(
         ndcg=ndcg,
         precision=precision,
@@ -247,11 +247,11 @@ def evaluate(ctx: EvalContext, lists: RecommendationLists) -> EvaluationReport:
         coverage=len(np.unique(items)) / part.num_items,
         personalization=_personalization(items, lists.num_items),
         serendipity=_serendipity(items, ctx.popular),
-        short_count=short_count,
+        short_count=exposure.short_count,
         rel_short=rel_short,
-        long_count=long_count,
+        long_count=exposure.long_count,
         rel_long=rel_long,
-        fairness_gap=(short_count - long_count) / lists.num_users,
+        fairness_gap=exposure.gap,
         k=k,
         evaluated_users=lists.num_users,
     )

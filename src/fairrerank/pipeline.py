@@ -5,9 +5,11 @@ Each stage is deterministic given the config and input bytes, so re-running
 a config reproduces every output file byte for byte. Output files are
 written atomically (temp file + rename). Each list file is written as soon
 as its λ point is evaluated; only the report files wait until every stage
-has succeeded, so a failed run cannot leave partial reports behind. A
-stage failure is wrapped in StageError naming the stage, except malformed
-input (DataError), which is re-raised as a DataError naming the stage.
+has succeeded, so a failed run cannot leave partial reports behind. Every
+step that computes, masks or writes runs as a named stage (a list file is
+`lists_file[scorer,λ]`, a report `report_file[fmt]`). A stage failure is
+wrapped in StageError naming the stage, except malformed input
+(DataError), which is re-raised as a DataError naming the stage.
 A run checks its split in one gate, after the split and before the first
 file is written: input it cannot re-rank or score fails there with a
 DataError (exit 1 at the CLI), not in a later stage.
@@ -38,7 +40,7 @@ from .dataset import (
     write_split_files,
 )
 from .metrics import eval_context, evaluate, judgments_from_interactions
-from .rerank import rerank_path, write_lists
+from .rerank import lambda_label, rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import (
     MASKED, ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, score_cells, write_scores,
@@ -186,7 +188,8 @@ def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifact
     clock = _StageClock()
     artifacts = _ingest_split(cfg, clock)
     files = _write_split(cfg, artifacts, Path(out_dir), clock)
-    files["manifest"] = _write_manifest(Path(out_dir) / "manifest.json", cfg, {"input": Path(cfg.input_path)}, files, clock)
+    inputs = {"input": Path(cfg.input_path)}
+    files["manifest"] = clock.run("manifest", _write_manifest, Path(out_dir) / "manifest.json", cfg, inputs, files, clock)
     return artifacts, files
 
 
@@ -204,7 +207,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
 
     judgments = judgments_from_interactions(artifacts.split.test)
     ctx = clock.run("eval_context", eval_context, judgments, artifacts.split.train, artifacts.partition, cfg.rerank.k)
-    lambdas = cfg.rerank.lambda_points()
+    lambdas = cfg.rerank.lambda_grid
     rows: list[ReportRow] = []
 
     for name in cfg.scorers:
@@ -213,24 +216,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
             f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", scores, ds
         )
         if cfg.mask_seen:  # after the export, which keeps the seen cells
-            mask_seen(scores, artifacts.split.train)
+            clock.run(f"mask[{name}]", mask_seen, scores, artifacts.split.train)
         point_lists = clock.run(f"rerank[{name}]", rerank_path, scores, artifacts.partition, cfg.rerank, lambdas)
         del scores  # the lists carry their scores; two m x n matrices are never alive at once
         for lam, lists in zip(lambdas, point_lists):
-            report = clock.run(f"evaluate[{name},{lam:g}]", evaluate, ctx, lists)
+            label = lambda_label(lam)
+            report = clock.run(f"evaluate[{name},{label}]", evaluate, ctx, lists)
             rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=report))
-            path = out_dir / f"lists_{name}_lambda{lam:g}.tsv"
-            files[path.stem] = write_lists(path, lists, ds, artifacts.partition)
+            path = out_dir / f"lists_{name}_lambda{label}.tsv"
+            files[path.stem] = clock.run(f"lists_file[{name},{label}]", write_lists, path, lists, ds, artifacts.partition)
 
     # all stages succeeded; now write the reports
     renderers = {"csv": render_csv, "json": render_json, "md": render_markdown}
     for fmt_name in cfg.formats:
-        files[f"report_{fmt_name}"] = atomic_write_text(
-            out_dir / f"report.{fmt_name}", (renderers[fmt_name](rows),)
+        files[f"report_{fmt_name}"] = clock.run(
+            f"report_file[{fmt_name}]", atomic_write_text, out_dir / f"report.{fmt_name}", (renderers[fmt_name](rows),)
         )
 
     inputs = {"input": Path(cfg.input_path)}
     if "import" in cfg.scorers:
         inputs["import"] = Path(cfg.import_path)
-    manifest = _write_manifest(out_dir / "manifest.json", cfg, inputs, files, clock)
+    manifest = clock.run("manifest", _write_manifest, out_dir / "manifest.json", cfg, inputs, files, clock)
     return RunResult(rows=rows, files=files, manifest_path=manifest)

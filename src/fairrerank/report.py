@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 
 from .metrics import EvaluationReport
+from .rerank import lambda_label
 
 __all__ = ["ReportRow", "render_csv", "render_json", "render_markdown"]
 
@@ -40,7 +41,7 @@ def _metric_cells(report: EvaluationReport, float_fmt: str, int_fmt) -> list[str
 def render_csv(rows: list[ReportRow]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = [row.model, row.row_type, format(row.lam, "g")]
+        cells = [row.model, row.row_type, lambda_label(row.lam)]
         cells += _metric_cells(row.report, ".6f", str)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -62,7 +63,7 @@ def render_markdown(rows: list[ReportRow]) -> str:
     divider = "|" + "---|" * 16
     lines = [header, divider]
     for row in rows:
-        cells = [row.model, row.row_type, format(row.lam, "g")]
+        cells = [row.model, row.row_type, lambda_label(row.lam)]
         cells += _metric_cells(row.report, ".4f", lambda v: f"{v:,}")
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"

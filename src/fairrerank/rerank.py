@@ -42,7 +42,7 @@ __all__ = [
     "RecommendationLists",
     "FairnessValue",
     "fairness_gap",
-    "adjusted_scores",
+    "lambda_label",
     "rerank_path",
     "rerank_oracle",
     "lambda_sweep",
@@ -56,15 +56,19 @@ ORACLE_SUBSET_LIMIT = 10**6
 class RerankConfig:
     """Selection size, λ grid, and how λ scales.
 
-    With per_user_lambda=False (the default) the per-item score adjustment
-    is lam/num_users, matching a trade-off stated against the user-averaged
-    exposure gap; with True it is lam per item, independent of user count.
-    pool_size > 0 restricts each user's candidates to their top pool_size
-    items by original score before re-ranking (0 means the full catalog).
+    lambda_grid holds the λ points a run evaluates: finite, >= 0 and
+    strictly ascending, with the 0.0 fairness-unaware baseline prepended
+    when the given grid does not start with it. Each point is stored as
+    g + 0.0, so a -0.0 is kept as 0.0. With per_user_lambda=False (the
+    default) the per-item score adjustment is lam/num_users, matching a
+    trade-off stated against the user-averaged exposure gap; with True it is
+    lam per item, independent of user count. pool_size > 0 restricts each
+    user's candidates to their top pool_size items by original score before
+    re-ranking (0 means the full catalog).
     """
 
     k: int = 10
-    lambda_grid: tuple[float, ...] | None = None
+    lambda_grid: tuple[float, ...] = (0.0,)
     per_user_lambda: bool = False
     pool_size: int = 0
 
@@ -75,22 +79,20 @@ class RerankConfig:
             raise ValueError("pool_size must be >= 0")
         if self.pool_size and self.pool_size < self.k:
             raise ValueError("pool_size must be 0 (unlimited) or >= k")
-        if self.lambda_grid is not None:
-            grid = tuple(self.lambda_grid)
-            if not grid:
-                raise ValueError("lambda_grid must be nonempty when present")
-            if not all(g >= 0 and math.isfinite(g) for g in grid):
-                raise ValueError("lambda_grid values must be finite and >= 0")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ValueError("lambda_grid must be strictly ascending")
-            object.__setattr__(self, "lambda_grid", grid)
+        grid = tuple(g + 0.0 for g in self.lambda_grid)
+        if not grid:
+            raise ValueError("lambda_grid must be nonempty")
+        if not all(g >= 0 and math.isfinite(g) for g in grid):
+            raise ValueError("lambda_grid values must be finite and >= 0")
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("lambda_grid must be strictly ascending")
+        object.__setattr__(self, "lambda_grid", grid if grid[0] == 0.0 else (0.0, *grid))
 
-    def lambda_points(self) -> tuple[float, ...]:
-        """The λ values a run evaluates: the grid (0.0 when there is none),
-        with the 0.0 fairness-unaware baseline prepended when it is not
-        already first."""
-        grid = self.lambda_grid or (0.0,)
-        return grid if grid[0] == 0.0 else (0.0, *grid)
+
+def lambda_label(lam: float) -> str:
+    """The text that names a λ point in list file names, stage keys and
+    report cells."""
+    return format(lam, "g")
 
 
 @dataclass(frozen=True)
@@ -161,33 +163,22 @@ def fairness_gap(lists: RecommendationLists, part: PopularityPartition) -> Fairn
     return FairnessValue(gap=gap, short_count=short_count, long_count=long_count)
 
 
-def adjusted_scores(
-    matrix: ScoreMatrix, part: PopularityPartition, lam: float, per_user_lambda: bool = False
-) -> ScoreMatrix:
-    """Shift short-head scores down and long-tail scores up by the per-item
-    fairness penalty. Masked cells stay masked (-inf shifted by a finite
-    amount is still -inf); lam == 0 returns the scores bit-for-bit."""
-    _check_lam(lam)
+def _fairness_shifts(
+    matrix: ScoreMatrix, part: PopularityPartition, lambdas: Sequence[float], per_user_lambda: bool
+) -> np.ndarray:
+    """Both solvers' prologue: check every λ, then the partition width, and
+    return the per-λ, per-item score shifts, (L, n): -delta for short-head
+    items, +delta for long-tail. Every shift of a λ = 0 point is -0.0, and
+    x + -0.0 is x bit for bit for every x (-0.0 and -inf included), so
+    λ = 0 keeps the original scores."""
+    for lam in lambdas:
+        if not (lam >= 0 and math.isfinite(lam)):
+            raise ValueError(f"lam must be >= 0 and finite, got {lam!r}")
     if part.num_items != matrix.num_items:
         raise ValueError("partition length does not match score matrix width")
-    if lam == 0.0:
-        return ScoreMatrix(matrix.values.copy())
-    return ScoreMatrix(matrix.values + _fairness_shifts(part, (lam,), matrix.num_users, per_user_lambda)[0])
-
-
-def _check_lam(lam: float) -> None:
-    if not (lam >= 0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be >= 0 and finite, got {lam!r}")
-
-
-def _fairness_shifts(
-    part: PopularityPartition, lambdas: Sequence[float], num_users: int, per_user_lambda: bool
-) -> np.ndarray:
-    """Per-λ, per-item score shifts, (L, n): -delta for short-head items,
-    +delta for long-tail."""
-    delta = np.asarray(lambdas, dtype=np.float64)[:, None]
-    delta = delta if per_user_lambda else delta / max(num_users, 1)  # no users, no cells to shift
-    return np.where(part.short_head, -delta, delta)
+    lams = np.asarray(lambdas, dtype=np.float64)[:, None]
+    delta = lams if per_user_lambda else lams / max(matrix.num_users, 1)  # no users, no cells to shift
+    return np.where(part.short_head | (lams == 0), -delta, delta)
 
 
 # Step 1 of the λ path works on blocks of users of about this many cells,
@@ -258,29 +249,22 @@ def rerank_path(
     flips the original score and index tie directions, in both steps."""
     if tie_break not in ("default", "inverted"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    for lam in lambdas:
-        _check_lam(lam)
-    if part.num_items != matrix.num_items:
-        raise ValueError("partition length does not match score matrix width")
+    shifts = _fairness_shifts(matrix, part, lambdas, cfg.per_user_lambda)
     m, n = matrix.num_users, matrix.num_items
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds catalog size {n}")
     default = tie_break == "default"
     cand, original = _group_candidates(matrix.values, part, cfg, lowest_first=default)
-    lams = np.asarray(lambdas, dtype=np.float64)
-    shifts = _fairness_shifts(part, lams, m, cfg.per_user_lambda)
     rows = np.arange(m)[:, None]
     out: list[RecommendationLists] = []
     # step 2 sorts as many λ points at once as fit in a step-1 block
     step = max(1, _BLOCK_CELLS // max(cand.size, 1))
-    shape = (min(step, len(lams)), *cand.shape)
+    shape = (min(step, len(shifts)), *cand.shape)
     ties = [np.broadcast_to(key, shape) for key in ((cand, -original) if default else (-cand, original))]
-    for lo in range(0, len(lams), step):
-        chunk = lams[lo : lo + step]
-        at = np.arange(len(chunk))[:, None, None]
+    for lo in range(0, len(shifts), step):
         adjusted = original + shifts[lo : lo + step, cand]
-        adjusted[chunk == 0] = original  # λ = 0 keeps the original bits, -0.0 included
-        pick = np.lexsort((*(key[: len(chunk)] for key in ties), -adjusted), axis=-1)[..., : cfg.k]
+        at = np.arange(len(adjusted))[:, None, None]
+        pick = np.lexsort((*(key[: len(adjusted)] for key in ties), -adjusted), axis=-1)[..., : cfg.k]
         # in display order: original score descending, ties by lower index
         pick = pick[at, rows, np.lexsort((cand[rows, pick], -original[rows, pick]), axis=-1)]
         top, top_original, top_adjusted = cand[rows, pick], original[rows, pick], adjusted[at, rows, pick]
@@ -288,15 +272,15 @@ def rerank_path(
         if infeasible.any():
             point, u = np.unravel_index(np.argmax(infeasible), infeasible.shape)
             row = _pooled(matrix.values[u : u + 1], cfg.pool_size)[0]
-            selectable = int(np.count_nonzero(np.isfinite(row + shifts[lo + point] if chunk[point] else row)))
+            selectable = int(np.count_nonzero(np.isfinite(row + shifts[lo + point])))
             raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
         _check_lists(top, n, matrix.values)
         # canonical ascending-index summation keeps the objective reproducible
         sums = top_adjusted[at, rows, np.argsort(top, axis=-1)].sum(axis=-1)
-        totals = np.cumsum(np.concatenate((np.zeros((len(chunk), 1)), sums), axis=1), axis=1)[:, -1]
+        totals = np.cumsum(np.concatenate((np.zeros((len(adjusted), 1)), sums), axis=1), axis=1)[:, -1]
         out += [
             RecommendationLists(top[i], n, float(totals[i]), scores=top_original[i], adjusted=top_adjusted[i])
-            for i in range(len(chunk))
+            for i in range(len(adjusted))
         ]
     return out
 
@@ -321,14 +305,9 @@ def rerank_oracle(
     display-ordered list set per λ with its objective, as `rerank_path`
     does; on bad input it raises what the first failing λ would raise.
     """
-    for lam in lambdas:
-        _check_lam(lam)
-    if part.num_items != matrix.num_items:
-        raise ValueError("partition length does not match score matrix width")
+    shifts = _fairness_shifts(matrix, part, lambdas, cfg.per_user_lambda)
     values = matrix.values
     m, n = values.shape
-    lams = np.asarray(lambdas, dtype=np.float64)
-    shifts = _fairness_shifts(part, lams, m, cfg.per_user_lambda)
     # fl(r + c) is monotone in r, so a λ overflows some cell iff it
     # overflows the column maximum
     overflow = np.isposinf(values.max(axis=0, initial=-np.inf) + shifts).any(axis=1)
@@ -337,20 +316,18 @@ def rerank_oracle(
     if 0 < cfg.pool_size < n:
         order = np.lexsort((np.broadcast_to(np.arange(n), values.shape), -values), axis=1)
         np.put_along_axis(outside, order[:, cfg.pool_size :], True, axis=1)
-    items = np.empty((len(lams), m, cfg.k), dtype=np.int64)
-    terms = np.empty((len(lams), m))
-    zero, live = lams == 0, ~overflow
+    items = np.empty((len(shifts), m, cfg.k), dtype=np.int64)
+    terms = np.empty((len(shifts), m))
     for u in range(m):
         r_row = values[u]
         rows = r_row + shifts
-        rows[zero] = r_row
         rows[:, outside[u]] = -np.inf
         finite = np.isfinite(rows)
         counts = finite.sum(axis=1)
         # a shift moves each group's cells one way, so λ points with equal
         # candidate counts have equal candidate sets
-        for count in set(counts[live].tolist()):
-            points = np.flatnonzero((counts == count) & live)
+        for count in set(counts[~overflow].tolist()):
+            points = np.flatnonzero((counts == count) & ~overflow)
             n_subsets = math.comb(count, cfg.k)
             if count < cfg.k:
                 failures.append((points[0], u, f"user {u} has only {count} selectable items; need {cfg.k}"))
@@ -365,9 +342,9 @@ def rerank_oracle(
     if failures:
         raise ValueError(min(failures)[2])
     users = np.arange(m)[:, None]
-    items = items[np.arange(len(lams))[:, None, None], users, np.lexsort((items, -values[users, items]), axis=-1)]
+    items = items[np.arange(len(shifts))[:, None, None], users, np.lexsort((items, -values[users, items]), axis=-1)]
     _check_lists(items, n, values)
-    return [RecommendationLists(items[at], n, math.fsum(terms[at].tolist())) for at in range(len(lams))]
+    return [RecommendationLists(items[at], n, math.fsum(terms[at].tolist())) for at in range(len(shifts))]
 
 
 def _best_subsets(
@@ -399,15 +376,13 @@ def lambda_sweep(
     judgments: list[set[int]],
     train: Interactions,
 ) -> list[tuple[float, "EvaluationReport"]]:
-    """Re-rank and fully evaluate at every grid point, prepending the 0.0
-    fairness-unaware baseline if the grid does not already start with it."""
+    """Re-rank and fully evaluate at every point of cfg.lambda_grid, which
+    starts at the 0.0 fairness-unaware baseline."""
     from .metrics import eval_context, evaluate  # deferred: metrics imports RecommendationLists from here
 
-    if cfg.lambda_grid is None:
-        raise ValueError("lambda_sweep requires cfg.lambda_grid")
-    lambdas = cfg.lambda_points()
     ctx = eval_context(judgments, train, part, cfg.k)
-    return [(lam, evaluate(ctx, lists)) for lam, lists in zip(lambdas, rerank_path(matrix, part, cfg, lambdas))]
+    lists = rerank_path(matrix, part, cfg, cfg.lambda_grid)
+    return [(lam, evaluate(ctx, point)) for lam, point in zip(cfg.lambda_grid, lists)]
 
 
 def write_lists(path: Path | str, lists: RecommendationLists, ds: Dataset, part: PopularityPartition) -> Path:

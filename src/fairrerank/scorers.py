@@ -56,8 +56,8 @@ class ScoreMatrix:
     def __post_init__(self):
         if self.values.ndim != 2:
             raise ValueError("score matrix must be 2-dimensional")
-        bad = ~np.isfinite(self.values) & ~(self.values == MASKED)
-        if bad.any():
+        # one reduction, no m x n temporaries: NaN propagates through max
+        if self.values.size and not self.values.max() < np.inf:
             raise ValueError("score matrix contains NaN or +inf entries")
 
     @property

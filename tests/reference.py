@@ -1,6 +1,7 @@
-"""Per-user reference implementations of the exact re-ranker, of the
-one-λ oracle, of the list metrics, of the ALS half-step and of the split,
-and a top-k sorted without the solver, kept for the tests only.
+"""Per-user reference implementations of the fairness shift, of the exact
+re-ranker, of the one-λ oracle, of the list metrics, of the ALS half-step
+and of the split, and a top-k sorted without the solver, kept for the tests
+only.
 
 These are the straightforward one-user-at-a-time loops the vectorized
 library code replaced. The property tests in `test_vectorized.py` check
@@ -18,7 +19,19 @@ import numpy as np
 
 from fairrerank.dataset import Interactions, SplitTriple, _floor_exact, distinct_user_counts
 from fairrerank.metrics import EvaluationReport
-from fairrerank.rerank import ORACLE_SUBSET_LIMIT, RecommendationLists, _combinations, adjusted_scores, fairness_gap
+from fairrerank.rerank import ORACLE_SUBSET_LIMIT, RecommendationLists, _combinations, fairness_gap
+from fairrerank.scorers import ScoreMatrix
+
+
+def adjusted_scores(matrix, part, lam, per_user_lambda=False):
+    """The scores at one λ, shifted by hand: delta = lam (per item) or
+    lam / num_users, subtracted in short-head columns and added in
+    long-tail ones; at λ = 0 a copy of the scores. A shift that leaves the
+    finite range fails ScoreMatrix's NaN/+inf check."""
+    if lam == 0:
+        return ScoreMatrix(matrix.values.copy())
+    delta = lam if per_user_lambda else lam / max(matrix.num_users, 1)
+    return ScoreMatrix(np.where(part.short_head, matrix.values - delta, matrix.values + delta))
 
 
 def _selection_order(s_row, r_row, tie_break):

@@ -32,9 +32,10 @@ def test_c1_oracle_equivalence_within_budget():
     for index in range(ORACLE_INSTANCES):
         inst = random_rerank_instance(rng, quantized=(index % 2 == 1))
         cfg = RerankConfig(k=inst.k)
-        for lam in DEFAULT_LAMBDA_GRID:
-            fast = rerank_path(inst.scores, inst.part, cfg, (lam,))[0]
-            slow = rerank_oracle(inst.scores, inst.part, cfg, (lam,))[0]
+        path = rerank_path(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID)
+        oracle = rerank_oracle(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID)
+        assert len(path) == len(oracle) == len(DEFAULT_LAMBDA_GRID)
+        for fast, slow in zip(path, oracle):
             assert abs(fast.objective - slow.objective) <= 1e-9
             for u in range(fast.num_users):
                 assert set(fast.items[u].tolist()) == set(slow.items[u].tolist())
@@ -62,14 +63,15 @@ def test_c3_monotone_exposure_and_saturation():
         inst = random_rerank_instance(rng)
         m, k = inst.scores.num_users, inst.k
         shorts, gaps = [], []
-        for lam in DEFAULT_LAMBDA_GRID:
-            lists = rerank_path(inst.scores, inst.part, RerankConfig(k=k), (lam,))[0]
+        lambdas = (*DEFAULT_LAMBDA_GRID, inst.saturating_lambda)
+        *path, saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), lambdas)
+        assert len(path) == len(DEFAULT_LAMBDA_GRID)
+        for lists in path:
             value = fairness_gap(lists, inst.part)
             shorts.append(value.short_count)
             gaps.append(value.gap)
         assert all(b <= a for a, b in zip(shorts, shorts[1:]))
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
-        saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), (inst.saturating_lambda,))[0]
         sat = fairness_gap(saturated, inst.part)
         assert sat.short_count == 0
         assert sat.gap == -k

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairrerank import pipeline
 from fairrerank.cli import _build_parser, main
 from fairrerank.config import (
     ConfigError,
@@ -207,7 +208,7 @@ class TestRunCommand:
         ds = build_dataset(read_interactions(cfg.input_path))
         triple = split(ds, cfg.ratios, cfg.split_seed)
         part = partition_popularity(triple.train, ds.num_items, cfg.partition_ratio)
-        lambdas = cfg.rerank.lambda_points()
+        lambdas = cfg.rerank.lambda_grid
         for name, raw in (
             ("popularity", popularity_scorer(triple.train)),
             ("random", random_scorer(ds.num_users, ds.num_items, cfg.random_seed)),
@@ -297,6 +298,21 @@ class TestRunCommand:
         last_b = (out_b / "report.csv").read_text().splitlines()[-1].split(",")
         assert last_a[3:] == last_b[3:]  # identical metrics, different lambda column
 
+    def test_negative_zero_in_the_grid_changes_no_byte(self, demo):
+        config, base = demo
+        manifests = []
+        for grid in ("-0,2", "0,2"):
+            argv = ["run", "--config", str(config), "--out", str(base / grid), "--set", f"rerank.lambda_grid={grid}"]
+            assert main(argv) == 0
+            manifests.append(json.loads((base / grid / "manifest.json").read_text()))
+        names = sorted(path.name for path in (base / "0,2").iterdir())
+        assert names == sorted(path.name for path in (base / "-0,2").iterdir())
+        assert "lists_popularity_lambda0.tsv" in names
+        for name in set(names) - {"manifest.json"}:
+            assert (base / "-0,2" / name).read_bytes() == (base / "0,2" / name).read_bytes(), name
+        assert manifests[0]["outputs"] == manifests[1]["outputs"]
+        assert manifests[0]["config"] == manifests[1]["config"]
+
     def test_lists_files_have_documented_format(self, demo):
         config, base = demo
         main(["run", "--config", str(config)])
@@ -327,6 +343,36 @@ class TestExitCodes:
         (base / "blocker").write_text("")
         assert main(["run", "--config", str(config), "--out", str(base / "blocker" / "out")]) == 2
         assert "error: stage 'split_files' failed: [Errno 20] Not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "blocked, stage",
+        [("lists_popularity_lambda4.tsv", "lists_file[popularity,4]"), ("report.csv", "report_file[csv]"),
+         ("report.md", "report_file[md]"), ("manifest.json", "manifest")],
+    )
+    def test_a_failed_write_names_its_stage(self, demo, capsys, blocked, stage):
+        # a directory in the way of the output file
+        config, base = demo
+        (base / "out" / blocked).mkdir(parents=True)
+        assert main(["run", "--config", str(config)]) == 2
+        assert f"error: stage '{stage}' failed: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    def test_a_failed_mask_names_its_stage(self, demo, capsys, monkeypatch):
+        def read_only_scores(train):
+            scores = popularity_scorer(train)
+            scores.values.setflags(write=False)
+            return scores
+
+        config, _ = demo
+        monkeypatch.setattr(pipeline, "popularity_scorer", read_only_scores)
+        assert main(["run", "--config", str(config)]) == 2
+        assert "error: stage 'mask[popularity]' failed: assignment destination is read-only" in capsys.readouterr().err
+
+    def test_lambda_points_sharing_a_label_fail_before_any_file_is_written(self, demo, capsys):
+        config, base = demo
+        assert main(["run", "--config", str(config), "--set", "rerank.lambda_grid=0.5,1.0000001,1.0000002"]) == 1
+        assert ("error: rerank.lambda_grid: 1.0000001 and 1.0000002 share the label '1' that names their list "
+                "files and report rows") in capsys.readouterr().err
+        assert not (base / "out").exists()
 
     def test_k_above_the_catalog_fails_before_any_file_is_written(self, demo, capsys):
         config, base = demo

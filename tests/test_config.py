@@ -247,12 +247,20 @@ def test_empty_value(key):
         ({"split.ratios": "0.5,-0.5,1"}, "split.ratios: all ratios must be positive"),
         ({"partition.ratio": "1.0"}, "partition.ratio: must be in (0, 1), got 1.0"),
         ({"scorer.fill": "-inf"}, "scorer.fill: expected a finite number, got '-inf'"),
+        ({"rerank.lambda_grid": "0.5,1.0000001,1.0000002"},
+         "rerank.lambda_grid: 1.0000001 and 1.0000002 share the label '1' that names their list files and report rows"),
     ],
 )
 def test_range_and_cross_key_errors(pairs, message):
     with pytest.raises(ConfigError) as exc:
         build_config(pairs)
     assert str(exc.value) == message
+
+
+def test_the_grid_snapshot_starts_at_a_positive_zero():
+    assert config_snapshot(build_config({}))["rerank.lambda_grid"] == "0.0"
+    assert config_snapshot(build_config({"rerank.lambda_grid": "-0,2"}))["rerank.lambda_grid"] == "0.0,2.0"
+    assert config_snapshot(build_config({"rerank.lambda_grid": "2,10"}))["rerank.lambda_grid"] == "0.0,2.0,10.0"
 
 
 def test_missing_input_path_is_an_error_at_load():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,12 @@ from pytest import approx
 import reference
 from conftest import interactions, make_partition
 from fairrerank.dataset import build_dataset, parse_interactions
+from fairrerank.metrics import eval_context, evaluate
 from fairrerank.rerank import (
     RecommendationLists,
     RerankConfig,
-    adjusted_scores,
     fairness_gap,
+    lambda_label,
     lambda_sweep,
     rerank_oracle,
     rerank_path,
@@ -70,37 +72,43 @@ class TestFairnessGap:
 
 
 class TestAdjustedScores:
+    """The fairness shift, checked by number on the adjusted scores that
+    rerank_path keeps on its lists."""
+
+    @staticmethod
+    def _adjusted(values, short_flags, lam, per_user_lambda=False):
+        """rerank_path's adjusted scores at one λ with k = n, so every cell
+        is listed, put back in item order."""
+        matrix = ScoreMatrix(np.asarray(values, dtype=np.float64))
+        cfg = RerankConfig(k=matrix.num_items, per_user_lambda=per_user_lambda)
+        (lists,) = rerank_path(matrix, make_partition(short_flags), cfg, (lam,))
+        out = np.empty_like(matrix.values)
+        np.put_along_axis(out, lists.items, lists.adjusted, axis=1)
+        return out
+
     def test_lambda_zero_is_bitwise_identity(self):
         rng = np.random.default_rng(1)
-        matrix = ScoreMatrix(rng.random((4, 6)))
-        part = make_partition([True, False, True, False, False, False])
-        adjusted = adjusted_scores(matrix, part, 0.0)
-        assert np.array_equal(adjusted.values, matrix.values)
+        values = rng.random((4, 6))
+        values[1, 3] = values[2, 0] = -0.0
+        adjusted = self._adjusted(values, [True, False, True, False, False, False], 0.0)
+        assert adjusted.tobytes() == values.tobytes()
 
     def test_short_head_cell_arithmetic(self):
-        matrix = ScoreMatrix(np.full((2, 1), 0.5))
-        part = make_partition([True])
-        adjusted = adjusted_scores(matrix, part, 0.8)
-        assert adjusted.values[0, 0] == approx(0.1)
+        adjusted = self._adjusted(np.full((2, 1), 0.5), [True], 0.8)
+        assert adjusted[0, 0] == approx(0.1)
 
     def test_long_tail_cell_arithmetic(self):
-        matrix = ScoreMatrix(np.full((2, 1), 0.5))
-        part = make_partition([False])
-        adjusted = adjusted_scores(matrix, part, 0.8)
-        assert adjusted.values[0, 0] == approx(0.9)
+        adjusted = self._adjusted(np.full((2, 1), 0.5), [False], 0.8)
+        assert adjusted[0, 0] == approx(0.9)
 
     def test_per_user_mode_skips_user_normalization(self):
-        matrix = ScoreMatrix(np.full((2, 1), 0.5))
-        part = make_partition([True])
-        adjusted = adjusted_scores(matrix, part, 0.3, per_user_lambda=True)
-        assert adjusted.values[0, 0] == approx(0.2)
+        adjusted = self._adjusted(np.full((2, 1), 0.5), [True], 0.3, per_user_lambda=True)
+        assert adjusted[0, 0] == approx(0.2)
 
     def test_masked_cells_stay_masked(self):
-        values = np.array([[0.5, MASKED]])
-        matrix = ScoreMatrix(values)
-        part = make_partition([False, False])
-        adjusted = adjusted_scores(matrix, part, 1.0)
-        assert adjusted.values[0, 1] == MASKED
+        # shifted up by 1.0, the masked cell is still unselectable
+        with pytest.raises(ValueError, match="user 0 has only 1 selectable items; need 2"):
+            self._adjusted([[0.5, MASKED]], [False, False], 1.0)
 
 
 class TestRerankExact:
@@ -273,10 +281,11 @@ class TestLambdaSweep:
             assert all(b <= a for a, b in zip(shorts, shorts[1:]))
             assert results[0][1].fairness_gap >= results[-1][1].fairness_gap
 
-    def test_requires_grid(self):
+    def test_default_grid_yields_the_baseline_row(self):
         inst, train, judgments = _sweep_inputs()
-        with pytest.raises(ValueError):
-            lambda_sweep(inst.scores, inst.part, RerankConfig(k=inst.k), judgments, train)
+        results = lambda_sweep(inst.scores, inst.part, RerankConfig(k=inst.k), judgments, train)
+        (lists,) = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))
+        assert results == [(0.0, evaluate(eval_context(judgments, train, inst.part, inst.k), lists))]
 
 
 class TestRerankConfigValidation:
@@ -293,11 +302,20 @@ class TestRerankConfigValidation:
         with pytest.raises(ValueError, match="lambda_grid values must be finite"):
             RerankConfig(lambda_grid=(0.0, bad))
         with pytest.raises(ValueError, match="lam must be >= 0 and finite"):
-            adjusted_scores(ScoreMatrix(np.zeros((1, 2))), make_partition([True, False]), bad)
+            rerank_path(ScoreMatrix(np.zeros((1, 2))), make_partition([True, False]), RerankConfig(k=1), (bad,))
 
     def test_lambda_points_default_to_the_baseline(self):
-        assert RerankConfig().lambda_points() == (0.0,)
-        assert RerankConfig(lambda_grid=(2.5,)).lambda_points() == (0.0, 2.5)
+        assert RerankConfig().lambda_grid == (0.0,)
+        assert RerankConfig(lambda_grid=(2.5,)).lambda_grid == (0.0, 2.5)
+        assert RerankConfig(lambda_grid=(0.0, 2.5)).lambda_grid == (0.0, 2.5)
+
+    def test_negative_zero_is_stored_as_zero(self):
+        grid = RerankConfig(lambda_grid=(-0.0, 2.0)).lambda_grid
+        assert grid == (0.0, 2.0) and math.copysign(1.0, grid[0]) == 1.0
+        assert [lambda_label(lam) for lam in grid] == ["0", "2"]
+
+    def test_labels_are_the_g_text(self):
+        assert [lambda_label(lam) for lam in (0.0, 0.5, 40.0, 1.0000001, 1e-07)] == ["0", "0.5", "40", "1", "1e-07"]
 
     def test_pool_smaller_than_k_rejected(self):
         with pytest.raises(ValueError):
@@ -310,8 +328,8 @@ class TestRerankConfigValidation:
 
 def _scored(lists, matrix, part, lam, per_user=False):
     """Hand-picked lists with the scores the solver would keep on them: the
-    listed cells of the matrix and of `adjusted_scores`."""
-    adjusted = adjusted_scores(matrix, part, lam, per_user)
+    listed cells of the matrix and of the reference shift."""
+    adjusted = reference.adjusted_scores(matrix, part, lam, per_user)
     scores, shifted = (np.take_along_axis(m.values, lists.items, axis=1) for m in (matrix, adjusted))
     return replace(lists, scores=scores, adjusted=shifted)
 
@@ -413,7 +431,7 @@ class TestWriteLists:
         ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(m) for i in range(n)]))
         lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k, per_user_lambda=per_user), (lam,))[0]
         path = write_lists(tmp_path / "l.tsv", lists, ds, inst.part)
-        adjusted = adjusted_scores(inst.scores, inst.part, lam, per_user)
+        adjusted = reference.adjusted_scores(inst.scores, inst.part, lam, per_user)
         expected = [
             f"u{u}\t{rank}\ti{item}\t{inst.scores.values[u, item]:.10g}\t{adjusted.values[u, item]:.10g}"
             f"\t{'short' if inst.part.short_head[item] else 'long'}"

@@ -364,3 +364,26 @@ class TestScoreMatrixValidation:
 
     def test_sentinel_allowed(self):
         ScoreMatrix(np.array([[MASKED, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_one_bad_cell_among_masked_ones_is_named(self, bad):
+        values = np.full((3, 4), MASKED)
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match=r"^score matrix contains NaN or \+inf entries$"):
+            ScoreMatrix(values)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (0, 4), (3, 0)], ids=["all-masked", "no-users", "no-items"])
+    def test_masked_and_empty_matrices_accepted(self, shape):
+        assert ScoreMatrix(np.full(shape, MASKED)).values.shape == shape
+
+    def test_check_builds_no_matrix_sized_temporary(self):
+        # 1000 x 1000 floats: an m x n bool mask alone is 1 MB
+        values = np.random.default_rng(8).random((1000, 1000))
+        values[::7] = MASKED
+        tracemalloc.start()
+        try:
+            ScoreMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"peak {peak} bytes"

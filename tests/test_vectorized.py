@@ -10,7 +10,7 @@ import reference
 from fairrerank import rerank
 from fairrerank.dataset import Interactions, PopularityPartition
 from fairrerank.metrics import eval_context, evaluate
-from fairrerank.rerank import RecommendationLists, RerankConfig, adjusted_scores, rerank_oracle, rerank_path
+from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_oracle, rerank_path
 from fairrerank.scorers import MASKED, ScoreMatrix
 from fairrerank.synthetic import random_rerank_instance
 
@@ -67,8 +67,8 @@ def _check_against_reference(kind, tie_break):
         for lam, got, want in zip(LAMBDAS, rerank_path(matrix, part, cfg, LAMBDAS, tie_break), expected):
             assert np.array_equal(got.items, want.items)
             assert got.objective == want.objective and repr(got.objective) == repr(want.objective)
-            # the kept scores are the matrix's and adjusted_scores' cells, bit for bit
-            adjusted = adjusted_scores(matrix, part, lam, cfg.per_user_lambda)
+            # the kept scores are the matrix's and the reference shift's cells, bit for bit
+            adjusted = reference.adjusted_scores(matrix, part, lam, cfg.per_user_lambda)
             assert got.scores.tobytes() == np.take_along_axis(matrix.values, got.items, axis=1).tobytes()
             assert got.adjusted.tobytes() == np.take_along_axis(adjusted.values, got.items, axis=1).tobytes()
             compared += 1
