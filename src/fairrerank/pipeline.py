@@ -12,7 +12,9 @@ wrapped in StageError naming the stage, except malformed input
 (DataError), which is re-raised as a DataError naming the stage.
 A run checks its split in one gate, after the split and before the first
 file is written: input it cannot re-rank or score fails there with a
-DataError (exit 1 at the CLI), not in a later stage.
+DataError (exit 1 at the CLI), not in a later stage. The import file is
+parsed there, once: the gate's matrix is the one the import scorer uses, so
+each stage key is recorded once. Inputs are hashed before the first write.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .metrics import eval_context, evaluate, judgments_from_interactions
 from .rerank import lambda_label, rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import (
-    MASKED, ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, score_cells, write_scores,
+    ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores,
 )
 from .util import atomic_write_text, sha256_file
 
@@ -120,12 +122,12 @@ def _short_users(ds: Dataset, counts: np.ndarray, k: int, what: str) -> None:
                         f"(first user {ds.user_keys[short[0]]!r} has {counts[short[0]]})")
 
 
-def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageClock) -> None:
+def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageClock) -> dict[str, ScoreMatrix]:
     """Reject, with a DataError before any file is written, a split a run
     cannot re-rank and score: one user (personalization compares pairs of
     lists), no judged user, k above the catalog, users with fewer than k
-    unseen items under mask_seen, or a bad import file. The import checks run
-    in the score[import] stage and keep nothing: the scorer reads it again."""
+    unseen items under mask_seen, or a bad import file. Returns the matrix
+    its score[import] stage parsed, {"import": matrix}, or {}: the only parse."""
     ds, train, k = artifacts.dataset, artifacts.split.train, cfg.rerank.k
     if ds.num_users < 2:
         raise DataError(f"a run needs at least 2 users (personalization compares their lists), got "
@@ -139,30 +141,28 @@ def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageCl
         unseen = ds.num_items - np.bincount(train.users, minlength=ds.num_users)
         _short_users(ds, unseen, k, "unseen items to select")
 
-    def check_import() -> None:
-        selectable = np.full((ds.num_users, ds.num_items), cfg.fill != MASKED)
-        with open(cfg.import_path, "r", encoding="utf-8") as fh:
-            for u, i, _ in score_cells(fh, ds):
-                selectable[u, i] = True
+    def check_import() -> ScoreMatrix:
+        scores = _score_one(cfg, "import", artifacts)
+        selectable = np.isfinite(scores.values)
         if cfg.mask_seen:
             selectable[train.users, train.items] = False
         _short_users(ds, selectable.sum(axis=1), k, "selectable imported cells with scorer.fill = sentinel")
+        return scores
 
-    if "import" in cfg.scorers:
-        clock.run("score[import]", check_import)
+    return {"import": clock.run("score[import]", check_import)} if "import" in cfg.scorers else {}
 
 
 def _write_manifest(
     path: Path,
     cfg: ExperimentConfig,
-    inputs: dict[str, Path],
+    inputs: dict[str, str],
     outputs: dict[str, Path],
     clock: _StageClock,
 ) -> Path:
     manifest = {
         "toolkit_version": __version__,
         "config": config_snapshot(cfg),
-        "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
+        "inputs": inputs,
         "outputs": {name: sha256_file(p) for name, p in sorted(outputs.items())},
         "stages_seconds": clock.seconds,
     }
@@ -187,8 +187,8 @@ def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifact
     """The `split` command: ingest, split, partition, write artifacts."""
     clock = _StageClock()
     artifacts = _ingest_split(cfg, clock)
+    inputs = {"input": sha256_file(cfg.input_path)}  # before the split files, which may overwrite it
     files = _write_split(cfg, artifacts, Path(out_dir), clock)
-    inputs = {"input": Path(cfg.input_path)}
     files["manifest"] = clock.run("manifest", _write_manifest, Path(out_dir) / "manifest.json", cfg, inputs, files, clock)
     return artifacts, files
 
@@ -197,11 +197,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     """The `run` command: the full pipeline over every configured scorer and
     every grid point, emitting list files, reports, and the manifest. Each
     scorer's matrix is exported, then masked in place and re-ranked, and
-    dropped before its lists are evaluated and written."""
+    dropped before its lists are evaluated and written. The gate's import
+    matrix is used first; the report rows keep the order of cfg.scorers."""
     out_dir = Path(out_dir)
     clock = _StageClock()
     artifacts = _ingest_split(cfg, clock)
-    _preflight(cfg, artifacts, clock)
+    held = _preflight(cfg, artifacts, clock)
+    inputs = {"input": sha256_file(cfg.input_path)}  # before the first write, which may overwrite an input
+    if "import" in cfg.scorers:
+        inputs["import"] = sha256_file(cfg.import_path)
     files = _write_split(cfg, artifacts, out_dir, clock)
     ds = artifacts.dataset
 
@@ -210,8 +214,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     lambdas = cfg.rerank.lambda_grid
     rows: list[ReportRow] = []
 
-    for name in cfg.scorers:
-        scores = clock.run(f"score[{name}]", _score_one, cfg, name, artifacts)
+    for name in sorted(cfg.scorers, key=lambda name: name not in held):
+        scores = held.pop(name) if name in held else clock.run(f"score[{name}]", _score_one, cfg, name, artifacts)
         files[f"scores_{name}"] = clock.run(
             f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", scores, ds
         )
@@ -227,14 +231,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
             files[path.stem] = clock.run(f"lists_file[{name},{label}]", write_lists, path, lists, ds, artifacts.partition)
 
     # all stages succeeded; now write the reports
+    rows.sort(key=lambda row: cfg.scorers.index(row.model))  # stable: λ order within a scorer
     renderers = {"csv": render_csv, "json": render_json, "md": render_markdown}
     for fmt_name in cfg.formats:
         files[f"report_{fmt_name}"] = clock.run(
             f"report_file[{fmt_name}]", atomic_write_text, out_dir / f"report.{fmt_name}", (renderers[fmt_name](rows),)
         )
 
-    inputs = {"input": Path(cfg.input_path)}
-    if "import" in cfg.scorers:
-        inputs["import"] = Path(cfg.import_path)
     manifest = clock.run("manifest", _write_manifest, out_dir / "manifest.json", cfg, inputs, files, clock)
     return RunResult(rows=rows, files=files, manifest_path=manifest)

@@ -15,7 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "mf_scorer",
     "train_mf_factors",
     "mf_objective",
-    "score_cells",
     "load_scores",
     "read_scores",
     "write_scores",
@@ -193,9 +192,15 @@ def mf_scorer(train: Interactions, cfg: MFConfig = MFConfig()) -> ScoreMatrix:
     return ScoreMatrix(user_factors @ item_factors.T)
 
 
-def score_cells(source: Iterable[str], ds: Dataset) -> Iterator[tuple[int, int, float]]:
-    """The checked (user, item, score) cell of each non-blank "user_key<TAB>
-    item_key<TAB>score" line; a malformed line raises a DataError naming it."""
+def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreMatrix:
+    """Import externally computed scores from "user_key<TAB>item_key<TAB>score"
+    lines; a malformed line raises a DataError naming it. Cells absent from
+    the file take `fill` (use -inf to make them unselectable); later
+    duplicates overwrite earlier ones. The fraction of cells provided is
+    recorded on the result and logged when below 1."""
+    m, n = ds.num_users, ds.num_items
+    values = np.full((m, n), fill, dtype=np.float64)
+    provided = np.zeros((m, n), dtype=bool)
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -214,19 +219,7 @@ def score_cells(source: Iterable[str], ds: Dataset) -> Iterator[tuple[int, int, 
             raise DataError(f"unparseable score {score_text!r}", lineno) from None
         if not math.isfinite(score):
             raise DataError(f"non-finite score {score_text!r}", lineno)
-        yield ds.user_index[user_key], ds.item_index[item_key], score
-
-
-def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreMatrix:
-    """Import externally computed scores from "user_key<TAB>item_key<TAB>score"
-    lines. Cells absent from the file take `fill` (use -inf to make them
-    unselectable); later duplicates overwrite earlier ones. The fraction of
-    cells provided is recorded on the result and logged when below 1.
-    """
-    m, n = ds.num_users, ds.num_items
-    values = np.full((m, n), fill, dtype=np.float64)
-    provided = np.zeros((m, n), dtype=bool)
-    for u, i, score in score_cells(source, ds):
+        u, i = ds.user_index[user_key], ds.item_index[item_key]
         values[u, i] = score
         provided[u, i] = True
     coverage = float(provided.sum()) / float(m * n)

@@ -11,7 +11,8 @@ from typing import Iterable
 
 def atomic_write_text(path: Path | str, parts: Iterable[str]) -> Path:
     """Write the text chunks `parts` to `path`, one at a time, via a temp file
-    + rename: readers never see a partial file, and a failed write leaves none."""
+    + rename: readers never see a partial file, and a failed write leaves none.
+    The file gets the mode `open(path, "w")` gives a new file: 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -19,6 +20,9 @@ def atomic_write_text(path: Path | str, parts: Iterable[str]) -> Path:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
                 fh.write(part.encode("utf-8"))
+        umask = os.umask(0)  # reading the umask means setting it: put it back at once
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)  # mkstemp made it 0o600
         os.replace(tmp_name, path)
     except BaseException:
         try:

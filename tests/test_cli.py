@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairrerank import pipeline
+from fairrerank import pipeline, scorers
 from fairrerank.cli import _build_parser, main
 from fairrerank.config import (
     ConfigError,
@@ -19,7 +19,7 @@ from fairrerank.dataset import build_dataset, partition_popularity, read_interac
 from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
 from fairrerank.pipeline import run_experiment
 from fairrerank.rerank import RerankConfig, rerank_path, write_lists
-from fairrerank.scorers import ScoreMatrix, mask_seen, popularity_scorer, random_scorer, write_scores
+from fairrerank.scorers import ScoreMatrix, load_scores, mask_seen, popularity_scorer, random_scorer, write_scores
 from fairrerank.synthetic import write_zipf_dataset
 from fairrerank.util import sha256_file
 
@@ -175,6 +175,52 @@ class TestRunCommand:
             manifests.append(json.loads((base / run / "manifest.json").read_text()))
         assert manifests[0]["outputs"] == manifests[1]["outputs"]
         assert manifests[0]["inputs"] == manifests[1]["inputs"]
+
+    @pytest.mark.parametrize("command, key", [("split", "input"), ("run", "input"), ("run", "import")])
+    def test_manifest_hashes_the_input_bytes_that_were_read(self, demo, command, key):
+        # each input sits where the run writes an output over it
+        config, base = demo
+        out = base / "loop"
+        out.mkdir()
+        paths = {"input": out / "train.tsv", "import": out / "scores_import.tsv"}
+        paths["input"].write_bytes((base / "demo.tsv").read_bytes())
+        paths["import"].write_text("u0\ti0\t0.5\n")
+        overrides = [f"input.path={paths['input']}"]
+        if key == "import":
+            overrides += ["scorer.names=import", f"scorer.import_path={paths['import']}"]
+        read = sha256_file(paths[key])
+        assert main([command, "--config", str(config), "--out", str(out), *(a for o in overrides for a in ("--set", o))]) == 0
+        assert sha256_file(paths[key]) != read
+        assert json.loads((out / "manifest.json").read_text())["inputs"][key] == read
+
+    def test_import_is_parsed_once_and_every_stage_recorded_once(self, demo, monkeypatch):
+        config, base = demo
+        scores = base / "ext.tsv"
+        scores.write_text("u0\ti0\t0.25\nu1\ti1\t-0.5\n")  # the other cells take scorer.fill
+        cfg = load_config(config, {"scorer.names": "popularity,import,random", "scorer.import_path": str(scores)})
+        parses, reads, stages = [], [], []
+
+        def counted_load_scores(*args, **kwargs):
+            parses.append(args)
+            return load_scores(*args, **kwargs)
+
+        def counted_open(file, mode="r", *args, **kwargs):
+            if str(file) == str(scores) and "b" not in mode:  # the manifest hashes it in binary mode
+                reads.append(mode)
+            return builtin_open(file, mode, *args, **kwargs)
+
+        def recorded_run(clock, stage, func, *args, **kwargs):
+            stages.append(stage)
+            return clock_run(clock, stage, func, *args, **kwargs)
+
+        clock_run, builtin_open = pipeline._StageClock.run, open
+        monkeypatch.setattr(scorers, "load_scores", counted_load_scores)
+        monkeypatch.setattr("builtins.open", counted_open)
+        monkeypatch.setattr(pipeline._StageClock, "run", recorded_run)
+        result = run_experiment(cfg, base / "once")
+        assert len(parses) == 1 and len(reads) == 1
+        assert len(stages) == len(set(stages)) and "score[import]" in stages
+        assert [row.model for row in result.rows] == ["popularity"] * 3 + ["import"] * 3 + ["random"] * 3
 
     def test_manifest_config_snapshot_round_trips(self, demo):
         config, base = demo

@@ -4,7 +4,8 @@ re-ranker and the metrics were vectorized, so any changed byte in a list,
 score export, split file or report (reports print floats in full repr)
 fails here. `manifest.json` holds wall-clock seconds, so only its
 `outputs` hashes are compared. The mf scorer is left out: its floats
-depend on the BLAS build, while popularity and random scores do not."""
+depend on the BLAS build, while popularity, random and imported scores do
+not. The `import` variant reads a score file written from the same log."""
 
 import hashlib
 import json
@@ -26,6 +27,7 @@ BASE = {
 VARIANTS = {
     "plain": {},
     "pool_per_user": {"rerank.pool_size": "12", "rerank.per_user_lambda": "true", "rerank.lambda_grid": "0.01,0.05,0.2"},
+    "import": {"scorer.names": "popularity,import", "scorer.fill": "sentinel"},
 }
 
 PINNED = {
@@ -69,7 +71,46 @@ PINNED = {
         "train.tsv": "9c56a81a0beafc4c7b6b14336d26208453ddb620f80d864de04db0bd6a487edb",
         "valid.tsv": "c839124ffaaca70c60af0c02ef979981beceaff326b751822c68ee05a5a3af03",
     },
+    "import": {
+        "lists_import_lambda0.5.tsv": "7dd91a9addb0b5c70888f7c566ca7b2a481827f85554f40b46a6c49e9623ce4f",
+        "lists_import_lambda0.tsv": "ec3ceb9a192bedd3f2e288cea9558e47d318cf18b44ee803ba0a38e513a3ab0a",
+        "lists_import_lambda2.tsv": "a4bf007d73649dcafc2e6346cd578223d08bbe6209f4a8457e2eaa3ae07679a6",
+        "lists_import_lambda40.tsv": "e25f88892b5e0af6bccb2c5c8b0f144c9be8e45bb061e5055340df278a3d64fd",
+        "lists_import_lambda8.tsv": "bb92cd6d85f4901cdb31b2502b86a6db93a60486389f37c8c465c16da5841c88",
+        "lists_popularity_lambda0.5.tsv": "e247c4b1bc2ac7b715f9adc7f8ee296a858e8126f68b4553e61ef14579818a0d",
+        "lists_popularity_lambda0.tsv": "be22ab92b37a514c3d99d5cd983905201b5a3eac4b7701733cad7dddf0eb0459",
+        "lists_popularity_lambda2.tsv": "d24fce4bb23a9d0108c2ab50329d1111a59b699993981d9a84dd9010ae195dc3",
+        "lists_popularity_lambda40.tsv": "a23371c465b00f6b9ff0170382a91346bc88a25b542652f37825ca438aed9835",
+        "lists_popularity_lambda8.tsv": "9b64308581ff85bdc4820636205fe062c8aefa0704e2181cc9fbf9052f4400d0",
+        "partition.tsv": "ec91188420b5794586a5646a0a82602ecf77953e60c71e9516f904d4856b6578",
+        "report.csv": "3630204686c3d82b2e9210d4c8c0409f08e2cde7ee592c16444dae98d1d6170f",
+        "report.json": "4e2e4d48bd046358755428b8eb344e9b8ab98b4ff15555b4fe744d934637a01d",
+        "report.md": "5b49e0b768b0bead599ae7663c9f37622bfdd444b30a1c96957a457ce0ee8fc1",
+        "scores_import.tsv": "e75a43b1fa1c02d730487063621268a0c21a6bfbb202f7d0eb37eff9779247bd",
+        "scores_popularity.tsv": "b21f857950eb91dc83c71675932d5fb0f6ff39f21aecb7a0cf7b0cd210bdf88c",
+        "test.tsv": "07e52e9473f34680a165a56f4f918374962bc42e8919b6e781d56446f12251d6",
+        "train.tsv": "9c56a81a0beafc4c7b6b14336d26208453ddb620f80d864de04db0bd6a487edb",
+        "valid.tsv": "c839124ffaaca70c60af0c02ef979981beceaff326b751822c68ee05a5a3af03",
+    },
 }
+
+
+def _write_import_scores(data, path):
+    """A score file over the log's own keys: every fifth cell is left out (it
+    takes scorer.fill), zero scores are written both as 0.0 and as -0.0, and
+    one cell is given twice, where the later line must win."""
+    fields = [line.split("\t") for line in data.read_text().splitlines()]
+    users = list(dict.fromkeys(f[0] for f in fields))
+    items = list(dict.fromkeys(f[1] for f in fields))
+    lines = [f"{users[0]}\t{items[1]}\t9.5"]
+    for a, user in enumerate(users):
+        for b, item in enumerate(items):
+            if (a + b) % 5:
+                score = ((3 * a + 7 * b) % 11 - 5) / 4
+                text = "-0.0" if score == 0 and (a + b) % 2 else repr(score)
+                lines.append(f"{user}\t{item}\t{text}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def _digest(path):
@@ -82,6 +123,8 @@ def test_run_outputs_match_pinned_digests(tmp_path, variant):
     write_zipf_dataset(data, 70, 45, 1.0, per_user=9, seed=4)
     out = tmp_path / "out"
     pairs = {"input.path": str(data), "output.dir": str(out), **BASE, **VARIANTS[variant]}
+    if "import" in pairs["scorer.names"]:
+        pairs["scorer.import_path"] = str(_write_import_scores(data, tmp_path / "import.tsv"))
     config = tmp_path / "exp.cfg"
     config.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items()))
     assert main(["run", "--config", str(config)]) == 0

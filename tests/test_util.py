@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 
 import pytest
 
@@ -32,3 +34,18 @@ def test_raising_chunk_source_keeps_the_old_file(tmp_path):
         atomic_write_text(target, _failing_parts())
     assert target.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
+    target = tmp_path / "out.tsv"
+    target.write_bytes(b"old bytes\n")
+    target.chmod(0o640)  # a re-run replaces the file with a fresh one
+    old = os.umask(umask)
+    try:
+        atomic_write_text(target, ("new bytes\n",))
+        fresh = atomic_write_text(tmp_path / "fresh.tsv", ("x\n",))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == mode
+    assert stat.S_IMODE(fresh.stat().st_mode) == mode
