@@ -25,11 +25,12 @@ Formulas:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import Interactions, PopularityPartition, distinct_user_counts
-from .rerank import RecommendationLists, fairness_gap
+from .rerank import RecommendationLists
 
 __all__ = [
     "EvaluationReport",
@@ -45,14 +46,6 @@ def judgments_from_interactions(inter: Interactions) -> list[set[int]]:
     for u, i in zip(inter.users.tolist(), inter.items.tolist()):
         out[u].add(i)
     return out
-
-
-def _truncate(lists: RecommendationLists, k: int) -> np.ndarray:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if lists.k < k:
-        raise ValueError(f"lists have {lists.k} entries but k={k} requested")
-    return lists.items[:, :k]
 
 
 def _keys(users: np.ndarray, items: np.ndarray, num_items: int) -> np.ndarray:
@@ -84,7 +77,6 @@ def _discounts(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _accuracy(hits: np.ndarray, sizes: np.ndarray, discounts: np.ndarray, idcg: np.ndarray) -> tuple[float, float, float]:
     """Mean precision, recall and NDCG over the users with judgments."""
-    sizes = sizes[: len(hits)]
     judged = sizes > 0
     if not judged.any():
         raise ValueError("no user has relevance judgments")
@@ -101,21 +93,29 @@ def _novelty(items: np.ndarray, counts: np.ndarray, num_users: int) -> float:
     return float(np.mean(-np.log2(probed)))
 
 
-def _diversity(items: np.ndarray, train: Interactions, counts: np.ndarray) -> float:
-    k = items.shape[1]
-    if k < 2:
-        raise ValueError("diversity needs lists of at least 2 items")
-    # co-interaction Gram matrix of the recommended items only; its entries
-    # are exact integer counts, as the per-list dot products were
-    recommended, slot = np.unique(items, return_inverse=True)
-    row_of = np.full(len(counts), -1, dtype=np.int64)
+def _union_gram(point_items: list[np.ndarray], train: Interactions, num_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """The co-interaction Gram of the items any list set recommends, and
+    each item's row in it (-1 for the others). One incidence over the
+    union serves the whole grid, so memory follows the union, not the
+    number of sets; the entries are exact integer counts, as the per-list
+    dot products were."""
+    row_of = np.full(num_items, -1, dtype=np.int64)
+    for items in point_items:
+        row_of[items] = 0
+    recommended = np.flatnonzero(row_of == 0)
     row_of[recommended] = np.arange(len(recommended))
     rows = row_of[train.items]
     vectors = np.zeros((len(recommended), train.num_users), dtype=np.float64)
     vectors[rows[rows >= 0], train.users[rows >= 0]] = 1.0
-    gram = vectors @ vectors.T
+    return vectors @ vectors.T, row_of
+
+
+def _diversity(items: np.ndarray, gram: np.ndarray, row_of: np.ndarray, counts: np.ndarray) -> float:
+    k = items.shape[1]
+    if k < 2:
+        raise ValueError("diversity needs lists of at least 2 items")
     first, second = np.triu_indices(k, 1)
-    slot, norm_sq = slot.reshape(items.shape), counts[items].astype(np.float64)
+    slot, norm_sq = row_of[items], counts[items].astype(np.float64)
     # sqrt of the product of squared norms keeps cosines of identical
     # integer-count columns exactly 1
     denom = np.sqrt(norm_sq[:, first] * norm_sq[:, second])
@@ -134,11 +134,6 @@ def _popular_mask(counts: np.ndarray, k: int) -> np.ndarray:
 
 def _serendipity(items: np.ndarray, popular: np.ndarray) -> float:
     return float(np.mean((~popular[items]).sum(axis=1) / items.shape[1]))
-
-
-def _relevant_exposure(items: np.ndarray, hits: np.ndarray, short_head: np.ndarray) -> tuple[int, int]:
-    rel_short = int(np.count_nonzero(hits & short_head[items]))
-    return rel_short, int(np.count_nonzero(hits)) - rel_short
 
 
 def _personalization(items: np.ndarray, num_items: int) -> float:
@@ -221,39 +216,43 @@ def eval_context(
     return EvalContext(judged, sizes, counts, _popular_mask(counts, k), discounts, idcg, train, part, k)
 
 
-def evaluate(ctx: EvalContext, lists: RecommendationLists) -> EvaluationReport:
-    """Compute the full metric suite for one set of lists against a
-    context: every metric comes from one m x k hit matrix and the context.
+def evaluate(ctx: EvalContext, point_lists: Sequence[RecommendationLists]) -> list[EvaluationReport]:
+    """Compute the full metric suite for each list set of a λ grid against a
+    context, one validated report per set: pass the sets rerank_path
+    returns, or [lists] and take [0] for one set. Lists longer than ctx.k
+    are cut to it. Diversity reads every set's item pairs from one Gram over
+    the union of the sets' items; every other metric comes from the set's
+    own m x k hit matrix and the context.
 
     evaluated_users counts the lists evaluated (all of them); accuracy
     metrics internally average over the subset of users with judgments.
     """
-    k, part = ctx.k, ctx.part
-    if part.num_items != lists.num_items:
-        raise ValueError("partition length does not match lists")
-    if lists.k != k:
-        lists = RecommendationLists(items=_truncate(lists, k).copy(), num_items=lists.num_items)
-    items = lists.items
-    hits = _hits(items, ctx.judged, lists.num_items)
-    precision, recall, ndcg = _accuracy(hits, ctx.judged_sizes, ctx.discounts, ctx.idcg)
-    rel_short, rel_long = _relevant_exposure(items, hits, part.short_head)
-    exposure = fairness_gap(lists, part)
-    report = EvaluationReport(
-        ndcg=ndcg,
-        precision=precision,
-        recall=recall,
-        novelty=_novelty(items, ctx.counts, ctx.train.num_users),
-        diversity=_diversity(items, ctx.train, ctx.counts),
-        coverage=len(np.unique(items)) / part.num_items,
-        personalization=_personalization(items, lists.num_items),
-        serendipity=_serendipity(items, ctx.popular),
-        short_count=exposure.short_count,
-        rel_short=rel_short,
-        long_count=exposure.long_count,
-        rel_long=rel_long,
-        fairness_gap=exposure.gap,
-        k=k,
-        evaluated_users=lists.num_users,
-    )
-    report.validate()
-    return report
+    k, part, users = ctx.k, ctx.part, len(ctx.judged_sizes)
+    for lists in point_lists:
+        if part.num_items != lists.num_items:
+            raise ValueError("partition length does not match lists")
+        if lists.num_users != users:
+            raise ValueError(f"lists cover {lists.num_users} users but the context has {users} judgment sets")
+        if lists.k < k:
+            raise ValueError(f"lists have {lists.k} entries but k={k} requested")
+    point_items = [lists.items[:, :k] for lists in point_lists]
+    gram, row_of = _union_gram(point_items, ctx.train, part.num_items)
+    reports = []
+    for items in point_items:
+        hits = _hits(items, ctx.judged, part.num_items)
+        precision, recall, ndcg = _accuracy(hits, ctx.judged_sizes, ctx.discounts, ctx.idcg)
+        short = part.short_head[items]
+        short_count, rel_short = int(np.count_nonzero(short)), int(np.count_nonzero(hits & short))
+        long_count, rel_long = items.size - short_count, int(np.count_nonzero(hits)) - rel_short
+        reports.append(EvaluationReport(
+            ndcg=ndcg, precision=precision, recall=recall,
+            novelty=_novelty(items, ctx.counts, ctx.train.num_users),
+            diversity=_diversity(items, gram, row_of, ctx.counts),
+            coverage=len(np.unique(items)) / part.num_items,
+            personalization=_personalization(items, part.num_items),
+            serendipity=_serendipity(items, ctx.popular),
+            short_count=short_count, rel_short=rel_short, long_count=long_count, rel_long=rel_long,
+            fairness_gap=(short_count - long_count) / users, k=k, evaluated_users=users,
+        ))
+        reports[-1].validate()
+    return reports

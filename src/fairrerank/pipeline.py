@@ -3,13 +3,14 @@ lambda grid -> evaluate -> report, plus the run manifest.
 
 Each stage is deterministic given the config and input bytes, so re-running
 a config reproduces every output file byte for byte. Output files are
-written atomically (temp file + rename). Each list file is written as soon
-as its λ point is evaluated; only the report files wait until every stage
-has succeeded, so a failed run cannot leave partial reports behind. Every
-step that computes, masks or writes runs as a named stage (a list file is
-`lists_file[scorer,λ]`, a report `report_file[fmt]`). A stage failure is
-wrapped in StageError naming the stage, except malformed input
-(DataError), which is re-raised as a DataError naming the stage.
+written atomically (temp file + rename). A scorer's whole λ grid is
+evaluated in one `evaluate[scorer]` stage, and then its list files are
+written; only the report files wait until every stage has succeeded, so a
+failed run cannot leave partial reports behind. Every step that computes,
+masks or writes runs as a named stage (a list file is `lists_file[scorer,λ]`,
+a report `report_file[fmt]`). A stage failure is wrapped in StageError
+naming the stage, except malformed input (DataError), which is re-raised
+as a DataError naming the stage.
 A run checks its split in one gate, after the split and before the first
 file is written: input it cannot re-rank or score fails there with a
 DataError (exit 1 at the CLI), not in a later stage. The import file is
@@ -223,9 +224,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
             clock.run(f"mask[{name}]", mask_seen, scores, artifacts.split.train)
         point_lists = clock.run(f"rerank[{name}]", rerank_path, scores, artifacts.partition, cfg.rerank, lambdas)
         del scores  # the lists carry their scores; two m x n matrices are never alive at once
-        for lam, lists in zip(lambdas, point_lists):
+        reports = clock.run(f"evaluate[{name}]", evaluate, ctx, point_lists)
+        for lam, lists, report in zip(lambdas, point_lists, reports):
             label = lambda_label(lam)
-            report = clock.run(f"evaluate[{name},{label}]", evaluate, ctx, lists)
             rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=report))
             path = out_dir / f"lists_{name}_lambda{label}.tsv"
             files[path.stem] = clock.run(f"lists_file[{name},{label}]", write_lists, path, lists, ds, artifacts.partition)

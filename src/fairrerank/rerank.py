@@ -377,12 +377,11 @@ def lambda_sweep(
     train: Interactions,
 ) -> list[tuple[float, "EvaluationReport"]]:
     """Re-rank and fully evaluate at every point of cfg.lambda_grid, which
-    starts at the 0.0 fairness-unaware baseline."""
+    starts at the 0.0 fairness-unaware baseline: one path, one evaluation."""
     from .metrics import eval_context, evaluate  # deferred: metrics imports RecommendationLists from here
 
-    ctx = eval_context(judgments, train, part, cfg.k)
     lists = rerank_path(matrix, part, cfg, cfg.lambda_grid)
-    return [(lam, evaluate(ctx, point)) for lam, point in zip(cfg.lambda_grid, lists)]
+    return list(zip(cfg.lambda_grid, evaluate(eval_context(judgments, train, part, cfg.k), lists)))
 
 
 def write_lists(path: Path | str, lists: RecommendationLists, ds: Dataset, part: PopularityPartition) -> Path:

@@ -153,7 +153,7 @@ def _check_metric_bounds(count: int, seed: int):
     for idx in range(count):
         lists, judgments, train, part, k = _random_evaluation(rng)
         try:
-            report = evaluate(eval_context(judgments, train, part, k), lists)
+            report = evaluate(eval_context(judgments, train, part, k), [lists])[0]
         except ValueError as exc:
             return False, f"evaluation {idx}: {exc}"
         if not math.isfinite(report.novelty):

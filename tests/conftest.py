@@ -20,12 +20,12 @@ def pair_set(inter):
 
 
 def evaluated(lists, judgments=None, train=None, part=None, k=None):
-    """The report `evaluate(eval_context(...))` gives for one list set. The
-    inputs a caller leaves out get defaults that the metric under test does
-    not read: each user judges their first listed item, the train split is
-    empty, every item is long-tail, and k is the list length. A one-user set
-    is scored as two copies of that user, which leaves every mean unchanged
-    (personalization compares pairs of lists)."""
+    """The report `evaluate(eval_context(...), [lists])[0]` gives for one
+    list set. The inputs a caller leaves out get defaults that the metric
+    under test does not read: each user judges their first listed item, the
+    train split is empty, every item is long-tail, and k is the list length.
+    A one-user set is scored as two copies of that user, which leaves every
+    mean unchanged (personalization compares pairs of lists)."""
     m, n = lists.num_users, lists.num_items
     if judgments is None:
         judgments = [{item} for item in lists.items[:, 0].tolist()]
@@ -36,7 +36,7 @@ def evaluated(lists, judgments=None, train=None, part=None, k=None):
     if m == 1:
         lists = RecommendationLists(items=np.repeat(lists.items, 2, axis=0), num_items=n)
         judgments = judgments * 2
-    return evaluate(eval_context(judgments, train, part, lists.k if k is None else k), lists)
+    return evaluate(eval_context(judgments, train, part, lists.k if k is None else k), [lists])[0]
 
 
 @pytest.fixture

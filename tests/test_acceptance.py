@@ -132,7 +132,7 @@ def test_c7_desk_scale_trend_reproduction():
     ctx = eval_context(judgments_from_interactions(triple.test), triple.train, part, 10)
 
     def run(lam):
-        return evaluate(ctx, rerank_path(scores, part, RerankConfig(k=10), (lam,))[0])
+        return evaluate(ctx, [rerank_path(scores, part, RerankConfig(k=10), (lam,))[0]])[0]
 
     base = run(0.0)
     witnesses = []

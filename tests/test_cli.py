@@ -222,6 +222,14 @@ class TestRunCommand:
         assert len(stages) == len(set(stages)) and "score[import]" in stages
         assert [row.model for row in result.rows] == ["popularity"] * 3 + ["import"] * 3 + ["random"] * 3
 
+    def test_each_scorer_records_one_evaluate_stage(self, demo):
+        config, base = demo
+        cfg = load_config(config, {"scorer.names": "popularity,random", "rerank.lambda_grid": "0,1,4,9"})
+        run_experiment(cfg, base / "grid")
+        stages = json.loads((base / "grid" / "manifest.json").read_text())["stages_seconds"]
+        assert sorted(key for key in stages if key.startswith("evaluate[")) == ["evaluate[popularity]", "evaluate[random]"]
+        assert len(cfg.rerank.lambda_grid) == 4 and sum(key.startswith("lists_file[") for key in stages) == 8
+
     def test_manifest_config_snapshot_round_trips(self, demo):
         config, base = demo
         main(["run", "--config", str(config)])
@@ -241,7 +249,7 @@ class TestRunCommand:
         scores = mask_seen(popularity_scorer(triple.train), triple.train)
         lists = rerank_path(scores, part, RerankConfig(k=cfg.rerank.k), (0.0,))[0]
         judgments = judgments_from_interactions(triple.test)
-        direct = evaluate(eval_context(judgments, triple.train, part, cfg.rerank.k), lists)
+        direct = evaluate(eval_context(judgments, triple.train, part, cfg.rerank.k), [lists])[0]
         n_row = next(row.report for row in result.rows if row.row_type == "N")
         assert n_row == direct
 

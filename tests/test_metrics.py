@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ class TestPersonalization:
     def test_single_user_rejected(self):
         ctx = eval_context([{0}], interactions([], 1, 3), make_partition([False] * 3), 2)
         with pytest.raises(ValueError, match="at least 2 users"):
-            evaluate(ctx, lists_of([[0, 1]], 3))
+            evaluate(ctx, [lists_of([[0, 1]], 3)])
 
     def test_exact_above_5000_users(self):
         # two groups of g users with disjoint lists, identical within a
@@ -287,7 +288,50 @@ class TestEvaluateAll:
                 long_count=0, rel_long=0, fairness_gap=0, k=1, evaluated_users=0,
             ).validate()
 
+    def test_fewer_judgment_sets_than_lists_rejected(self):
+        lists, judgments, train, part, k = _full_inputs(m=6)
+        ctx = eval_context(judgments[:4], train, part, k)
+        with pytest.raises(ValueError, match="lists cover 6 users but the context has 4 judgment sets"):
+            evaluate(ctx, [lists])
+
+    def test_more_judgment_sets_than_lists_rejected(self):
+        lists, judgments, train, part, k = _full_inputs(m=6)
+        four = RecommendationLists(items=lists.items[:4], num_items=lists.num_items)
+        with pytest.raises(ValueError, match="lists cover 4 users but the context has 6 judgment sets"):
+            evaluate(eval_context(judgments, train, part, k), [lists, four])
+
+    def test_no_list_set_gives_no_report(self):
+        lists, judgments, train, part, k = _full_inputs()
+        assert evaluate(eval_context(judgments, train, part, k), []) == []
+
     def test_judgments_from_interactions(self):
         test_set = interactions([(0, 1, 1.0), (0, 2, 1.0), (2, 0, 1.0)], 3, 4)
         judgments = judgments_from_interactions(test_set)
         assert judgments == [{1, 2}, set(), {0}]
+
+
+def _traced_peak(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_memory_follows_the_item_union_not_the_grid_length():
+    # 2000 users: the union's (items x users) incidence is 6.4 MB, one set's
+    # m x k(k-1)/2 pair arrays 0.72 MB each, so 16 sets' pair arrays held
+    # at once would add about 11.5 MB
+    rng = np.random.default_rng(17)
+    m, n, k = 2000, 400, 10
+    size = 20 * m
+    train = Interactions(rng.integers(0, m, size=size), rng.integers(0, n, size=size), np.ones(size), m, n)
+    part = make_partition([j < n // 5 for j in range(n)])
+    base = np.argsort(rng.random((m, n)), axis=1)[:, :k]
+    # each set lists the same rows for other users, so every set's items are the union
+    sets = [RecommendationLists(items=np.roll(base, shift, axis=0), num_items=n) for shift in range(16)]
+    assert all(len(np.unique(lists.items)) == n for lists in sets)
+    ctx = eval_context([set(row[:2].tolist()) for row in base], train, part, k)
+    one, grid = _traced_peak(evaluate, ctx, sets[:1]), _traced_peak(evaluate, ctx, sets)
+    assert grid <= one + (one >> 4), f"16 sets peaked at {grid} bytes against {one} for one set"

@@ -285,7 +285,7 @@ class TestLambdaSweep:
         inst, train, judgments = _sweep_inputs()
         results = lambda_sweep(inst.scores, inst.part, RerankConfig(k=inst.k), judgments, train)
         (lists,) = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))
-        assert results == [(0.0, evaluate(eval_context(judgments, train, inst.part, inst.k), lists))]
+        assert results == [(0.0, evaluate(eval_context(judgments, train, inst.part, inst.k), [lists])[0])]
 
 
 class TestRerankConfigValidation:

@@ -252,14 +252,20 @@ def _same(a, b):
     return repr(a) == repr(b)
 
 
+def _assert_grid_matches_reference(point_lists, judgments, train, part, k):
+    got = evaluate(eval_context(judgments, train, part, k), point_lists)
+    assert len(got) == len(point_lists)
+    for report, lists in zip(got, point_lists):
+        want = reference.evaluate_all(lists, judgments, train, part, k)
+        for field, value in report.as_dict().items():
+            assert _same(value, getattr(want, field)), field
+
+
 def test_metrics_match_per_user_reference():
     rng = np.random.default_rng(2024)
     for _ in range(150):
         lists, judgments, train, part, k = _evaluation(rng)
-        got = evaluate(eval_context(judgments, train, part, k), lists)
-        want = reference.evaluate_all(lists, judgments, train, part, k)
-        for field, value in got.as_dict().items():
-            assert _same(value, getattr(want, field)), field
+        _assert_grid_matches_reference([lists], judgments, train, part, k)
 
 
 def test_one_context_serves_every_list_set():
@@ -269,6 +275,40 @@ def test_one_context_serves_every_list_set():
     for lam in LAMBDAS:
         matrix = ScoreMatrix(rng.random((lists.num_users, lists.num_items)))
         (point,) = rerank_path(matrix, part, RerankConfig(k=k), (lam,))
-        assert evaluate(ctx, point) == evaluate(eval_context(judgments, train, part, k), point)
+        assert evaluate(ctx, [point])[0] == evaluate(eval_context(judgments, train, part, k), [point])[0]
     longer = RecommendationLists(items=np.argsort(-rng.random((lists.num_users, lists.num_items)), axis=1), num_items=lists.num_items)
-    assert evaluate(ctx, longer) == reference.evaluate_all(longer, judgments, train, part, k)
+    assert evaluate(ctx, [longer])[0] == reference.evaluate_all(longer, judgments, train, part, k)
+
+
+def test_grid_whose_sets_share_items_matches_per_point_reference():
+    rng = np.random.default_rng(91)
+    for _ in range(40):
+        lists, judgments, train, part, k = _evaluation(rng)
+        matrix = ScoreMatrix(np.round(rng.random((lists.num_users, lists.num_items)) * 8) / 8)
+        point_lists = rerank_path(matrix, part, RerankConfig(k=k), LAMBDAS)
+        _assert_grid_matches_reference([*point_lists, lists], judgments, train, part, k)
+
+
+def test_grid_of_sets_with_disjoint_items_matches_per_point_reference():
+    rng = np.random.default_rng(92)
+    for _ in range(40):
+        lists, judgments, train, part, k = _evaluation(rng)
+        n = lists.num_items
+        wide = n + n  # every set's items sit in a catalog half of their own
+        train = Interactions(train.users, train.items + n * (train.items % 2), train.weights, train.num_users, wide)
+        short = np.concatenate((part.short_head, part.short_head[::-1]))
+        part = PopularityPartition(short_head=short, popularity_count=np.bincount(train.items, minlength=wide))
+        low = RecommendationLists(items=lists.items, num_items=wide)
+        high = RecommendationLists(items=lists.items[::-1] + n, num_items=wide)
+        assert not set(low.items.ravel().tolist()) & set(high.items.ravel().tolist())
+        _assert_grid_matches_reference([low, high], judgments, train, part, k)
+
+
+def test_grid_of_lists_longer_than_k_is_truncated_like_the_reference():
+    rng = np.random.default_rng(94)
+    for _ in range(40):
+        lists, judgments, train, part, k = _evaluation(rng)
+        m, n = lists.num_users, lists.num_items
+        full = RecommendationLists(items=np.argsort(-rng.random((m, n)), axis=1), num_items=n)
+        longer = rerank_path(ScoreMatrix(rng.random((m, n))), part, RerankConfig(k=n), LAMBDAS[:3])
+        _assert_grid_matches_reference([lists, full, *longer], judgments, train, part, k)
