@@ -17,10 +17,7 @@ from .dataset import (
     build_dataset, parse_interactions, partition_popularity, read_interactions, split,
 )
 from .metrics import EvalContext, EvaluationReport, eval_context, evaluate, judgments_from_interactions
-from .rerank import (
-    FairnessValue, RecommendationLists, RerankConfig,
-    fairness_gap, lambda_sweep, rerank_oracle, rerank_path,
-)
+from .rerank import RecommendationLists, RerankConfig, lambda_sweep, rerank_oracle, rerank_path
 from .scorers import MASKED, MFConfig, ScoreMatrix, load_scores, mask_seen, mf_scorer, popularity_scorer, random_scorer
 
 __all__ = [
@@ -29,7 +26,6 @@ __all__ = [
     "DataError", "Dataset", "InputFormat", "InteractionLog", "Interactions", "PopularityPartition", "SplitTriple",
     "build_dataset", "parse_interactions", "partition_popularity", "read_interactions", "split",
     "EvalContext", "EvaluationReport", "eval_context", "evaluate", "judgments_from_interactions",
-    "FairnessValue", "RecommendationLists", "RerankConfig",
-    "fairness_gap", "lambda_sweep", "rerank_oracle", "rerank_path",
+    "RecommendationLists", "RerankConfig", "lambda_sweep", "rerank_oracle", "rerank_path",
     "MASKED", "MFConfig", "ScoreMatrix", "load_scores", "mask_seen", "mf_scorer", "popularity_scorer", "random_scorer",
 ]

@@ -6,11 +6,13 @@ a config reproduces every output file byte for byte. Output files are
 written atomically (temp file + rename). A scorer's whole λ grid is
 evaluated in one `evaluate[scorer]` stage, and then its list files are
 written; only the report files wait until every stage has succeeded, so a
-failed run cannot leave partial reports behind. Every step that computes,
-masks or writes runs as a named stage (a list file is `lists_file[scorer,λ]`,
-a report `report_file[fmt]`). A stage failure is wrapped in StageError
-naming the stage, except malformed input (DataError), which is re-raised
-as a DataError naming the stage.
+failed run cannot leave partial reports behind. Every step that computes
+or writes runs as a named stage (a list file is `lists_file[scorer,λ]`,
+a report `report_file[fmt]`). A built-in scorer's blocks of users are made
+twice, for the export and for the re-ranker, which masks each block and
+keeps only its candidates, so its m x n scores are never held. A stage
+failure is wrapped in StageError naming the stage, except malformed input
+(DataError), which is re-raised as a DataError naming the stage.
 A run checks its split in one gate, after the split and before the first
 file is written: input it cannot re-rank or score fails there with a
 DataError (exit 1 at the CLI), not in a later stage. The import file is
@@ -46,7 +48,7 @@ from .metrics import eval_context, evaluate, judgments_from_interactions
 from .rerank import lambda_label, rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import (
-    ScoreMatrix, mask_seen, mf_scorer, popularity_scorer, random_scorer, read_scores, write_scores,
+    ScoreBlocks, ScoreMatrix, mf_blocks, popularity_blocks, random_blocks, read_scores, seen_masked, write_scores,
 )
 from .util import atomic_write_text, sha256_file
 
@@ -103,16 +105,14 @@ def _split_stage(cfg: ExperimentConfig, ds: Dataset) -> SplitArtifacts:
     return SplitArtifacts(ds, triple, part)
 
 
-def _score_one(cfg: ExperimentConfig, name: str, artifacts: SplitArtifacts) -> ScoreMatrix:
+def _score_one(cfg: ExperimentConfig, name: str, artifacts: SplitArtifacts) -> ScoreBlocks:
     train = artifacts.split.train
     if name == "popularity":
-        return popularity_scorer(train)
+        return popularity_blocks(train)
     if name == "mf":
-        return mf_scorer(train, cfg.mf)
+        return mf_blocks(train, cfg.mf)
     if name == "random":
-        return random_scorer(train.num_users, train.num_items, cfg.random_seed)
-    if name == "import":
-        return read_scores(cfg.import_path, artifacts.dataset, fill=cfg.fill)
+        return random_blocks(train.num_users, train.num_items, cfg.random_seed)
     raise ValueError(f"unknown scorer {name!r}")
 
 
@@ -143,7 +143,7 @@ def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageCl
         _short_users(ds, unseen, k, "unseen items to select")
 
     def check_import() -> ScoreMatrix:
-        scores = _score_one(cfg, "import", artifacts)
+        scores = read_scores(cfg.import_path, ds, fill=cfg.fill)
         selectable = np.isfinite(scores.values)
         if cfg.mask_seen:
             selectable[train.users, train.items] = False
@@ -197,9 +197,9 @@ def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifact
 def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     """The `run` command: the full pipeline over every configured scorer and
     every grid point, emitting list files, reports, and the manifest. Each
-    scorer's matrix is exported, then masked in place and re-ranked, and
-    dropped before its lists are evaluated and written. The gate's import
-    matrix is used first; the report rows keep the order of cfg.scorers."""
+    scorer's scores are exported, then masked and re-ranked, and dropped
+    before its lists are evaluated and written. The gate's import matrix is
+    used first; the report rows keep the order of cfg.scorers."""
     out_dir = Path(out_dir)
     clock = _StageClock()
     artifacts = _ingest_split(cfg, clock)
@@ -220,10 +220,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
         files[f"scores_{name}"] = clock.run(
             f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", scores, ds
         )
-        if cfg.mask_seen:  # after the export, which keeps the seen cells
-            clock.run(f"mask[{name}]", mask_seen, scores, artifacts.split.train)
+        if cfg.mask_seen:  # stamped as rerank reads each block, after the export, which keeps the seen cells
+            scores = seen_masked(scores, artifacts.split.train)
         point_lists = clock.run(f"rerank[{name}]", rerank_path, scores, artifacts.partition, cfg.rerank, lambdas)
-        del scores  # the lists carry their scores; two m x n matrices are never alive at once
+        del scores  # the lists carry their scores; the import matrix is not held while they are evaluated
         reports = clock.run(f"evaluate[{name}]", evaluate, ctx, point_lists)
         for lam, lists, report in zip(lambdas, point_lists, reports):
             label = lambda_label(lam)

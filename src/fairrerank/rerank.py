@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .dataset import Dataset, Interactions, PopularityPartition
-from .scorers import ScoreMatrix
+from .scorers import ScoreBlocks, ScoreMatrix, block_rows
 from .util import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,8 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "RerankConfig",
     "RecommendationLists",
-    "FairnessValue",
-    "fairness_gap",
     "lambda_label",
     "rerank_path",
     "rerank_oracle",
@@ -140,31 +138,8 @@ def _check_lists(items: np.ndarray, num_items: int, values: np.ndarray | None = 
         raise ValueError(f"user {at[-1]}: {problem}")
 
 
-@dataclass(frozen=True)
-class FairnessValue:
-    """Exposure gap between short-head and long-tail selections."""
-
-    gap: float
-    short_count: int
-    long_count: int
-
-
-def fairness_gap(lists: RecommendationLists, part: PopularityPartition) -> FairnessValue:
-    """Mean per-user difference between short-head and long-tail items in the
-    lists; 0 means equal exposure, k means all-short-head lists."""
-    if part.num_items != lists.num_items:
-        raise ValueError(
-            f"partition covers {part.num_items} items but lists cover {lists.num_items}"
-        )
-    short_count = int(np.count_nonzero(part.short_head[lists.items]))
-    total = lists.num_users * lists.k
-    long_count = total - short_count
-    gap = (short_count - long_count) / lists.num_users
-    return FairnessValue(gap=gap, short_count=short_count, long_count=long_count)
-
-
 def _fairness_shifts(
-    matrix: ScoreMatrix, part: PopularityPartition, lambdas: Sequence[float], per_user_lambda: bool
+    matrix: ScoreMatrix | ScoreBlocks, part: PopularityPartition, lambdas: Sequence[float], per_user_lambda: bool
 ) -> np.ndarray:
     """Both solvers' prologue: check every λ, then the partition width, and
     return the per-λ, per-item score shifts, (L, n): -delta for short-head
@@ -181,11 +156,6 @@ def _fairness_shifts(
     return np.where(part.short_head | (lams == 0), -delta, delta)
 
 
-# Step 1 of the λ path works on blocks of users of about this many cells,
-# so its temporaries stay small next to the score matrix.
-_BLOCK_CELLS = 1 << 16
-
-
 def _top_mask(block: np.ndarray, count: int, lowest_first: bool = True) -> np.ndarray:
     """Mark each row's `count` largest values; ties at the boundary go to
     the lower column index (the higher one when not `lowest_first`)."""
@@ -196,30 +166,25 @@ def _top_mask(block: np.ndarray, count: int, lowest_first: bool = True) -> np.nd
     return above | (tied if lowest_first else tied[:, ::-1])
 
 
-def _pooled(block: np.ndarray, pool_size: int) -> np.ndarray:
-    """The scores with every cell outside each user's top-`pool_size` pool
-    (by original score, ties by lower index) made unselectable."""
-    if not pool_size or pool_size >= block.shape[1]:
-        return block
-    return np.where(_top_mask(block, pool_size), block, -np.inf)
-
-
 def _group_candidates(
-    values: np.ndarray, part: PopularityPartition, cfg: RerankConfig, lowest_first: bool
+    matrix: ScoreMatrix | ScoreBlocks, part: PopularityPartition, cfg: RerankConfig, lowest_first: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Step 1 of the λ path: each user's top-k items of each group by
-    original score. A group's shift is one constant, and fl(r + c) is
-    monotone in r, so no λ reorders a group and every λ's selection lies
-    among these candidates. Returns the (m, C) candidate items and their
-    pooled original scores."""
-    m, n = values.shape
+    """Step 1 of the λ path, in one pass over the score blocks: each user's
+    top-k items of each group by original score, within the user's
+    top-pool_size pool (ties to the lower index). A group's shift is one
+    constant, and fl(r + c) is monotone in r, so no λ reorders a group and
+    every λ's selection lies among these candidates. Returns the (m, C)
+    candidate items and their pooled original scores."""
+    m, n = matrix.num_users, matrix.num_items
     groups = [cols for cols in (np.flatnonzero(part.short_head), np.flatnonzero(~part.short_head)) if len(cols)]
     takes = [min(cfg.k, len(cols)) for cols in groups]
     items = np.empty((m, sum(takes)), dtype=np.int64)
     scores = np.empty((m, sum(takes)), dtype=np.float64)
-    step = max(1, _BLOCK_CELLS // n)
+    step = block_rows(n)
     for lo in range(0, m, step):
-        block = _pooled(values[lo : lo + step], cfg.pool_size)
+        block = matrix.rows(lo, lo + step)
+        if 0 < cfg.pool_size < n:
+            block = np.where(_top_mask(block, cfg.pool_size), block, -np.inf)
         at = 0
         for cols, take in zip(groups, takes):
             sub = block[:, cols]
@@ -232,7 +197,7 @@ def _group_candidates(
 
 
 def rerank_path(
-    matrix: ScoreMatrix,
+    matrix: ScoreMatrix | ScoreBlocks,
     part: PopularityPartition,
     cfg: RerankConfig,
     lambdas: Sequence[float],
@@ -240,13 +205,14 @@ def rerank_path(
 ) -> list[RecommendationLists]:
     """Solve the fairness-adjusted selection exactly at every λ in `lambdas`
     (cfg.lambda_grid is not read): per user, the k items with the largest
-    adjusted scores. The per-group candidates are picked once (step 1);
-    each λ then sorts only those (step 2), as many λ points per sort as fit
-    in a step-1 block of cells. Returns one display-ordered list set per λ,
-    with the listed items' original and adjusted scores and the objective
-    (the selected adjusted scores, summed per user in ascending item order
-    and added user by user). `tie_break="inverted"` is a test hook that
-    flips the original score and index tie directions, in both steps."""
+    adjusted scores. The per-group candidates are picked once, in one pass
+    over the score blocks (step 1); each λ then sorts only those (step 2),
+    as many λ points per sort as fit in a block of cells. Returns one
+    display-ordered list set per λ, with the listed items' original and
+    adjusted scores and the objective (the selected adjusted scores, summed
+    per user in ascending item order and added user by user).
+    `tie_break="inverted"` is a test hook that flips the original score and
+    index tie directions, in both steps."""
     if tie_break not in ("default", "inverted"):
         raise ValueError(f"unknown tie_break {tie_break!r}")
     shifts = _fairness_shifts(matrix, part, lambdas, cfg.per_user_lambda)
@@ -254,11 +220,10 @@ def rerank_path(
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds catalog size {n}")
     default = tie_break == "default"
-    cand, original = _group_candidates(matrix.values, part, cfg, lowest_first=default)
+    cand, original = _group_candidates(matrix, part, cfg, lowest_first=default)
     rows = np.arange(m)[:, None]
     out: list[RecommendationLists] = []
-    # step 2 sorts as many λ points at once as fit in a step-1 block
-    step = max(1, _BLOCK_CELLS // max(cand.size, 1))
+    step = block_rows(cand.size)  # λ points per sort
     shape = (min(step, len(shifts)), *cand.shape)
     ties = [np.broadcast_to(key, shape) for key in ((cand, -original) if default else (-cand, original))]
     for lo in range(0, len(shifts), step):
@@ -270,11 +235,12 @@ def rerank_path(
         top, top_original, top_adjusted = cand[rows, pick], original[rows, pick], adjusted[at, rows, pick]
         infeasible = ~np.isfinite(top_adjusted).all(axis=-1)
         if infeasible.any():
+            # an infeasible user has fewer than k finite pooled cells in
+            # each group, so the candidates hold all of them
             point, u = np.unravel_index(np.argmax(infeasible), infeasible.shape)
-            row = _pooled(matrix.values[u : u + 1], cfg.pool_size)[0]
-            selectable = int(np.count_nonzero(np.isfinite(row + shifts[lo + point])))
+            selectable = int(np.count_nonzero(np.isfinite(adjusted[point, u])))
             raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
-        _check_lists(top, n, matrix.values)
+        _check_lists(top, n)  # a finite adjusted score has a finite original
         # canonical ascending-index summation keeps the objective reproducible
         sums = top_adjusted[at, rows, np.argsort(top, axis=-1)].sum(axis=-1)
         totals = np.cumsum(np.concatenate((np.zeros((len(adjusted), 1)), sums), axis=1), axis=1)[:, -1]

@@ -1,12 +1,14 @@
 """Score-matrix producers: built-in baselines plus an import path for
 externally computed scores.
 
-Every scorer returns a dense (num_users x num_items) float64 matrix of
-predicted preferences wrapped in :class:`ScoreMatrix`. `mask_seen` stamps
-train-seen cells with a -inf sentinel, in place, so downstream top-K
-selection can never return an already-consumed item; export a matrix with
-`write_scores` before masking it to keep the seen cells in the file. All
-scorers are deterministic functions of their inputs and seed.
+A built-in scorer makes its (num_users x num_items) float64 predicted
+preferences a block of users at a time (:class:`ScoreBlocks`); its dense
+form, the one block of all users, is a :class:`ScoreMatrix`, as imported
+scores are. `mask_seen` (`seen_masked` per block) stamps train-seen cells
+with a -inf sentinel, so downstream top-K selection can never return an
+already-consumed item; export scores with `write_scores` before masking
+them to keep the seen cells in the file. All scorers are deterministic
+functions of their inputs and seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -25,9 +27,13 @@ from .util import atomic_write_text
 __all__ = [
     "MASKED",
     "ScoreMatrix",
+    "ScoreBlocks",
     "MFConfig",
+    "popularity_blocks",
     "popularity_scorer",
+    "random_blocks",
     "random_scorer",
+    "mf_blocks",
     "mf_scorer",
     "train_mf_factors",
     "mf_objective",
@@ -35,12 +41,16 @@ __all__ = [
     "read_scores",
     "write_scores",
     "mask_seen",
+    "seen_masked",
 ]
 
 logger = logging.getLogger(__name__)
 
 MASKED = float("-inf")
-_EXPORT_ROWS = 64  # users per chunk of the score export
+_BLOCK_CELLS = 1 << 16  # cells per block of users in a pass over scores
+# OpenBLAS runs a product of fewer multiply-adds on one thread, so mf's
+# products stay below it: no pool worker wakes to spin between them.
+_MF_PRODUCT = 1 << 19
 _BLOCK = 1 << 16  # floats per stacked operand of an ALS half-step
 
 
@@ -67,6 +77,26 @@ class ScoreMatrix:
     def num_items(self) -> int:
         return int(self.values.shape[1])
 
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Users lo..hi-1 as a view, checked once, at construction."""
+        return self.values[lo:hi]
+
+
+@dataclass(frozen=True)
+class ScoreBlocks:
+    """A scorer's (num_users x num_items) scores, never held whole:
+    `rows(lo, hi)` makes users lo..hi-1 (as a slice would: hi may pass
+    num_users) as a new array, each cell MASKED or finite."""
+
+    num_users: int
+    num_items: int
+    rows: Callable[[int, int], np.ndarray]
+
+
+def block_rows(cells: int) -> int:
+    """How many rows of `cells` cells a pass takes per block."""
+    return max(1, _BLOCK_CELLS // max(cells, 1))
+
 
 @dataclass(frozen=True)
 class MFConfig:
@@ -90,23 +120,34 @@ class MFConfig:
             raise ValueError("confidence_alpha must be positive")
 
 
-def popularity_scorer(train: Interactions) -> ScoreMatrix:
+def popularity_blocks(train: Interactions) -> ScoreBlocks:
     """Score every item by its distinct-training-user fraction, identically
     for all users. Deliberately popularity-biased."""
     if train.num_items < 1:
         raise ValueError("empty catalog")
-    counts = distinct_user_counts(train, train.num_items)
-    row = counts.astype(np.float64) / float(train.num_users)
-    values = np.tile(row, (train.num_users, 1))
-    return ScoreMatrix(values)
+    m, counts = train.num_users, distinct_user_counts(train, train.num_items)
+    row = counts.astype(np.float64)[None] / float(m)
+    return ScoreBlocks(m, train.num_items, lambda lo, hi: np.repeat(row, min(hi, m) - lo, axis=0))
+
+
+def popularity_scorer(train: Interactions) -> ScoreMatrix:
+    """`popularity_blocks` as one block of all users."""
+    return ScoreMatrix(popularity_blocks(train).rows(0, train.num_users))
+
+
+def random_blocks(num_users: int, num_items: int, seed: int) -> ScoreBlocks:
+    """I.i.d. uniform(0,1) scores from a seeded generator; null-model
+    control. The block of users lo..hi-1 starts its generator lo * num_items
+    draws in (one draw per float), so it is that slice of one draw."""
+    if num_users < 1 or num_items < 1:
+        raise ValueError("num_users and num_items must be >= 1")
+    return ScoreBlocks(num_users, num_items, lambda lo, hi: np.random.Generator(
+        np.random.PCG64(seed).advance(lo * num_items)).random((min(hi, num_users) - lo, num_items)))
 
 
 def random_scorer(num_users: int, num_items: int, seed: int) -> ScoreMatrix:
-    """I.i.d. uniform(0,1) scores from a seeded generator; null-model control."""
-    if num_users < 1 or num_items < 1:
-        raise ValueError("num_users and num_items must be >= 1")
-    rng = np.random.default_rng(seed)
-    return ScoreMatrix(rng.random((num_users, num_items)))
+    """`random_blocks` as one block of all users: `default_rng(seed)`'s draw."""
+    return ScoreMatrix(random_blocks(num_users, num_items, seed).rows(0, num_users))
 
 
 def _sort_by_row(index: np.ndarray, companion: np.ndarray, weights: np.ndarray, size: int):
@@ -186,8 +227,23 @@ def mf_objective(
     return loss + penalty
 
 
+def mf_blocks(train: Interactions, cfg: MFConfig = MFConfig()) -> ScoreBlocks:
+    """Matrix-factorization scorer: R = user_factors @ item_factors.T, made
+    in products below _MF_PRODUCT multiply-adds (or of one user) and
+    checked per block; a cell may differ from `mf_scorer`'s in the last bit."""
+    user_factors, item_factors = train_mf_factors(train, cfg)
+    m, step = train.num_users, max(1, (_MF_PRODUCT - 1) // max(train.num_items * cfg.latent_dim, 1))
+
+    def rows(lo, hi):
+        parts = [user_factors[at : min(at + step, hi)] @ item_factors.T for at in range(lo, min(hi, m), step)]
+        return ScoreMatrix(np.concatenate(parts)).values
+
+    return ScoreBlocks(m, train.num_items, rows)
+
+
 def mf_scorer(train: Interactions, cfg: MFConfig = MFConfig()) -> ScoreMatrix:
-    """Matrix-factorization scorer: R = user_factors @ item_factors.T."""
+    """Matrix-factorization scorer: R = user_factors @ item_factors.T, as
+    one product."""
     user_factors, item_factors = train_mf_factors(train, cfg)
     return ScoreMatrix(user_factors @ item_factors.T)
 
@@ -235,41 +291,59 @@ def read_scores(path: Path | str, ds: Dataset, fill: float = 0.0) -> ScoreMatrix
         return load_scores(fh, ds, fill=fill)
 
 
-def write_scores(path: Path | str, matrix: ScoreMatrix, ds: Dataset) -> Path:
-    """Export a score matrix as one "user item score" line per finite cell,
-    the score in shortest round-trip repr; masked cells are left out and
-    re-import as fill. Written _EXPORT_ROWS users at a time, so its size does
-    not add to peak memory. A row bytewise equal to the previous one (0.0 and
-    -0.0 compare equal but print differently) reuses its formatted tails."""
+def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Dataset) -> Path:
+    """Export scores as one "user item score" line per finite cell, the
+    score in shortest round-trip repr; masked cells are left out and
+    re-import as fill. Made a block of users and written a user at a time,
+    so its size does not add to peak memory. A row bytewise equal to the
+    previous one (0.0 and -0.0 compare equal but print differently) reuses
+    its tails."""
     cells = ["\t" + key + "\t" for key in ds.item_keys]
 
     def text():
-        # "\n".join(every row's lines) + "\n", in pieces: after each piece,
-        # the "" left in `chunks` puts the "\n" before the next row
-        chunks, prev, tails = [], None, []
-        for u, row in enumerate(matrix.values):
-            raw = row.tobytes()
-            if raw != prev:
-                prev, keep = raw, np.flatnonzero(np.isfinite(row))
-                tails = [cells[i] + r for i, r in zip(keep.tolist(), map(repr, row[keep].tolist()))]
-            if tails:
-                chunks.append(ds.user_keys[u] + ("\n" + ds.user_keys[u]).join(tails))
-            if len(chunks) == _EXPORT_ROWS:
-                yield "\n".join(chunks)
-                chunks = [""]
-        yield "\n".join(chunks) + "\n"
+        # "\n".join(every row's lines) + "\n", a row at a time
+        prev, tails, sep = None, [], ""
+        step = block_rows(scores.num_items)
+        for lo in range(0, scores.num_users, step):
+            for u, row in enumerate(scores.rows(lo, lo + step), start=lo):
+                raw = row.tobytes()
+                if raw != prev:
+                    prev, keep = raw, np.flatnonzero(np.isfinite(row))
+                    tails = [cells[i] + r for i, r in zip(keep.tolist(), map(repr, row[keep].tolist()))]
+                if tails:
+                    yield sep + ds.user_keys[u] + ("\n" + ds.user_keys[u]).join(tails)
+                    sep = "\n"
+        yield "\n"
 
     return atomic_write_text(path, text())
+
+
+def seen_masked(scores: ScoreMatrix | ScoreBlocks, train: Interactions) -> ScoreBlocks:
+    """`scores` with every train-seen cell stamped MASKED in each block as
+    it is made (a ScoreMatrix's in place). A block's pairs are one slice of
+    the pairs sorted by user, as split's train already is."""
+    if scores.num_users != train.num_users or scores.num_items != train.num_items:
+        raise ValueError(
+            f"score matrix is {scores.num_users}x{scores.num_items} but train universe is "
+            f"{train.num_users}x{train.num_items}"
+        )
+    users, items = train.users, train.items
+    if np.any(users[1:] < users[:-1]):
+        order = np.argsort(users, kind="stable")
+        users, items = users[order], items[order]
+
+    def rows(lo, hi):
+        block = scores.rows(lo, hi)
+        seen = slice(*np.searchsorted(users, (lo, hi)))
+        block[users[seen] - lo, items[seen]] = MASKED
+        return block
+
+    return ScoreBlocks(scores.num_users, scores.num_items, rows)
 
 
 def mask_seen(matrix: ScoreMatrix, train: Interactions) -> ScoreMatrix:
     """Stamp train-seen cells with the MASKED sentinel in `matrix.values`
     and return the same matrix; unseen cells are unchanged bit-for-bit and
     masking is idempotent. Mask a copy to keep the original scores."""
-    if matrix.num_users != train.num_users or matrix.num_items != train.num_items:
-        raise ValueError(
-            f"score matrix is {matrix.num_users}x{matrix.num_items} but train universe is "
-            f"{train.num_users}x{train.num_items}"
-        )
-    matrix.values[train.users, train.items] = MASKED
+    seen_masked(matrix, train).rows(0, matrix.num_users)
     return matrix

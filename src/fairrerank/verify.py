@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import Interactions, partition_popularity
 from .metrics import eval_context, evaluate
-from .rerank import RecommendationLists, RerankConfig, fairness_gap, rerank_oracle, rerank_path
+from .rerank import RecommendationLists, RerankConfig, rerank_oracle, rerank_path
 from .synthetic import random_rerank_instance
 
 __all__ = ["CheckOutcome", "run_battery", "DEFAULT_LAMBDA_GRID"]
@@ -94,23 +94,24 @@ def _check_monotone_exposure(count: int, seed: int, tie_break: str):
         lambdas = (*DEFAULT_LAMBDA_GRID, inst.saturating_lambda)
         *path, saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), lambdas, tie_break=tie_break)
         for lam, lists in zip(DEFAULT_LAMBDA_GRID, path):
-            fairness = fairness_gap(lists, inst.part)
-            if fairness.short_count + fairness.long_count != m * k:
-                return False, f"instance {idx} lambda={lam:g}: exposure identity violated"
-            if not -k <= fairness.gap <= k:
-                return False, f"instance {idx} lambda={lam:g}: gap {fairness.gap} out of bounds"
             user_short = inst.part.short_head[lists.items].sum(axis=1)
+            gap = (2 * int(user_short.sum()) - lists.items.size) / m  # short minus long slots, per user
+            if lists.items.size != m * k:
+                return False, f"instance {idx} lambda={lam:g}: exposure identity violated"
+            if not -k <= gap <= k:
+                return False, f"instance {idx} lambda={lam:g}: gap {gap} out of bounds"
             if previous_user_short is not None and np.any(user_short > previous_user_short):
                 worst = int(np.argmax(user_short - previous_user_short))
                 rise = f"{int(previous_user_short[worst])} -> {int(user_short[worst])}"
                 return False, f"instance {idx} lambda={lam:g}: user {worst} short count rose {rise}"
-            if previous_gap is not None and fairness.gap > previous_gap + 1e-12:
-                return False, f"instance {idx} lambda={lam:g}: gap rose {previous_gap} -> {fairness.gap}"
+            if previous_gap is not None and gap > previous_gap + 1e-12:
+                return False, f"instance {idx} lambda={lam:g}: gap rose {previous_gap} -> {gap}"
             previous_user_short = user_short
-            previous_gap = fairness.gap
-        sat_fair = fairness_gap(saturated, inst.part)
-        if sat_fair.short_count != 0 or sat_fair.gap != -k:
-            return False, f"instance {idx}: saturation failed (short={sat_fair.short_count}, gap={sat_fair.gap})"
+            previous_gap = gap
+        sat_short = int(inst.part.short_head[saturated.items].sum())
+        sat_gap = (2 * sat_short - saturated.items.size) / m
+        if sat_short != 0 or sat_gap != -k:
+            return False, f"instance {idx}: saturation failed (short={sat_short}, gap={sat_gap})"
     return True, f"{count} instances, per-user"
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from fairrerank.dataset import Interactions, SplitTriple, _floor_exact, distinct_user_counts
 from fairrerank.metrics import EvaluationReport
-from fairrerank.rerank import ORACLE_SUBSET_LIMIT, RecommendationLists, _combinations, fairness_gap
+from fairrerank.rerank import ORACLE_SUBSET_LIMIT, RecommendationLists, _combinations
 from fairrerank.scorers import ScoreMatrix
 
 
@@ -201,6 +201,13 @@ def exposure_counts(lists, judgments, part):
     return short_count, rel_short, long_count, rel_long
 
 
+def fairness_gap(lists, part):
+    """The lists' short-head and long-tail slot counts, and the gap: their
+    difference per user (0 is equal exposure, k all-short-head lists)."""
+    short_count, _, long_count, _ = exposure_counts(lists, [set()] * lists.num_users, part)
+    return short_count, long_count, (short_count - long_count) / lists.num_users
+
+
 def evaluate_all(lists, judgments, train, part, k):
     if lists.k > k:
         lists = RecommendationLists(items=lists.items[:, :k].copy(), num_items=lists.num_items)
@@ -219,7 +226,7 @@ def evaluate_all(lists, judgments, train, part, k):
         rel_short=rel_short,
         long_count=long_count,
         rel_long=rel_long,
-        fairness_gap=fairness_gap(lists, part).gap,
+        fairness_gap=(short_count - long_count) / lists.num_users,
         k=k,
         evaluated_users=lists.num_users,
     )

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -411,15 +412,16 @@ class TestExitCodes:
         assert f"error: stage '{stage}' failed: [Errno 21] Is a directory" in capsys.readouterr().err
 
     def test_a_failed_mask_names_its_stage(self, demo, capsys, monkeypatch):
+        # the re-ranker stamps each block's seen cells as it reads the block
         def read_only_scores(train):
             scores = popularity_scorer(train)
             scores.values.setflags(write=False)
             return scores
 
         config, _ = demo
-        monkeypatch.setattr(pipeline, "popularity_scorer", read_only_scores)
+        monkeypatch.setattr(pipeline, "popularity_blocks", read_only_scores)
         assert main(["run", "--config", str(config)]) == 2
-        assert "error: stage 'mask[popularity]' failed: assignment destination is read-only" in capsys.readouterr().err
+        assert "error: stage 'rerank[popularity]' failed: assignment destination is read-only" in capsys.readouterr().err
 
     def test_lambda_points_sharing_a_label_fail_before_any_file_is_written(self, demo, capsys):
         config, base = demo
@@ -598,3 +600,48 @@ def test_readme_flags_match_the_parser():
     for name, cmd in commands.items():
         flags = {flag for action in cmd._actions for flag in action.option_strings} - {"-h", "--help"}
         assert flags == (verify_flags if name == "verify" else data_flags), name
+
+
+def _stage_peaks(tmp_path, users, items):
+    """The tracemalloc peak of each stage of a popularity,random run over a
+    log of `users` users that names every one of `items` items, each peak
+    taken above what was traced when the stage began."""
+    rng = np.random.default_rng(users)
+    lines = [f"u{u}\ti{i}" for u in range(users) for i in rng.choice(items, size=10, replace=False).tolist()]
+    lines += [f"u{i % users}\ti{i}" for i in range(items)]
+    data = tmp_path / f"log{users}.tsv"
+    data.write_text("\n".join(lines) + "\n")
+    cfg = build_config({"input.path": str(data), "scorer.names": "popularity,random", "rerank.k": "10",
+                        "rerank.lambda_grid": "2", "report.formats": "csv"})
+    peaks, run = {}, pipeline._StageClock.run
+
+    def traced(self, stage, func, *args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run(self, stage, func, *args, **kwargs)
+        peaks[stage] = tracemalloc.get_traced_memory()[1] - start
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline._StageClock, "run", traced)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, tmp_path / f"out{users}")
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_score_stages_never_hold_a_users_by_items_matrix(monkeypatch, tmp_path):
+    # 4x the users on the same catalog: an m x n float64 matrix would add
+    # 3 * m * n * 8 bytes to a stage's peak; each may grow by a quarter of
+    # it. Blocks of 5 users keep the run small while both runs read many
+    # blocks, so neither peak is set by a short last block.
+    monkeypatch.setattr(scorers, "_BLOCK_CELLS", 4000)
+    m, n = 50, 800
+    small, large = (_stage_peaks(tmp_path, users, n) for users in (m, 4 * m))
+    bound = 3 * m * n * 8 // 4
+    for name in ("popularity", "random"):
+        for stage in (f"score[{name}]", f"score_file[{name}]", f"rerank[{name}]"):
+            growth = large[stage] - small[stage]
+            assert growth < bound, f"{stage} peak grew by {growth} bytes, bound {bound}"

@@ -10,7 +10,8 @@ import reference
 from conftest import evaluated, interactions, make_partition
 from fairrerank.dataset import Interactions
 from fairrerank.metrics import EvaluationReport, eval_context, evaluate, judgments_from_interactions
-from fairrerank.rerank import RecommendationLists
+from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_path
+from fairrerank.synthetic import random_rerank_instance
 
 
 def lists_of(rows, num_items):
@@ -229,6 +230,38 @@ class TestExposureCounts:
     def test_reference_scale_identity_arithmetic(self):
         # a reference-scale exposure row: 22,169 + 4,601 = 26,770 = 10 * 2,677
         assert 22_169 + 4_601 == 26_770 == 10 * 2_677
+
+    @pytest.mark.parametrize(
+        "short_flags, rows, num_items, expected",
+        [
+            ([True] * 12, [list(range(10))] * 3, 12, (30, 0, 10.0)),
+            ([True] * 5 + [False] * 5, [list(range(10))] * 4, 10, (20, 20, 0.0)),
+            # user 0 picks two popular, user 1 two long-tail: ((2-0)+(0-2))/2 = 0
+            ([True, True, False, False], [[0, 1], [2, 3]], 4, (2, 2, 0.0)),
+            ([True, False], [[0, 1]], 3, "partition length does not match lists"),
+        ],
+        ids=["all_short_head_hits_upper_bound", "half_and_half_is_zero", "two_user_hand_case",
+             "dimension_mismatch_rejected"],
+    )
+    def test_fairness_gap(self, short_flags, rows, num_items, expected):
+        """(short_count, long_count, fairness_gap), or the error evaluate raises."""
+        try:
+            report = evaluated(lists_of(rows, num_items), part=make_partition(short_flags))
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert (report.short_count, report.long_count, report.fairness_gap) == expected
+
+    def test_fairness_gap_bounds_and_identity(self):
+        rng = np.random.default_rng(0)
+        for _ in range(25):
+            inst = random_rerank_instance(rng, min_k=2)  # diversity needs lists of 2
+            lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (float(rng.random()),))[0]
+            report = evaluated(lists, part=inst.part)
+            m, k = report.evaluated_users, inst.k  # `evaluated` scores a one-user set as two users
+            assert report.short_count + report.long_count == m * k
+            assert report.fairness_gap == (report.short_count - report.long_count) / m
+            assert -k <= report.fairness_gap <= k
 
 
 def _full_inputs(seed=0, m=8, n=12, k=3):

@@ -5,13 +5,16 @@ score export, split file or report (reports print floats in full repr)
 fails here. `manifest.json` holds wall-clock seconds, so only its
 `outputs` hashes are compared. The mf scorer is left out: its floats
 depend on the BLAS build, while popularity, random and imported scores do
-not. The `import` variant reads a score file written from the same log."""
+not. The `import` variant reads a score file written from the same log.
+Every pass over the scores reads them in blocks of users, so the digests
+are also checked with blocks of one user and with one block of all users."""
 
 import hashlib
 import json
 
 import pytest
 
+from fairrerank import scorers
 from fairrerank.cli import main
 from fairrerank.synthetic import write_zipf_dataset
 
@@ -119,6 +122,17 @@ def _digest(path):
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_run_outputs_match_pinned_digests(tmp_path, variant):
+    _check_run(tmp_path, variant)
+
+
+@pytest.mark.parametrize("block", [1, 10**9], ids=["one-cell", "unbounded"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_run_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, variant, block):
+    monkeypatch.setattr(scorers, "_BLOCK_CELLS", block)
+    _check_run(tmp_path, variant)
+
+
+def _check_run(tmp_path, variant):
     data = tmp_path / "zipf.tsv"
     write_zipf_dataset(data, 70, 45, 1.0, per_user=9, seed=4)
     out = tmp_path / "out"

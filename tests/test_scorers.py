@@ -11,14 +11,19 @@ from fairrerank.dataset import DataError, Interactions, build_dataset, parse_int
 from fairrerank.scorers import (
     MASKED,
     MFConfig,
+    ScoreBlocks,
     ScoreMatrix,
     load_scores,
     mask_seen,
+    mf_blocks,
     mf_objective,
     mf_scorer,
+    popularity_blocks,
     popularity_scorer,
+    random_blocks,
     random_scorer,
     read_scores,
+    seen_masked,
     train_mf_factors,
     write_scores,
 )
@@ -274,10 +279,11 @@ class TestWriteScores:
         assert path.read_text() == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("users", [1, 63, 64, 65, 70, 130, 200])
-    def test_row_chunks_match_cell_by_cell_reference(self, tmp_path, users):
-        # the export is written in chunks of rows: identical rows and an
-        # all-masked run span chunk boundaries, and with 70 users the last
-        # 6 rows are masked, so the file ends right after a full chunk
+    def test_row_chunks_match_cell_by_cell_reference(self, tmp_path, monkeypatch, users):
+        # the export reads blocks of 64 users here: identical rows and an
+        # all-masked run span block boundaries, and with 70 users the last
+        # 6 rows are masked, so the file ends right after a full block
+        monkeypatch.setattr(scorers, "_BLOCK_CELLS", 64 * 4)
         rng = np.random.default_rng(users)
         values = rng.choice([0.0, -0.0, 0.5, 1e-05, 1e16, MASKED], size=(users, 4))
         values[60:70] = values[59 % users]
@@ -288,6 +294,25 @@ class TestWriteScores:
         path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
         expected = [
             f"u{u}\ti{i}\t{float(values[u, i])!r}" for u in range(users) for i in range(4) if np.isfinite(values[u, i])
+        ]
+        assert path.read_text() == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("block_users", [1, 2, 3, 10**6])
+    def test_blocks_match_cell_by_cell_reference(self, tmp_path, monkeypatch, block_users):
+        # a block source read a few users at a time: equal rows (the
+        # popularity case) and a 0.0 row next to a -0.0 row across block
+        # boundaries, masked cells, and all-masked rows
+        monkeypatch.setattr(scorers, "_BLOCK_CELLS", block_users * 3)
+        values = np.array(
+            [[0.5, 0.25, MASKED]] * 4 + [[0.0, 1.0, MASKED], [-0.0, 1.0, MASKED], [0.0, 1.0, 0.5]]
+            + [[MASKED] * 3] * 2 + [[0.5, 0.25, MASKED], [-0.0, -0.0, -0.0]]
+        )
+        source = ScoreBlocks(len(values), 3, lambda lo, hi: values[lo:hi].copy())
+        ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(len(values)) for i in range(3)]))
+        path = write_scores(tmp_path / "s.tsv", source, ds)
+        expected = [
+            f"u{u}\ti{i}\t{float(values[u, i])!r}"
+            for u in range(len(values)) for i in range(3) if np.isfinite(values[u, i])
         ]
         assert path.read_text() == "\n".join(expected) + "\n"
 
@@ -351,6 +376,88 @@ class TestMaskSeen:
     def test_dimension_mismatch_rejected(self, tiny_train):
         with pytest.raises(ValueError):
             mask_seen(random_scorer(3, 3, seed=0), tiny_train)
+
+
+class TestScoreBlocks:
+    """A scorer's blocks of users are its dense matrix's rows: bit for bit
+    for popularity and random, within rounding for mf (each block is its
+    own product)."""
+
+    @pytest.mark.parametrize("step", [1, 3, 7, 20])
+    def test_blocks_are_the_dense_rows(self, step):
+        train = _block_train()
+        cfg = MFConfig(latent_dim=3, iterations=2, seed=5)
+        cases = [
+            (popularity_blocks(train), popularity_scorer(train), 0.0),
+            (random_blocks(20, 10, seed=9), random_scorer(20, 10, seed=9), 0.0),
+            (mf_blocks(train, cfg), mf_scorer(train, cfg), 1e-15),
+        ]
+        for source, dense, tolerance in cases:
+            assert (source.num_users, source.num_items) == dense.values.shape
+            rows = np.concatenate([source.rows(lo, lo + step) for lo in range(0, 20, step)])
+            assert rows.shape == dense.values.shape
+            if tolerance:
+                assert np.allclose(rows, dense.values, rtol=0, atol=tolerance)
+            else:
+                assert rows.tobytes() == dense.values.tobytes()
+
+    def test_random_blocks_are_one_draw(self):
+        # one generator's draw, as random_scorer made it before it read blocks
+        values = np.random.default_rng(13).random((9, 4))
+        source = random_blocks(9, 4, seed=13)
+        assert np.concatenate([source.rows(lo, lo + 2) for lo in range(0, 9, 2)]).tobytes() == values.tobytes()
+
+    def test_a_non_finite_mf_block_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(scorers, "train_mf_factors", lambda train, cfg: (np.full((2, 1), 1e200), np.full((3, 1), 1e200)))
+        source = mf_blocks(interactions([(0, 0, 1.0)], 2, 3), MFConfig(latent_dim=1))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"NaN or \+inf"):
+            source.rows(0, 1)
+
+    @pytest.mark.parametrize("per_product", [1, 3, 20])
+    def test_mf_products_hold_a_bounded_number_of_users(self, monkeypatch, per_product):
+        # fewer than _MF_PRODUCT multiply-adds buy per_product users of 10
+        # items x dim 3; a block's products start at its first user
+        sizes = []
+
+        class Recorded(np.ndarray):
+            def __matmul__(self, other):
+                sizes.append(len(self))
+                return np.asarray(self) @ other
+
+        rng = np.random.default_rng(4)
+        user_factors, item_factors = rng.standard_normal((20, 3)), rng.standard_normal((10, 3))
+        recorded = (user_factors.view(Recorded), item_factors)
+        monkeypatch.setattr(scorers, "train_mf_factors", lambda train, cfg: recorded)
+        monkeypatch.setattr(scorers, "_MF_PRODUCT", per_product * 30 + 29)
+        source = mf_blocks(interactions([(0, 0, 1.0)], 20, 10), MFConfig(latent_dim=3))
+        for lo in range(0, 20, 7):
+            sizes.clear()
+            rows = source.rows(lo, lo + 7)
+            assert type(rows) is np.ndarray
+            assert np.allclose(rows, user_factors[lo : lo + 7] @ item_factors.T, rtol=0, atol=1e-15)
+            block = min(7, 20 - lo)
+            assert sizes == [min(per_product, block - at) for at in range(0, block, per_product)]
+
+    def test_seen_masked_sorts_pairs_that_are_not_sorted_by_user(self, tiny_train):
+        reverse = Interactions(tiny_train.users[::-1], tiny_train.items[::-1], tiny_train.weights, 6, 5)
+        expected = mask_seen(random_scorer(6, 5, seed=0), tiny_train).values
+        source = seen_masked(random_blocks(6, 5, seed=0), reverse)
+        assert np.concatenate([source.rows(lo, lo + 2) for lo in range(0, 6, 2)]).tobytes() == expected.tobytes()
+        assert mask_seen(random_scorer(6, 5, seed=0), reverse).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("step", [1, 2, 6])
+    def test_seen_masked_blocks_equal_mask_seen(self, tiny_train, step):
+        # tiny_train is sorted by user, as a split's train is
+        source = seen_masked(random_blocks(6, 5, seed=0), tiny_train)
+        rows = np.concatenate([source.rows(lo, lo + step) for lo in range(0, 6, step)])
+        assert rows.tobytes() == mask_seen(random_scorer(6, 5, seed=0), tiny_train).values.tobytes()
+
+    def test_seen_masked_stamps_a_matrix_in_place(self, tiny_train):
+        matrix = random_scorer(6, 5, seed=0)
+        source = seen_masked(matrix, tiny_train)
+        assert np.isfinite(matrix.values).all()
+        source.rows(0, 3)
+        assert matrix.values[0, 0] == MASKED and np.isfinite(matrix.values[3:]).all()
 
 
 class TestScoreMatrixValidation:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from fairrerank import rerank
+from fairrerank import rerank, scorers
 from fairrerank.dataset import Interactions, PopularityPartition
 from fairrerank.metrics import eval_context, evaluate
 from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_oracle, rerank_path
@@ -81,11 +81,11 @@ def test_rerank_path_matches_per_user_reference(kind, tie_break):
     _check_against_reference(kind, tie_break)
 
 
-@pytest.mark.parametrize("block", [1, rerank._BLOCK_CELLS, 10**9], ids=["one-cell", "default", "unbounded"])
+@pytest.mark.parametrize("block", [1, scorers._BLOCK_CELLS, 10**9], ids=["one-cell", "default", "unbounded"])
 def test_rerank_path_does_not_depend_on_the_block_size(monkeypatch, block):
     """Step 1 takes users and step 2 takes λ points in blocks of
     _BLOCK_CELLS cells: one λ at a time, the default, or the whole grid."""
-    monkeypatch.setattr(rerank, "_BLOCK_CELLS", block)
+    monkeypatch.setattr(scorers, "_BLOCK_CELLS", block)
     for kind in KINDS:
         _check_against_reference(kind, "default")
 
