@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .dataset import DataError
-from .pipeline import StageError, run_experiment, run_split
+from .pipeline import run_experiment, run_split
 from .report import render_markdown
 from .verify import run_battery
 
@@ -135,9 +135,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 2

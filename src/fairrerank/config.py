@@ -231,7 +231,10 @@ def load_config(path: Path | str | None, overrides: dict[str, str] | None = None
         config_path = Path(path)
         if not config_path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
-        pairs = parse_config_text(config_path.read_text(encoding="utf-8"))
+        try:
+            pairs = parse_config_text(config_path.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {config_path} is not UTF-8: {exc}") from None
     if overrides:
         pairs.update(overrides)
     cfg = build_config(pairs)

@@ -4,9 +4,11 @@ Input files are delimiter-separated text (UTF-8), one interaction per line::
 
     user_key<sep>item_key[<sep>weight[<sep>timestamp]]
 
-Keys are opaque nonempty strings. Weights are nonnegative reals and default
-to 1.0 when the column is absent or empty. Timestamps are optional integer
-seconds; they are checked, not stored, since no stage reads them.
+Keys are opaque nonempty strings with no TAB, since every output file is
+TAB-separated; a byte that is not UTF-8 fails its line. Weights are
+nonnegative reals and default to 1.0 when the column is absent or empty.
+Timestamps are optional integer seconds; they are checked, not stored,
+since no stage reads them.
 
 From the columnar :class:`InteractionLog` that parsing yields, the module
 builds a densely indexed :class:`Dataset`, a seeded per-user 70/10/20
@@ -19,6 +21,7 @@ judged users and items for its top-k lists) is decided by the pipeline.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 DELIMITER_NAMES = {"tab": "\t", "comma": ","}
+_UNWRITABLE = re.compile("[\t\udc80-\udcff]")  # a TAB, or a non-UTF-8 byte read with surrogateescape
 _WRITE_LINES = 4096  # rows per chunk of a split file
 
 
@@ -104,8 +108,9 @@ def parse_interactions(source: Iterable[str], fmt: InputFormat = InputFormat()) 
         fmt: delimiter and header settings.
 
     Raises:
-        DataError: on a malformed line, an empty key, a negative or non-finite
-            weight, or a bad timestamp; the error message names the line.
+        DataError: on a malformed line, an empty key, a key holding a TAB
+            or a surrogate-escaped byte, a negative or non-finite weight, or
+            a bad timestamp; the error message names the line.
     """
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
@@ -138,6 +143,10 @@ def parse_interactions(source: Iterable[str], fmt: InputFormat = InputFormat()) 
                 int(parts[3].strip())
             except ValueError:
                 raise DataError(f"unparseable timestamp {parts[3].strip()!r}", lineno) from None
+        if user_key not in user_index or item_key not in item_index:
+            bad = [key for key in (user_key, item_key) if _UNWRITABLE.search(key)]
+            if bad:
+                raise DataError(f"key {bad[0]!r} holds a TAB or a byte that is not UTF-8", lineno)
         users.append(user_index.setdefault(user_key, len(user_index)))
         items.append(item_index.setdefault(item_key, len(item_index)))
         weights.append(weight)
@@ -146,7 +155,7 @@ def parse_interactions(source: Iterable[str], fmt: InputFormat = InputFormat()) 
 
 def read_interactions(path: Path | str, fmt: InputFormat = InputFormat()) -> InteractionLog:
     """Read and parse an interaction file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_interactions(fh, fmt)
 
 

@@ -17,6 +17,9 @@ Tie-breaks are fully specified so solver and oracle can be compared
 set-for-set: higher adjusted score, then higher original score, then lower
 item index. Within a selected list, items are displayed by original score
 descending (ties by index) so the scorer's relevance order is preserved.
+The exact solver puts each user's candidates in that original-score order
+once; a stable sort by adjusted score then gives each λ's selection, and
+the selected positions in candidate order are its display order.
 """
 
 from __future__ import annotations
@@ -115,11 +118,6 @@ class RecommendationLists:
     def k(self) -> int:
         return int(self.items.shape[1])
 
-    def validate(self, scores: ScoreMatrix | None = None) -> None:
-        """Check the structural constraints: exactly k distinct selectable
-        items per list, indices within the catalog."""
-        _check_lists(self.items, self.num_items, None if scores is None else scores.values)
-
 
 def _check_lists(items: np.ndarray, num_items: int, values: np.ndarray | None = None) -> None:
     """Validate a (…, m, k) stack of list sets in one call: indices within
@@ -206,8 +204,9 @@ def rerank_path(
     """Solve the fairness-adjusted selection exactly at every λ in `lambdas`
     (cfg.lambda_grid is not read): per user, the k items with the largest
     adjusted scores. The per-group candidates are picked once, in one pass
-    over the score blocks (step 1); each λ then sorts only those (step 2),
-    as many λ points per sort as fit in a block of cells. Returns one
+    over the score blocks (step 1) and put in tie order; each λ then
+    stable-sorts only those by adjusted score (step 2), as many λ points
+    per sort as fit in a block of cells. Returns one
     display-ordered list set per λ, with the listed items' original and
     adjusted scores and the objective (the selected adjusted scores, summed
     per user in ascending item order and added user by user).
@@ -222,16 +221,18 @@ def rerank_path(
     default = tie_break == "default"
     cand, original = _group_candidates(matrix, part, cfg, lowest_first=default)
     rows = np.arange(m)[:, None]
+    # tie order, once: original score descending, then lower index
+    order = np.lexsort((cand, -original) if default else (-cand, original), axis=-1)
+    cand, original = cand[rows, order], original[rows, order]
     out: list[RecommendationLists] = []
     step = block_rows(cand.size)  # λ points per sort
-    shape = (min(step, len(shifts)), *cand.shape)
-    ties = [np.broadcast_to(key, shape) for key in ((cand, -original) if default else (-cand, original))]
     for lo in range(0, len(shifts), step):
         adjusted = original + shifts[lo : lo + step, cand]
         at = np.arange(len(adjusted))[:, None, None]
-        pick = np.lexsort((*(key[: len(adjusted)] for key in ties), -adjusted), axis=-1)[..., : cfg.k]
-        # in display order: original score descending, ties by lower index
-        pick = pick[at, rows, np.lexsort((cand[rows, pick], -original[rows, pick]), axis=-1)]
+        # a stable sort keeps tie order, so the first k picks in position
+        # order are display order (reversed under the hook)
+        pick = np.sort(np.argsort(-adjusted, axis=-1, kind="stable")[..., : cfg.k], axis=-1)
+        pick = pick if default else pick[..., ::-1]
         top, top_original, top_adjusted = cand[rows, pick], original[rows, pick], adjusted[at, rows, pick]
         infeasible = ~np.isfinite(top_adjusted).all(axis=-1)
         if infeasible.any():

@@ -4,8 +4,9 @@ externally computed scores.
 A built-in scorer makes its (num_users x num_items) float64 predicted
 preferences a block of users at a time (:class:`ScoreBlocks`); its dense
 form, the one block of all users, is a :class:`ScoreMatrix`, as imported
-scores are. `mask_seen` (`seen_masked` per block) stamps train-seen cells
-with a -inf sentinel, so downstream top-K selection can never return an
+scores are, and every block is bit for bit its slice of that form.
+`mask_seen` (`seen_masked` per block) stamps train-seen cells with a -inf
+sentinel, so downstream top-K selection can never return an
 already-consumed item; export scores with `write_scores` before masking
 them to keep the seen cells in the file. All scorers are deterministic
 functions of their inputs and seed.
@@ -230,22 +231,23 @@ def mf_objective(
 def mf_blocks(train: Interactions, cfg: MFConfig = MFConfig()) -> ScoreBlocks:
     """Matrix-factorization scorer: R = user_factors @ item_factors.T, made
     in products below _MF_PRODUCT multiply-adds (or of one user) and
-    checked per block; a cell may differ from `mf_scorer`'s in the last bit."""
+    checked per block. Every product runs from a multiple of `step` users to
+    the next (or to the last user), whatever block needs it, so a user's
+    cells are the same bits in every block."""
     user_factors, item_factors = train_mf_factors(train, cfg)
     m, step = train.num_users, max(1, (_MF_PRODUCT - 1) // max(train.num_items * cfg.latent_dim, 1))
 
     def rows(lo, hi):
-        parts = [user_factors[at : min(at + step, hi)] @ item_factors.T for at in range(lo, min(hi, m), step)]
-        return ScoreMatrix(np.concatenate(parts)).values
+        start = lo - lo % step  # with no users, one empty product
+        parts = [user_factors[at : at + step] @ item_factors.T for at in range(start, max(min(hi, m), 1), step)]
+        return ScoreMatrix(np.concatenate(parts)[lo - start : hi - start]).values
 
     return ScoreBlocks(m, train.num_items, rows)
 
 
 def mf_scorer(train: Interactions, cfg: MFConfig = MFConfig()) -> ScoreMatrix:
-    """Matrix-factorization scorer: R = user_factors @ item_factors.T, as
-    one product."""
-    user_factors, item_factors = train_mf_factors(train, cfg)
-    return ScoreMatrix(user_factors @ item_factors.T)
+    """`mf_blocks` as one block of all users."""
+    return ScoreMatrix(mf_blocks(train, cfg).rows(0, train.num_users))
 
 
 def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreMatrix:
@@ -287,7 +289,7 @@ def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreM
 
 
 def read_scores(path: Path | str, ds: Dataset, fill: float = 0.0) -> ScoreMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:  # a non-UTF-8 byte fails its line
         return load_scores(fh, ds, fill=fill)
 
 
@@ -320,17 +322,15 @@ def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Datase
 
 def seen_masked(scores: ScoreMatrix | ScoreBlocks, train: Interactions) -> ScoreBlocks:
     """`scores` with every train-seen cell stamped MASKED in each block as
-    it is made (a ScoreMatrix's in place). A block's pairs are one slice of
-    the pairs sorted by user, as split's train already is."""
+    it is made (a ScoreMatrix's in place). The pairs are stable-sorted by
+    user once, so a block's pairs are one slice of them."""
     if scores.num_users != train.num_users or scores.num_items != train.num_items:
         raise ValueError(
             f"score matrix is {scores.num_users}x{scores.num_items} but train universe is "
             f"{train.num_users}x{train.num_items}"
         )
-    users, items = train.users, train.items
-    if np.any(users[1:] < users[:-1]):
-        order = np.argsort(users, kind="stable")
-        users, items = users[order], items[order]
+    order = np.argsort(train.users, kind="stable")
+    users, items = train.users[order], train.items[order]
 
     def rows(lo, hi):
         block = scores.rows(lo, hi)

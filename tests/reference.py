@@ -19,7 +19,7 @@ import numpy as np
 
 from fairrerank.dataset import Interactions, SplitTriple, _floor_exact, distinct_user_counts
 from fairrerank.metrics import EvaluationReport
-from fairrerank.rerank import ORACLE_SUBSET_LIMIT, RecommendationLists, _combinations
+from fairrerank.rerank import ORACLE_SUBSET_LIMIT, RecommendationLists, _check_lists, _combinations
 from fairrerank.scorers import ScoreMatrix
 
 
@@ -106,7 +106,7 @@ def rerank_oracle(matrix, part, cfg, lam):
         objective_terms.append(best_sum)
         out[u] = chosen[np.lexsort((chosen, -r_row[chosen]))]
     lists = RecommendationLists(items=out, num_items=n, objective=math.fsum(objective_terms))
-    lists.validate(matrix)
+    _check_lists(out, n, matrix.values)
     return lists
 
 

@@ -385,8 +385,14 @@ class TestRunCommand:
 
 
 class TestExitCodes:
-    def test_missing_config_file_is_validation_error(self):
+    def test_missing_config_file_is_validation_error(self, tmp_path, capsys):
         assert main(["run", "--config", "/nonexistent/exp.cfg"]) == 1
+        # so is a config file that is not UTF-8; the message names it
+        config = tmp_path / "exp.cfg"
+        config.write_bytes(f"output.dir = {tmp_path / 'out'}\n# caf".encode() + b"\xe9\n")
+        assert main(["run", "--config", str(config)]) == 1
+        assert f"error: config file {config} is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_is_validation_error(self, demo):
         config, _ = demo
@@ -437,11 +443,13 @@ class TestExitCodes:
         assert not (base / "out").exists()
 
     @staticmethod
-    def _config(tmp_path, rows, k):
+    def _config(tmp_path, rows, k, delimiter="tab"):
+        # a surrogate-escaped character in a row is written as the byte it escapes
         data = tmp_path / "log.tsv"
-        data.write_text("\n".join(rows) + "\n")
+        data.write_bytes(("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
         config = tmp_path / "exp.cfg"
-        config.write_text(f"input.path = {data}\nscorer.names = popularity\nrerank.k = {k}\noutput.dir = {tmp_path / 'out'}\n")
+        config.write_text(f"input.path = {data}\ninput.delimiter = {delimiter}\nscorer.names = popularity\n"
+                          f"rerank.k = {k}\noutput.dir = {tmp_path / 'out'}\n")
         return config
 
     def test_heavy_user_fails_at_split_time(self, tmp_path, capsys):
@@ -503,18 +511,40 @@ class TestExitCodes:
         assert "[PASS]" not in captured.out
 
     def test_malformed_log_line_is_validation_error(self, tmp_path, capsys):
-        config = self._config(tmp_path, ["u0\ti0\t-3.0", "u1\ti1"], 2)
-        assert main(["run", "--config", str(config)]) == 1
-        assert "error: stage 'ingest' failed: line 1: negative weight -3.0" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        unwritable = "holds a TAB or a byte that is not UTF-8"
+        users = ["u0", "u1", "u2", "user\tthree"]
+        cases = [
+            ("run", "tab", ["u0\ti0\t-3.0", "u1\ti1"], "line 1: negative weight -3.0"),
+            # a log that runs but for its key with a TAB; every output is
+            # TAB-separated, so no key may hold one
+            ("run", "comma", [f"{u},i{(j + n) % 8}" for n, u in enumerate(users) for j in range(5)],
+             f"line 16: key 'user\\tthree' {unwritable}"),
+            # a 0xff byte, which no UTF-8 text holds
+            ("run", "tab", ["u0\ti0", "u1\ti\udcff1"], f"line 2: key 'i\\udcff1' {unwritable}"),
+            ("split", "tab", ["u0\ti0", "u1\ti\udcff1"], f"line 2: key 'i\\udcff1' {unwritable}"),
+        ]
+        for at, (command, delimiter, rows, message) in enumerate(cases):
+            base = tmp_path / str(at)
+            base.mkdir()
+            assert main([command, "--config", str(self._config(base, rows, 2, delimiter))]) == 1
+            assert f"error: stage 'ingest' failed: {message}" in capsys.readouterr().err
+            assert not (base / "out").exists()
 
     def test_malformed_import_line_is_validation_error(self, demo, capsys):
         config, base = demo
+        user, item = (base / "demo.tsv").read_text().split("\n")[0].split("\t")[:2]
+        cases = [
+            (b"nobody\tnothing\t1.0\n", "line 1: unknown user key 'nobody'"),
+            # a 0xfe byte, which no UTF-8 text holds
+            (f"{user}\t{item}\t0.5\n".encode() + b"u\xfe\ti0\t1.0\n", "line 2: unknown user key 'u\\udcfe'"),
+        ]
         scores = base / "scores.tsv"
-        scores.write_text("nobody\tnothing\t1.0\n")
         overrides = ["--set", "scorer.names=import", "--set", f"scorer.import_path={scores}"]
-        assert main(["run", "--config", str(config), *overrides]) == 1
-        assert "error: stage 'score[import]' failed: line 1: unknown user key 'nobody'" in capsys.readouterr().err
+        for text, message in cases:
+            scores.write_bytes(text)
+            assert main(["run", "--config", str(config), *overrides]) == 1
+            assert f"error: stage 'score[import]' failed: {message}" in capsys.readouterr().err
+            assert not (base / "out").exists()
 
     def test_malformed_import_line_fails_before_any_file_is_written(self, demo, capsys):
         # popularity scores before import, so a check at score time would

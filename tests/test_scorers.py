@@ -117,6 +117,9 @@ class TestMFScorer:
         v0 = rng.standard_normal((10, 4)) * 0.01
         assert np.allclose(scores.values, u0 @ v0.T)
 
+    def test_no_users_score_an_empty_matrix(self):
+        assert mf_scorer(interactions([], 0, 5), MFConfig(latent_dim=2, iterations=1)).values.shape == (0, 5)
+
     def test_objective_non_increasing_over_iterations(self):
         rng = np.random.default_rng(5)
         triples = [
@@ -379,27 +382,29 @@ class TestMaskSeen:
 
 
 class TestScoreBlocks:
-    """A scorer's blocks of users are its dense matrix's rows: bit for bit
-    for popularity and random, within rounding for mf (each block is its
-    own product)."""
+    """A scorer's blocks of users are its dense matrix's rows, bit for bit."""
 
-    @pytest.mark.parametrize("step", [1, 3, 7, 20])
-    def test_blocks_are_the_dense_rows(self, step):
+    @pytest.mark.parametrize("step", [1, 3, 7, 20, 131, 600])
+    def test_blocks_are_the_dense_rows(self, monkeypatch, step):
         train = _block_train()
         cfg = MFConfig(latent_dim=3, iterations=2, seed=5)
         cases = [
-            (popularity_blocks(train), popularity_scorer(train), 0.0),
-            (random_blocks(20, 10, seed=9), random_scorer(20, 10, seed=9), 0.0),
-            (mf_blocks(train, cfg), mf_scorer(train, cfg), 1e-15),
+            (popularity_blocks(train), popularity_scorer(train)),
+            (random_blocks(20, 10, seed=9), random_scorer(20, 10, seed=9)),
+            (mf_blocks(train, cfg), mf_scorer(train, cfg)),
         ]
-        for source, dense, tolerance in cases:
+        # mf at a run's shape, 600 users x 500 items x dim 32: products of
+        # 32 users, and blocks of 131 users (block_rows(500)) in a pass
+        rng = np.random.default_rng(8)
+        factors = rng.standard_normal((600, 32)), rng.standard_normal((500, 32))
+        monkeypatch.setattr(scorers, "train_mf_factors", lambda train, cfg: factors)
+        wide = interactions([(0, 0, 1.0)], 600, 500)
+        cases.append((mf_blocks(wide, MFConfig(latent_dim=32)), mf_scorer(wide, MFConfig(latent_dim=32))))
+        for source, dense in cases:
             assert (source.num_users, source.num_items) == dense.values.shape
-            rows = np.concatenate([source.rows(lo, lo + step) for lo in range(0, 20, step)])
+            rows = np.concatenate([source.rows(lo, lo + step) for lo in range(0, source.num_users, step)])
             assert rows.shape == dense.values.shape
-            if tolerance:
-                assert np.allclose(rows, dense.values, rtol=0, atol=tolerance)
-            else:
-                assert rows.tobytes() == dense.values.tobytes()
+            assert rows.tobytes() == dense.values.tobytes()
 
     def test_random_blocks_are_one_draw(self):
         # one generator's draw, as random_scorer made it before it read blocks
@@ -416,7 +421,9 @@ class TestScoreBlocks:
     @pytest.mark.parametrize("per_product", [1, 3, 20])
     def test_mf_products_hold_a_bounded_number_of_users(self, monkeypatch, per_product):
         # fewer than _MF_PRODUCT multiply-adds buy per_product users of 10
-        # items x dim 3; a block's products start at its first user
+        # items x dim 3; products start at multiples of per_product and hold
+        # per_product users, the last one clipped at the 20th user, whatever
+        # block needs them
         sizes = []
 
         class Recorded(np.ndarray):
@@ -426,6 +433,8 @@ class TestScoreBlocks:
 
         rng = np.random.default_rng(4)
         user_factors, item_factors = rng.standard_normal((20, 3)), rng.standard_normal((10, 3))
+        aligned = range(0, 20, per_product)
+        products = np.concatenate([user_factors[at : at + per_product] @ item_factors.T for at in aligned])
         recorded = (user_factors.view(Recorded), item_factors)
         monkeypatch.setattr(scorers, "train_mf_factors", lambda train, cfg: recorded)
         monkeypatch.setattr(scorers, "_MF_PRODUCT", per_product * 30 + 29)
@@ -434,9 +443,9 @@ class TestScoreBlocks:
             sizes.clear()
             rows = source.rows(lo, lo + 7)
             assert type(rows) is np.ndarray
-            assert np.allclose(rows, user_factors[lo : lo + 7] @ item_factors.T, rtol=0, atol=1e-15)
-            block = min(7, 20 - lo)
-            assert sizes == [min(per_product, block - at) for at in range(0, block, per_product)]
+            assert rows.tobytes() == products[lo : lo + 7].tobytes()
+            starts = range(lo - lo % per_product, min(lo + 7, 20), per_product)
+            assert sizes == [min(per_product, 20 - at) for at in starts]
 
     def test_seen_masked_sorts_pairs_that_are_not_sorted_by_user(self, tiny_train):
         reverse = Interactions(tiny_train.users[::-1], tiny_train.items[::-1], tiny_train.weights, 6, 5)

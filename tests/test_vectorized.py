@@ -125,11 +125,11 @@ def test_an_empty_matrix_gives_empty_lists():
 
 def test_validate_reports_the_first_bad_user():
     values = np.array([[0.1, 0.2, 0.3], [0.1, MASKED, 0.3], [0.1, 0.2, 0.3]])
-    lists = RecommendationLists(items=np.array([[0, 1], [1, 2], [2, 2]]), num_items=3)
+    items = np.array([[0, 1], [1, 2], [2, 2]])
     with pytest.raises(ValueError, match="user 1: list contains a masked item"):
-        lists.validate(ScoreMatrix(values))
+        rerank._check_lists(items, 3, values)
     with pytest.raises(ValueError, match="user 2: list has duplicate items"):
-        lists.validate()
+        rerank._check_lists(items, 3)
     # a stack of list sets names the first bad user of its first bad set
     stack = np.array([[[0, 1], [0, 2], [2, 2]], [[0, 1], [1, 1], [0, 2]]])
     with pytest.raises(ValueError, match="user 2: list has duplicate items"):
