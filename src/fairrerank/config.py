@@ -26,6 +26,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "build_config
 
 SCORER_NAMES = ("popularity", "mf", "random", "import")
 REPORT_FORMATS = ("csv", "json", "md")
+SCORE_EXPORTS = ("tsv", "none")
 
 
 class ConfigError(ValueError):
@@ -48,6 +49,7 @@ class ExperimentConfig:
     mf: MFConfig = field(default_factory=MFConfig)
     rerank: RerankConfig = field(default_factory=RerankConfig)
     out_dir: str = "out"
+    score_export: str = "tsv"
     formats: tuple[str, ...] = ("csv", "md")
 
 
@@ -132,10 +134,13 @@ def _parse_text(key: str, value: str) -> str | None:
     return value or None
 
 
-def _parse_delimiter(key: str, value: str) -> str | None:
-    if value and value not in DELIMITER_NAMES:
-        raise ConfigError(f"{key}: expected {' or '.join(map(repr, DELIMITER_NAMES))}, got {value!r}")
-    return value or None
+def _one_of(allowed: tuple[str, ...]):
+    def parse(key: str, value: str) -> str | None:
+        if value and value not in allowed:
+            raise ConfigError(f"{key}: expected {' or '.join(map(repr, allowed))}, got {value!r}")
+        return value or None
+
+    return parse
 
 
 def _name_list(allowed: tuple[str, ...]):
@@ -167,7 +172,7 @@ def _show_floats(values: tuple[float, ...]) -> str:
 # same keys in the same order.
 KEYS = (
     ("input.path", "input_path", _parse_text, str),
-    ("input.delimiter", "delimiter", _parse_delimiter, str),
+    ("input.delimiter", "delimiter", _one_of(DELIMITER_NAMES), str),
     ("input.header", "header", _parse_bool, _show_bool),
     ("split.seed", "split_seed", _parse_seed, str),
     ("split.ratios", "ratios", _parse_ratios, _show_floats),
@@ -187,6 +192,8 @@ KEYS = (
     ("rerank.per_user_lambda", "rerank.per_user_lambda", _parse_bool, _show_bool),
     ("rerank.pool_size", "rerank.pool_size", _parse_int, str),
     ("output.dir", "out_dir", _parse_text, str),
+    # the default is left out of the snapshot, so manifests that predate the key keep their bytes
+    ("output.scores", "score_export", _one_of(SCORE_EXPORTS), lambda export: None if export == "tsv" else export),
     ("report.formats", "formats", _name_list(REPORT_FORMATS), ",".join),
 )
 

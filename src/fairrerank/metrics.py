@@ -14,7 +14,10 @@ Formulas:
   novelty     = mean over recommended slots of -log2(max(count_j, 1)/m),
                 counts from the train split
   diversity   = mean over users of 1 - mean pairwise cosine similarity of
-                the list items' binary train-interaction columns
+                the list items' binary train-interaction columns; the dot
+                products are co-interaction counts, tallied from each train
+                user's pairs of listed items with bincount, so they are
+                exact integers
   coverage    = distinct recommended items / catalog size
   personalization = 1 - mean pairwise list overlap/k, exact over all user
                 pairs
@@ -39,6 +42,9 @@ __all__ = [
     "eval_context",
     "evaluate",
 ]
+
+_PAIR_CODES = 1 << 20  # item-pair codes per bincount in _union_gram
+
 
 def judgments_from_interactions(inter: Interactions) -> list[set[int]]:
     """Per-user relevant-item sets from a held-out interaction split."""
@@ -94,20 +100,34 @@ def _novelty(items: np.ndarray, counts: np.ndarray, num_users: int) -> float:
 
 
 def _union_gram(point_items: list[np.ndarray], train: Interactions, num_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """The co-interaction Gram of the items any list set recommends, and
-    each item's row in it (-1 for the others). One incidence over the
-    union serves the whole grid, so memory follows the union, not the
-    number of sets; the entries are exact integer counts, as the per-list
-    dot products were."""
+    """The co-interaction Gram of the items any list set recommends (entry
+    [a, b]: the number of train users of both a and b), and each item's row
+    in it (-1 for the others). Each user's pairs of such items are counted
+    with bincount, users grouped by how many such items they hold, at most
+    _PAIR_CODES pairs per count, so memory follows the union, not the
+    number of sets or users; the entries are exact integers."""
     row_of = np.full(num_items, -1, dtype=np.int64)
     for items in point_items:
         row_of[items] = 0
     recommended = np.flatnonzero(row_of == 0)
-    row_of[recommended] = np.arange(len(recommended))
+    size = len(recommended)
+    row_of[recommended] = np.arange(size)
     rows = row_of[train.items]
-    vectors = np.zeros((len(recommended), train.num_users), dtype=np.float64)
-    vectors[rows[rows >= 0], train.users[rows >= 0]] = 1.0
-    return vectors @ vectors.T, row_of
+    held = rows >= 0
+    codes = np.sort(train.users[held] * size + rows[held])
+    fresh = np.ones(len(codes), dtype=bool)
+    fresh[1:] = codes[1:] != codes[:-1]
+    users, rows = np.divmod(codes[fresh], max(size, 1))  # each (user, row) once, by user then row
+    owned = np.bincount(users, minlength=train.num_users)
+    starts = np.cumsum(owned) - owned
+    gram = np.zeros(size * size, dtype=np.int64)
+    for count in sorted(set(owned.tolist()) - {0}):
+        group = np.flatnonzero(owned == count)
+        step = max(1, _PAIR_CODES // count**2)
+        for at in range(0, len(group), step):
+            block = rows[starts[group[at : at + step], None] + np.arange(count)]
+            gram += np.bincount((block[:, :, None] * size + block[:, None, :]).ravel(), minlength=size * size)
+    return gram.reshape(size, size), row_of
 
 
 def _diversity(items: np.ndarray, gram: np.ndarray, row_of: np.ndarray, counts: np.ndarray) -> float:

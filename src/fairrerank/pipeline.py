@@ -217,9 +217,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
 
     for name in sorted(cfg.scorers, key=lambda name: name not in held):
         scores = held.pop(name) if name in held else clock.run(f"score[{name}]", _score_one, cfg, name, artifacts)
-        files[f"scores_{name}"] = clock.run(
-            f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", scores, ds
-        )
+        if cfg.score_export == "tsv":
+            files[f"scores_{name}"] = clock.run(
+                f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", scores, ds
+            )
         if cfg.mask_seen:  # stamped as rerank reads each block, after the export, which keeps the seen cells
             scores = seen_masked(scores, artifacts.split.train)
         point_lists = clock.run(f"rerank[{name}]", rerank_path, scores, artifacts.partition, cfg.rerank, lambdas)

@@ -9,9 +9,10 @@ from pathlib import Path
 from typing import Iterable
 
 
-def atomic_write_text(path: Path | str, parts: Iterable[str]) -> Path:
-    """Write the text chunks `parts` to `path`, one at a time, via a temp file
-    + rename: readers never see a partial file, and a failed write leaves none.
+def atomic_write_text(path: Path | str, parts: Iterable[str | bytes]) -> Path:
+    """Write the chunks `parts` (text, encoded as UTF-8, or bytes) to `path`,
+    one at a time, via a temp file + rename: readers never see a partial
+    file, and a failed write leaves none.
     The file gets the mode `open(path, "w")` gives a new file: 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -19,7 +20,7 @@ def atomic_write_text(path: Path | str, parts: Iterable[str]) -> Path:
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
-                fh.write(part.encode("utf-8"))
+                fh.write(part if isinstance(part, bytes) else part.encode("utf-8"))
         umask = os.umask(0)  # reading the umask means setting it: put it back at once
         os.umask(umask)
         os.chmod(tmp_name, 0o666 & ~umask)  # mkstemp made it 0o600

@@ -165,6 +165,18 @@ def diversity(lists, train):
     return float(np.mean(per_user))
 
 
+def union_gram(point_items, train, num_items):
+    """The co-interaction Gram over the items any set lists, from a dense
+    items x users 0/1 incidence and one product: entry [a, b] counts the
+    train users of both a and b. Returns it and the listed items, in the
+    order of its rows."""
+    recommended = np.unique(np.concatenate([items.ravel() for items in point_items]))
+    incidence = np.zeros((num_items, train.num_users), dtype=np.float64)
+    incidence[train.items, train.users] = 1.0
+    vectors = incidence[recommended]
+    return vectors @ vectors.T, recommended
+
+
 def coverage(lists, num_items):
     return len(np.unique(lists.items)) / num_items
 

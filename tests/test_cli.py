@@ -231,6 +231,19 @@ class TestRunCommand:
         assert sorted(key for key in stages if key.startswith("evaluate[")) == ["evaluate[popularity]", "evaluate[random]"]
         assert len(cfg.rerank.lambda_grid) == 4 and sum(key.startswith("lists_file[") for key in stages) == 8
 
+    def test_output_scores_none_writes_no_score_file(self, demo):
+        config, base = demo
+        scorer_set = ["--set", "scorer.names=popularity,random"]
+        assert main(["run", "--config", str(config), "--out", str(base / "tsv"), *scorer_set]) == 0
+        assert main(["run", "--config", str(config), "--out", str(base / "none"), *scorer_set,
+                     "--set", "output.scores=none"]) == 0
+        full, bare = (json.loads((base / run / "manifest.json").read_text()) for run in ("tsv", "none"))
+        assert "output.scores" not in full["config"] and bare["config"]["output.scores"] == "none"
+        assert sorted(set(full["outputs"]) - set(bare["outputs"])) == ["scores_popularity", "scores_random"]
+        assert not list((base / "none").glob("scores_*")) and len(list((base / "tsv").glob("scores_*"))) == 2
+        assert all(bare["outputs"][name] == full["outputs"][name] for name in bare["outputs"])
+        assert not any(key.startswith("score_file[") for key in bare["stages_seconds"])
+
     def test_manifest_config_snapshot_round_trips(self, demo):
         config, base = demo
         main(["run", "--config", str(config)])
@@ -536,7 +549,9 @@ class TestExitCodes:
         cases = [
             (b"nobody\tnothing\t1.0\n", "line 1: unknown user key 'nobody'"),
             # a 0xfe byte, which no UTF-8 text holds
-            (f"{user}\t{item}\t0.5\n".encode() + b"u\xfe\ti0\t1.0\n", "line 2: unknown user key 'u\\udcfe'"),
+            (f"{user}\t{item}\t0.5\n".encode() + b"u\xfe\ti0\t1.0\n", "line 2: byte 0xfe is not UTF-8"),
+            # in the score field, too, the cause is named, not the parse error it leads to
+            (f"{user}\t{item}\t".encode() + b"0.5\xfe\n", "line 1: byte 0xfe is not UTF-8"),
         ]
         scores = base / "scores.tsv"
         overrides = ["--set", "scorer.names=import", "--set", f"scorer.import_path={scores}"]

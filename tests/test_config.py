@@ -172,6 +172,8 @@ CASES = [
     ),
     # any text is a valid output directory; there is no malformed value
     ("output.dir", "results", "results", None, None, "out"),
+    # the default, tsv, is left out of the snapshot
+    ("output.scores", "none", "none", "csv", "output.scores: expected 'tsv' or 'none', got 'csv'", MISSING),
     (
         "report.formats",
         "md, json",
@@ -197,8 +199,9 @@ def input_file(tmp_path):
 
 
 def test_cases_cover_every_key():
-    assert len(KEYS) == 22 and len(set(KEYS)) == 22
-    assert set(KEYS) == set(config_snapshot(build_config({"scorer.import_path": "s", "rerank.lambda_grid": "1"})))
+    assert len(KEYS) == 23 and len(set(KEYS)) == 23
+    pairs = {"scorer.import_path": "s", "rerank.lambda_grid": "1", "output.scores": "none"}
+    assert set(KEYS) == set(config_snapshot(build_config(pairs)))
 
 
 @pytest.mark.parametrize("key", KEYS)

@@ -1,9 +1,11 @@
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 from pytest import approx
 
+import fuzz_repr
 import reference
 from conftest import interactions
 from fairrerank import scorers
@@ -347,6 +349,29 @@ class TestWriteScores:
         loaded = read_scores(path, ds, fill=MASKED)
         assert loaded.values.tobytes() == values.tobytes()
         assert loaded.import_coverage == 5 / 6
+
+
+class TestReprFields:
+    """The export's numpy float text is repr's, byte for byte."""
+
+    def test_differential_against_repr(self):
+        out = io.StringIO()
+        assert fuzz_repr.fuzz(10**6, seed=20, out=out) == 0, out.getvalue()
+
+    @pytest.mark.parametrize("value", [
+        0.0, 5e-324, 2.0**-20, 1e-05, 9.999999999999999e-05, 0.0001, 1e15, 1e16, 0.1 + 0.2,
+        9007199254740993.0, 623686950246838.75, 99999999999999.99,
+    ])
+    def test_edge_values(self, value):
+        assert fuzz_repr.mismatches(np.array([value, -value])) == []
+
+    def test_the_kernel_decides_ordinary_scores(self):
+        # repr formats only what the kernel leaves undecided, so the
+        # differential test alone would pass with every cell left to it
+        rng = np.random.default_rng(4)
+        values = np.concatenate([rng.random(10**5), 0.3 * rng.standard_normal(10**5), np.arange(-2000, 2000) * 0.05])
+        undecided = scorers._shortest(np.abs(values))[3]
+        assert np.count_nonzero(undecided) <= 2
 
 
 class TestMaskSeen:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from fairrerank import rerank, scorers
+from fairrerank import metrics, rerank, scorers
 from fairrerank.dataset import Interactions, PopularityPartition
 from fairrerank.metrics import eval_context, evaluate
 from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_oracle, rerank_path
@@ -312,3 +312,22 @@ def test_grid_of_lists_longer_than_k_is_truncated_like_the_reference():
         full = RecommendationLists(items=np.argsort(-rng.random((m, n)), axis=1), num_items=n)
         longer = rerank_path(ScoreMatrix(rng.random((m, n))), part, RerankConfig(k=n), LAMBDAS[:3])
         _assert_grid_matches_reference([lists, full, *longer], judgments, train, part, k)
+
+
+@pytest.mark.parametrize("bound", [1, 7, metrics._PAIR_CODES], ids=["one-pair", "seven", "default"])
+def test_union_gram_equals_the_dense_incidence_product(monkeypatch, bound):
+    # pairs counted a few at a time, across users with equal item counts;
+    # the random train repeats some (user, item) pairs, which count once
+    monkeypatch.setattr(metrics, "_PAIR_CODES", bound)
+    rng = np.random.default_rng(bound)
+    for _ in range(30):
+        m, n = int(rng.integers(2, 30)), int(rng.integers(2, 40))
+        size = int(rng.integers(0, 3 * m * n // 2))
+        train = Interactions(rng.integers(0, m, size), rng.integers(0, n, size), np.ones(size), m, n)
+        k = int(rng.integers(1, n + 1))
+        point_items = [np.argsort(rng.random((m, n)), axis=1)[:, :k] for _ in range(int(rng.integers(1, 4)))]
+        gram, row_of = metrics._union_gram(point_items, train, n)
+        expected, recommended = reference.union_gram(point_items, train, n)
+        assert np.array_equal(row_of[recommended], np.arange(len(recommended)))
+        assert np.count_nonzero(row_of >= 0) == len(recommended)
+        assert np.array_equal(gram, expected)
