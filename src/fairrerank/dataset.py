@@ -29,7 +29,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .util import atomic_write_text
+from .numtext import float_fields, lines, text_fields
+from .util import atomic_write_text, distinct
 
 __all__ = [
     "DataError",
@@ -276,7 +277,7 @@ def distinct_user_counts(inter: Interactions, num_items: int) -> np.ndarray:
     length num_items. Robust to duplicate (user, item) pairs."""
     if len(inter) == 0:
         return np.zeros(num_items, dtype=np.int64)
-    pairs = np.unique(inter.items.astype(np.int64) * inter.num_users + inter.users)
+    pairs = distinct(inter.items.astype(np.int64) * inter.num_users + inter.users)
     return np.bincount(pairs // inter.num_users, minlength=num_items).astype(np.int64)
 
 
@@ -320,14 +321,17 @@ def write_split_files(
     split_triple: SplitTriple, ds: Dataset, out_dir: Path | str, fmt: InputFormat = InputFormat()
 ) -> dict[str, Path]:
     """Write train/valid/test as delimiter-separated files with the original
-    keys, the weight in repr, _WRITE_LINES rows at a time, so a file's text is
-    never held whole. Returns the mapping from split name to written path."""
-    out_dir, sep = Path(out_dir), fmt.delimiter
+    keys, the weight in repr (`numtext`), _WRITE_LINES rows at a time, so a
+    file's text is never held whole. Returns the mapping from split name to
+    written path."""
+    out_dir = Path(out_dir)
+    users, items = text_fields(ds.user_keys, fmt.delimiter), text_fields(ds.item_keys, fmt.delimiter)
 
-    def chunks(inter: Interactions) -> Iterator[str]:
+    def chunks(inter: Interactions) -> Iterator[bytes]:
         for start in range(0, len(inter), _WRITE_LINES):
-            cols = (a[start : start + _WRITE_LINES].tolist() for a in (inter.users, inter.items, inter.weights))
-            yield "".join([f"{ds.user_keys[u]}{sep}{ds.item_keys[i]}{sep}{w!r}\n" for u, i, w in zip(*cols)])
+            at = slice(start, start + _WRITE_LINES)
+            yield lines(users.take(inter.users[at], axis=0), items.take(inter.items[at], axis=0),
+                        float_fields(inter.weights[at]))
 
     triple = {"train": split_triple.train, "valid": split_triple.valid, "test": split_triple.test}
     return {name: atomic_write_text(out_dir / f"{name}.tsv", chunks(inter)) for name, inter in triple.items()}

@@ -268,7 +268,7 @@ def evaluate(ctx: EvalContext, point_lists: Sequence[RecommendationLists]) -> li
             ndcg=ndcg, precision=precision, recall=recall,
             novelty=_novelty(items, ctx.counts, ctx.train.num_users),
             diversity=_diversity(items, gram, row_of, ctx.counts),
-            coverage=len(np.unique(items)) / part.num_items,
+            coverage=int(np.count_nonzero(np.bincount(items.ravel(), minlength=part.num_items))) / part.num_items,
             personalization=_personalization(items, part.num_items),
             serendipity=_serendipity(items, ctx.popular),
             short_count=short_count, rel_short=rel_short, long_count=long_count, rel_long=rel_long,

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .dataset import Dataset, Interactions, PopularityPartition
+from .numtext import LINES, float_fields, lines, text_fields
 from .scorers import ScoreBlocks, ScoreMatrix, block_rows
 from .util import atomic_write_text
 
@@ -242,9 +243,11 @@ def rerank_path(
             selectable = int(np.count_nonzero(np.isfinite(adjusted[point, u])))
             raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
         _check_lists(top, n)  # a finite adjusted score has a finite original
-        # canonical ascending-index summation keeps the objective reproducible
-        sums = top_adjusted[at, rows, np.argsort(top, axis=-1)].sum(axis=-1)
-        totals = np.cumsum(np.concatenate((np.zeros((len(adjusted), 1)), sums), axis=1), axis=1)[:, -1]
+        # canonical ascending-index summation keeps the objective reproducible;
+        # a λ near the float maximum sums to ±inf (or NaN) without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = top_adjusted[at, rows, np.argsort(top, axis=-1)].sum(axis=-1)
+            totals = np.cumsum(np.concatenate((np.zeros((len(adjusted), 1)), sums), axis=1), axis=1)[:, -1]
         out += [
             RecommendationLists(top[i], n, float(totals[i]), scores=top_original[i], adjusted=top_adjusted[i])
             for i in range(len(adjusted))
@@ -354,20 +357,22 @@ def lambda_sweep(
 def write_lists(path: Path | str, lists: RecommendationLists, ds: Dataset, part: PopularityPartition) -> Path:
     """Write per-user list lines:
     user_key<TAB>rank<TAB>item_key<TAB>original_score<TAB>adjusted_score<TAB>{short|long},
-    the two scores as the solver kept them on `lists` (at λ = 0 the adjusted
-    score is the original, bit for bit, so -0.0 stays)."""
+    the two scores in `.10g` as the solver kept them on `lists` (at λ = 0
+    the adjusted score is the original, bit for bit, so -0.0 stays), LINES
+    lines at a time (`numtext`)."""
     if lists.scores is None or lists.adjusted is None:
         raise ValueError("lists carry no scores; write the lists rerank_path returns")
-    flat = lists.items.ravel()
-    # each distinct bit pattern is formatted once; keyed on the bytes, not
-    # the value, so -0.0 still prints "-0"
-    both = np.concatenate((lists.scores.ravel(), lists.adjusted.ravel()))
-    bits, slot = np.unique(both.view(np.int64), return_inverse=True)
-    text = list(map("{:.10g}".format, bits.view(np.float64).tolist()))
-    cells = list(map(text.__getitem__, slot.tolist()))
-    keys = np.asarray(ds.item_keys, dtype=object)[flat].tolist()
-    groups = np.where(part.short_head[flat], "short", "long").tolist()
-    users = [user for user in ds.user_keys[: lists.num_users] for _ in range(lists.k)]
-    ranks = [str(rank) for rank in range(1, lists.k + 1)] * lists.num_users
-    rows = zip(users, ranks, keys, cells, cells[flat.size :], groups)
-    return atomic_write_text(path, ("\n".join([f"{u}\t{r}\t{key}\t{s}\t{a}\t{g}" for u, r, key, s, a, g in rows]) + "\n",))
+    flat, k, size = lists.items.ravel(), lists.k, lists.items.size
+    cells = float_fields(np.concatenate((lists.scores.ravel(), lists.adjusted.ravel())), ".10g", "\t")
+    users, ranks = text_fields(ds.user_keys[: lists.num_users]), text_fields(map(str, range(1, k + 1)))
+    items, groups = text_fields(ds.item_keys), text_fields(("long", "short"), "\n")
+
+    def text():
+        for lo in range(0, size, LINES):
+            at = np.arange(lo, min(lo + LINES, size))
+            yield lines(users.take(at // k, axis=0), ranks.take(at % k, axis=0), items.take(flat[at], axis=0),
+                        cells[at], cells[size + at], groups.take(part.short_head[flat[at]], axis=0))
+        if not size:
+            yield b"\n"
+
+    return atomic_write_text(path, text())

@@ -14,7 +14,6 @@ functions of their inputs and seed.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import re
@@ -25,7 +24,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dataset import DataError, Dataset, Interactions, distinct_user_counts
-from .util import atomic_write_text
+from .numtext import LINES, float_fields, lines, text_fields
+from .util import atomic_write_text, distinct
 
 __all__ = [
     "MASKED",
@@ -175,7 +175,7 @@ def _solve_half(this: np.ndarray, other: np.ndarray, seen: np.ndarray, seen_w: n
     gram = other.T @ other + reg * np.eye(dim)
     counts = np.diff(bounds)
     this[counts == 0] = 0.0
-    for size in np.unique(counts[counts > 0]):
+    for size in distinct(counts[counts > 0]):
         rows = np.flatnonzero(counts == size)
         step = max(1, _BLOCK // (max(size, dim) * dim))
         for start in range(0, len(rows), step):
@@ -301,152 +301,29 @@ def read_scores(path: Path | str, ds: Dataset, fill: float = 0.0) -> ScoreMatrix
         return load_scores(fh, ds, fill=fill)
 
 
-_PAD = 0xFF  # a byte no UTF-8 text holds: pads text fields, dropped before the write
-_EXPORT_CELLS = 1 << 12  # score cells per formatted chunk of rows
-_POW10 = np.array([10**k for k in range(23)], dtype=np.float64)  # every one exact
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into halves of 26 bits
-_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-
-
-def _template(neg: int, e: int, t: int) -> bytes:
-    """The text field of a value with sign `neg`, first digit at 10**e and
-    t significant digits, laid out as repr lays it out: 6 prefix bytes
-    ("-0.000" at most), 17 (digit, dot) byte pairs, 4 exponent bytes, a
-    newline and one more byte. A shown digit byte is 0, for the digit to
-    be OR-ed in; every byte the text does not use is _PAD."""
-    field = bytearray([_PAD]) * 46
-    prefix, shown, dot, suffix = "-" * neg, t, None, ""
-    if e < -4 or e >= 16:
-        dot, suffix = (0 if t > 1 else None), f"e{'-' if e < 0 else '+'}{abs(e):02d}"
-    elif e >= 0:  # integral digits zero-padded up to the dot; ".0" if nothing follows
-        shown, dot = max(t, e + 2), e
-    else:
-        prefix += "0." + "0" * (-e - 1)
-    field[: len(prefix)] = prefix.encode()
-    field[6 : 6 + 2 * shown : 2] = bytes(shown)
-    if dot is not None:
-        field[7 + 2 * dot] = ord(".")
-    field[40 : 41 + len(suffix)] = (suffix + "\n").encode()
-    return bytes(field)
-
-
-@functools.cache
-def _text_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The _template of every (e, t, neg) with -6 <= e <= 16 as rows of one
-    table, and the four ASCII digits of 0..9999 as little-endian uint16."""
-    templates = b"".join(_template(neg, e, t) for e in range(-6, 17) for t in range(1, 18) for neg in (0, 1))
-    quads = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48
-    return np.frombuffer(templates, np.uint8).reshape(-1, 46), quads.astype("<u2")
-
-
-def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The shortest decimal that reads back as each finite a >= 0, as repr
-    finds it: (c, k, digits, undecided), a ~ c / 10**k with c in [1e16,
-    1e17) ending in 17 - digits zeros (c = 0 for 0.0 and undecided cells). a in [1e-6, 1e17) is
-    scaled exactly, X = a * 10**k = big + f in [1e16, 1e17) (Dekker's
-    two-product: big an integer, 0 <= f < 1), and a's rounding interval
-    becomes X +- half an ulp times 10**k, exact doubles. The shortest
-    decimal in it is the multiple of 10**j nearest X for the largest j
-    with one inside: the nearer of big and big + 1 (j = 0), of the two
-    multiples of 10 around X (j = 1), or the one multiple of 100 (j >= 2:
-    the interval is under 23 wide), and its trailing zeros give j. Each
-    test compares f with an exact difference. Cells outside that range, on
-    an interval bound or at a tie between two candidates are undecided."""
-    zero = a == 0
-    inside = (a >= 1e-6) & (a < 1e17)
-    a = np.where(inside, a, 1.0)
-    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
-    b, b_hi, b_lo = _POW10.take(k), _POW10_HI.take(k), _POW10_LO.take(k)
-    p = a * b
-    a_hi = a * _SPLIT - (a * _SPLIT - a)
-    a_lo = a - a_hi
-    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    fl = np.floor(err)
-    big = p.astype(np.int64) + fl.astype(np.int64)
-    f = err - fl
-    bits = a.view(np.int64)
-    half_up = ((bits >> 52) - 53 << 52).view(np.float64) * b
-    half_down = np.where(bits << 12 == 0, half_up * 0.5, half_up)  # a power of two: the gap below is half
-    undecided = ~(inside | zero) | (big < 10**16) | (big >= 10**17)
-    tests = []
-    for step in (10, 100):
-        below = big // step * step
-        r = big - below
-        down_gap, up_gap = half_down - r, (step - r) - half_up
-        down, up = f < down_gap, up_gap < f  # below, below + step inside the interval
-        undecided |= (f == down_gap) | (f == up_gap)
-        tests.append((down | up, below, down, up, (step - 2 * r) * 0.5))
-    (tens, below10, down10, up10, mid10), (hundreds, below100, _, up100, _) = tests
-    undecided |= np.where(tens, ~hundreds & down10 & up10 & (f == mid10), f == 0.5)
-    nearer10 = below10 + 10 * (up10 & ~(down10 & (f < mid10)))
-    cand = np.where(hundreds, below100 + 100 * up100, np.where(tens, nearer10, big + (f > 0.5)))
-    undecided |= cand >= 10**17
-    cand[zero | undecided] = 0
-    digits = 17 - tens - hundreds
-    live, scale = np.flatnonzero(hundreds & (cand > 0)), 1000
-    while len(live):
-        live = live[cand[live] % scale == 0]
-        digits[live] -= 1
-        scale *= 10
-    digits[zero] = 1
-    k[zero] = 16
-    return cand, k, digits, undecided
-
-
-def _repr_fields(x: np.ndarray) -> np.ndarray:
-    """The bytes of repr(v) and a newline for each finite v of `x`, one
-    row of 46 each, padded with _PAD: `_shortest`'s digits laid out by the
-    _template of their sign, exponent and length, or repr's own text for
-    the cells it leaves undecided."""
-    templates, quads = _text_tables()
-    cand, k, digits, undecided = _shortest(np.abs(x))
-    field = templates.take(((22 - k) * 17 + digits - 1) * 2 + np.signbit(x), axis=0)
-    head = cand // 10**16
-    hi8 = (cand - head * 10**16) // 10**8
-    lo8 = cand - head * 10**16 - hi8 * 10**8
-    hi4, lo4 = hi8 // 10**4, lo8 // 10**4
-    text = np.empty((len(x), 17), dtype="<u2")
-    text[:, 0] = head + 48
-    groups = np.stack((hi4, hi8 - hi4 * 10**4, lo4, lo8 - lo4 * 10**4), axis=1)
-    text[:, 1:] = quads.take(groups, axis=0).reshape(len(x), 16)
-    field.view("<u2")[:, 3:20] |= text
-    left = np.flatnonzero(undecided)
-    texts = np.array([repr(v) + "\n" for v in x[left].tolist()], dtype="S46").view(np.uint8).reshape(len(left), 46)
-    field[left] = np.where(texts == 0, _PAD, texts)
-    return field
-
-
-def _key_fields(keys: Iterable[str]) -> np.ndarray:
-    """Each key + TAB as a row of one uint8 table, padded with _PAD."""
-    raw = [key.encode() + b"\t" for key in keys]
-    width = max(map(len, raw), default=1)
-    return np.frombuffer(b"".join(r.ljust(width, bytes([_PAD])) for r in raw), np.uint8).reshape(len(raw), width)
-
-
 def _row_texts(rows: np.ndarray, user_fields: np.ndarray, item_fields: np.ndarray) -> list[bytes]:
     """The export lines of each row of `rows`, whose users' key fields are
     `user_fields`: the fields of every finite cell side by side, and the
     padding dropped."""
     finite = np.isfinite(rows)
     row, item = np.nonzero(finite)
-    lines = np.concatenate(
-        (user_fields.take(row, axis=0), item_fields.take(item, axis=0), _repr_fields(rows[row, item])), axis=1
+    fields = np.concatenate(
+        (user_fields.take(row, axis=0), item_fields.take(item, axis=0), float_fields(rows[row, item])), axis=1
     )
     ends = np.cumsum(finite.sum(axis=1)).tolist()
-    return [lines[start:end].tobytes().translate(None, bytes([_PAD])) for start, end in zip([0] + ends, ends)]
+    return [lines(fields[start:end]) for start, end in zip([0] + ends, ends)]
 
 
 def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Dataset) -> Path:
     """Export scores as one "user item score" line per finite cell, the
     score in shortest round-trip repr; masked cells are left out and
     re-import as fill. Made a block of users at a time, formatted in chunks
-    of about _EXPORT_CELLS cells (`_repr_fields`) and written a user at a
+    of about LINES cells (`numtext.float_fields`) and written a user at a
     time, so its size does not add to peak memory. A row bytewise equal to
     the previous one (0.0 and -0.0 compare equal but print differently)
     reuses its text, with the user key swapped."""
-    user_fields, item_fields = _key_fields(ds.user_keys), _key_fields(ds.item_keys)
-    chunk_rows = max(1, _EXPORT_CELLS // max(scores.num_items, 1))
+    user_fields, item_fields = text_fields(ds.user_keys), text_fields(ds.item_keys)
+    chunk_rows = max(1, LINES // max(scores.num_items, 1))
 
     def text():
         prev_bits, prev_key, prev, tails, wrote = None, b"", b"", None, False

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -625,6 +628,44 @@ class TestExitCodes:
         assert main(["verify", "--instances", "20"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_MAIN = "import sys; from fairrerank.cli import main; code = main(sys.argv[1:]); print('numpy.ma' in sys.modules); sys.exit(code)"
+
+
+def _cli_process(cwd, *argv):
+    """`main(argv)` in a new interpreter that imports fairrerank from src/;
+    the last line of its stdout says whether numpy.ma was loaded."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", _MAIN, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("per_user", ["false", "true"])
+def test_a_lambda_near_the_float_maximum_runs_without_a_warning(demo, per_user):
+    # the objective of λ = 1e308 overflows: summed over the 40 users, or
+    # over each user's 4 items when λ is per user
+    config, base = demo
+    result = _cli_process(base, "run", "--config", str(config), "--set", "rerank.lambda_grid=1e308",
+                          "--set", f"rerank.per_user_lambda={per_user}")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert (base / "out" / "lists_popularity_lambda1e+308.tsv").is_file()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_run_and_verify_do_not_load_numpy_ma(demo, command):
+    # np.unique loads numpy.ma on numpy 2.x, about 11 ms of every process
+    config, base = demo
+    numpy_only = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+                                capture_output=True, text=True, timeout=60)
+    if numpy_only.stdout.split() == ["True"]:
+        pytest.skip("import numpy alone loads numpy.ma (numpy 1.x)")
+    argv = ["verify", "--instances", "20"] if command == "verify" else [
+        "run", "--config", str(config), "--set", "scorer.names=popularity,mf", "--set", "mf.iters=2"]
+    result = _cli_process(base, *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[-1] == "False"
 
 
 def _readme_cli():

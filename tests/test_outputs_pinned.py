@@ -6,6 +6,12 @@ fails here. `manifest.json` holds wall-clock seconds, so only its
 `outputs` hashes are compared. The mf scorer is left out: its floats
 depend on the BLAS build, while popularity, random and imported scores do
 not. The `import` variant reads a score file written from the same log.
+The `comma_weights` variant reads the log comma-separated with weights that
+print in every layout of `repr` (fractional, below 1e-4 and 1e-6, at least
+1e16 and 1e17, -0.0). Its pool of 8 keeps short-head items in the lists,
+so their adjusted scores go negative, and past -1e10 at λ = 1e12, where
+`.10g` prints an exponent. Its digests were recorded before the split and
+list files were written through `fairrerank.numtext`.
 Every pass over the scores reads them in blocks of users, so the digests
 are also checked with blocks of one user and with one block of all users."""
 
@@ -31,7 +37,11 @@ VARIANTS = {
     "plain": {},
     "pool_per_user": {"rerank.pool_size": "12", "rerank.per_user_lambda": "true", "rerank.lambda_grid": "0.01,0.05,0.2"},
     "import": {"scorer.names": "popularity,import", "scorer.fill": "sentinel"},
+    "comma_weights": {"input.delimiter": "comma", "rerank.pool_size": "8", "rerank.lambda_grid": "0.5,300,1e12"},
 }
+
+# cycled over the log's lines by the comma_weights variant
+WEIGHTS = ("0.30000000000000004", "2.5e-05", "3e+16", "7.0", "1e-07", "-0.0", "0.1", "1.2345678901234567e+17", "12.75")
 
 PINNED = {
     "plain": {
@@ -95,6 +105,25 @@ PINNED = {
         "train.tsv": "9c56a81a0beafc4c7b6b14336d26208453ddb620f80d864de04db0bd6a487edb",
         "valid.tsv": "c839124ffaaca70c60af0c02ef979981beceaff326b751822c68ee05a5a3af03",
     },
+    "comma_weights": {
+        "lists_popularity_lambda0.5.tsv": "e247c4b1bc2ac7b715f9adc7f8ee296a858e8126f68b4553e61ef14579818a0d",
+        "lists_popularity_lambda0.tsv": "be22ab92b37a514c3d99d5cd983905201b5a3eac4b7701733cad7dddf0eb0459",
+        "lists_popularity_lambda1e+12.tsv": "3d36286fa2d07577afee963f22a25327e3586f20d48a30c96403967131151e1a",
+        "lists_popularity_lambda300.tsv": "2c60a94d4bc7bf4708bb644263b12546db70055043e13f0860d00342f51086ec",
+        "lists_random_lambda0.5.tsv": "e7edecb6dbc6428c05d17087b6132ce825aa0f4d7f4ad021e57fa08fe2efcfca",
+        "lists_random_lambda0.tsv": "5046fe87a14ecbfcbb2b190beca913501f5a21f35de8e5d8b624c188443db7f8",
+        "lists_random_lambda1e+12.tsv": "0523e3c4b7ab078441132b261c4fba2ff82219e0ab34533ce9a094da0502e05d",
+        "lists_random_lambda300.tsv": "9478b4257b1d1d014f35b20483328791435bb11f8021729c72d364d0506ce56f",
+        "partition.tsv": "ec91188420b5794586a5646a0a82602ecf77953e60c71e9516f904d4856b6578",
+        "report.csv": "264ac9be79c4b9a829685a7ad31bc7c27ff4311231d090caa10258bef01b371f",
+        "report.json": "8c3ae7eec8ac436297f7a3d42120a15f52c6209e282e80f6e4debe88cb7a6e27",
+        "report.md": "efeb7d43ec06afc291dd17ade8da4177814d55ed16a987c6a1e5f6b27679a9fe",
+        "scores_popularity.tsv": "b21f857950eb91dc83c71675932d5fb0f6ff39f21aecb7a0cf7b0cd210bdf88c",
+        "scores_random.tsv": "d87606fabea4f3aa8dc59952d28a78f4350960236ca02ec8bdab7c42a6d20417",
+        "test.tsv": "0914ac7102718cc128f651890ef2f77bb930a8b4e61dc913b71038e4d392adb2",
+        "train.tsv": "632e1b0504d0d999b59cc8f7c18750ca8eade980289fb8493eee9c0a8394dad3",
+        "valid.tsv": "5cde73d3650fc4cb5e3b1560bea7f89fd08617a1074e3a2137216d264489a8c9",
+    },
 }
 
 
@@ -112,6 +141,14 @@ def _write_import_scores(data, path):
                 score = ((3 * a + 7 * b) % 11 - 5) / 4
                 text = "-0.0" if score == 0 and (a + b) % 2 else repr(score)
                 lines.append(f"{user}\t{item}\t{text}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _write_comma_log(data, path):
+    """The log's lines, comma-separated, with the weights of WEIGHTS in turn."""
+    fields = [line.split("\t") for line in data.read_text().splitlines()]
+    lines = [f"{f[0]},{f[1]},{WEIGHTS[j % len(WEIGHTS)]}" for j, f in enumerate(fields)]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -135,6 +172,8 @@ def test_run_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch, vari
 def _check_run(tmp_path, variant):
     data = tmp_path / "zipf.tsv"
     write_zipf_dataset(data, 70, 45, 1.0, per_user=9, seed=4)
+    if VARIANTS[variant].get("input.delimiter") == "comma":
+        data = _write_comma_log(data, tmp_path / "zipf.csv")
     out = tmp_path / "out"
     pairs = {"input.path": str(data), "output.dir": str(out), **BASE, **VARIANTS[variant]}
     if "import" in pairs["scorer.names"]:

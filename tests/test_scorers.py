@@ -352,7 +352,8 @@ class TestWriteScores:
 
 
 class TestReprFields:
-    """The export's numpy float text is repr's, byte for byte."""
+    """The toolkit's numpy float text is Python's, byte for byte: `repr`
+    and `.10g` (`fairrerank.numtext`)."""
 
     def test_differential_against_repr(self):
         out = io.StringIO()
@@ -363,15 +364,16 @@ class TestReprFields:
         9007199254740993.0, 623686950246838.75, 99999999999999.99,
     ])
     def test_edge_values(self, value):
-        assert fuzz_repr.mismatches(np.array([value, -value])) == []
+        for layout in fuzz_repr.LAYOUTS:
+            assert fuzz_repr.mismatches(np.array([value, -value]), layout) == [], layout
 
     def test_the_kernel_decides_ordinary_scores(self):
-        # repr formats only what the kernel leaves undecided, so the
+        # Python formats only what the kernel leaves undecided, so the
         # differential test alone would pass with every cell left to it
         rng = np.random.default_rng(4)
         values = np.concatenate([rng.random(10**5), 0.3 * rng.standard_normal(10**5), np.arange(-2000, 2000) * 0.05])
-        undecided = scorers._shortest(np.abs(values))[3]
-        assert np.count_nonzero(undecided) <= 2
+        for layout, (_, kernel) in fuzz_repr.LAYOUTS.items():
+            assert np.count_nonzero(kernel(np.abs(values))[3]) <= 2, layout
 
 
 class TestMaskSeen:
