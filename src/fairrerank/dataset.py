@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .numtext import float_fields, lines, text_fields
-from .util import atomic_write_text, distinct
+from .util import atomic_write_text
 
 __all__ = [
     "DataError",
@@ -163,7 +163,9 @@ def read_interactions(path: Path | str, fmt: InputFormat = InputFormat()) -> Int
 @dataclass(frozen=True)
 class Interactions:
     """An immutable set of (user, item, weight) triples over a fixed
-    (num_users, num_items) index universe. Pairs are unique."""
+    (num_users, num_items) index universe, held sorted by (user, item) with
+    each pair once: repeated pairs merge into one with the max weight, and
+    equal weights keep the first pair's bits (-0.0 then 0.0 gives -0.0)."""
 
     users: np.ndarray
     items: np.ndarray
@@ -179,6 +181,12 @@ class Interactions:
                 raise ValueError("user index out of range")
             if self.items.min() < 0 or self.items.max() >= self.num_items:
                 raise ValueError("item index out of range")
+        pairs = self.users.astype(np.int64) * self.num_items + self.items
+        if (pairs[1:] <= pairs[:-1]).any():
+            order = np.lexsort((-self.weights, pairs))  # stable: max weight first, ties in given order
+            keep = order[np.diff(pairs[order], prepend=-1) != 0]
+            for name in ("users", "items", "weights"):
+                object.__setattr__(self, name, getattr(self, name)[keep])
 
     def __len__(self) -> int:
         return int(self.users.shape[0])
@@ -204,16 +212,12 @@ class Dataset:
 
 
 def build_dataset(log: InteractionLog) -> Dataset:
-    """Merge duplicate (user, item) lines into one pair with the max weight,
-    which makes re-ingestion idempotent; equal weights keep the first line's
-    bits (-0.0 then 0.0 gives -0.0). Pairs are sorted by user, then item."""
+    """Index a parsed log; `Interactions` merges its duplicate lines, which
+    makes re-ingestion idempotent."""
     if not len(log):
         raise DataError("no interaction records")
 
-    pairs = log.users * len(log.item_keys) + log.items
-    order = np.lexsort((-log.weights, pairs))  # stable: max weight first, ties in line order
-    keep = order[np.diff(pairs[order], prepend=-1) != 0]
-    inter = Interactions(log.users[keep], log.items[keep], log.weights[keep], len(log.user_keys), len(log.item_keys))
+    inter = Interactions(log.users, log.items, log.weights, len(log.user_keys), len(log.item_keys))
     return Dataset(
         user_keys=log.user_keys,
         item_keys=log.item_keys,
@@ -253,20 +257,18 @@ def split(
 
     inter = ds.interactions
     rng = np.random.default_rng(seed)
-    order = np.argsort(inter.users, kind="stable")
-    bounds = np.flatnonzero(np.diff(inter.users[order], prepend=-1, append=-1)).tolist()
+    bounds = np.flatnonzero(np.diff(inter.users, prepend=-1, append=-1)).tolist()
     label = np.zeros(len(inter), dtype=np.int8)  # 0 train, 1 valid, 2 test
     for start, end in zip(bounds[:-1], bounds[1:]):
         c = end - start
         if c < 3:
             continue
-        shuffled = order[start:end][rng.permutation(c)]
+        shuffled = start + rng.permutation(c)
         label[shuffled[_floor_exact(ratios[0] * c):]] = 1
         label[shuffled[_floor_exact((ratios[0] + ratios[1]) * c):]] = 2
 
     def _collect(s: int) -> Interactions:
         idx = np.flatnonzero(label == s)
-        idx = idx[np.lexsort((inter.items[idx], inter.users[idx]))]
         return Interactions(inter.users[idx], inter.items[idx], inter.weights[idx], inter.num_users, inter.num_items)
 
     return SplitTriple(_collect(0), _collect(1), _collect(2), seed)
@@ -274,11 +276,8 @@ def split(
 
 def distinct_user_counts(inter: Interactions, num_items: int) -> np.ndarray:
     """Number of distinct interacting users per item, as an int array of
-    length num_items. Robust to duplicate (user, item) pairs."""
-    if len(inter) == 0:
-        return np.zeros(num_items, dtype=np.int64)
-    pairs = distinct(inter.items.astype(np.int64) * inter.num_users + inter.users)
-    return np.bincount(pairs // inter.num_users, minlength=num_items).astype(np.int64)
+    length num_items: each pair of `inter` is distinct."""
+    return np.bincount(inter.items, minlength=num_items)
 
 
 @dataclass(frozen=True)

@@ -114,11 +114,9 @@ def _union_gram(point_items: list[np.ndarray], train: Interactions, num_items: i
     row_of[recommended] = np.arange(size)
     rows = row_of[train.items]
     held = rows >= 0
-    codes = np.sort(train.users[held] * size + rows[held])
-    fresh = np.ones(len(codes), dtype=bool)
-    fresh[1:] = codes[1:] != codes[:-1]
-    users, rows = np.divmod(codes[fresh], max(size, 1))  # each (user, row) once, by user then row
-    owned = np.bincount(users, minlength=train.num_users)
+    # pairs come sorted by (user, item) and rows rise with items, so each
+    # user's rows are distinct and ascending
+    rows, owned = rows[held], np.bincount(train.users[held], minlength=train.num_users)
     starts = np.cumsum(owned) - owned
     gram = np.zeros(size * size, dtype=np.int64)
     for count in sorted(set(owned.tolist()) - {0}):

@@ -45,7 +45,7 @@ from .dataset import (
     write_split_files,
 )
 from .metrics import eval_context, evaluate, judgments_from_interactions
-from .rerank import lambda_label, rerank_path, write_lists
+from .rerank import _fairness_shifts, lambda_label, rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import (
     ScoreBlocks, ScoreMatrix, mf_blocks, popularity_blocks, random_blocks, read_scores, seen_masked, write_scores,
@@ -127,7 +127,8 @@ def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageCl
     """Reject, with a DataError before any file is written, a split a run
     cannot re-rank and score: one user (personalization compares pairs of
     lists), no judged user, k above the catalog, users with fewer than k
-    unseen items under mask_seen, or a bad import file. Returns the matrix
+    unseen items under mask_seen, or a bad import file, one of whose
+    selectable scores a λ shifts out of the float range. Returns the matrix
     its score[import] stage parsed, {"import": matrix}, or {}: the only parse."""
     ds, train, k = artifacts.dataset, artifacts.split.train, cfg.rerank.k
     if ds.num_users < 2:
@@ -148,6 +149,18 @@ def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageCl
         if cfg.mask_seen:
             selectable[train.users, train.items] = False
         _short_users(ds, selectable.sum(axis=1), k, "selectable imported cells with scorer.fill = sentinel")
+        # fl(r + c) is monotone in r, so a λ takes some selectable cell out
+        # of the finite range iff it takes its column's max or min out
+        shifts = _fairness_shifts(scores, artifacts.partition, cfg.rerank.lambda_grid, cfg.rerank.per_user_lambda)
+        top = np.max(scores.values, axis=0, where=selectable, initial=-np.inf)
+        bottom = np.min(scores.values, axis=0, where=selectable, initial=np.inf)
+        with np.errstate(over="ignore"):
+            above, below = np.isposinf(top + shifts), np.isneginf(bottom + shifts)
+        if (above | below).any():
+            point, item = np.unravel_index(np.argmax(above | below), above.shape)
+            score = float(top[item] if above[point, item] else bottom[item])
+            raise DataError(f"rerank.lambda_grid point {cfg.rerank.lambda_grid[point]!r} shifts the imported score "
+                            f"{score!r} of item {ds.item_keys[item]!r} out of the float range")
         return scores
 
     return {"import": clock.run("score[import]", check_import)} if "import" in cfg.scorers else {}

@@ -228,7 +228,8 @@ def rerank_path(
     out: list[RecommendationLists] = []
     step = block_rows(cand.size)  # λ points per sort
     for lo in range(0, len(shifts), step):
-        adjusted = original + shifts[lo : lo + step, cand]
+        with np.errstate(over="ignore"):  # a cell past the float maximum fails below, naming itself
+            adjusted = original + shifts[lo : lo + step, cand]
         at = np.arange(len(adjusted))[:, None, None]
         # a stable sort keeps tie order, so the first k picks in position
         # order are display order (reversed under the hook)
@@ -237,9 +238,14 @@ def rerank_path(
         top, top_original, top_adjusted = cand[rows, pick], original[rows, pick], adjusted[at, rows, pick]
         infeasible = ~np.isfinite(top_adjusted).all(axis=-1)
         if infeasible.any():
-            # an infeasible user has fewer than k finite pooled cells in
-            # each group, so the candidates hold all of them
+            # a +inf adjusted score is always picked; otherwise an infeasible
+            # user has fewer than k finite pooled cells in each group, so the
+            # candidates hold all of them
             point, u = np.unravel_index(np.argmax(infeasible), infeasible.shape)
+            over = np.flatnonzero(np.isposinf(adjusted[point, u]))
+            if len(over):
+                raise ValueError(f"lam={lambdas[lo + point]!r} shifts user {u}'s score {float(original[u, over[0]])!r} "
+                                 f"of item {cand[u, over[0]]} past the float maximum")
             selectable = int(np.count_nonzero(np.isfinite(adjusted[point, u])))
             raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
         _check_lists(top, n)  # a finite adjusted score has a finite original

@@ -7,9 +7,11 @@ form, the one block of all users, is a :class:`ScoreMatrix`, as imported
 scores are, and every block is bit for bit its slice of that form.
 `mask_seen` (`seen_masked` per block) stamps train-seen cells with a -inf
 sentinel, so downstream top-K selection can never return an
-already-consumed item; export scores with `write_scores` before masking
-them to keep the seen cells in the file. All scorers are deterministic
-functions of their inputs and seed.
+already-consumed item. Train pairs come unique and sorted by (user, item)
+(`Interactions`), so neither masking nor ALS sorts them by user again.
+Export scores with `write_scores` before masking them to keep the seen
+cells in the file. All scorers are deterministic functions of their
+inputs and seed.
 """
 
 from __future__ import annotations
@@ -153,15 +155,6 @@ def random_scorer(num_users: int, num_items: int, seed: int) -> ScoreMatrix:
     return ScoreMatrix(random_blocks(num_users, num_items, seed).rows(0, num_users))
 
 
-def _sort_by_row(index: np.ndarray, companion: np.ndarray, weights: np.ndarray, size: int):
-    """Stable-sort (companion, weight) pairs by their row in `index`
-    (0..size-1). Returns the sorted companions and weights and the size+1
-    row bounds: row r's pairs are [bounds[r], bounds[r + 1])."""
-    order = np.argsort(index, kind="stable")
-    bounds = np.searchsorted(index[order], np.arange(size + 1))
-    return companion[order], weights[order], bounds
-
-
 def _solve_half(this: np.ndarray, other: np.ndarray, seen: np.ndarray, seen_w: np.ndarray,
                 bounds: np.ndarray, reg: float, alpha: float) -> None:
     """One ALS half-step: re-solve every row of `this` against the frozen
@@ -203,8 +196,10 @@ def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[n
     user_factors = rng.standard_normal((m, cfg.latent_dim)) * 0.01
     item_factors = rng.standard_normal((n, cfg.latent_dim)) * 0.01
 
-    by_user = _sort_by_row(train.users, train.items, train.weights, m)
-    by_item = _sort_by_row(train.items, train.users, train.weights, n)
+    # (pairs, weights, row bounds) per half-step: row r's pairs are [bounds[r], bounds[r + 1])
+    by_user = (train.items, train.weights, np.searchsorted(train.users, np.arange(m + 1)))
+    order = np.argsort(train.items, kind="stable")
+    by_item = (train.users[order], train.weights[order], np.searchsorted(train.items[order], np.arange(n + 1)))
 
     for it in range(cfg.iterations):
         _solve_half(user_factors, item_factors, *by_user, cfg.regularization, cfg.confidence_alpha)
@@ -356,20 +351,18 @@ def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Datase
 
 def seen_masked(scores: ScoreMatrix | ScoreBlocks, train: Interactions) -> ScoreBlocks:
     """`scores` with every train-seen cell stamped MASKED in each block as
-    it is made (a ScoreMatrix's in place). The pairs are stable-sorted by
-    user once, so a block's pairs are one slice of them."""
+    it is made (a ScoreMatrix's in place). The pairs are sorted by user, so
+    a block's pairs are one slice of them."""
     if scores.num_users != train.num_users or scores.num_items != train.num_items:
         raise ValueError(
             f"score matrix is {scores.num_users}x{scores.num_items} but train universe is "
             f"{train.num_users}x{train.num_items}"
         )
-    order = np.argsort(train.users, kind="stable")
-    users, items = train.users[order], train.items[order]
 
     def rows(lo, hi):
         block = scores.rows(lo, hi)
-        seen = slice(*np.searchsorted(users, (lo, hi)))
-        block[users[seen] - lo, items[seen]] = MASKED
+        seen = slice(*np.searchsorted(train.users, (lo, hi)))
+        block[train.users[seen] - lo, train.items[seen]] = MASKED
         return block
 
     return ScoreBlocks(scores.num_users, scores.num_items, rows)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from fairrerank.dataset import Interactions, SplitTriple, _floor_exact, distinct_user_counts
+from fairrerank.dataset import Interactions, SplitTriple, _floor_exact
 from fairrerank.metrics import EvaluationReport
 from fairrerank.rerank import ORACLE_SUBSET_LIMIT, RecommendationLists, _check_lists, _combinations
 from fairrerank.scorers import ScoreMatrix
@@ -142,8 +142,16 @@ def ndcg_at_k(lists, judgments, k):
     return float(np.mean(scores))
 
 
+def user_counts(train, num_items):
+    """Each item's distinct train users, counted from a dense items x users
+    0/1 incidence, so repeated pairs count once."""
+    incidence = np.zeros((num_items, train.num_users), dtype=bool)
+    incidence[train.items, train.users] = True
+    return incidence.sum(axis=1)
+
+
 def novelty(lists, train, num_users):
-    counts = distinct_user_counts(train, lists.num_items)
+    counts = user_counts(train, lists.num_items)
     probed = np.maximum(counts[lists.items.ravel()], 1) / float(num_users)
     return float(np.mean(-np.log2(probed)))
 
@@ -190,7 +198,7 @@ def personalization_exact(lists):
 
 def serendipity(lists, train, k):
     items = lists.items[:, :k]
-    counts = distinct_user_counts(train, lists.num_items)
+    counts = user_counts(train, lists.num_items)
     order = np.lexsort((np.arange(lists.num_items), -counts))
     primitive = set(order[:k].tolist())
     per_user = [

@@ -653,6 +653,23 @@ def test_a_lambda_near_the_float_maximum_runs_without_a_warning(demo, per_user):
     assert (base / "out" / "lists_popularity_lambda1e+308.tsv").is_file()
 
 
+@pytest.mark.parametrize("score", ["1.7e+308", "-1.7e+308"])
+def test_an_imported_score_a_lambda_shifts_out_of_range_fails_before_any_write(demo, score):
+    # λ = 1e308 per item takes 1.7e308 past the float maximum in long-tail
+    # columns and -1.7e308 past its negative in short-head ones
+    config, base = demo
+    lines = (base / "demo.tsv").read_text().splitlines()
+    users, items = ({line.split("\t")[field] for line in lines} for field in (0, 1))
+    (base / "scores.tsv").write_text("".join(f"{u}\t{i}\t{score}\n" for u in sorted(users) for i in sorted(items)))
+    overrides = ["scorer.names=import", f"scorer.import_path={base / 'scores.tsv'}", "rerank.lambda_grid=1e308",
+                 "rerank.per_user_lambda=true"]
+    result = _cli_process(base, "run", "--config", str(config), *(arg for o in overrides for arg in ("--set", o)))
+    assert result.returncode == 1
+    assert re.fullmatch(rf"error: stage 'score\[import\]' failed: rerank.lambda_grid point 1e\+308 shifts the "
+                        rf"imported score {re.escape(score)} of item '[^']+' out of the float range\n", result.stderr)
+    assert not (base / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_run_and_verify_do_not_load_numpy_ma(demo, command):
     # np.unique loads numpy.ma on numpy 2.x, about 11 ms of every process

@@ -26,6 +26,7 @@ from fairrerank.dataset import (
     write_partition_file,
     write_split_files,
 )
+from fairrerank.scorers import MFConfig, mf_objective, train_mf_factors
 from fairrerank.synthetic import write_zipf_dataset
 
 
@@ -148,6 +149,35 @@ class TestBuildDataset:
         finally:
             tracemalloc.stop()
         assert peak < 12_000_000, f"peak {peak} bytes ingesting 80000 lines"
+
+
+class TestInteractions:
+    @given(triples=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 4), st.sampled_from([-0.0, 0.0, 0.5, 2.0])), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None, derandomize=True)  # the same examples on every run
+    def test_pairs_are_sorted_and_unique_with_the_max_weight(self, triples):
+        merged = {}
+        for u, i, w in triples:  # in the given order, so a tie keeps the first pair's bits
+            if (u, i) not in merged or w > merged[u, i]:
+                merged[u, i] = w
+        inter = interactions(triples, 4, 5)
+        keys = inter.users * 5 + inter.items
+        assert (keys[1:] > keys[:-1]).all()
+        assert list(zip(inter.users.tolist(), inter.items.tolist())) == sorted(merged)
+        assert inter.weights.tobytes() == np.array([merged[pair] for pair in sorted(merged)]).tobytes()
+        # ALS and its objective see the pairs once, as they would pre-merged
+        premerged = interactions([(u, i, w) for (u, i), w in sorted(merged.items())], 4, 5)
+        cfg = MFConfig(latent_dim=2, iterations=3, seed=1)
+        factors = train_mf_factors(inter, cfg)
+        want = train_mf_factors(premerged, cfg)
+        assert all(got.tobytes() == expected.tobytes() for got, expected in zip(factors, want))
+        assert np.float64(mf_objective(inter, *factors, cfg)).tobytes() == \
+            np.float64(mf_objective(premerged, *want, cfg)).tobytes()
+
+    def test_sorted_unique_pairs_are_kept_as_given(self):
+        users, items, weights = np.array([0, 0, 2]), np.array([1, 3, 0]), np.array([1.0, -0.0, 2.0])
+        inter = Interactions(users, items, weights, 3, 4)
+        assert inter.users is users and inter.items is items and inter.weights is weights
 
 
 def _log_for_user_counts(counts):

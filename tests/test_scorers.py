@@ -474,7 +474,8 @@ class TestScoreBlocks:
             starts = range(lo - lo % per_product, min(lo + 7, 20), per_product)
             assert sizes == [min(per_product, 20 - at) for at in starts]
 
-    def test_seen_masked_sorts_pairs_that_are_not_sorted_by_user(self, tiny_train):
+    def test_pairs_given_out_of_user_order_mask_the_same_cells(self, tiny_train):
+        # Interactions sorts them on construction
         reverse = Interactions(tiny_train.users[::-1], tiny_train.items[::-1], tiny_train.weights, 6, 5)
         expected = mask_seen(random_scorer(6, 5, seed=0), tiny_train).values
         source = seen_masked(random_blocks(6, 5, seed=0), reverse)

@@ -223,6 +223,16 @@ def test_solvers_report_the_first_failing_lambda():
     assert rerank_oracle(ScoreMatrix(np.array(cases[0][0])), part, cfg, ()) == []
 
 
+def test_path_names_the_cell_a_lambda_shifts_past_the_float_maximum():
+    # the oracle reports this matrix as "score matrix contains NaN or +inf
+    # entries"; a warning would fail the test, as the suite makes it an error
+    part = PopularityPartition(short_head=np.array([False, True, True]), popularity_count=np.zeros(3, dtype=np.int64))
+    rows = [[0.5, 0.25, 0.125], [0.75, LARGEST, 0.5], [LARGEST, 0.5, 0.25]]
+    with pytest.raises(ValueError) as caught:
+        rerank_path(ScoreMatrix(np.array(rows)), part, RerankConfig(k=2, per_user_lambda=True), (0.0, 1.0, 1e300))
+    assert str(caught.value) == "lam=1e+300 shifts user 2's score 1.7976931348623157e+308 of item 0 past the float maximum"
+
+
 def _evaluation(rng):
     """A random train split, partition, judgments (some users without any)
     and lists: reranked ones, identical ones, or random ones."""
