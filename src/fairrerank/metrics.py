@@ -15,9 +15,9 @@ Formulas:
                 counts from the train split
   diversity   = mean over users of 1 - mean pairwise cosine similarity of
                 the list items' binary train-interaction columns; the dot
-                products are co-interaction counts, tallied from each train
-                user's pairs of listed items with bincount, so they are
-                exact integers
+                products are co-interaction counts, added up in place from
+                each train user's pairs of listed items, so they are exact
+                integers
   coverage    = distinct recommended items / catalog size
   personalization = 1 - mean pairwise list overlap/k, exact over all user
                 pairs
@@ -43,7 +43,7 @@ __all__ = [
     "evaluate",
 ]
 
-_PAIR_CODES = 1 << 20  # item-pair codes per bincount in _union_gram
+_PAIR_CODES = 1 << 20  # item-pair codes added to the Gram per block in _union_gram
 
 
 def judgments_from_interactions(inter: Interactions) -> list[set[int]]:
@@ -102,9 +102,9 @@ def _novelty(items: np.ndarray, counts: np.ndarray, num_users: int) -> float:
 def _union_gram(point_items: list[np.ndarray], train: Interactions, num_items: int) -> tuple[np.ndarray, np.ndarray]:
     """The co-interaction Gram of the items any list set recommends (entry
     [a, b]: the number of train users of both a and b), and each item's row
-    in it (-1 for the others). Each user's pairs of such items are counted
-    with bincount, users grouped by how many such items they hold, at most
-    _PAIR_CODES pairs per count, so memory follows the union, not the
+    in it (-1 for the others). Each user's pairs of such items are added to
+    it in place, users grouped by how many such items they hold, at most
+    _PAIR_CODES pairs per block, so memory follows the union, not the
     number of sets or users; the entries are exact integers."""
     row_of = np.full(num_items, -1, dtype=np.int64)
     for items in point_items:
@@ -124,7 +124,7 @@ def _union_gram(point_items: list[np.ndarray], train: Interactions, num_items: i
         step = max(1, _PAIR_CODES // count**2)
         for at in range(0, len(group), step):
             block = rows[starts[group[at : at + step], None] + np.arange(count)]
-            gram += np.bincount((block[:, :, None] * size + block[:, None, :]).ravel(), minlength=size * size)
+            np.add.at(gram, (block[:, :, None] * size + block[:, None, :]).ravel(), 1)
     return gram.reshape(size, size), row_of
 
 

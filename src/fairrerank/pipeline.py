@@ -15,9 +15,9 @@ failure is wrapped in StageError naming the stage, except malformed input
 (DataError), which is re-raised as a DataError naming the stage.
 A run checks its split in one gate, after the split and before the first
 file is written: input it cannot re-rank or score fails there with a
-DataError (exit 1 at the CLI), not in a later stage. The import file is
-parsed there, once: the gate's matrix is the one the import scorer uses, so
-each stage key is recorded once. Inputs are hashed before the first write.
+DataError (exit 1 at the CLI), not in a later stage. Each scorer is made
+there, once, in its `score[name]` stage: the import file is parsed and ALS
+trained. Inputs are hashed before the first write.
 """
 
 from __future__ import annotations
@@ -105,17 +105,6 @@ def _split_stage(cfg: ExperimentConfig, ds: Dataset) -> SplitArtifacts:
     return SplitArtifacts(ds, triple, part)
 
 
-def _score_one(cfg: ExperimentConfig, name: str, artifacts: SplitArtifacts) -> ScoreBlocks:
-    train = artifacts.split.train
-    if name == "popularity":
-        return popularity_blocks(train)
-    if name == "mf":
-        return mf_blocks(train, cfg.mf)
-    if name == "random":
-        return random_blocks(train.num_users, train.num_items, cfg.random_seed)
-    raise ValueError(f"unknown scorer {name!r}")
-
-
 def _short_users(ds: Dataset, counts: np.ndarray, k: int, what: str) -> None:
     short = np.flatnonzero(counts < k)
     if len(short):
@@ -123,13 +112,16 @@ def _short_users(ds: Dataset, counts: np.ndarray, k: int, what: str) -> None:
                         f"(first user {ds.user_keys[short[0]]!r} has {counts[short[0]]})")
 
 
-def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageClock) -> dict[str, ScoreMatrix]:
+def _preflight(
+    cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageClock
+) -> dict[str, ScoreMatrix | ScoreBlocks]:
     """Reject, with a DataError before any file is written, a split a run
     cannot re-rank and score: one user (personalization compares pairs of
     lists), no judged user, k above the catalog, users with fewer than k
-    unseen items under mask_seen, or a bad import file, one of whose
-    selectable scores a λ shifts out of the float range. Returns the matrix
-    its score[import] stage parsed, {"import": matrix}, or {}: the only parse."""
+    unseen items under mask_seen, a bad import file, one of whose selectable
+    scores a λ shifts out of the float range, or a failed (non-finite or
+    singular) ALS run. Returns every scorer of cfg.scorers, each made in its
+    score[name] stage, import first: the only import parse and ALS run."""
     ds, train, k = artifacts.dataset, artifacts.split.train, cfg.rerank.k
     if ds.num_users < 2:
         raise DataError(f"a run needs at least 2 users (personalization compares their lists), got "
@@ -163,7 +155,14 @@ def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageCl
                             f"{score!r} of item {ds.item_keys[item]!r} out of the float range")
         return scores
 
-    return {"import": clock.run("score[import]", check_import)} if "import" in cfg.scorers else {}
+    makers = {
+        "import": check_import,
+        "popularity": lambda: popularity_blocks(train),
+        "mf": lambda: mf_blocks(train, cfg.mf),
+        "random": lambda: random_blocks(train.num_users, train.num_items, cfg.random_seed),
+    }
+    order = sorted(cfg.scorers, key=lambda name: name != "import")  # the import matrix is re-ranked and dropped first
+    return {name: clock.run(f"score[{name}]", makers[name]) for name in order}
 
 
 def _write_manifest(
@@ -216,7 +215,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     out_dir = Path(out_dir)
     clock = _StageClock()
     artifacts = _ingest_split(cfg, clock)
-    held = _preflight(cfg, artifacts, clock)
+    made = _preflight(cfg, artifacts, clock)
     inputs = {"input": sha256_file(cfg.input_path)}  # before the first write, which may overwrite an input
     if "import" in cfg.scorers:
         inputs["import"] = sha256_file(cfg.import_path)
@@ -228,8 +227,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
     lambdas = cfg.rerank.lambda_grid
     rows: list[ReportRow] = []
 
-    for name in sorted(cfg.scorers, key=lambda name: name not in held):
-        scores = held.pop(name) if name in held else clock.run(f"score[{name}]", _score_one, cfg, name, artifacts)
+    for name in list(made):
+        scores = made.pop(name)
         if cfg.score_export == "tsv":
             files[f"scores_{name}"] = clock.run(
                 f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", scores, ds

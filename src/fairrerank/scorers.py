@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, Interactions, distinct_user_counts
 from .numtext import LINES, float_fields, lines, text_fields
-from .util import atomic_write_text, distinct
+from .util import atomic_write_text
 
 __all__ = [
     "MASKED",
@@ -168,7 +168,7 @@ def _solve_half(this: np.ndarray, other: np.ndarray, seen: np.ndarray, seen_w: n
     gram = other.T @ other + reg * np.eye(dim)
     counts = np.diff(bounds)
     this[counts == 0] = 0.0
-    for size in distinct(counts[counts > 0]):
+    for size in np.flatnonzero(np.bincount(counts)[1:]) + 1:  # each row size, ascending
         rows = np.flatnonzero(counts == size)
         step = max(1, _BLOCK // (max(size, dim) * dim))
         for start in range(0, len(rows), step):
@@ -188,8 +188,9 @@ def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[n
 
     Returns the (user_factors, item_factors) pair after cfg.iterations full
     iterations (user half-step then item half-step each). Deterministic for
-    a fixed seed; raises RuntimeError naming the iteration if factors go
-    non-finite.
+    a fixed seed. Non-finite factors (alpha*w overflows) or a singular
+    system (alpha*w swamps mf.reg) raise a DataError, and warn nothing: the
+    message names the iteration, mf.alpha, the largest weight and mf.reg.
     """
     m, n = train.num_users, train.num_items
     rng = np.random.default_rng(cfg.seed)
@@ -202,10 +203,19 @@ def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[n
     by_item = (train.users[order], train.weights[order], np.searchsorted(train.items[order], np.arange(n + 1)))
 
     for it in range(cfg.iterations):
-        _solve_half(user_factors, item_factors, *by_user, cfg.regularization, cfg.confidence_alpha)
-        _solve_half(item_factors, user_factors, *by_item, cfg.regularization, cfg.confidence_alpha)
-        if not (np.isfinite(user_factors).all() and np.isfinite(item_factors).all()):
-            raise RuntimeError(f"non-finite factor values at ALS iteration {it}")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+                _solve_half(user_factors, item_factors, *by_user, cfg.regularization, cfg.confidence_alpha)
+                _solve_half(item_factors, user_factors, *by_item, cfg.regularization, cfg.confidence_alpha)
+        except np.linalg.LinAlgError:  # an exactly singular system
+            failed = "a singular system"
+        else:
+            finite = np.isfinite(user_factors).all() and np.isfinite(item_factors).all()
+            failed = None if finite else "non-finite factor values"
+        if failed:
+            raise DataError(f"{failed} at ALS iteration {it}: mf.alpha = {cfg.confidence_alpha!r} with the largest "
+                            f"train weight {float(np.max(train.weights, initial=0.0))!r} and mf.reg = "
+                            f"{cfg.regularization!r}")
     return user_factors, item_factors
 
 

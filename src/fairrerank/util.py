@@ -1,5 +1,4 @@
-"""Small shared helpers: atomic file writes, content hashing and sorted
-distinct values."""
+"""Small shared helpers: atomic file writes and content hashing."""
 
 from __future__ import annotations
 
@@ -8,8 +7,6 @@ import os
 import tempfile
 from pathlib import Path
 from typing import Iterable
-
-import numpy as np
 
 
 def atomic_write_text(path: Path | str, parts: Iterable[str | bytes]) -> Path:
@@ -44,10 +41,3 @@ def sha256_file(path: Path | str) -> str:
             digest.update(chunk)
     return digest.hexdigest()
 
-
-def distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of `a`, flattened: `np.unique` without
-    the lazy import of numpy.ma that numpy 2.x makes in it, which costs a
-    process about 11 ms."""
-    a = np.sort(a, axis=None)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))] if len(a) else a

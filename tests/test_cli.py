@@ -1,14 +1,19 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairrerank import pipeline, scorers
 from fairrerank.cli import _build_parser, main
@@ -24,7 +29,7 @@ from fairrerank.metrics import eval_context, evaluate, judgments_from_interactio
 from fairrerank.pipeline import run_experiment
 from fairrerank.rerank import RerankConfig, rerank_path, write_lists
 from fairrerank.scorers import ScoreMatrix, load_scores, mask_seen, popularity_scorer, random_scorer, write_scores
-from fairrerank.synthetic import write_zipf_dataset
+from fairrerank.synthetic import write_zipf_dataset, zipf_interaction_lines
 from fairrerank.util import sha256_file
 
 
@@ -224,6 +229,10 @@ class TestRunCommand:
         result = run_experiment(cfg, base / "once")
         assert len(parses) == 1 and len(reads) == 1
         assert len(stages) == len(set(stages)) and "score[import]" in stages
+        # every scorer is made in the gate, before the first write
+        scored = [stage for stage in stages if stage.startswith("score[")]
+        assert sorted(scored) == ["score[import]", "score[popularity]", "score[random]"]
+        assert max(map(stages.index, scored)) < stages.index("split_files")
         assert [row.model for row in result.rows] == ["popularity"] * 3 + ["import"] * 3 + ["random"] * 3
 
     def test_each_scorer_records_one_evaluate_stage(self, demo):
@@ -670,6 +679,20 @@ def test_an_imported_score_a_lambda_shifts_out_of_range_fails_before_any_write(d
     assert not (base / "out").exists()
 
 
+@pytest.mark.parametrize("weight, alpha", [("1e+300", "40.0"), ("1.0", "1e+308")], ids=["weight", "alpha"])
+def test_an_als_run_that_overflows_fails_before_any_write(demo, weight, alpha):
+    # the confidence 1 + mf.alpha * w overflows in the first half-step
+    config, base = demo
+    lines = (base / "demo.tsv").read_text().splitlines()
+    (base / "heavy.tsv").write_text("".join(line.rsplit("\t", 1)[0] + f"\t{weight}\n" for line in lines))
+    overrides = [f"input.path={base / 'heavy.tsv'}", "scorer.names=mf", f"mf.alpha={alpha}"]
+    result = _cli_process(base, "run", "--config", str(config), *(arg for o in overrides for arg in ("--set", o)))
+    assert result.returncode == 1
+    assert result.stderr == (f"error: stage 'score[mf]' failed: non-finite factor values at ALS iteration 0: "
+                             f"mf.alpha = {alpha} with the largest train weight {weight} and mf.reg = 0.05\n")
+    assert not (base / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_run_and_verify_do_not_load_numpy_ma(demo, command):
     # np.unique loads numpy.ma on numpy 2.x, about 11 ms of every process
@@ -748,3 +771,31 @@ def test_score_stages_never_hold_a_users_by_items_matrix(monkeypatch, tmp_path):
         for stage in (f"score[{name}]", f"score_file[{name}]", f"rerank[{name}]"):
             growth = large[stage] - small[stage]
             assert growth < bound, f"{stage} peak grew by {growth} bytes, bound {bound}"
+
+
+@given(
+    shape=st.tuples(st.integers(3, 12), st.integers(6, 12), st.integers(3, 6), st.integers(0, 2**16)),
+    weight=st.floats(1.0, 1e308),
+    alpha=st.floats(1.0, 1e308),
+    reg=st.floats(1e-300, 1e300),
+    iters=st.integers(1, 3),
+)
+@settings(max_examples=20, deadline=None, derandomize=True)  # the same examples on every run
+def test_a_run_exits_0_or_fails_before_any_write(shape, weight, alpha, reg, iters):
+    # warnings are errors here, and the CLI turns one into exit 2
+    users, items, per_user, seed = shape
+    rng = np.random.default_rng(seed)
+    lines = [line.rsplit("\t", 1)[0] + ("\t" + repr(weight) if heavy else "")
+             for line, heavy in zip(zipf_interaction_lines(users, items, 1.0, per_user, seed),
+                                    rng.random(users * per_user) < 0.5)]
+    with tempfile.TemporaryDirectory() as tmp:
+        data, config, out = Path(tmp) / "log.tsv", Path(tmp) / "exp.cfg", Path(tmp) / "out"
+        data.write_text("\n".join(lines) + "\n")
+        config.write_text(f"input.path = {data}\nscorer.names = popularity,mf\nmf.dim = 3\nmf.iters = {iters}\n"
+                          f"mf.alpha = {alpha!r}\nmf.reg = {reg!r}\nrerank.k = 2\nrerank.lambda_grid = 0,2\n"
+                          f"output.dir = {out}\nreport.formats = csv\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(config)])
+        assert code in (0, 1), err.getvalue()
+        assert code == 0 or not out.exists(), err.getvalue()
