@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .numtext import float_fields, lines, text_fields
+from .numtext import LINES, float_fields, lines, text_fields
 from .util import atomic_write_text
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
 
 DELIMITER_NAMES = {"tab": "\t", "comma": ","}
 _UNWRITABLE = re.compile("[\t\udc80-\udcff]")  # a TAB, or a non-UTF-8 byte read with surrogateescape
-_WRITE_LINES = 4096  # rows per chunk of a split file
 
 
 def _floor_exact(x: float) -> int:
@@ -320,15 +319,15 @@ def write_split_files(
     split_triple: SplitTriple, ds: Dataset, out_dir: Path | str, fmt: InputFormat = InputFormat()
 ) -> dict[str, Path]:
     """Write train/valid/test as delimiter-separated files with the original
-    keys, the weight in repr (`numtext`), _WRITE_LINES rows at a time, so a
+    keys, the weight in repr (`numtext`), LINES rows at a time, so a
     file's text is never held whole. Returns the mapping from split name to
     written path."""
     out_dir = Path(out_dir)
     users, items = text_fields(ds.user_keys, fmt.delimiter), text_fields(ds.item_keys, fmt.delimiter)
 
     def chunks(inter: Interactions) -> Iterator[bytes]:
-        for start in range(0, len(inter), _WRITE_LINES):
-            at = slice(start, start + _WRITE_LINES)
+        for start in range(0, len(inter), LINES):
+            at = slice(start, start + LINES)
             yield lines(users.take(inter.users[at], axis=0), items.take(inter.items[at], axis=0),
                         float_fields(inter.weights[at]))
 

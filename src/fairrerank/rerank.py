@@ -155,18 +155,18 @@ def _fairness_shifts(
     return np.where(part.short_head | (lams == 0), -delta, delta)
 
 
-def _top_mask(block: np.ndarray, count: int, lowest_first: bool = True) -> np.ndarray:
+def _top_mask(block: np.ndarray, count: int) -> np.ndarray:
     """Mark each row's `count` largest values; ties at the boundary go to
-    the lower column index (the higher one when not `lowest_first`)."""
+    the lower column index."""
     kth = np.partition(block, -count, axis=1)[:, -count, None]
     above = block > kth
-    tied = block == kth if lowest_first else (block == kth)[:, ::-1]
+    tied = block == kth
     tied &= np.cumsum(tied, axis=1) <= count - above.sum(axis=1, keepdims=True)
-    return above | (tied if lowest_first else tied[:, ::-1])
+    return above | tied
 
 
 def _group_candidates(
-    matrix: ScoreMatrix | ScoreBlocks, part: PopularityPartition, cfg: RerankConfig, lowest_first: bool
+    matrix: ScoreMatrix | ScoreBlocks, part: PopularityPartition, cfg: RerankConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step 1 of the λ path, in one pass over the score blocks: each user's
     top-k items of each group by original score, within the user's
@@ -187,7 +187,7 @@ def _group_candidates(
         at = 0
         for cols, take in zip(groups, takes):
             sub = block[:, cols]
-            keep = _top_mask(sub, take, lowest_first) if take < len(cols) else np.ones(sub.shape, dtype=bool)
+            keep = _top_mask(sub, take) if take < len(cols) else np.ones(sub.shape, dtype=bool)
             rows = len(sub)
             items[lo : lo + rows, at : at + take] = cols[np.nonzero(keep)[1]].reshape(rows, take)
             scores[lo : lo + rows, at : at + take] = sub[keep].reshape(rows, take)
@@ -200,7 +200,6 @@ def rerank_path(
     part: PopularityPartition,
     cfg: RerankConfig,
     lambdas: Sequence[float],
-    tie_break: str = "default",
 ) -> list[RecommendationLists]:
     """Solve the fairness-adjusted selection exactly at every λ in `lambdas`
     (cfg.lambda_grid is not read): per user, the k items with the largest
@@ -210,20 +209,15 @@ def rerank_path(
     per sort as fit in a block of cells. Returns one
     display-ordered list set per λ, with the listed items' original and
     adjusted scores and the objective (the selected adjusted scores, summed
-    per user in ascending item order and added user by user).
-    `tie_break="inverted"` is a test hook that flips the original score and
-    index tie directions, in both steps."""
-    if tie_break not in ("default", "inverted"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
+    per user in ascending item order and added user by user)."""
     shifts = _fairness_shifts(matrix, part, lambdas, cfg.per_user_lambda)
     m, n = matrix.num_users, matrix.num_items
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds catalog size {n}")
-    default = tie_break == "default"
-    cand, original = _group_candidates(matrix, part, cfg, lowest_first=default)
+    cand, original = _group_candidates(matrix, part, cfg)
     rows = np.arange(m)[:, None]
     # tie order, once: original score descending, then lower index
-    order = np.lexsort((cand, -original) if default else (-cand, original), axis=-1)
+    order = np.lexsort((cand, -original), axis=-1)
     cand, original = cand[rows, order], original[rows, order]
     out: list[RecommendationLists] = []
     step = block_rows(cand.size)  # λ points per sort
@@ -232,9 +226,8 @@ def rerank_path(
             adjusted = original + shifts[lo : lo + step, cand]
         at = np.arange(len(adjusted))[:, None, None]
         # a stable sort keeps tie order, so the first k picks in position
-        # order are display order (reversed under the hook)
+        # order are display order
         pick = np.sort(np.argsort(-adjusted, axis=-1, kind="stable")[..., : cfg.k], axis=-1)
-        pick = pick if default else pick[..., ::-1]
         top, top_original, top_adjusted = cand[rows, pick], original[rows, pick], adjusted[at, rows, pick]
         infeasible = ~np.isfinite(top_adjusted).all(axis=-1)
         if infeasible.any():

@@ -53,13 +53,13 @@ def _instances(count: int, seed: int):
 
 
 @_check("oracle_equivalence")
-def _check_oracle_equivalence(count: int, seed: int, tie_break: str):
+def _check_oracle_equivalence(count: int, seed: int):
     """Exact solver vs exhaustive oracle: objective within 1e-9 and the
     selected sets identical on every (instance, lambda) pair; the lambda=0
     lists must equal the plain top-k of the raw scores, in display order."""
     for idx, inst in enumerate(_instances(count, seed)):
         cfg = RerankConfig(k=inst.k)
-        path = rerank_path(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID, tie_break=tie_break)
+        path = rerank_path(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID)
         oracle = rerank_oracle(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID)
         gaps = [abs(fast.objective - slow.objective) for fast, slow in zip(path, oracle)]
         fast_sets, slow_sets = (np.sort([lists.items for lists in sets], axis=-1) for sets in (path, oracle))
@@ -83,7 +83,7 @@ def _check_oracle_equivalence(count: int, seed: int, tie_break: str):
 
 
 @_check("monotone_exposure")
-def _check_monotone_exposure(count: int, seed: int, tie_break: str):
+def _check_monotone_exposure(count: int, seed: int):
     """Short-head selections never increase along an ascending lambda grid,
     per user and hence in aggregate, and the fairness gap never increases;
     past num_users * score range the short-head count is exactly zero and
@@ -92,7 +92,7 @@ def _check_monotone_exposure(count: int, seed: int, tie_break: str):
         m, k = inst.scores.num_users, inst.k
         previous_user_short = previous_gap = None
         lambdas = (*DEFAULT_LAMBDA_GRID, inst.saturating_lambda)
-        *path, saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), lambdas, tie_break=tie_break)
+        *path, saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), lambdas)
         for lam, lists in zip(DEFAULT_LAMBDA_GRID, path):
             user_short = inst.part.short_head[lists.items].sum(axis=1)
             gap = (2 * int(user_short.sum()) - lists.items.size) / m  # short minus long slots, per user
@@ -162,12 +162,11 @@ def _check_metric_bounds(count: int, seed: int):
     return True, f"{count} random evaluations"
 
 
-def run_battery(instances: int = 200, seed: int = 20240, tie_break: str = "default") -> list[CheckOutcome]:
-    """Run all checks; `tie_break` is a test hook that, when set to
-    "inverted", must make the equivalence check fail."""
+def run_battery(instances: int = 200, seed: int = 20240) -> list[CheckOutcome]:
+    """Run all checks."""
     return [
-        _check_oracle_equivalence(instances, seed, tie_break),
-        _check_monotone_exposure(max(instances // 4, 25), seed + 1, tie_break),
+        _check_oracle_equivalence(instances, seed),
+        _check_monotone_exposure(max(instances // 4, 25), seed + 1),
         _check_partition_sizes(),
         _check_metric_bounds(100, seed + 2),
     ]

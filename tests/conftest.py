@@ -14,6 +14,15 @@ def interactions(triples, num_users, num_items):
     return Interactions(users, items, weights, num_users, num_items)
 
 
+def raises_exactly(error, message, check):
+    """Assert that `check()` raises `error` itself, not a subclass, with
+    exactly `message`."""
+    with pytest.raises(error) as caught:
+        check()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 def pair_set(inter):
     """The (user, item) pairs of a split."""
     return set(zip(inter.users.tolist(), inter.items.tolist()))

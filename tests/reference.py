@@ -35,6 +35,10 @@ def adjusted_scores(matrix, part, lam, per_user_lambda=False):
 
 
 def _selection_order(s_row, r_row, tie_break):
+    """Candidates by adjusted score descending, ties by the library's rule
+    ("default": original score descending, then lower index) or by its
+    mutation ("inverted": original ascending, then higher index), which the
+    battery's mutation check in `test_acceptance.py` must catch."""
     idx = np.arange(len(s_row))
     if tie_break == "default":
         return np.lexsort((idx, -r_row, -s_row))

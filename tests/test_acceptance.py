@@ -11,6 +11,7 @@ from pytest import approx
 
 import reference
 from conftest import evaluated
+from fairrerank import verify
 from fairrerank.cli import main
 from fairrerank.dataset import Interactions, build_dataset, parse_interactions, partition_popularity, split
 from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
@@ -187,10 +188,31 @@ def test_c8_end_to_end_determinism(tmp_path):
     print("C8 determinism: PASS (4 runs, threads 1/1/2/4, identical CSV bytes)")
 
 
-def test_battery_mutation_hook_detects_inverted_tie_break():
+def _battery_on_reference(monkeypatch, tie_break):
+    """The battery's oracle-equivalence outcome with its solver swapped for
+    the per-user reference under `tie_break` (`reference._selection_order`)."""
+    monkeypatch.setattr(
+        verify,
+        "rerank_path",
+        lambda matrix, part, cfg, lambdas: [
+            reference.rerank_exact(matrix, part, cfg, lam, tie_break) for lam in lambdas
+        ],
+    )
+    outcomes = run_battery(instances=40, seed=BATTERY_SEED)
+    return next(o for o in outcomes if o.name == "oracle_equivalence")
+
+
+def test_battery_mutation_hook_detects_inverted_tie_break(monkeypatch):
     """The verification battery must fail when the solver's tie-break is
     deliberately inverted (development mutation check)."""
-    outcomes = run_battery(instances=40, seed=BATTERY_SEED, tie_break="inverted")
-    equivalence = next(o for o in outcomes if o.name == "oracle_equivalence")
+    equivalence = _battery_on_reference(monkeypatch, "inverted")
     assert not equivalence.passed
-    print("battery mutation hook: PASS (inverted tie-break caught)")
+    print(f"battery mutation hook: PASS (inverted tie-break caught: {equivalence.detail})")
+
+
+def test_battery_passes_the_reference_under_the_default_tie_break(monkeypatch):
+    """The mutation check's control: the same swap under the default rule
+    passes, so the swap itself is faithful."""
+    equivalence = _battery_on_reference(monkeypatch, "default")
+    assert equivalence.passed, equivalence.detail
+    print(f"battery mutation control: PASS (default tie-break on the reference: {equivalence.detail})")

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import raises_exactly
 from fairrerank import pipeline, scorers
-from fairrerank.cli import _build_parser, main
+from fairrerank.cli import _build_parser, _overrides_from_args, main
 from fairrerank.config import (
     ConfigError,
     build_config,
@@ -24,7 +25,7 @@ from fairrerank.config import (
     load_config,
     parse_config_text,
 )
-from fairrerank.dataset import build_dataset, partition_popularity, read_interactions, split
+from fairrerank.dataset import DELIMITER_NAMES, build_dataset, partition_popularity, read_interactions, split
 from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
 from fairrerank.pipeline import run_experiment
 from fairrerank.rerank import RerankConfig, rerank_path, write_lists
@@ -799,3 +800,65 @@ def test_a_run_exits_0_or_fails_before_any_write(shape, weight, alpha, reg, iter
             code = main(["run", "--config", str(config)])
         assert code in (0, 1), err.getvalue()
         assert code == 0 or not out.exists(), err.getvalue()
+
+
+_KEY_LETTERS = "aZ9é中ß \"'#,"  # non-ASCII letters, an inner space, a quote, a hash and a comma
+
+
+@st.composite
+def _census_runs(draw):
+    """A log of awkward keys and shapes and one value drawn for each of the
+    other config keys: (log lines, config lines)."""
+    delimiter = draw(st.sampled_from(["tab", "comma"]))
+    letters = _KEY_LETTERS if delimiter == "tab" else _KEY_LETTERS.replace(",", "")
+    key = st.text(letters, min_size=1, max_size=6).map(lambda text: f"k{text}k")  # no key strips to empty
+    k = draw(st.integers(2, 5))
+    users, items = draw(st.integers(2, 15)), draw(st.integers(k, 25))
+    user_keys = draw(st.lists(key, min_size=users, max_size=users, unique=True))
+    item_keys = draw(st.lists(key, min_size=items, max_size=items, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    lines = [f"{user}{DELIMITER_NAMES[delimiter]}{item_keys[i]}" for user in user_keys
+             for i in rng.choice(items, size=int(rng.integers(1, min(8, items) + 1)), replace=False).tolist()]
+    train = draw(st.floats(0.001, 0.997))
+    valid = draw(st.floats(0.001, 0.998 - train))
+    grid = draw(st.lists(st.floats(0.0, 1e308) | st.sampled_from([2.0, 1e308]), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(st.sampled_from(["popularity", "mf", "random"]), min_size=1, max_size=3, unique=True))
+    formats = draw(st.lists(st.sampled_from(["csv", "json", "md"]), min_size=1, max_size=3, unique=True))
+    config = [
+        f"input.delimiter = {delimiter}",
+        f"partition.ratio = {draw(st.floats(0.001, 0.999))!r}",
+        f"split.ratios = {train!r},{valid!r},{1.0 - train - valid!r}",
+        f"rerank.k = {k}",
+        f"rerank.pool_size = {draw(st.sampled_from([0, k, items, 1000]))}",
+        f"rerank.per_user_lambda = {draw(st.booleans())}",
+        f"rerank.lambda_grid = {','.join(map(repr, sorted(grid)))}",
+        f"scorer.mask_seen = {draw(st.booleans())}",
+        f"scorer.names = {','.join(names)}",
+        "mf.dim = 3",
+        "mf.iters = 2",
+        f"output.scores = {draw(st.sampled_from(['tsv', 'none']))}",
+        f"report.formats = {','.join(formats)}",
+    ]
+    return lines, config
+
+
+@given(run=_census_runs())
+@settings(max_examples=30, deadline=None, derandomize=True)  # the same examples on every run
+def test_any_config_exits_0_or_fails_before_any_write(run):
+    # warnings are errors here, and the CLI turns one into exit 2
+    lines, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        data, path, out = Path(tmp) / "log.txt", Path(tmp) / "exp.cfg", Path(tmp) / "out"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text("\n".join([f"input.path = {data}", f"output.dir = {out}", *config]) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(path)])
+        assert code in (0, 1), err.getvalue()
+        assert (out / "manifest.json").is_file() if code == 0 else not out.exists(), err.getvalue()
+
+
+@pytest.mark.parametrize("item", ["rerank.k", "rerank.k 3", ""])
+def test_a_set_without_an_equals_sign_is_a_config_error(item):
+    args = argparse.Namespace(overrides=[item], seed=None, format=None)
+    raises_exactly(ConfigError, f"--set expects KEY=VALUE, got {item!r}", lambda: _overrides_from_args(args))

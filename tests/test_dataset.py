@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import interactions, pair_set
+from conftest import interactions, pair_set, raises_exactly
 from fairrerank import dataset
 from fairrerank.dataset import (
     DataError,
     Dataset,
     InputFormat,
     Interactions,
+    PopularityPartition,
     build_dataset,
     distinct_user_counts,
     parse_interactions,
@@ -342,7 +343,7 @@ class TestArtifactFiles:
         # users of 3 pairs leave valid empty; its file is written empty
         ds = build_dataset(_log_for_user_counts([3] * 8 + [1, 2]))
         triple = split(ds, seed=5)
-        monkeypatch.setattr(dataset, "_WRITE_LINES", lines)
+        monkeypatch.setattr(dataset, "LINES", lines)
         files = write_split_files(triple, ds, tmp_path, InputFormat(","))
         for name in ("train", "valid", "test"):
             inter = getattr(triple, name)
@@ -370,3 +371,23 @@ class TestArtifactFiles:
         lines = path.read_text().splitlines()
         assert len(lines) == ds.num_items
         assert all(line.split("\t")[2] in ("short", "long") for line in lines)
+
+
+_ONE = np.zeros(1, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: InputFormat.from_name("semicolon"), DataError,
+         "unknown delimiter name 'semicolon'; expected one of ['comma', 'tab']"),
+        (lambda: Interactions(_ONE, _ONE, np.ones(2), 1, 1), ValueError, "users, items, weights must have equal length"),
+        (lambda: Interactions(_ONE + 1, _ONE, np.ones(1), 1, 2), ValueError, "user index out of range"),
+        (lambda: Interactions(_ONE, _ONE - 1, np.ones(1), 1, 2), ValueError, "item index out of range"),
+        (lambda: PopularityPartition(np.zeros(3, dtype=bool), np.zeros(2, dtype=np.int64)), ValueError,
+         "short_head and popularity_count must have the same length"),
+    ],
+    ids=["delimiter", "lengths", "user", "item", "partition"],
+)
+def test_each_input_check_raises_its_message(make, error, message):
+    raises_exactly(error, message, make)

@@ -7,7 +7,7 @@ import pytest
 from pytest import approx
 
 import reference
-from conftest import evaluated, interactions, make_partition
+from conftest import evaluated, interactions, make_partition, raises_exactly
 from fairrerank.dataset import Interactions
 from fairrerank.metrics import EvaluationReport, eval_context, evaluate, judgments_from_interactions
 from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_path
@@ -368,3 +368,32 @@ def test_grid_memory_follows_the_item_union_not_the_grid_length():
     ctx = eval_context([set(row[:2].tolist()) for row in base], train, part, k)
     one, grid = _traced_peak(evaluate, ctx, sets[:1]), _traced_peak(evaluate, ctx, sets)
     assert grid <= one + (one >> 4), f"16 sets peaked at {grid} bytes against {one} for one set"
+
+
+_VALID = dict(ndcg=0.5, precision=0.5, recall=0.5, novelty=1.0, diversity=0.5, coverage=0.5, personalization=0.5,
+              serendipity=0.5, short_count=2, rel_short=1, long_count=2, rel_long=1, fairness_gap=0.0, k=2,
+              evaluated_users=2)
+
+
+def _evaluate_two_item_lists_at_k_3():
+    lists = RecommendationLists(items=np.tile(np.arange(2, dtype=np.int64), (2, 1)), num_items=4)
+    train = interactions([(0, 0, 1.0), (1, 1, 1.0)], 2, 4)
+    evaluate(eval_context([{0}, {1}], train, make_partition([True, False, False, False]), 3), [lists])
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: EvaluationReport(**{**_VALID, "novelty": -0.5}).validate(), "novelty=-0.5 must be >= 0"),
+        (lambda: EvaluationReport(**{**_VALID, "long_count": 3}).validate(), "exposure counts do not sum to list slots"),
+        (lambda: EvaluationReport(**{**_VALID, "rel_long": 3, "long_count": 2}).validate(),
+         "relevant exposure subcounts exceed their totals"),
+        (lambda: EvaluationReport(**{**_VALID, "fairness_gap": 2.5}).validate(), "fairness gap 2.5 out of [-k, k]"),
+        (lambda: eval_context([{0}], interactions([(0, 0, 1.0)], 1, 4), make_partition([True, False, False, False]), 0),
+         "k must be >= 1"),
+        (_evaluate_two_item_lists_at_k_3, "lists have 2 entries but k=3 requested"),
+    ],
+    ids=["novelty", "slots", "relevant", "gap", "context-k", "short-lists"],
+)
+def test_each_input_check_raises_its_message(check, message):
+    raises_exactly(ValueError, message, check)

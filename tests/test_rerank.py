@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import reference
-from conftest import interactions, make_partition
+from conftest import interactions, make_partition, raises_exactly
 from fairrerank.dataset import build_dataset, parse_interactions
 from fairrerank.metrics import eval_context, evaluate
 from fairrerank.rerank import (
     RecommendationLists,
     RerankConfig,
+    _check_lists,
     lambda_label,
     lambda_sweep,
     rerank_oracle,
@@ -398,3 +399,20 @@ class TestWriteLists:
             for rank, item in enumerate(lists.items[u].tolist(), start=1)
         ]
         assert path.read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: RerankConfig(k=0), "k must be >= 1"),
+        (lambda: RerankConfig(pool_size=-1), "pool_size must be >= 0"),
+        (lambda: RecommendationLists(items=np.arange(3, dtype=np.int64), num_items=3),
+         "lists must be a (num_users, k) array"),
+        (lambda: _check_lists(np.array([[0, 2]]), 2), "list contains an out-of-catalog item index"),
+        (lambda: rerank_path(ScoreMatrix(np.zeros((1, 2))), make_partition([True, False, False]), RerankConfig(k=1),
+                             (0.0,)), "partition length does not match score matrix width"),
+    ],
+    ids=["k", "pool", "shape", "catalog", "partition"],
+)
+def test_each_input_check_raises_its_message(check, message):
+    raises_exactly(ValueError, message, check)

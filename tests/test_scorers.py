@@ -7,7 +7,7 @@ from pytest import approx
 
 import fuzz_repr
 import reference
-from conftest import interactions
+from conftest import interactions, raises_exactly
 from fairrerank import scorers
 from fairrerank.dataset import DataError, Interactions, build_dataset, parse_interactions
 from fairrerank.scorers import (
@@ -531,3 +531,20 @@ class TestScoreMatrixValidation:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024, f"peak {peak} bytes"
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        (lambda: ScoreMatrix(np.zeros(3)), ValueError, "score matrix must be 2-dimensional"),
+        (lambda: MFConfig(iterations=-1), ValueError, "iterations must be >= 0"),
+        (lambda: popularity_blocks(Interactions(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), 1, 0)),
+         ValueError, "empty catalog"),
+        (lambda: random_blocks(0, 3, seed=1), ValueError, "num_users and num_items must be >= 1"),
+        (lambda: load_scores(["a\tx\t0.5", "a\tx"], build_dataset(parse_interactions(["a\tx"]))), DataError,
+         "line 2: expected 3 fields, got 2"),
+    ],
+    ids=["shape", "iterations", "catalog", "random", "fields"],
+)
+def test_each_input_check_raises_its_message(check, error, message):
+    raises_exactly(error, message, check)

@@ -40,31 +40,31 @@ def _instance(rng, kind):
     return ScoreMatrix(values), part, cfg
 
 
-def _reference_path(matrix, part, cfg, tie_break):
+def _reference_path(matrix, part, cfg):
     """Reference lists per λ, stopping at the first λ that raises, with its
     message."""
     out = []
     for lam in LAMBDAS:
         try:
-            out.append(reference.rerank_exact(matrix, part, cfg, lam, tie_break))
+            out.append(reference.rerank_exact(matrix, part, cfg, lam))
         except ValueError as exc:
             return out, str(exc)
     return out, None
 
 
-def _check_against_reference(kind, tie_break):
-    rng = np.random.default_rng(sum(map(ord, kind + tie_break)))
+def _check_against_reference(kind):
+    rng = np.random.default_rng(sum(map(ord, kind + "default")))
     compared = errors = 0
     for _ in range(120):
         matrix, part, cfg = _instance(rng, kind)
-        expected, error = _reference_path(matrix, part, cfg, tie_break)
+        expected, error = _reference_path(matrix, part, cfg)
         if error is not None:
             with pytest.raises(ValueError) as caught:
-                rerank_path(matrix, part, cfg, LAMBDAS, tie_break)
+                rerank_path(matrix, part, cfg, LAMBDAS)
             assert str(caught.value) == error
             errors += 1
             continue
-        for lam, got, want in zip(LAMBDAS, rerank_path(matrix, part, cfg, LAMBDAS, tie_break), expected):
+        for lam, got, want in zip(LAMBDAS, rerank_path(matrix, part, cfg, LAMBDAS), expected):
             assert np.array_equal(got.items, want.items)
             assert got.objective == want.objective and repr(got.objective) == repr(want.objective)
             # the kept scores are the matrix's and the reference shift's cells, bit for bit
@@ -75,10 +75,11 @@ def _check_against_reference(kind, tie_break):
     assert compared > 250 and errors > 5
 
 
-@pytest.mark.parametrize("tie_break", ["default", "inverted"])
-@pytest.mark.parametrize("kind", KINDS)
-def test_rerank_path_matches_per_user_reference(kind, tie_break):
-    _check_against_reference(kind, tie_break)
+# the ids name the one tie rule; the inverted rule is the battery's mutation
+# check in test_acceptance.py
+@pytest.mark.parametrize("kind", KINDS, ids=[f"{kind}-default" for kind in KINDS])
+def test_rerank_path_matches_per_user_reference(kind):
+    _check_against_reference(kind)
 
 
 @pytest.mark.parametrize("block", [1, scorers._BLOCK_CELLS, 10**9], ids=["one-cell", "default", "unbounded"])
@@ -87,7 +88,7 @@ def test_rerank_path_does_not_depend_on_the_block_size(monkeypatch, block):
     _BLOCK_CELLS cells: one λ at a time, the default, or the whole grid."""
     monkeypatch.setattr(scorers, "_BLOCK_CELLS", block)
     for kind in KINDS:
-        _check_against_reference(kind, "default")
+        _check_against_reference(kind)
 
 
 def test_one_point_path_equals_its_grid_point():
@@ -109,8 +110,6 @@ def test_rerank_path_rejects_bad_arguments():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match=f"lam must be >= 0 and finite, got {bad}"):
             rerank_path(matrix, part, RerankConfig(k=2), (0.0, bad))
-    with pytest.raises(ValueError, match="unknown tie_break"):
-        rerank_path(matrix, part, RerankConfig(k=2), (0.0,), tie_break="sideways")
     with pytest.raises(ValueError, match="exceeds catalog size"):
         rerank_path(matrix, part, RerankConfig(k=4), (0.0,))
     assert rerank_path(matrix, part, RerankConfig(k=2), ()) == []
