@@ -10,8 +10,9 @@ sentinel, so downstream top-K selection can never return an
 already-consumed item. Train pairs come unique and sorted by (user, item)
 (`Interactions`), so neither masking nor ALS sorts them by user again.
 Export scores with `write_scores` before masking them to keep the seen
-cells in the file. All scorers are deterministic functions of their
-inputs and seed.
+cells in the file; a run of equal rows is formatted once, and each user's
+key goes in front of its lines. All scorers are deterministic functions
+of their inputs and seed.
 """
 
 from __future__ import annotations
@@ -56,7 +57,10 @@ _BLOCK_CELLS = 1 << 16  # cells per block of users in a pass over scores
 # OpenBLAS runs a product of fewer multiply-adds on one thread, so mf's
 # products stay below it: no pool worker wakes to spin between them.
 _MF_PRODUCT = 1 << 19
-_BLOCK = 1 << 16  # floats per stacked operand of an ALS half-step
+# floats per stacked operand of an ALS half-step (the factors are the same
+# bits at any size): at 128 KiB, glibc's default mmap threshold, stacks
+# reuse freed heap pages, not fault in fresh ones
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -306,15 +310,12 @@ def read_scores(path: Path | str, ds: Dataset, fill: float = 0.0) -> ScoreMatrix
         return load_scores(fh, ds, fill=fill)
 
 
-def _row_texts(rows: np.ndarray, user_fields: np.ndarray, item_fields: np.ndarray) -> list[bytes]:
-    """The export lines of each row of `rows`, whose users' key fields are
-    `user_fields`: the fields of every finite cell side by side, and the
-    padding dropped."""
+def _row_texts(rows: np.ndarray, item_fields: np.ndarray) -> list[bytes]:
+    """The "item<TAB>score" lines of each row of `rows`: the fields of
+    every finite cell side by side, and the padding dropped."""
     finite = np.isfinite(rows)
     row, item = np.nonzero(finite)
-    fields = np.concatenate(
-        (user_fields.take(row, axis=0), item_fields.take(item, axis=0), float_fields(rows[row, item])), axis=1
-    )
+    fields = np.concatenate((item_fields.take(item, axis=0), float_fields(rows[row, item])), axis=1)
     ends = np.cumsum(finite.sum(axis=1)).tolist()
     return [lines(fields[start:end]) for start, end in zip([0] + ends, ends)]
 
@@ -324,14 +325,14 @@ def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Datase
     score in shortest round-trip repr; masked cells are left out and
     re-import as fill. Made a block of users at a time, formatted in chunks
     of about LINES cells (`numtext.float_fields`) and written a user at a
-    time, so its size does not add to peak memory. A row bytewise equal to
-    the previous one (0.0 and -0.0 compare equal but print differently)
-    reuses its text, with the user key swapped."""
-    user_fields, item_fields = text_fields(ds.user_keys), text_fields(ds.item_keys)
+    time, so its size does not add to peak memory. A row's "item score"
+    lines are made once for it and the equal rows after it (bit for bit:
+    -0.0 is not 0.0), and each user's key goes in front of every line."""
+    item_fields = text_fields(ds.item_keys)
     chunk_rows = max(1, LINES // max(scores.num_items, 1))
 
     def text():
-        prev_bits, prev_key, prev, tails, wrote = None, b"", b"", None, False
+        prev_bits, row_text, wrote = None, b"", False
         step = block_rows(scores.num_items)
         for lo in range(0, scores.num_users, step):
             block = np.ascontiguousarray(scores.rows(lo, lo + step))
@@ -342,17 +343,14 @@ def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Datase
                 fresh[0] = (bits[0] != prev_bits).any()
             prev_bits = bits[-1]
             new = np.flatnonzero(fresh)
-            made = (row for at in range(0, len(new), chunk_rows) for row in _row_texts(
-                block[new[at : at + chunk_rows]], user_fields[lo + new[at : at + chunk_rows]], item_fields))
+            made = (row for at in range(0, len(new), chunk_rows)
+                    for row in _row_texts(block[new[at : at + chunk_rows]], item_fields))
             for u, is_new in enumerate(fresh.tolist(), start=lo):
-                key = ds.user_keys[u].encode() + b"\t"
-                if is_new:
-                    prev, tails = next(made), None
-                elif prev:  # keys come from lines of text, so hold no line break
-                    tails = tails or [line[len(prev_key) :] for line in prev[:-1].split(b"\n")]
-                    prev = key + (b"\n" + key).join(tails) + b"\n"
-                prev_key, wrote = key, wrote or bool(prev)
-                yield prev
+                row_text = next(made)[:-1] if is_new else row_text  # without its last line break
+                if row_text:  # keys come from lines of text, so hold no line break
+                    key = ds.user_keys[u].encode() + b"\t"
+                    wrote = True
+                    yield key + row_text.replace(b"\n", b"\n" + key) + b"\n"
         if not wrote:
             yield b"\n"
 

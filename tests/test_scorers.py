@@ -196,6 +196,23 @@ class TestMFScorer:
         stack = m * dim * dim * 8
         assert peak < stack, f"peak {peak} bytes against a {stack}-byte stack of systems"
 
+    def test_stacked_solve_temporaries_stay_below_the_mmap_threshold(self):
+        # 600 users of 12 pairs at dim 32: stacks of 16 systems (128 KiB
+        # each) peak at about 1 MiB in one iteration, with the factors and
+        # pair arrays; stacks of 64 systems would peak at 2.2 MiB
+        rng = np.random.default_rng(31)
+        m, n, dim = 600, 500, 32
+        users = np.repeat(np.arange(m), 12)
+        items = np.concatenate([rng.choice(n, size=12, replace=False) for _ in range(m)])
+        train = Interactions(users, items, np.ones(len(users)), m, n)
+        tracemalloc.start()
+        try:
+            train_mf_factors(train, MFConfig(latent_dim=dim, iterations=1, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, f"peak {peak} bytes in one ALS iteration"
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             MFConfig(latent_dim=0)
@@ -237,6 +254,13 @@ class TestLoadScores:
         loaded = load_scores(["a\tx\t0.5"], small_ds, fill=MASKED)
         assert loaded.values[0, 0] == 0.5
         assert np.count_nonzero(np.isfinite(loaded.values)) == 1
+
+
+def _user_key(u):
+    """A user key of 2 to 13 UTF-8 bytes by u % 4, some multi-byte, some
+    with inner spaces: equal rows of consecutive users go under keys of
+    unequal length."""
+    return ("u", "ü ", "用户 名", "a b ")[u % 4] + str(u)
 
 
 class TestWriteScores:
@@ -285,41 +309,47 @@ class TestWriteScores:
 
     @pytest.mark.parametrize("users", [1, 63, 64, 65, 70, 130, 200])
     def test_row_chunks_match_cell_by_cell_reference(self, tmp_path, monkeypatch, users):
-        # the export reads blocks of 64 users here: identical rows and an
-        # all-masked run span block boundaries, and with 70 users the last
-        # 6 rows are masked, so the file ends right after a full block
+        # the export reads blocks of 64 users here: identical rows under
+        # keys of unequal length and an all-masked run span block
+        # boundaries, and with 70 users the last 6 rows are masked, so the
+        # file ends right after a full block
         monkeypatch.setattr(scorers, "_BLOCK_CELLS", 64 * 4)
         rng = np.random.default_rng(users)
         values = rng.choice([0.0, -0.0, 0.5, 1e-05, 1e16, MASKED], size=(users, 4))
         values[60:70] = values[59 % users]
         values[120:136] = MASKED
+        values[136:140] = values[119 % users]
         if users == 70:
             values[64:] = MASKED
-        ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(users) for i in range(4)]))
+        ds = build_dataset(parse_interactions([f"{_user_key(u)}\ti{i}" for u in range(users) for i in range(4)]))
         path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
         expected = [
-            f"u{u}\ti{i}\t{float(values[u, i])!r}" for u in range(users) for i in range(4) if np.isfinite(values[u, i])
+            f"{_user_key(u)}\ti{i}\t{float(values[u, i])!r}"
+            for u in range(users) for i in range(4) if np.isfinite(values[u, i])
         ]
-        assert path.read_text() == "\n".join(expected) + "\n"
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
     @pytest.mark.parametrize("block_users", [1, 2, 3, 10**6])
     def test_blocks_match_cell_by_cell_reference(self, tmp_path, monkeypatch, block_users):
         # a block source read a few users at a time: equal rows (the
-        # popularity case) and a 0.0 row next to a -0.0 row across block
-        # boundaries, masked cells, and all-masked rows
+        # popularity case) under keys of unequal length and a 0.0 row next
+        # to a -0.0 row across block boundaries, masked cells, and equal
+        # rows right after all-masked rows
         monkeypatch.setattr(scorers, "_BLOCK_CELLS", block_users * 3)
         values = np.array(
-            [[0.5, 0.25, MASKED]] * 4 + [[0.0, 1.0, MASKED], [-0.0, 1.0, MASKED], [0.0, 1.0, 0.5]]
-            + [[MASKED] * 3] * 2 + [[0.5, 0.25, MASKED], [-0.0, -0.0, -0.0]]
+            [[0.5, 0.25, MASKED]] * 4 + [[0.0, 1.0, MASKED], [-0.0, 1.0, MASKED], [0.0, 1.0, 0.5]] * 2
+            + [[MASKED] * 3] * 2 + [[0.5, 0.25, MASKED]] * 3 + [[-0.0, -0.0, -0.0]]
         )
         source = ScoreBlocks(len(values), 3, lambda lo, hi: values[lo:hi].copy())
-        ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(len(values)) for i in range(3)]))
+        ds = build_dataset(parse_interactions(
+            [f"{_user_key(u)}\ti{i}" for u in range(len(values)) for i in range(3)]
+        ))
         path = write_scores(tmp_path / "s.tsv", source, ds)
         expected = [
-            f"u{u}\ti{i}\t{float(values[u, i])!r}"
+            f"{_user_key(u)}\ti{i}\t{float(values[u, i])!r}"
             for u in range(len(values)) for i in range(3) if np.isfinite(values[u, i])
         ]
-        assert path.read_text() == "\n".join(expected) + "\n"
+        assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
     def test_peak_memory_is_a_small_fraction_of_the_export(self, tmp_path):
         # streamed in row chunks: formatting the export never holds the
