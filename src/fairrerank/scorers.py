@@ -11,8 +11,10 @@ already-consumed item. Train pairs come unique and sorted by (user, item)
 (`Interactions`), so neither masking nor ALS sorts them by user again.
 Export scores with `write_scores` before masking them to keep the seen
 cells in the file; a run of equal rows is formatted once, and each user's
-key goes in front of its lines. All scorers are deterministic functions
-of their inputs and seed.
+key goes in front of its lines. ALS solves a row with fewer pairs L than
+latent dimensions d through an L x L system, by the push-through form of
+the Woodbury identity: the d x d system's solution up to rounding. All
+scorers are deterministic functions of their inputs and seed.
 """
 
 from __future__ import annotations
@@ -121,11 +123,11 @@ class MFConfig:
     def __post_init__(self):
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
-        if self.regularization <= 0:
+        if not 0 < self.regularization < math.inf:  # NaN fails too
             raise ValueError("regularization must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.confidence_alpha <= 0:
+        if not 0 < self.confidence_alpha < math.inf:
             raise ValueError("confidence_alpha must be positive")
 
 
@@ -162,9 +164,14 @@ def random_scorer(num_users: int, num_items: int, seed: int) -> ScoreMatrix:
 def _solve_half(this: np.ndarray, other: np.ndarray, seen: np.ndarray, seen_w: np.ndarray,
                 bounds: np.ndarray, reg: float, alpha: float) -> None:
     """One ALS half-step: re-solve every row of `this` against the frozen
-    `other` factors, row r from its pairs seen[lo:hi], seen_w[lo:hi] with
-    lo, hi = bounds[r], bounds[r + 1]. Rows with the same pair count L are
-    solved in stacks of B rows, B*max(L, d)*d <= _BLOCK: gather B x L x d
+    `other` factors Y, row r from its pairs seen[lo:hi], seen_w[lo:hi] with
+    lo, hi = bounds[r], bounds[r + 1]. With G = Y^T Y + reg*I, the L pairs'
+    factor rows Y_r and D = diag(alpha*w), c = 1 + alpha*w, the row solves
+    the d x d system (G + Y_r^T D Y_r) x = Y_r^T c. A row with L < d pairs
+    solves the same system through an L x L one instead (the push-through
+    form of the Woodbury identity): with Z = Y G^-1, made once per
+    half-step, x = Z_r^T s where (I + D Y_r Z_r^T) s = c. Rows with the
+    same L are solved in stacks of B rows, B*L*d <= _BLOCK: gather B x L x d
     factors, build B systems, call `np.linalg.solve` once. Each slice keeps
     one row's operand layout, so the result is bit for bit the per-row
     solve. A row with no pairs has all targets 0 and is set to +0.0."""
@@ -172,18 +179,26 @@ def _solve_half(this: np.ndarray, other: np.ndarray, seen: np.ndarray, seen_w: n
     gram = other.T @ other + reg * np.eye(dim)
     counts = np.diff(bounds)
     this[counts == 0] = 0.0
-    for size in np.flatnonzero(np.bincount(counts)[1:]) + 1:  # each row size, ascending
+    sizes = np.flatnonzero(np.bincount(counts)[1:]) + 1  # each row size, ascending
+    z = np.linalg.solve(gram, other.T).T if len(sizes) and sizes[0] < dim else None
+    for size in sizes:
         rows = np.flatnonzero(counts == size)
-        step = max(1, _BLOCK // (max(size, dim) * dim))
+        step = max(1, _BLOCK // (size * dim))
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
             pos = bounds[block, None] + np.arange(size)
             conf_minus_one = alpha * seen_w[pos]
             factors = other[seen[pos]]
-            factors_t = factors.transpose(0, 2, 1)
-            a = gram + (factors_t * conf_minus_one[:, None, :]) @ factors
-            b = factors_t @ (1.0 + conf_minus_one)[:, :, None]  # (B, d, 1): stacked columns in numpy 1.x and 2.x
-            this[block] = np.linalg.solve(a, b)[:, :, 0]
+            c = (1.0 + conf_minus_one)[:, :, None]  # (B, L, 1): stacked columns in numpy 1.x and 2.x
+            if size < dim:
+                z_t = z[seen[pos]].transpose(0, 2, 1)
+                a = conf_minus_one[:, :, None] * (factors @ z_t)
+                a.reshape(len(block), -1)[:, :: size + 1] += 1.0
+                this[block] = (z_t @ np.linalg.solve(a, c))[:, :, 0]
+            else:
+                factors_t = factors.transpose(0, 2, 1)
+                a = gram + (factors_t * conf_minus_one[:, None, :]) @ factors
+                this[block] = np.linalg.solve(a, factors_t @ c)[:, :, 0]
 
 
 def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +208,8 @@ def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[n
     Returns the (user_factors, item_factors) pair after cfg.iterations full
     iterations (user half-step then item half-step each). Deterministic for
     a fixed seed. Non-finite factors (alpha*w overflows) or a singular
-    system (alpha*w swamps mf.reg) raise a DataError, and warn nothing: the
+    system (alpha*w swamps mf.reg in a d x d system, or the 1.0 on the
+    diagonal of an L x L one) raise a DataError, and warn nothing: the
     message names the iteration, mf.alpha, the largest weight and mf.reg.
     """
     m, n = train.num_users, train.num_items

@@ -8,7 +8,12 @@ library code replaced. The property tests in `test_vectorized.py` check
 that the library gives the same lists, the same objective and the same
 report fields, bit for bit, on seeded random inputs; `test_scorers.py`
 checks that the library's ALS factors equal these, bit for bit, and
-`test_dataset.py` that the library's split gives these arrays.
+`test_dataset.py` that the library's split gives these arrays. The ALS
+half-step solves a row with 0 < L < d pairs through its L x L system
+(`solve_row_ll`), as the library does, and every other row with pairs
+through its d x d one (`solve_row_dd`); `train_mf_factors(...,
+push_through=False)` solves every row through the d x d system, which
+the library's factors must match within rounding.
 """
 
 from __future__ import annotations
@@ -270,24 +275,39 @@ def _group_by(index, companion, weights, size):
     )
 
 
-def _solve_half(this, other, seen, seen_w, reg, alpha):
+def solve_row_dd(gram, factors, conf_minus_one):
+    """One row's d x d system (G + Y_r^T D Y_r) x = Y_r^T c."""
+    a = gram + (factors.T * conf_minus_one) @ factors
+    return np.linalg.solve(a, factors.T @ (1.0 + conf_minus_one))
+
+
+def solve_row_ll(z_rows, factors, conf_minus_one):
+    """The same row's solution through its L x L system: x = Z_r^T s with
+    (I + D Y_r Z_r^T) s = c, the 1.0 added to the diagonal in place."""
+    a = conf_minus_one[:, None] * (factors @ z_rows.T)
+    a.reshape(-1)[:: len(a) + 1] += 1.0
+    return z_rows.T @ np.linalg.solve(a, 1.0 + conf_minus_one)
+
+
+def _solve_half(this, other, seen, seen_w, reg, alpha, push_through):
     dim = other.shape[1]
     gram = other.T @ other + reg * np.eye(dim)
+    z = np.linalg.solve(gram, other.T).T
     for r in range(this.shape[0]):
         cols = seen[r]
         if len(cols) == 0:
             this[r] = 0.0
-            continue
-        conf_minus_one = alpha * seen_w[r]
-        factors = other[cols]
-        a = gram + (factors.T * conf_minus_one) @ factors
-        b = factors.T @ (1.0 + conf_minus_one)
-        this[r] = np.linalg.solve(a, b)
+        elif push_through and len(cols) < dim:
+            this[r] = solve_row_ll(z[cols], other[cols], alpha * seen_w[r])
+        else:
+            this[r] = solve_row_dd(gram, other[cols], alpha * seen_w[r])
 
 
-def train_mf_factors(train, cfg):
+def train_mf_factors(train, cfg, push_through=True):
     """ALS with one list of (columns, weights) arrays per row, solved one
-    row at a time."""
+    row at a time: a row with 0 < L < d pairs through its L x L system, as
+    the library does, unless `push_through` is false; every other row with
+    pairs through its d x d system."""
     m, n = train.num_users, train.num_items
     rng = np.random.default_rng(cfg.seed)
     user_factors = rng.standard_normal((m, cfg.latent_dim)) * 0.01
@@ -295,8 +315,10 @@ def train_mf_factors(train, cfg):
     user_seen, user_w = _group_by(train.users, train.items, train.weights, m)
     item_seen, item_w = _group_by(train.items, train.users, train.weights, n)
     for _ in range(cfg.iterations):
-        _solve_half(user_factors, item_factors, user_seen, user_w, cfg.regularization, cfg.confidence_alpha)
-        _solve_half(item_factors, user_factors, item_seen, item_w, cfg.regularization, cfg.confidence_alpha)
+        _solve_half(user_factors, item_factors, user_seen, user_w, cfg.regularization, cfg.confidence_alpha,
+                    push_through)
+        _solve_half(item_factors, user_factors, item_seen, item_w, cfg.regularization, cfg.confidence_alpha,
+                    push_through)
     return user_factors, item_factors
 
 

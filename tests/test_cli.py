@@ -680,16 +680,22 @@ def test_an_imported_score_a_lambda_shifts_out_of_range_fails_before_any_write(d
     assert not (base / "out").exists()
 
 
-@pytest.mark.parametrize("weight, alpha", [("1e+300", "40.0"), ("1.0", "1e+308")], ids=["weight", "alpha"])
-def test_an_als_run_that_overflows_fails_before_any_write(demo, weight, alpha):
-    # the confidence 1 + mf.alpha * w overflows in the first half-step
+@pytest.mark.parametrize("weight, alpha, failure", [
+    ("1e+300", "40.0", "a singular system at ALS iteration 11"),
+    ("1.0", "1e+308", "non-finite factor values at ALS iteration 0"),
+], ids=["weight", "alpha"])
+def test_an_als_run_that_overflows_fails_before_any_write(demo, weight, alpha, failure):
+    # the confidence 1 + mf.alpha * w overflows in the first half-step at
+    # mf.alpha = 1e308; at weights of 1e300 it swamps the 1.0 on the
+    # diagonal of the L x L systems, and at iteration 11 one of them (an
+    # item's, 25 x 25) is exactly singular
     config, base = demo
     lines = (base / "demo.tsv").read_text().splitlines()
     (base / "heavy.tsv").write_text("".join(line.rsplit("\t", 1)[0] + f"\t{weight}\n" for line in lines))
     overrides = [f"input.path={base / 'heavy.tsv'}", "scorer.names=mf", f"mf.alpha={alpha}"]
     result = _cli_process(base, "run", "--config", str(config), *(arg for o in overrides for arg in ("--set", o)))
     assert result.returncode == 1
-    assert result.stderr == (f"error: stage 'score[mf]' failed: non-finite factor values at ALS iteration 0: "
+    assert result.stderr == (f"error: stage 'score[mf]' failed: {failure}: "
                              f"mf.alpha = {alpha} with the largest train weight {weight} and mf.reg = 0.05\n")
     assert not (base / "out").exists()
 

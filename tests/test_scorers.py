@@ -162,8 +162,9 @@ class TestMFScorer:
     def test_stacked_solve_equals_the_per_row_reference(self, monkeypatch, block):
         # user u has u % 7 pairs, so every pair count from 0 to 6 is a group
         # of 6 users; the items get many distinct counts, and 3 get none.
-        # _BLOCK = 80 splits the groups with 1-4 pairs into chunks of
-        # 80 // (4 * 4) = 5 rows and 1
+        # _BLOCK = 80 splits the user groups with 4-6 pairs into chunks of
+        # 80 // (L * 4) = 5, 4 and 3 rows; the L x L groups (1-3 pairs) fit
+        # whole
         rng = np.random.default_rng(23)
         m, n, dim = 42, 30, 4
         users = np.repeat(np.arange(m), np.arange(m) % 7)
@@ -177,6 +178,29 @@ class TestMFScorer:
         assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
         assert not np.signbit(got[0][np.arange(m) % 7 == 0]).any()
         assert not np.signbit(got[1][item_counts == 0]).any()
+
+    @pytest.mark.parametrize("dim", [4, 16, 32])
+    def test_both_systems_agree_with_the_d_by_d_solve(self, monkeypatch, dim):
+        # user u has u pairs, so every count from 0 to 2d is a row of each
+        # system, d - 1, d and d + 1 among them; items drawn by 1/rank get
+        # counts on both sides of d. A fifth of the weights are 0, the rest
+        # log-uniform from 0.01 to 1e4
+        rng = np.random.default_rng(37 + dim)
+        m, n = 2 * dim + 1, 3 * dim
+        users = np.repeat(np.arange(m), np.arange(m))
+        popular = 1.0 / np.arange(1, n + 1)
+        items = np.concatenate([rng.choice(n, size=u, replace=False, p=popular / popular.sum()) for u in range(m)])
+        weights = np.where(rng.random(len(users)) < 0.2, 0.0, 10 ** rng.uniform(-2, 4, size=len(users)))
+        train = Interactions(users, items, weights, m, n)
+        item_counts = np.bincount(items, minlength=n)
+        assert item_counts.min() < dim <= item_counts.max() and weights.max() > 1e3
+        cfg = MFConfig(latent_dim=dim, iterations=3, regularization=0.1, seed=6)
+        got = train_mf_factors(train, cfg)
+        assert all(map(np.array_equal, got, reference.train_mf_factors(train, cfg)))
+        monkeypatch.setattr(scorers, "_BLOCK", 5 * dim)  # stacks of 5, 2 and 1 rows for 1, 2 and more pairs
+        assert all(map(np.array_equal, got, train_mf_factors(train, cfg)))
+        for factors, expected in zip(got, reference.train_mf_factors(train, cfg, push_through=False)):
+            assert np.abs(factors - expected).max() <= 1e-9 * np.abs(expected).max()
 
     def test_stacked_solve_memory_is_chunked(self):
         # every user has 2 pairs: one group of 4000 users, whose unchunked
@@ -220,6 +244,11 @@ class TestMFScorer:
             MFConfig(regularization=0.0)
         with pytest.raises(ValueError):
             MFConfig(confidence_alpha=-1.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="regularization must be positive"):
+                MFConfig(regularization=bad)
+            with pytest.raises(ValueError, match="confidence_alpha must be positive"):
+                MFConfig(confidence_alpha=bad)
 
 
 @pytest.fixture
