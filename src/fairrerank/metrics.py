@@ -12,7 +12,7 @@ Formulas:
   NDCG_u      = sum(1/log2(r+1) over hit ranks) / sum over the first
                 min(k, |judgments_u|) ranks
   novelty     = mean over recommended slots of -log2(max(count_j, 1)/m),
-                counts from the train split
+                count_j the partition's distinct train users of item j
   diversity   = mean over users of 1 - mean pairwise cosine similarity of
                 the list items' binary train-interaction columns; the dot
                 products are co-interaction counts, added up in place from
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Interactions, PopularityPartition, distinct_user_counts
+from .dataset import Interactions, PopularityPartition
 from .rerank import RecommendationLists
 
 __all__ = [
@@ -213,25 +213,25 @@ class EvalContext:
 
     judged: np.ndarray  # the judgments as sorted user * num_items + item keys
     judged_sizes: np.ndarray  # judged items per user
-    counts: np.ndarray  # distinct train users per item
     popular: np.ndarray  # the global top-k items by train count, as a mask
     discounts: np.ndarray  # 1/log2(r+1) for ranks r = 1..k
     idcg: np.ndarray  # ideal DCG of c relevant items, c = 0..k
     train: Interactions  # the train incidence, as (user, item) pairs
-    part: PopularityPartition
+    part: PopularityPartition  # of train: its popularity_count is the distinct train users per item
     k: int
 
 
 def eval_context(
     judgments: list[set[int]], train: Interactions, part: PopularityPartition, k: int
 ) -> EvalContext:
-    """Build the shared evaluation context of one split for top-k lists."""
+    """Build the shared evaluation context of one split for top-k lists.
+    `part` must be `train`'s partition: novelty, diversity and the popular
+    top-k read its counts, not `train`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     judged, sizes = _judgment_keys(judgments, part.num_items)
-    counts = distinct_user_counts(train, part.num_items)
     discounts, idcg = _discounts(k)
-    return EvalContext(judged, sizes, counts, _popular_mask(counts, k), discounts, idcg, train, part, k)
+    return EvalContext(judged, sizes, _popular_mask(part.popularity_count, k), discounts, idcg, train, part, k)
 
 
 def evaluate(ctx: EvalContext, point_lists: Sequence[RecommendationLists]) -> list[EvaluationReport]:
@@ -264,8 +264,8 @@ def evaluate(ctx: EvalContext, point_lists: Sequence[RecommendationLists]) -> li
         long_count, rel_long = items.size - short_count, int(np.count_nonzero(hits)) - rel_short
         reports.append(EvaluationReport(
             ndcg=ndcg, precision=precision, recall=recall,
-            novelty=_novelty(items, ctx.counts, ctx.train.num_users),
-            diversity=_diversity(items, gram, row_of, ctx.counts),
+            novelty=_novelty(items, part.popularity_count, ctx.train.num_users),
+            diversity=_diversity(items, gram, row_of, part.popularity_count),
             coverage=int(np.count_nonzero(np.bincount(items.ravel(), minlength=part.num_items))) / part.num_items,
             personalization=_personalization(items, part.num_items),
             serendipity=_serendipity(items, ctx.popular),

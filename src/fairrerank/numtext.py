@@ -224,8 +224,8 @@ def text_fields(texts: Iterable[str], end: str = "\t") -> np.ndarray:
     texts = list(texts)
     raw = np.frombuffer((end.join(texts) + end).encode() if texts else b"", np.uint8)
     stops = np.flatnonzero(raw == ord(end)) + 1
-    if len(stops) != len(texts):  # a text holds `end` itself
-        stops = np.cumsum([len((text + end).encode()) for text in texts], dtype=np.intp)
+    if len(stops) != len(texts):  # a text holds `end` itself, so its line could not be read back
+        raise ValueError(f"text {next(text for text in texts if end in text)!r} holds the field end {end!r}")
     sizes = np.diff(stops, prepend=0)
     table = np.full((len(texts), sizes.max(initial=1)), PAD, dtype=np.uint8)
     table[np.arange(table.shape[1]) < sizes[:, None]] = raw

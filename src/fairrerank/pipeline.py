@@ -157,7 +157,7 @@ def _preflight(
 
     makers = {
         "import": check_import,
-        "popularity": lambda: popularity_blocks(train),
+        "popularity": lambda: popularity_blocks(artifacts.partition.popularity_count, ds.num_users),
         "mf": lambda: mf_blocks(train, cfg.mf),
         "random": lambda: random_blocks(train.num_users, train.num_items, cfg.random_seed),
     }

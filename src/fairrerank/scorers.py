@@ -131,19 +131,19 @@ class MFConfig:
             raise ValueError("confidence_alpha must be positive")
 
 
-def popularity_blocks(train: Interactions) -> ScoreBlocks:
-    """Score every item by its distinct-training-user fraction, identically
-    for all users. Deliberately popularity-biased."""
-    if train.num_items < 1:
+def popularity_blocks(counts: np.ndarray, num_users: int) -> ScoreBlocks:
+    """The popularity-biased baseline: item j scores counts[j] / m for all m
+    users, counts the train split's distinct users per item (`part.popularity_count`)."""
+    if len(counts) < 1:
         raise ValueError("empty catalog")
-    m, counts = train.num_users, distinct_user_counts(train, train.num_items)
-    row = counts.astype(np.float64)[None] / float(m)
-    return ScoreBlocks(m, train.num_items, lambda lo, hi: np.repeat(row, min(hi, m) - lo, axis=0))
+    row = counts.astype(np.float64)[None] / float(num_users)
+    return ScoreBlocks(num_users, len(counts), lambda lo, hi: np.repeat(row, min(hi, num_users) - lo, axis=0))
 
 
 def popularity_scorer(train: Interactions) -> ScoreMatrix:
-    """`popularity_blocks` as one block of all users."""
-    return ScoreMatrix(popularity_blocks(train).rows(0, train.num_users))
+    """`popularity_blocks` of `train`'s counts as one block of all users."""
+    m = train.num_users
+    return ScoreMatrix(popularity_blocks(distinct_user_counts(train, train.num_items), m).rows(0, m))
 
 
 def random_blocks(num_users: int, num_items: int, seed: int) -> ScoreBlocks:
@@ -284,8 +284,7 @@ def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreM
     duplicates overwrite earlier ones. The fraction of cells provided is
     recorded on the result and logged when below 1."""
     m, n = ds.num_users, ds.num_items
-    values = np.full((m, n), fill, dtype=np.float64)
-    provided = np.zeros((m, n), dtype=bool)
+    values = np.full((m, n), np.nan)  # every stored score is finite, so NaN marks the cells not given
     for lineno, raw in enumerate(source, start=1):
         try:
             line = raw.rstrip("\r\n")
@@ -305,15 +304,15 @@ def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreM
                 raise DataError(f"unparseable score {score_text!r}", lineno) from None
             if not math.isfinite(score):
                 raise DataError(f"non-finite score {score_text!r}", lineno)
-            u, i = ds.user_index[user_key], ds.item_index[item_key]
-            values[u, i] = score
-            provided[u, i] = True
+            values[ds.user_index[user_key], ds.item_index[item_key]] = score
         except DataError:
             byte = re.search("[\udc80-\udcff]", raw)  # read with surrogateescape: a byte that is not UTF-8
             if byte:
                 raise DataError(f"byte {ord(byte.group()) - 0xDC00:#04x} is not UTF-8", lineno) from None
             raise
-    coverage = float(provided.sum()) / float(m * n)
+    missing = np.isnan(values)
+    values[missing] = fill
+    coverage = float(m * n - np.count_nonzero(missing)) / float(m * n)
     if coverage < 1.0:
         logger.warning(
             "score import covered %.1f%% of cells; missing cells filled with %r", 100.0 * coverage, fill

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fairrerank.dataset import Interactions, PopularityPartition
+from fairrerank.dataset import Interactions, PopularityPartition, distinct_user_counts
 from fairrerank.metrics import eval_context, evaluate
 from fairrerank.rerank import RecommendationLists
 
@@ -32,7 +32,8 @@ def evaluated(lists, judgments=None, train=None, part=None, k=None):
     """The report `evaluate(eval_context(...), [lists])[0]` gives for one
     list set. The inputs a caller leaves out get defaults that the metric
     under test does not read: each user judges their first listed item, the
-    train split is empty, every item is long-tail, and k is the list length.
+    train split is empty, every item is long-tail (a partition of the train
+    split, as `eval_context` needs), and k is the list length.
     A one-user set is scored as two copies of that user, which leaves every
     mean unchanged (personalization compares pairs of lists)."""
     m, n = lists.num_users, lists.num_items
@@ -41,7 +42,7 @@ def evaluated(lists, judgments=None, train=None, part=None, k=None):
     if train is None:
         train = interactions([], m, n)
     if part is None:
-        part = PopularityPartition(short_head=np.zeros(n, dtype=bool), popularity_count=np.zeros(n, dtype=np.int64))
+        part = make_partition([False] * n, train)
     if m == 1:
         lists = RecommendationLists(items=np.repeat(lists.items, 2, axis=0), num_items=n)
         judgments = judgments * 2
@@ -62,8 +63,10 @@ def tiny_train():
     return interactions(triples, 6, 5)
 
 
-def make_partition(short_flags):
+def make_partition(short_flags, train=None):
+    """The given short-head flags with `train`'s distinct users per item as
+    counts (all zero without a train): `eval_context` reads its counts from
+    the partition, so it must be one of the train split it is given."""
     short = np.asarray(short_flags, dtype=bool)
-    # counts consistent with the flags: short-head items get higher counts
-    counts = np.where(short, 10, 1).astype(np.int64)
+    counts = np.zeros(len(short), dtype=np.int64) if train is None else distinct_user_counts(train, len(short))
     return PopularityPartition(short_head=short, popularity_count=counts)

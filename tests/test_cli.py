@@ -25,11 +25,15 @@ from fairrerank.config import (
     load_config,
     parse_config_text,
 )
-from fairrerank.dataset import DELIMITER_NAMES, build_dataset, partition_popularity, read_interactions, split
+from fairrerank.dataset import (
+    DELIMITER_NAMES, build_dataset, distinct_user_counts, partition_popularity, read_interactions, split,
+)
 from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
 from fairrerank.pipeline import run_experiment
 from fairrerank.rerank import RerankConfig, rerank_path, write_lists
-from fairrerank.scorers import ScoreMatrix, load_scores, mask_seen, popularity_scorer, random_scorer, write_scores
+from fairrerank.scorers import (
+    ScoreMatrix, load_scores, mask_seen, popularity_blocks, popularity_scorer, random_scorer, write_scores,
+)
 from fairrerank.synthetic import write_zipf_dataset, zipf_interaction_lines
 from fairrerank.util import sha256_file
 
@@ -409,6 +413,21 @@ class TestRunCommand:
         float(fields[3]), float(fields[4])
         assert fields[5] in ("short", "long")
 
+    def test_a_run_counts_the_train_users_per_item_once(self, demo, monkeypatch):
+        # the partition's counts serve the popularity scorer and the metrics
+        config, _ = demo
+        inputs = []
+
+        def counting(inter, num_items):
+            inputs.append(inter)
+            return distinct_user_counts(inter, num_items)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fairrerank") and getattr(module, "distinct_user_counts", None) is distinct_user_counts:
+                monkeypatch.setattr(module, "distinct_user_counts", counting)
+        assert main(["run", "--config", str(config), "--set", "scorer.names=popularity,mf"]) == 0
+        assert len(inputs) == 1
+
 
 class TestExitCodes:
     def test_missing_config_file_is_validation_error(self, tmp_path, capsys):
@@ -445,8 +464,8 @@ class TestExitCodes:
 
     def test_a_failed_mask_names_its_stage(self, demo, capsys, monkeypatch):
         # the re-ranker stamps each block's seen cells as it reads the block
-        def read_only_scores(train):
-            scores = popularity_scorer(train)
+        def read_only_scores(counts, num_users):
+            scores = ScoreMatrix(popularity_blocks(counts, num_users).rows(0, num_users))
             scores.values.setflags(write=False)
             return scores
 

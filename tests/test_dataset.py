@@ -352,6 +352,14 @@ class TestArtifactFiles:
             assert files[name].read_bytes() == want.encode()
         assert files["valid"].read_bytes() == b""
 
+    def test_a_key_holding_the_delimiter_fails_before_any_write(self, tmp_path):
+        # written as "a,b,i1,1.0", the line would read back with weight 'i1'
+        ds = build_dataset(parse_interactions(["a,b\ti1\t1.0", "a,b\ti2\t1.0", "a,b\ti3\t1.0", "c\ti1\t1.0"]))
+        triple = split(ds, seed=0)
+        raises_exactly(ValueError, "text 'a,b' holds the field end ','",
+                       lambda: write_split_files(triple, ds, tmp_path, InputFormat(",")))
+        assert list(tmp_path.iterdir()) == []
+
     def test_split_files_are_written_in_chunks(self, tmp_path):
         path = write_zipf_dataset(tmp_path / "log.tsv", 2000, 1500, 1.0, per_user=40, seed=1)
         ds = build_dataset(read_interactions(path))

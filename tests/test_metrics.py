@@ -8,7 +8,7 @@ from pytest import approx
 
 import reference
 from conftest import evaluated, interactions, make_partition, raises_exactly
-from fairrerank.dataset import Interactions
+from fairrerank.dataset import Interactions, PopularityPartition
 from fairrerank.metrics import EvaluationReport, eval_context, evaluate, judgments_from_interactions
 from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_path
 from fairrerank.synthetic import random_rerank_instance
@@ -83,6 +83,12 @@ class TestNovelty:
         train = interactions([(0, 0, 1.0), (1, 1, 1.0)], 1024, 2)
         lists = lists_of([[0, 1]], 2)
         assert evaluated(lists, train=train).novelty == approx(10.0)
+
+    def test_counts_come_from_the_partition_not_the_train_split(self):
+        train = interactions([(0, 0, 1.0), (1, 1, 1.0)], 1024, 2)
+        lists = lists_of([[0, 1]], 2)
+        part = PopularityPartition(short_head=np.zeros(2, dtype=bool), popularity_count=np.array([1024, 1024]))
+        assert evaluated(lists, train=train, part=part).novelty == 0.0
 
     def test_unseen_item_uses_count_floor_of_one(self):
         train = interactions([(0, 0, 1.0)], 8, 3)
@@ -257,7 +263,7 @@ class TestExposureCounts:
         for _ in range(25):
             inst = random_rerank_instance(rng, min_k=2)  # diversity needs lists of 2
             lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (float(rng.random()),))[0]
-            report = evaluated(lists, part=inst.part)
+            report = evaluated(lists, part=make_partition(inst.part.short_head))
             m, k = report.evaluated_users, inst.k  # `evaluated` scores a one-user set as two users
             assert report.short_count + report.long_count == m * k
             assert report.fairness_gap == (report.short_count - report.long_count) / m
@@ -270,7 +276,7 @@ def _full_inputs(seed=0, m=8, n=12, k=3):
     train = Interactions(
         rng.integers(0, m, size=size), rng.integers(0, n, size=size), np.ones(size), m, n
     )
-    part = make_partition([j < 3 for j in range(n)])
+    part = make_partition([j < 3 for j in range(n)], train)
     rows = np.stack([rng.choice(n, size=k, replace=False) for _ in range(m)])
     lists = RecommendationLists(items=rows.astype(np.int64), num_items=n)
     judgments = [set(rng.choice(n, size=2, replace=False).tolist()) for _ in range(m)]
@@ -360,7 +366,7 @@ def test_grid_memory_follows_the_item_union_not_the_grid_length():
     m, n, k = 2000, 400, 10
     size = 20 * m
     train = Interactions(rng.integers(0, m, size=size), rng.integers(0, n, size=size), np.ones(size), m, n)
-    part = make_partition([j < n // 5 for j in range(n)])
+    part = make_partition([j < n // 5 for j in range(n)], train)
     base = np.argsort(rng.random((m, n)), axis=1)[:, :k]
     # each set lists the same rows for other users, so every set's items are the union
     sets = [RecommendationLists(items=np.roll(base, shift, axis=0), num_items=n) for shift in range(16)]
@@ -378,7 +384,7 @@ _VALID = dict(ndcg=0.5, precision=0.5, recall=0.5, novelty=1.0, diversity=0.5, c
 def _evaluate_two_item_lists_at_k_3():
     lists = RecommendationLists(items=np.tile(np.arange(2, dtype=np.int64), (2, 1)), num_items=4)
     train = interactions([(0, 0, 1.0), (1, 1, 1.0)], 2, 4)
-    evaluate(eval_context([{0}, {1}], train, make_partition([True, False, False, False]), 3), [lists])
+    evaluate(eval_context([{0}, {1}], train, make_partition([True, False, False, False], train), 3), [lists])
 
 
 @pytest.mark.parametrize(

@@ -210,6 +210,7 @@ def _sweep_inputs():
         [(u, int(rng.integers(0, n)), 1.0) for u in range(m)], m, n
     )
     judgments = [{int(rng.integers(0, n))} for _ in range(m)]
+    inst.part = make_partition(inst.part.short_head, train)  # a partition of the train split, as eval_context needs
     return inst, train, judgments
 
 
@@ -236,7 +237,7 @@ class TestLambdaSweep:
             train = interactions([(0, 0, 1.0)], m, n)
             judgments = [{0} for _ in range(m)]
             cfg = RerankConfig(k=inst.k, lambda_grid=grid)
-            results = lambda_sweep(inst.scores, inst.part, cfg, judgments, train)
+            results = lambda_sweep(inst.scores, make_partition(inst.part.short_head, train), cfg, judgments, train)
             shorts = [rep.short_count for _, rep in results]
             assert all(b <= a for a, b in zip(shorts, shorts[1:]))
             assert results[0][1].fairness_gap >= results[-1][1].fairness_gap

@@ -9,7 +9,7 @@ import fuzz_repr
 import reference
 from conftest import interactions, raises_exactly
 from fairrerank import scorers
-from fairrerank.dataset import DataError, Interactions, build_dataset, parse_interactions
+from fairrerank.dataset import DataError, Interactions, build_dataset, parse_interactions, partition_popularity
 from fairrerank.scorers import (
     MASKED,
     MFConfig,
@@ -475,7 +475,8 @@ class TestScoreBlocks:
         train = _block_train()
         cfg = MFConfig(latent_dim=3, iterations=2, seed=5)
         cases = [
-            (popularity_blocks(train), popularity_scorer(train)),
+            (popularity_blocks(partition_popularity(train, train.num_items).popularity_count, train.num_users),
+             popularity_scorer(train)),
             (random_blocks(20, 10, seed=9), random_scorer(20, 10, seed=9)),
             (mf_blocks(train, cfg), mf_scorer(train, cfg)),
         ]
@@ -597,8 +598,7 @@ class TestScoreMatrixValidation:
     [
         (lambda: ScoreMatrix(np.zeros(3)), ValueError, "score matrix must be 2-dimensional"),
         (lambda: MFConfig(iterations=-1), ValueError, "iterations must be >= 0"),
-        (lambda: popularity_blocks(Interactions(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), 1, 0)),
-         ValueError, "empty catalog"),
+        (lambda: popularity_blocks(np.zeros(0, np.int64), 1), ValueError, "empty catalog"),
         (lambda: random_blocks(0, 3, seed=1), ValueError, "num_users and num_items must be >= 1"),
         (lambda: load_scores(["a\tx\t0.5", "a\tx"], build_dataset(parse_interactions(["a\tx"]))), DataError,
          "line 2: expected 3 fields, got 2"),
