@@ -1,20 +1,17 @@
 """Command-line entry point.
 
 Commands: split, run, verify. `split` and `run` take a config file plus
-optional flag overrides; `verify` takes only --instances and
---battery-seed. Exit codes: 0 success, 1 validation error (bad
-config/flags, input the run cannot use, or a failed verification battery),
-2 runtime failure.
-
-The output directory resolves in precedence order: --out flag, the
-FAIRRERANK_OUT environment variable, then the config's output.dir.
+--set overrides of its keys, the one source of a run's settings; --out DIR
+is shorthand for --set output.dir=DIR, applied after every --set. `verify`
+takes only --instances and --battery-seed. Exit codes: 0 success, 1
+validation error (bad config/flags, input the run cannot use, or a failed
+verification battery), 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -22,11 +19,9 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .dataset import DataError
 from .pipeline import run_experiment, run_split
 from .report import render_markdown
-from .verify import run_battery
+from .verify import DEFAULT_BATTERY_SEED, DEFAULT_INSTANCES, run_battery
 
 __all__ = ["main"]
-
-OUT_ENV_VAR = "FAIRRERANK_OUT"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,10 +37,8 @@ def _build_parser() -> _Parser:
     for name in ("split", "run"):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", type=Path, required=True)
-        cmd.add_argument("--seed", type=int, default=None, help="override split.seed")
         cmd.add_argument("--threads", type=int, default=1, help="ignored; deleted at the next benchmark change")
-        cmd.add_argument("--out", type=Path, default=None, help="override the output directory")
-        cmd.add_argument("--format", choices=("csv", "json", "md"), default=None, help="override report.formats")
+        cmd.add_argument("--out", metavar="DIR", help="shorthand for --set output.dir=DIR, applied after every --set")
         cmd.add_argument(
             "--set",
             dest="overrides",
@@ -55,32 +48,20 @@ def _build_parser() -> _Parser:
             help="override any config key (repeatable)",
         )
     verify = sub.add_parser("verify")
-    verify.add_argument("--instances", type=int, default=200)
-    verify.add_argument("--battery-seed", type=int, default=20240)
+    verify.add_argument("--instances", type=int, default=DEFAULT_INSTANCES)
+    verify.add_argument("--battery-seed", type=int, default=DEFAULT_BATTERY_SEED)
     return parser
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, str]:
     overrides: dict[str, str] = {}
-    for item in args.overrides:
-        if "=" not in item:
+    items = args.overrides if args.out is None else [*args.overrides, f"output.dir={args.out}"]
+    for item in items:
+        key, equals, value = item.partition("=")
+        if not equals or not key.strip():
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["split.seed"] = str(args.seed)
-    if args.format is not None:
-        overrides["report.formats"] = args.format
     return overrides
-
-
-def _resolve_out_dir(args: argparse.Namespace, cfg: ExperimentConfig) -> Path:
-    if args.out is not None:
-        return Path(args.out)
-    env = os.environ.get(OUT_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path(cfg.out_dir)
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
@@ -88,9 +69,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out_dir = _resolve_out_dir(args, cfg)
-    artifacts, files = run_split(cfg, out_dir)
+    artifacts, files = run_split(_load(args))
     print(f"split: {len(artifacts.split.train)} train / {len(artifacts.split.valid)} valid / "
           f"{len(artifacts.split.test)} test interactions")
     print(f"partition: {artifacts.partition.num_short} short-head of {artifacts.dataset.num_items} items")
@@ -101,10 +80,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    out_dir = _resolve_out_dir(args, cfg)
-    result = run_experiment(cfg, out_dir)
+    result = run_experiment(cfg)
     sys.stdout.write(render_markdown(result.rows))
-    print(f"wrote {len(result.files)} files to {out_dir} (manifest: {result.manifest_path})")
+    print(f"wrote {len(result.files)} files to {cfg.out_dir} (manifest: {result.manifest_path})")
     return 0
 
 

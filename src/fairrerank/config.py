@@ -232,14 +232,15 @@ def build_config(pairs: dict[str, str]) -> ExperimentConfig:
 
 
 def load_config(path: Path | str | None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
-    """Load a config file, apply flag overrides, validate paths."""
+    """Load a config file, apply flag overrides, validate paths: the inputs
+    must be files, and output.dir a directory or a path one can be made at."""
     pairs: dict[str, str] = {}
     if path is not None:
         config_path = Path(path)
         if not config_path.is_file():
             raise ConfigError(f"config file not found: {config_path}")
         try:
-            pairs = parse_config_text(config_path.read_text(encoding="utf-8"))
+            pairs = parse_config_text(config_path.read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {config_path} is not UTF-8: {exc}") from None
     if overrides:
@@ -251,6 +252,12 @@ def load_config(path: Path | str | None, overrides: dict[str, str] | None = None
         raise ConfigError(f"input.path not found: {cfg.input_path}")
     if "import" in cfg.scorers and not Path(cfg.import_path).is_file():
         raise ConfigError(f"scorer.import_path not found: {cfg.import_path}")
+    out_dir = Path(cfg.out_dir)
+    for path in (out_dir, *out_dir.parents):  # the nearest existing one must be a directory
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"output.dir {cfg.out_dir}: {path} is not a directory")
+            break
     return cfg
 
 

@@ -155,7 +155,7 @@ def parse_interactions(source: Iterable[str], fmt: InputFormat = InputFormat()) 
 
 def read_interactions(path: Path | str, fmt: InputFormat = InputFormat()) -> InteractionLog:
     """Read and parse an interaction file from disk."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         return parse_interactions(fh, fmt)
 
 

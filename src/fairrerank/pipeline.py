@@ -196,23 +196,24 @@ def _write_split(cfg: ExperimentConfig, artifacts: SplitArtifacts, out_dir: Path
     return files
 
 
-def run_split(cfg: ExperimentConfig, out_dir: Path | str) -> tuple[SplitArtifacts, dict[str, Path]]:
-    """The `split` command: ingest, split, partition, write artifacts."""
-    clock = _StageClock()
+def run_split(cfg: ExperimentConfig) -> tuple[SplitArtifacts, dict[str, Path]]:
+    """The `split` command: ingest, split, partition, write artifacts to cfg.out_dir."""
+    out_dir, clock = Path(cfg.out_dir), _StageClock()
     artifacts = _ingest_split(cfg, clock)
     inputs = {"input": sha256_file(cfg.input_path)}  # before the split files, which may overwrite it
-    files = _write_split(cfg, artifacts, Path(out_dir), clock)
-    files["manifest"] = clock.run("manifest", _write_manifest, Path(out_dir) / "manifest.json", cfg, inputs, files, clock)
+    files = _write_split(cfg, artifacts, out_dir, clock)
+    files["manifest"] = clock.run("manifest", _write_manifest, out_dir / "manifest.json", cfg, inputs, files, clock)
     return artifacts, files
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: Path | str) -> RunResult:
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """The `run` command: the full pipeline over every configured scorer and
-    every grid point, emitting list files, reports, and the manifest. Each
-    scorer's scores are exported, then masked and re-ranked, and dropped
-    before its lists are evaluated and written. The gate's import matrix is
-    used first; the report rows keep the order of cfg.scorers."""
-    out_dir = Path(out_dir)
+    every grid point, emitting list files, reports, and the manifest to
+    cfg.out_dir. Each scorer's scores are exported, then masked and
+    re-ranked, and dropped before its lists are evaluated and written. The
+    gate's import matrix is used first; the report rows keep the order of
+    cfg.scorers."""
+    out_dir = Path(cfg.out_dir)
     clock = _StageClock()
     artifacts = _ingest_split(cfg, clock)
     made = _preflight(cfg, artifacts, clock)

@@ -321,7 +321,7 @@ def load_scores(source: Iterable[str], ds: Dataset, fill: float = 0.0) -> ScoreM
 
 
 def read_scores(path: Path | str, ds: Dataset, fill: float = 0.0) -> ScoreMatrix:
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:  # a non-UTF-8 byte fails its line
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:  # a non-UTF-8 byte fails its line
         return load_scores(fh, ds, fill=fill)
 
 

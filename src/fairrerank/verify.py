@@ -21,6 +21,7 @@ from .synthetic import random_rerank_instance
 __all__ = ["CheckOutcome", "run_battery", "DEFAULT_LAMBDA_GRID"]
 
 DEFAULT_LAMBDA_GRID = tuple(i / 10 for i in range(21))  # 0.0, 0.1, ..., 2.0
+DEFAULT_INSTANCES, DEFAULT_BATTERY_SEED = 200, 20240  # also the defaults of `fairrerank verify`
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ def _check_metric_bounds(count: int, seed: int):
     return True, f"{count} random evaluations"
 
 
-def run_battery(instances: int = 200, seed: int = 20240) -> list[CheckOutcome]:
+def run_battery(instances: int = DEFAULT_INSTANCES, seed: int = DEFAULT_BATTERY_SEED) -> list[CheckOutcome]:
     """Run all checks."""
     return [
         _check_oracle_equivalence(instances, seed),

@@ -211,7 +211,8 @@ class TestRunCommand:
         config, base = demo
         scores = base / "ext.tsv"
         scores.write_text("u0\ti0\t0.25\nu1\ti1\t-0.5\n")  # the other cells take scorer.fill
-        cfg = load_config(config, {"scorer.names": "popularity,import,random", "scorer.import_path": str(scores)})
+        cfg = load_config(config, {"scorer.names": "popularity,import,random", "scorer.import_path": str(scores),
+                                   "output.dir": str(base / "once")})
         parses, reads, stages = [], [], []
 
         def counted_load_scores(*args, **kwargs):
@@ -231,7 +232,7 @@ class TestRunCommand:
         monkeypatch.setattr(scorers, "load_scores", counted_load_scores)
         monkeypatch.setattr("builtins.open", counted_open)
         monkeypatch.setattr(pipeline._StageClock, "run", recorded_run)
-        result = run_experiment(cfg, base / "once")
+        result = run_experiment(cfg)
         assert len(parses) == 1 and len(reads) == 1
         assert len(stages) == len(set(stages)) and "score[import]" in stages
         # every scorer is made in the gate, before the first write
@@ -242,8 +243,9 @@ class TestRunCommand:
 
     def test_each_scorer_records_one_evaluate_stage(self, demo):
         config, base = demo
-        cfg = load_config(config, {"scorer.names": "popularity,random", "rerank.lambda_grid": "0,1,4,9"})
-        run_experiment(cfg, base / "grid")
+        cfg = load_config(config, {"scorer.names": "popularity,random", "rerank.lambda_grid": "0,1,4,9",
+                                   "output.dir": str(base / "grid")})
+        run_experiment(cfg)
         stages = json.loads((base / "grid" / "manifest.json").read_text())["stages_seconds"]
         assert sorted(key for key in stages if key.startswith("evaluate[")) == ["evaluate[popularity]", "evaluate[random]"]
         assert len(cfg.rerank.lambda_grid) == 4 and sum(key.startswith("lists_file[") for key in stages) == 8
@@ -268,12 +270,22 @@ class TestRunCommand:
         cfg = load_config(config)
         assert build_config(manifest["config"]) == cfg
 
+    @pytest.mark.parametrize("command", ["split", "run"])
+    def test_out_is_applied_after_every_set_and_the_manifest_names_it(self, demo, command):
+        config, base = demo
+        out = base / "flag"
+        assert main([command, "--config", str(config), "--out", str(out), "--set", f"output.dir={base / 'set'}"]) == 0
+        assert sorted(path.name for path in base.iterdir()) == ["demo.tsv", "exp.cfg", "flag"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["output.dir"] == str(out)
+        assert build_config(manifest["config"]) == load_config(config, {"output.dir": str(out)})
+
     def test_n_row_matches_direct_evaluation(self, demo):
         # cross-path consistency: the CLI's N row equals evaluating the
         # scorer's plain top-K built from the library directly
         config, base = demo
-        cfg = load_config(config)
-        result = run_experiment(cfg, base / "direct")
+        cfg = load_config(config, {"output.dir": str(base / "direct")})
+        result = run_experiment(cfg)
         ds = build_dataset(read_interactions(cfg.input_path))
         triple = split(ds, cfg.ratios, cfg.split_seed)
         part = partition_popularity(triple.train, ds.num_items, cfg.partition_ratio)
@@ -288,8 +300,8 @@ class TestRunCommand:
         # the run stamps MASKED into each scorer's own matrix after its
         # export; the files must equal those from masking an explicit copy
         config, base = demo
-        cfg = load_config(config, {"scorer.names": "popularity,random"})
-        result = run_experiment(cfg, base / "direct")
+        cfg = load_config(config, {"scorer.names": "popularity,random", "output.dir": str(base / "direct")})
+        result = run_experiment(cfg)
         ds = build_dataset(read_interactions(cfg.input_path))
         triple = split(ds, cfg.ratios, cfg.split_seed)
         part = partition_popularity(triple.train, ds.num_items, cfg.partition_ratio)
@@ -307,24 +319,10 @@ class TestRunCommand:
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["outputs"] == {name: sha256_file(path) for name, path in result.files.items()}
 
-    def test_env_var_overrides_output_dir(self, demo, monkeypatch):
-        config, base = demo
-        target = base / "envout"
-        monkeypatch.setenv("FAIRRERANK_OUT", str(target))
-        main(["run", "--config", str(config)])
-        assert (target / "report.csv").exists()
-
-    def test_flag_beats_env_var(self, demo, monkeypatch):
-        config, base = demo
-        monkeypatch.setenv("FAIRRERANK_OUT", str(base / "ignored"))
-        main(["run", "--config", str(config), "--out", str(base / "flag")])
-        assert (base / "flag" / "report.csv").exists()
-        assert not (base / "ignored").exists()
-
     def test_format_flag_restricts_outputs(self, demo):
         config, base = demo
         out = base / "only_json"
-        main(["run", "--config", str(config), "--out", str(out), "--format", "json"])
+        main(["run", "--config", str(config), "--out", str(out), "--set", "report.formats=json"])
         assert (out / "report.json").exists()
         assert not (out / "report.csv").exists()
 
@@ -396,7 +394,8 @@ class TestRunCommand:
         for name in set(names) - {"manifest.json"}:
             assert (base / "-0,2" / name).read_bytes() == (base / "0,2" / name).read_bytes(), name
         assert manifests[0]["outputs"] == manifests[1]["outputs"]
-        assert manifests[0]["config"] == manifests[1]["config"]
+        configs = [{**manifest["config"], "output.dir": None} for manifest in manifests]  # two directories
+        assert configs[0] == configs[1]
 
     def test_lists_files_have_documented_format(self, demo):
         config, base = demo
@@ -444,11 +443,22 @@ class TestExitCodes:
         assert main(["run", "--config", str(config), "--set", "bogus.key=1"]) == 1
 
     def test_runtime_failure_is_exit_2(self, demo, capsys):
-        # an output directory below a regular file fails when the first file is written
+        # a directory in the way of the first file written
         config, base = demo
-        (base / "blocker").write_text("")
-        assert main(["run", "--config", str(config), "--out", str(base / "blocker" / "out")]) == 2
-        assert "error: stage 'split_files' failed: [Errno 20] Not a directory" in capsys.readouterr().err
+        (base / "out" / "train.tsv").mkdir(parents=True)
+        assert main(["run", "--config", str(config)]) == 2
+        assert "error: stage 'split_files' failed: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["split", "run"])
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under_a_file"])
+    def test_an_output_dir_at_or_under_a_file_fails_at_config_time(self, demo, capsys, command, under):
+        config, base = demo
+        blocker = base / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / under if under else blocker
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: output.dir {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "blocked, stage",
@@ -530,22 +540,18 @@ class TestExitCodes:
         assert f"--instances must be >= 1, got {count}" in captured.err
         assert "[PASS]" not in captured.out
 
-    @pytest.mark.parametrize("argv", [["--seed", "3"], ["--config", "x.cfg"]], ids=["seed", "config"])
+    @pytest.mark.parametrize("argv", [["--set", "split.seed=3"], ["--config", "x.cfg"]], ids=["seed", "config"])
     def test_verify_rejects_data_command_flags(self, capsys, argv):
         assert main(["verify", *argv]) == 1
         captured = capsys.readouterr()
         assert f"unrecognized arguments: {' '.join(argv)}" in captured.err
         assert "[PASS]" not in captured.out
 
-    @pytest.mark.parametrize(
-        "argv, key",
-        [(["--seed", "-1"], "split.seed"), *((["--set", f"{key}=-1"], key) for key in ("split.seed", "random.seed", "mf.seed"))],
-        ids=["--seed", "split.seed", "random.seed", "mf.seed"],
-    )
-    def test_negative_seed_is_validation_error(self, demo, capsys, argv, key):
+    @pytest.mark.parametrize("key", ["split.seed", "random.seed", "mf.seed"])
+    def test_negative_seed_is_validation_error(self, demo, capsys, key):
         config, base = demo
         out = base / "neg"
-        assert main(["run", "--config", str(config), "--out", str(out), *argv]) == 1
+        assert main(["run", "--config", str(config), "--out", str(out), "--set", f"{key}=-1"]) == 1
         assert f"{key}: expected a non-negative integer, got '-1'" in capsys.readouterr().err
         assert not out.exists()
 
@@ -764,7 +770,7 @@ def _stage_peaks(tmp_path, users, items):
     data = tmp_path / f"log{users}.tsv"
     data.write_text("\n".join(lines) + "\n")
     cfg = build_config({"input.path": str(data), "scorer.names": "popularity,random", "rerank.k": "10",
-                        "rerank.lambda_grid": "2", "report.formats": "csv"})
+                        "rerank.lambda_grid": "2", "report.formats": "csv", "output.dir": str(tmp_path / f"out{users}")})
     peaks, run = {}, pipeline._StageClock.run
 
     def traced(self, stage, func, *args, **kwargs):
@@ -778,7 +784,7 @@ def _stage_peaks(tmp_path, users, items):
         patch.setattr(pipeline._StageClock, "run", traced)
         tracemalloc.start()
         try:
-            run_experiment(cfg, tmp_path / f"out{users}")
+            run_experiment(cfg)
         finally:
             tracemalloc.stop()
     return peaks
@@ -883,7 +889,7 @@ def test_any_config_exits_0_or_fails_before_any_write(run):
         assert (out / "manifest.json").is_file() if code == 0 else not out.exists(), err.getvalue()
 
 
-@pytest.mark.parametrize("item", ["rerank.k", "rerank.k 3", ""])
+@pytest.mark.parametrize("item", ["rerank.k", "rerank.k 3", "", "=3", " =3"])
 def test_a_set_without_an_equals_sign_is_a_config_error(item):
-    args = argparse.Namespace(overrides=[item], seed=None, format=None)
+    args = argparse.Namespace(overrides=[item], out=None)
     raises_exactly(ConfigError, f"--set expects KEY=VALUE, got {item!r}", lambda: _overrides_from_args(args))

@@ -170,7 +170,7 @@ CASES = [
         "rerank.pool_size: expected an integer, got '2.5'",
         ConfigError("rerank.pool_size: expected an integer, got ''"),
     ),
-    # any text is a valid output directory; there is no malformed value
+    # any text parses; a path at or under a file fails at load (tests/test_cli.py)
     ("output.dir", "results", "results", None, None, "out"),
     # the default, tsv, is left out of the snapshot
     ("output.scores", "none", "none", "csv", "output.scores: expected 'tsv' or 'none', got 'csv'", MISSING),
@@ -264,6 +264,16 @@ def test_the_grid_snapshot_starts_at_a_positive_zero():
     assert config_snapshot(build_config({}))["rerank.lambda_grid"] == "0.0"
     assert config_snapshot(build_config({"rerank.lambda_grid": "-0,2"}))["rerank.lambda_grid"] == "0.0,2.0"
     assert config_snapshot(build_config({"rerank.lambda_grid": "2,10"}))["rerank.lambda_grid"] == "0.0,2.0,10.0"
+
+
+def test_a_leading_byte_order_mark_is_dropped(input_file, tmp_path):
+    text = f"input.path = {input_file}\nrerank.k = 3\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    cfg = load_config(marked)
+    assert cfg.input_path == input_file
+    assert cfg == load_config(plain)
 
 
 def test_missing_input_path_is_an_error_at_load():

@@ -83,6 +83,15 @@ class TestParseInteractions:
         with pytest.raises(DataError, match="weight"):
             parse_interactions(["u1\ti1\tabc"])
 
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        text = "u0\ti0\nu1\ti1\t2.0\nu0\ti1\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        log = read_interactions(marked)
+        assert log.user_keys == ("u0", "u1")
+        assert _rows(log) == _rows(read_interactions(plain))
+
     def test_perfbench_row_count_is_the_number_of_data_lines(self, tmp_path):
         # the benchmark's tracer records len() of this result as dataset.ingest_rows
         tracer_path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

@@ -265,6 +265,15 @@ class TestLoadScores:
         assert np.array_equal(loaded.values, values)
         assert loaded.import_coverage == 1.0
 
+    def test_a_leading_byte_order_mark_is_dropped(self, small_ds, tmp_path):
+        text = "a\tx\t0.5\nb\ty\t0.7\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        loaded = read_scores(marked, small_ds)
+        assert loaded.values[0, 0] == 0.5
+        assert loaded.values.tobytes() == read_scores(plain, small_ds).values.tobytes()
+
     def test_unknown_item_key_reports_line(self, small_ds):
         with pytest.raises(DataError, match="line 2"):
             load_scores(["a\tx\t0.5", "a\tzzz\t0.5"], small_ds)
