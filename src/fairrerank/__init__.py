@@ -18,7 +18,7 @@ from .dataset import (
 )
 from .metrics import EvalContext, EvaluationReport, eval_context, evaluate, judgments_from_interactions
 from .rerank import RecommendationLists, RerankConfig, lambda_sweep, rerank_oracle, rerank_path
-from .scorers import MASKED, MFConfig, ScoreMatrix, load_scores, mask_seen, mf_scorer, popularity_scorer, random_scorer
+from .scorers import MASKED, MFConfig, ScoreMatrix, load_scores, mask_seen, mf_scorer, popularity_scorer
 
 __all__ = [
     "__version__",
@@ -27,5 +27,5 @@ __all__ = [
     "build_dataset", "parse_interactions", "partition_popularity", "read_interactions", "split",
     "EvalContext", "EvaluationReport", "eval_context", "evaluate", "judgments_from_interactions",
     "RecommendationLists", "RerankConfig", "lambda_sweep", "rerank_oracle", "rerank_path",
-    "MASKED", "MFConfig", "ScoreMatrix", "load_scores", "mask_seen", "mf_scorer", "popularity_scorer", "random_scorer",
+    "MASKED", "MFConfig", "ScoreMatrix", "load_scores", "mask_seen", "mf_scorer", "popularity_scorer",
 ]

@@ -130,15 +130,17 @@ def _parse_fill(key: str, value: str) -> float:
     return MASKED if value == "sentinel" else _parse_float(key, value)
 
 
-def _parse_text(key: str, value: str) -> str | None:
-    return value or None
+def _parse_path(key: str, value: str) -> str:
+    if not value:
+        raise ConfigError(f"{key}: expected a path")
+    return value
 
 
 def _one_of(allowed: tuple[str, ...]):
-    def parse(key: str, value: str) -> str | None:
-        if value and value not in allowed:
+    def parse(key: str, value: str) -> str:
+        if value not in allowed:
             raise ConfigError(f"{key}: expected {' or '.join(map(repr, allowed))}, got {value!r}")
-        return value or None
+        return value
 
     return parse
 
@@ -166,19 +168,23 @@ def _show_floats(values: tuple[float, ...]) -> str:
     return ",".join(repr(v) for v in values)
 
 
+def _show_path(path: str) -> str | None:
+    return path or None
+
+
 # One row per config key: the key, its dotted field on ExperimentConfig, the
-# parser (returning None keeps the field's default) and the canonical text
-# the snapshot stores (None leaves the key out). The README table lists the
-# same keys in the same order.
+# parser (an empty value is an error for every key) and the canonical text
+# the snapshot stores (None leaves the key out, as for an unset path). The
+# README table lists the same keys in the same order.
 KEYS = (
-    ("input.path", "input_path", _parse_text, str),
+    ("input.path", "input_path", _parse_path, _show_path),
     ("input.delimiter", "delimiter", _one_of(DELIMITER_NAMES), str),
     ("input.header", "header", _parse_bool, _show_bool),
     ("split.seed", "split_seed", _parse_seed, str),
     ("split.ratios", "ratios", _parse_ratios, _show_floats),
     ("partition.ratio", "partition_ratio", _parse_fraction, repr),
     ("scorer.names", "scorers", _name_list(SCORER_NAMES), ",".join),
-    ("scorer.import_path", "import_path", _parse_text, lambda path: path or None),
+    ("scorer.import_path", "import_path", _parse_path, _show_path),
     ("scorer.fill", "fill", _parse_fill, lambda fill: "sentinel" if fill == MASKED else repr(fill)),
     ("scorer.mask_seen", "mask_seen", _parse_bool, _show_bool),
     ("random.seed", "random_seed", _parse_seed, str),
@@ -191,7 +197,7 @@ KEYS = (
     ("rerank.lambda_grid", "rerank.lambda_grid", _parse_float_list, _show_floats),
     ("rerank.per_user_lambda", "rerank.per_user_lambda", _parse_bool, _show_bool),
     ("rerank.pool_size", "rerank.pool_size", _parse_int, str),
-    ("output.dir", "out_dir", _parse_text, str),
+    ("output.dir", "out_dir", _parse_path, str),
     # the default is left out of the snapshot, so manifests that predate the key keep their bytes
     ("output.scores", "score_export", _one_of(SCORE_EXPORTS), lambda export: None if export == "tsv" else export),
     ("report.formats", "formats", _name_list(REPORT_FORMATS), ",".join),
@@ -206,12 +212,9 @@ def build_config(pairs: dict[str, str]) -> ExperimentConfig:
 
     fields: dict[str, dict[str, object]] = {"": {}, "mf": {}, "rerank": {}}
     for key, path, parse, _ in KEYS:
-        if pairs.get(key) is None:
-            continue
-        group, _, name = path.rpartition(".")
-        value = parse(key, pairs[key])
-        if value is not None:
-            fields[group][name] = value
+        if key in pairs:
+            group, _, name = path.rpartition(".")
+            fields[group][name] = parse(key, pairs[key])
     for group, cls in (("mf", MFConfig), ("rerank", RerankConfig)):
         try:
             fields[""][group] = cls(**fields[group])

@@ -279,6 +279,14 @@ def distinct_user_counts(inter: Interactions, num_items: int) -> np.ndarray:
     return np.bincount(inter.items, minlength=num_items)
 
 
+def top_count_mask(counts: np.ndarray, size: int) -> np.ndarray:
+    """The top `size` items by count as a mask; equal counts go to the lower
+    index first."""
+    top = np.zeros(len(counts), dtype=bool)
+    top[np.lexsort((np.arange(len(counts)), -counts))[:size]] = True
+    return top
+
+
 @dataclass(frozen=True)
 class PopularityPartition:
     """Binary short-head marking over the catalog plus the per-item
@@ -308,11 +316,7 @@ def partition_popularity(train: Interactions, num_items: int, ratio: float = 0.2
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio!r}")
     counts = distinct_user_counts(train, num_items)
-    n_short = _floor_exact(ratio * num_items)
-    order = np.lexsort((np.arange(num_items), -counts))
-    short = np.zeros(num_items, dtype=bool)
-    short[order[:n_short]] = True
-    return PopularityPartition(short_head=short, popularity_count=counts)
+    return PopularityPartition(top_count_mask(counts, _floor_exact(ratio * num_items)), counts)
 
 
 def write_split_files(

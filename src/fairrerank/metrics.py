@@ -1,7 +1,7 @@
 """Accuracy, beyond-accuracy, and item-exposure metrics over top-K lists.
 
-Relevance is binary: an item is relevant to a user iff it appears in that
-user's held-out judgment set. Users with empty judgment sets are skipped by
+Relevance is binary: an item is relevant to a user iff the held-out test
+split pairs it with that user. Users with no test pairs are skipped by
 precision/recall/NDCG but still count for the list-quality metrics
 (novelty, diversity, coverage, personalization, serendipity) and for the
 exposure tallies. All metrics consume the first k entries of each list, so
@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Interactions, PopularityPartition
+from .dataset import Interactions, PopularityPartition, top_count_mask
 from .rerank import RecommendationLists
 
 __all__ = [
@@ -47,31 +47,21 @@ _PAIR_CODES = 1 << 20  # item-pair codes added to the Gram per block in _union_g
 
 
 def judgments_from_interactions(inter: Interactions) -> list[set[int]]:
-    """Per-user relevant-item sets from a held-out interaction split."""
+    """Per-user relevant-item sets from a held-out interaction split. A run
+    reads the split itself (`eval_context`); this list-of-sets form stays
+    for the benchmark harness and goes with ROADMAP item 5."""
     out: list[set[int]] = [set() for _ in range(inter.num_users)]
     for u, i in zip(inter.users.tolist(), inter.items.tolist()):
         out[u].add(i)
     return out
 
 
-def _keys(users: np.ndarray, items: np.ndarray, num_items: int) -> np.ndarray:
-    """Sorted user * num_items + item keys, closed by a sentinel that no
-    key equals, so a lookup never runs off the end."""
-    return np.append(np.sort(users * num_items + items), np.iinfo(np.int64).max)
-
-
 def _hits(items: np.ndarray, keys: np.ndarray, num_items: int) -> np.ndarray:
-    """True where (row r, items[r, c]) is among `keys`: for lists and the
-    judgments, the m x k hit matrix."""
+    """True where (row r, items[r, c]) is among the sorted `keys`, which a
+    sentinel that no key equals closes: for lists and the judged keys, the
+    m x k hit matrix."""
     wanted = np.arange(len(items))[:, None] * num_items + items
     return keys[np.searchsorted(keys, wanted)] == wanted
-
-
-def _judgment_keys(judgments: list[set[int]], num_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """The judgments as `_keys`, and the number of judged items per user."""
-    sizes = np.fromiter(map(len, judgments), dtype=np.int64, count=len(judgments))
-    items = np.fromiter((item for judged in judgments for item in judged), dtype=np.int64, count=int(sizes.sum()))
-    return _keys(np.repeat(np.arange(len(judgments)), sizes), items, num_items), sizes
 
 
 def _discounts(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +133,6 @@ def _diversity(items: np.ndarray, gram: np.ndarray, row_of: np.ndarray, counts: 
     return float(np.mean(1.0 - np.ascontiguousarray(sim).sum(axis=1) / (k * (k - 1) / 2)))
 
 
-def _popular_mask(counts: np.ndarray, k: int) -> np.ndarray:
-    """The global top-k items by train count (ties by lower index)."""
-    popular = np.zeros(len(counts), dtype=bool)
-    popular[np.lexsort((np.arange(len(counts)), -counts))[:k]] = True
-    return popular
-
-
 def _serendipity(items: np.ndarray, popular: np.ndarray) -> float:
     return float(np.mean((~popular[items]).sum(axis=1) / items.shape[1]))
 
@@ -211,8 +194,8 @@ class EvalContext:
     """What the metrics need from one split, computed once and shared by
     every list set scored against it."""
 
-    judged: np.ndarray  # the judgments as sorted user * num_items + item keys
-    judged_sizes: np.ndarray  # judged items per user
+    judged: np.ndarray  # the test pairs as sorted user * num_items + item keys, then a sentinel
+    judged_sizes: np.ndarray  # test pairs per user
     popular: np.ndarray  # the global top-k items by train count, as a mask
     discounts: np.ndarray  # 1/log2(r+1) for ranks r = 1..k
     idcg: np.ndarray  # ideal DCG of c relevant items, c = 0..k
@@ -221,17 +204,22 @@ class EvalContext:
     k: int
 
 
-def eval_context(
-    judgments: list[set[int]], train: Interactions, part: PopularityPartition, k: int
-) -> EvalContext:
-    """Build the shared evaluation context of one split for top-k lists.
-    `part` must be `train`'s partition: novelty, diversity and the popular
-    top-k read its counts, not `train`."""
+def eval_context(test: Interactions, train: Interactions, part: PopularityPartition, k: int) -> EvalContext:
+    """Build the shared evaluation context of one split for top-k lists:
+    `test`'s pairs are the relevance judgments. `part` must be `train`'s
+    partition: novelty, diversity and the popular top-k read its counts,
+    not `train`."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    judged, sizes = _judgment_keys(judgments, part.num_items)
+    n = part.num_items
+    if (test.num_users, test.num_items) != (train.num_users, train.num_items) or train.num_items != n:
+        raise ValueError(f"test ({test.num_users} x {test.num_items}), train ({train.num_users} x "
+                         f"{train.num_items}) and partition ({n} items) do not share one user x item universe")
+    # the pairs are sorted and unique, so their keys are too
+    judged = np.append(test.users.astype(np.int64) * n + test.items, np.iinfo(np.int64).max)
     discounts, idcg = _discounts(k)
-    return EvalContext(judged, sizes, _popular_mask(part.popularity_count, k), discounts, idcg, train, part, k)
+    return EvalContext(judged, np.bincount(test.users, minlength=test.num_users),
+                       top_count_mask(part.popularity_count, k), discounts, idcg, train, part, k)
 
 
 def evaluate(ctx: EvalContext, point_lists: Sequence[RecommendationLists]) -> list[EvaluationReport]:

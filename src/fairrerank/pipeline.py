@@ -44,7 +44,7 @@ from .dataset import (
     write_partition_file,
     write_split_files,
 )
-from .metrics import eval_context, evaluate, judgments_from_interactions
+from .metrics import eval_context, evaluate
 from .rerank import _fairness_shifts, lambda_label, rerank_path, write_lists
 from .report import ReportRow, render_csv, render_json, render_markdown
 from .scorers import (
@@ -223,8 +223,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     files = _write_split(cfg, artifacts, out_dir, clock)
     ds = artifacts.dataset
 
-    judgments = judgments_from_interactions(artifacts.split.test)
-    ctx = clock.run("eval_context", eval_context, judgments, artifacts.split.train, artifacts.partition, cfg.rerank.k)
+    triple = artifacts.split
+    ctx = clock.run("eval_context", eval_context, triple.test, triple.train, artifacts.partition, cfg.rerank.k)
     lambdas = cfg.rerank.lambda_grid
     rows: list[ReportRow] = []
 

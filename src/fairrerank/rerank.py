@@ -346,11 +346,18 @@ def lambda_sweep(
     train: Interactions,
 ) -> list[tuple[float, "EvaluationReport"]]:
     """Re-rank and fully evaluate at every point of cfg.lambda_grid, which
-    starts at the 0.0 fairness-unaware baseline: one path, one evaluation."""
+    starts at the 0.0 fairness-unaware baseline: one path, one evaluation.
+    `judgments[u]` is user u's set of held-out items, made into the test
+    split here. A run calls `rerank_path` and `evaluate` itself; this
+    entry point stays for the benchmark harness and goes with ROADMAP
+    item 5."""
     from .metrics import eval_context, evaluate  # deferred: metrics imports RecommendationLists from here
 
+    users = np.repeat(np.arange(len(judgments)), [len(judged) for judged in judgments])
+    items = np.fromiter((item for judged in judgments for item in sorted(judged)), dtype=np.int64, count=len(users))
+    test = Interactions(users, items, np.ones(len(users)), len(judgments), part.num_items)
     lists = rerank_path(matrix, part, cfg, cfg.lambda_grid)
-    return list(zip(cfg.lambda_grid, evaluate(eval_context(judgments, train, part, cfg.k), lists)))
+    return list(zip(cfg.lambda_grid, evaluate(eval_context(test, train, part, cfg.k), lists)))
 
 
 def write_lists(path: Path | str, lists: RecommendationLists, ds: Dataset, part: PopularityPartition) -> Path:

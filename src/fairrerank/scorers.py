@@ -40,7 +40,6 @@ __all__ = [
     "popularity_blocks",
     "popularity_scorer",
     "random_blocks",
-    "random_scorer",
     "mf_blocks",
     "mf_scorer",
     "train_mf_factors",
@@ -154,11 +153,6 @@ def random_blocks(num_users: int, num_items: int, seed: int) -> ScoreBlocks:
         raise ValueError("num_users and num_items must be >= 1")
     return ScoreBlocks(num_users, num_items, lambda lo, hi: np.random.Generator(
         np.random.PCG64(seed).advance(lo * num_items)).random((min(hi, num_users) - lo, num_items)))
-
-
-def random_scorer(num_users: int, num_items: int, seed: int) -> ScoreMatrix:
-    """`random_blocks` as one block of all users: `default_rng(seed)`'s draw."""
-    return ScoreMatrix(random_blocks(num_users, num_items, seed).rows(0, num_users))
 
 
 def _solve_half(this: np.ndarray, other: np.ndarray, seen: np.ndarray, seen_w: np.ndarray,

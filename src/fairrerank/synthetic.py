@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import PopularityPartition
+from .dataset import PopularityPartition, top_count_mask
 from .scorers import ScoreMatrix
 
 __all__ = ["RerankInstance", "random_rerank_instance", "zipf_interaction_lines", "write_zipf_dataset"]
@@ -49,11 +49,8 @@ def random_rerank_instance(
     if quantized:
         values = np.round(values * 20.0) / 20.0
     n_short = int(rng.integers(1, n - k + 1))
-    counts = rng.integers(0, 50, size=n)
-    order = np.lexsort((np.arange(n), -counts))
-    short = np.zeros(n, dtype=bool)
-    short[order[:n_short]] = True
-    part = PopularityPartition(short_head=short, popularity_count=counts.astype(np.int64))
+    counts = rng.integers(0, 50, size=n).astype(np.int64)
+    part = PopularityPartition(short_head=top_count_mask(counts, n_short), popularity_count=counts)
     return RerankInstance(ScoreMatrix(values), part, k)
 
 

@@ -143,8 +143,10 @@ def _random_evaluation(rng: np.random.Generator):
     )
     part = partition_popularity(train, n, ratio=0.2)
     lists = np.stack([rng.choice(n, size=k, replace=False) for _ in range(m)])
-    judgments = [set(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist()) for _ in range(m)]
-    return RecommendationLists(items=lists.astype(np.int64), num_items=n), judgments, train, part, k
+    judged = [np.sort(rng.choice(n, size=int(rng.integers(1, 4)), replace=False)) for _ in range(m)]
+    sizes = [len(items) for items in judged]
+    test = Interactions(np.repeat(np.arange(m), sizes), np.concatenate(judged), np.ones(sum(sizes)), m, n)
+    return RecommendationLists(items=lists.astype(np.int64), num_items=n), test, train, part, k
 
 
 @_check("metric_bounds")
@@ -153,9 +155,9 @@ def _check_metric_bounds(count: int, seed: int):
     (evaluate validates each report, the exposure identity included)."""
     rng = np.random.default_rng(seed)
     for idx in range(count):
-        lists, judgments, train, part, k = _random_evaluation(rng)
+        lists, test, train, part, k = _random_evaluation(rng)
         try:
-            report = evaluate(eval_context(judgments, train, part, k), [lists])[0]
+            report = evaluate(eval_context(test, train, part, k), [lists])[0]
         except ValueError as exc:
             return False, f"evaluation {idx}: {exc}"
         if not math.isfinite(report.novelty):

@@ -14,7 +14,7 @@ from conftest import evaluated
 from fairrerank import verify
 from fairrerank.cli import main
 from fairrerank.dataset import Interactions, build_dataset, parse_interactions, partition_popularity, split
-from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
+from fairrerank.metrics import eval_context, evaluate
 from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_oracle, rerank_path
 from fairrerank.scorers import MFConfig, mask_seen, mf_scorer
 from fairrerank.synthetic import random_rerank_instance, write_zipf_dataset, zipf_interaction_lines
@@ -130,7 +130,7 @@ def test_c7_desk_scale_trend_reproduction():
     triple = split(ds, seed=7)
     part = partition_popularity(triple.train, ds.num_items)
     scores = mask_seen(mf_scorer(triple.train, MFConfig(seed=7)), triple.train)
-    ctx = eval_context(judgments_from_interactions(triple.test), triple.train, part, 10)
+    ctx = eval_context(triple.test, triple.train, part, 10)
 
     def run(lam):
         return evaluate(ctx, [rerank_path(scores, part, RerankConfig(k=10), (lam,))[0]])[0]

@@ -28,11 +28,11 @@ from fairrerank.config import (
 from fairrerank.dataset import (
     DELIMITER_NAMES, build_dataset, distinct_user_counts, partition_popularity, read_interactions, split,
 )
-from fairrerank.metrics import eval_context, evaluate, judgments_from_interactions
+from fairrerank.metrics import eval_context, evaluate
 from fairrerank.pipeline import run_experiment
 from fairrerank.rerank import RerankConfig, rerank_path, write_lists
 from fairrerank.scorers import (
-    ScoreMatrix, load_scores, mask_seen, popularity_blocks, popularity_scorer, random_scorer, write_scores,
+    ScoreMatrix, load_scores, mask_seen, popularity_blocks, popularity_scorer, random_blocks, write_scores,
 )
 from fairrerank.synthetic import write_zipf_dataset, zipf_interaction_lines
 from fairrerank.util import sha256_file
@@ -291,8 +291,7 @@ class TestRunCommand:
         part = partition_popularity(triple.train, ds.num_items, cfg.partition_ratio)
         scores = mask_seen(popularity_scorer(triple.train), triple.train)
         lists = rerank_path(scores, part, RerankConfig(k=cfg.rerank.k), (0.0,))[0]
-        judgments = judgments_from_interactions(triple.test)
-        direct = evaluate(eval_context(judgments, triple.train, part, cfg.rerank.k), [lists])[0]
+        direct = evaluate(eval_context(triple.test, triple.train, part, cfg.rerank.k), [lists])[0]
         n_row = next(row.report for row in result.rows if row.row_type == "N")
         assert n_row == direct
 
@@ -308,7 +307,7 @@ class TestRunCommand:
         lambdas = cfg.rerank.lambda_grid
         for name, raw in (
             ("popularity", popularity_scorer(triple.train)),
-            ("random", random_scorer(ds.num_users, ds.num_items, cfg.random_seed)),
+            ("random", ScoreMatrix(random_blocks(ds.num_users, ds.num_items, cfg.random_seed).rows(0, ds.num_users))),
         ):
             export = write_scores(tmp_path / f"scores_{name}.tsv", raw, ds)
             assert result.files[f"scores_{name}"].read_bytes() == export.read_bytes()
@@ -459,6 +458,24 @@ class TestExitCodes:
         assert main([command, "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: output.dir {out}: {blocker} is not a directory\n"
         assert blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["split", "run"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--out", ""], "output.dir: expected a path"),
+         (["--set", "input.delimiter="], "input.delimiter: expected 'tab' or 'comma', got ''")],
+        ids=["out", "delimiter"],
+    )
+    def test_an_empty_value_fails_at_config_time(self, demo, capsys, monkeypatch, command, flags, message):
+        # the config file sets the key; an empty value neither keeps the
+        # file's value nor falls back to the built-in default (out/)
+        config, base = demo
+        text = config.read_text().replace(f"output.dir = {base / 'out'}", f"output.dir = {base / 'mine'}")
+        config.write_text(text + "input.delimiter = tab\n")
+        monkeypatch.chdir(base)
+        assert main([command, "--config", str(config), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (base / "mine").exists() and not (base / "out").exists()
 
     @pytest.mark.parametrize(
         "blocked, stage",

@@ -1,6 +1,6 @@
 """Per-key behaviour of the config layer: accepted values and their
-canonical snapshot text, the error for a malformed value, and what an
-empty value does. Each row pins one key."""
+canonical snapshot text, the error for a malformed value, and the error
+for an empty value. Each row pins one key."""
 
 import re
 from pathlib import Path
@@ -11,20 +11,24 @@ from fairrerank.config import KEYS as CONFIG_KEYS
 from fairrerank.config import ConfigError, build_config, config_snapshot, load_config
 from fairrerank.synthetic import write_zipf_dataset
 
-MISSING = object()
-
 # key, valid value, its snapshot text, malformed value, the error it gives,
-# and the outcome of an empty value (a snapshot text, or MISSING when the
-# key is left out of the snapshot, or a ConfigError instance)
+# and the error an empty value gives
 CASES = [
-    ("input.path", "data/log.tsv", "data/log.tsv", "no/such.tsv", "input.path not found: no/such.tsv", ""),
+    (
+        "input.path",
+        "data/log.tsv",
+        "data/log.tsv",
+        "no/such.tsv",
+        "input.path not found: no/such.tsv",
+        ConfigError("input.path: expected a path"),
+    ),
     (
         "input.delimiter",
         "comma",
         "comma",
         "pipe",
         "input.delimiter: expected 'tab' or 'comma', got 'pipe'",
-        "tab",
+        ConfigError("input.delimiter: expected 'tab' or 'comma', got ''"),
     ),
     (
         "input.header",
@@ -72,7 +76,7 @@ CASES = [
         "scores.tsv",
         "no/such/scores.tsv",
         "scorer.import_path not found: no/such/scores.tsv",
-        MISSING,
+        ConfigError("scorer.import_path: expected a path"),
     ),
     (
         "scorer.fill",
@@ -171,9 +175,16 @@ CASES = [
         ConfigError("rerank.pool_size: expected an integer, got ''"),
     ),
     # any text parses; a path at or under a file fails at load (tests/test_cli.py)
-    ("output.dir", "results", "results", None, None, "out"),
+    ("output.dir", "results", "results", None, None, ConfigError("output.dir: expected a path")),
     # the default, tsv, is left out of the snapshot
-    ("output.scores", "none", "none", "csv", "output.scores: expected 'tsv' or 'none', got 'csv'", MISSING),
+    (
+        "output.scores",
+        "none",
+        "none",
+        "csv",
+        "output.scores: expected 'tsv' or 'none', got 'csv'",
+        ConfigError("output.scores: expected 'tsv' or 'none', got ''"),
+    ),
     (
         "report.formats",
         "md, json",
@@ -200,7 +211,7 @@ def input_file(tmp_path):
 
 def test_cases_cover_every_key():
     assert len(KEYS) == 23 and len(set(KEYS)) == 23
-    pairs = {"scorer.import_path": "s", "rerank.lambda_grid": "1", "output.scores": "none"}
+    pairs = {"input.path": "p", "scorer.import_path": "s", "rerank.lambda_grid": "1", "output.scores": "none"}
     assert set(KEYS) == set(config_snapshot(build_config(pairs)))
 
 
@@ -227,20 +238,16 @@ def test_malformed_value_names_the_key(key, input_file):
 
 @pytest.mark.parametrize("key", KEYS)
 def test_empty_value(key):
-    expected = _case(key)[5]
-    if isinstance(expected, ConfigError):
-        with pytest.raises(ConfigError) as exc:
-            build_config({key: ""})
-        assert str(exc.value) == str(expected)
-    else:
-        assert config_snapshot(build_config({key: ""})).get(key, MISSING) == expected
+    with pytest.raises(ConfigError) as exc:
+        build_config({key: ""})
+    assert str(exc.value) == str(_case(key)[5])
 
 
 @pytest.mark.parametrize(
     "pairs, message",
     [
         ({"scorer.names": "import"}, "scorer.import_path is required when scorer.names includes 'import'"),
-        ({"scorer.names": "mf,import", "scorer.import_path": ""}, "scorer.import_path is required when scorer.names includes 'import'"),
+        ({"scorer.names": "mf,import", "scorer.import_path": ""}, "scorer.import_path: expected a path"),
         ({"rerank.k": "1"}, "rerank.k: must be >= 2 (diversity needs item pairs), got 1"),
         ({"rerank.k": "3", "rerank.pool_size": "2"}, "rerank.*: pool_size must be 0 (unlimited) or >= k"),
         ({"rerank.lambda_grid": "0,-1"}, "rerank.*: lambda_grid values must be finite and >= 0"),

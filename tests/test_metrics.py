@@ -7,7 +7,7 @@ import pytest
 from pytest import approx
 
 import reference
-from conftest import evaluated, interactions, make_partition, raises_exactly
+from conftest import evaluated, interactions, judged_split, make_partition, raises_exactly
 from fairrerank.dataset import Interactions, PopularityPartition
 from fairrerank.metrics import EvaluationReport, eval_context, evaluate, judgments_from_interactions
 from fairrerank.rerank import RecommendationLists, RerankConfig, rerank_path
@@ -171,7 +171,7 @@ class TestPersonalization:
         assert evaluated(lists).personalization == approx(0.5)
 
     def test_single_user_rejected(self):
-        ctx = eval_context([{0}], interactions([], 1, 3), make_partition([False] * 3), 2)
+        ctx = eval_context(judged_split([{0}], 3), interactions([], 1, 3), make_partition([False] * 3), 2)
         with pytest.raises(ValueError, match="at least 2 users"):
             evaluate(ctx, [lists_of([[0, 1]], 3)])
 
@@ -328,8 +328,9 @@ class TestEvaluateAll:
             ).validate()
 
     def test_fewer_judgment_sets_than_lists_rejected(self):
-        lists, judgments, train, part, k = _full_inputs(m=6)
-        ctx = eval_context(judgments[:4], train, part, k)
+        lists = _full_inputs(m=6)[0]
+        _, judgments, train, part, k = _full_inputs(m=4)
+        ctx = eval_context(judged_split(judgments, part.num_items), train, part, k)
         with pytest.raises(ValueError, match="lists cover 6 users but the context has 4 judgment sets"):
             evaluate(ctx, [lists])
 
@@ -337,16 +338,30 @@ class TestEvaluateAll:
         lists, judgments, train, part, k = _full_inputs(m=6)
         four = RecommendationLists(items=lists.items[:4], num_items=lists.num_items)
         with pytest.raises(ValueError, match="lists cover 4 users but the context has 6 judgment sets"):
-            evaluate(eval_context(judgments, train, part, k), [lists, four])
+            evaluate(eval_context(judged_split(judgments, part.num_items), train, part, k), [lists, four])
 
     def test_no_list_set_gives_no_report(self):
         lists, judgments, train, part, k = _full_inputs()
-        assert evaluate(eval_context(judgments, train, part, k), []) == []
+        assert evaluate(eval_context(judged_split(judgments, part.num_items), train, part, k), []) == []
 
     def test_judgments_from_interactions(self):
         test_set = interactions([(0, 1, 1.0), (0, 2, 1.0), (2, 0, 1.0)], 3, 4)
         judgments = judgments_from_interactions(test_set)
         assert judgments == [{1, 2}, set(), {0}]
+
+
+@pytest.mark.parametrize(
+    "test_shape, train_shape, part_items",
+    [((3, 4), (2, 4), 4), ((2, 5), (2, 4), 4), ((2, 5), (2, 4), 5), ((2, 4), (2, 4), 5)],
+    ids=["test-users", "test-items", "train-items", "partition-items"],
+)
+def test_a_split_of_another_universe_is_rejected(test_shape, train_shape, part_items):
+    test = interactions([(0, 1, 1.0)], *test_shape)
+    train = interactions([(0, 0, 1.0), (1, 1, 1.0)], *train_shape)
+    part = make_partition([False] * part_items)
+    message = (f"test ({test_shape[0]} x {test_shape[1]}), train ({train_shape[0]} x {train_shape[1]}) "
+               f"and partition ({part_items} items) do not share one user x item universe")
+    raises_exactly(ValueError, message, lambda: eval_context(test, train, part, 2))
 
 
 def _traced_peak(func, *args):
@@ -371,7 +386,7 @@ def test_grid_memory_follows_the_item_union_not_the_grid_length():
     # each set lists the same rows for other users, so every set's items are the union
     sets = [RecommendationLists(items=np.roll(base, shift, axis=0), num_items=n) for shift in range(16)]
     assert all(len(np.unique(lists.items)) == n for lists in sets)
-    ctx = eval_context([set(row[:2].tolist()) for row in base], train, part, k)
+    ctx = eval_context(judged_split([set(row[:2].tolist()) for row in base], n), train, part, k)
     one, grid = _traced_peak(evaluate, ctx, sets[:1]), _traced_peak(evaluate, ctx, sets)
     assert grid <= one + (one >> 4), f"16 sets peaked at {grid} bytes against {one} for one set"
 
@@ -384,7 +399,7 @@ _VALID = dict(ndcg=0.5, precision=0.5, recall=0.5, novelty=1.0, diversity=0.5, c
 def _evaluate_two_item_lists_at_k_3():
     lists = RecommendationLists(items=np.tile(np.arange(2, dtype=np.int64), (2, 1)), num_items=4)
     train = interactions([(0, 0, 1.0), (1, 1, 1.0)], 2, 4)
-    evaluate(eval_context([{0}, {1}], train, make_partition([True, False, False, False], train), 3), [lists])
+    evaluate(eval_context(judged_split([{0}, {1}], 4), train, make_partition([True, False, False, False], train), 3), [lists])
 
 
 @pytest.mark.parametrize(
@@ -395,7 +410,7 @@ def _evaluate_two_item_lists_at_k_3():
         (lambda: EvaluationReport(**{**_VALID, "rel_long": 3, "long_count": 2}).validate(),
          "relevant exposure subcounts exceed their totals"),
         (lambda: EvaluationReport(**{**_VALID, "fairness_gap": 2.5}).validate(), "fairness gap 2.5 out of [-k, k]"),
-        (lambda: eval_context([{0}], interactions([(0, 0, 1.0)], 1, 4), make_partition([True, False, False, False]), 0),
+        (lambda: eval_context(judged_split([{0}], 4), interactions([(0, 0, 1.0)], 1, 4), make_partition([True, False, False, False]), 0),
          "k must be >= 1"),
         (_evaluate_two_item_lists_at_k_3, "lists have 2 entries but k=3 requested"),
     ],

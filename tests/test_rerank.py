@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import reference
-from conftest import interactions, make_partition, raises_exactly
+from conftest import interactions, judged_split, make_partition, raises_exactly
 from fairrerank.dataset import build_dataset, parse_interactions
 from fairrerank.metrics import eval_context, evaluate
 from fairrerank.rerank import (
@@ -246,7 +246,8 @@ class TestLambdaSweep:
         inst, train, judgments = _sweep_inputs()
         results = lambda_sweep(inst.scores, inst.part, RerankConfig(k=inst.k), judgments, train)
         (lists,) = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))
-        assert results == [(0.0, evaluate(eval_context(judgments, train, inst.part, inst.k), [lists])[0])]
+        test = judged_split(judgments, inst.part.num_items)
+        assert results == [(0.0, evaluate(eval_context(test, train, inst.part, inst.k), [lists])[0])]
 
 
 class TestRerankConfigValidation:

@@ -23,7 +23,6 @@ from fairrerank.scorers import (
     popularity_blocks,
     popularity_scorer,
     random_blocks,
-    random_scorer,
     read_scores,
     seen_masked,
     train_mf_factors,
@@ -65,21 +64,26 @@ class TestPopularityScorer:
         assert np.all(reference.plain_topk(popularity_scorer(train).values, 3) == expected)
 
 
+def random_matrix(num_users, num_items, seed):
+    """The random scorer's dense matrix: its one block of all users."""
+    return ScoreMatrix(random_blocks(num_users, num_items, seed).rows(0, num_users))
+
+
 class TestRandomScorer:
     def test_same_seed_identical(self):
-        a = random_scorer(5, 7, seed=42)
-        b = random_scorer(5, 7, seed=42)
-        assert np.array_equal(a.values, b.values)
+        a = random_blocks(5, 7, seed=42).rows(0, 5)
+        b = random_blocks(5, 7, seed=42).rows(0, 5)
+        assert np.array_equal(a, b)
 
     def test_entries_in_unit_interval(self):
-        scores = random_scorer(20, 30, seed=1)
-        assert np.all(scores.values >= 0.0)
-        assert np.all(scores.values < 1.0)
+        values = random_blocks(20, 30, seed=1).rows(0, 20)
+        assert np.all(values >= 0.0)
+        assert np.all(values < 1.0)
 
     def test_different_seeds_differ(self):
-        a = random_scorer(5, 7, seed=1)
-        b = random_scorer(5, 7, seed=2)
-        assert not np.array_equal(a.values, b.values)
+        a = random_blocks(5, 7, seed=1).rows(0, 5)
+        b = random_blocks(5, 7, seed=2).rows(0, 5)
+        assert not np.array_equal(a, b)
 
 
 def _block_train():
@@ -451,7 +455,7 @@ class TestMaskSeen:
         assert masked.values[0, 0] == MASKED
 
     def test_unseen_cells_unchanged_bit_for_bit(self, tiny_train):
-        scores = random_scorer(6, 5, seed=0)
+        scores = random_matrix(6, 5, seed=0)
         original = scores.values.copy()
         masked = mask_seen(scores, tiny_train)
         unseen = np.isfinite(masked.values)
@@ -459,21 +463,21 @@ class TestMaskSeen:
         assert not unseen.all()
 
     def test_masks_in_place_and_returns_the_same_matrix(self, tiny_train):
-        scores = random_scorer(6, 5, seed=0)
+        scores = random_matrix(6, 5, seed=0)
         values = scores.values
         assert mask_seen(scores, tiny_train) is scores
         assert scores.values is values
         assert (values[tiny_train.users, tiny_train.items] == MASKED).all()
 
     def test_masking_is_idempotent(self, tiny_train):
-        scores = random_scorer(6, 5, seed=0)
+        scores = random_matrix(6, 5, seed=0)
         once = mask_seen(scores, tiny_train).values.copy()
         twice = mask_seen(scores, tiny_train)
         assert twice.values.tobytes() == once.tobytes()
 
     def test_dimension_mismatch_rejected(self, tiny_train):
         with pytest.raises(ValueError):
-            mask_seen(random_scorer(3, 3, seed=0), tiny_train)
+            mask_seen(random_matrix(3, 3, seed=0), tiny_train)
 
 
 class TestScoreBlocks:
@@ -486,7 +490,7 @@ class TestScoreBlocks:
         cases = [
             (popularity_blocks(partition_popularity(train, train.num_items).popularity_count, train.num_users),
              popularity_scorer(train)),
-            (random_blocks(20, 10, seed=9), random_scorer(20, 10, seed=9)),
+            (random_blocks(20, 10, seed=9), random_matrix(20, 10, seed=9)),
             (mf_blocks(train, cfg), mf_scorer(train, cfg)),
         ]
         # mf at a run's shape, 600 users x 500 items x dim 32: products of
@@ -503,7 +507,7 @@ class TestScoreBlocks:
             assert rows.tobytes() == dense.values.tobytes()
 
     def test_random_blocks_are_one_draw(self):
-        # one generator's draw, as random_scorer made it before it read blocks
+        # one generator's draw, as the random scorer made it before it read blocks
         values = np.random.default_rng(13).random((9, 4))
         source = random_blocks(9, 4, seed=13)
         assert np.concatenate([source.rows(lo, lo + 2) for lo in range(0, 9, 2)]).tobytes() == values.tobytes()
@@ -546,20 +550,20 @@ class TestScoreBlocks:
     def test_pairs_given_out_of_user_order_mask_the_same_cells(self, tiny_train):
         # Interactions sorts them on construction
         reverse = Interactions(tiny_train.users[::-1], tiny_train.items[::-1], tiny_train.weights, 6, 5)
-        expected = mask_seen(random_scorer(6, 5, seed=0), tiny_train).values
+        expected = mask_seen(random_matrix(6, 5, seed=0), tiny_train).values
         source = seen_masked(random_blocks(6, 5, seed=0), reverse)
         assert np.concatenate([source.rows(lo, lo + 2) for lo in range(0, 6, 2)]).tobytes() == expected.tobytes()
-        assert mask_seen(random_scorer(6, 5, seed=0), reverse).values.tobytes() == expected.tobytes()
+        assert mask_seen(random_matrix(6, 5, seed=0), reverse).values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("step", [1, 2, 6])
     def test_seen_masked_blocks_equal_mask_seen(self, tiny_train, step):
         # tiny_train is sorted by user, as a split's train is
         source = seen_masked(random_blocks(6, 5, seed=0), tiny_train)
         rows = np.concatenate([source.rows(lo, lo + step) for lo in range(0, 6, step)])
-        assert rows.tobytes() == mask_seen(random_scorer(6, 5, seed=0), tiny_train).values.tobytes()
+        assert rows.tobytes() == mask_seen(random_matrix(6, 5, seed=0), tiny_train).values.tobytes()
 
     def test_seen_masked_stamps_a_matrix_in_place(self, tiny_train):
-        matrix = random_scorer(6, 5, seed=0)
+        matrix = random_matrix(6, 5, seed=0)
         source = seen_masked(matrix, tiny_train)
         assert np.isfinite(matrix.values).all()
         source.rows(0, 3)

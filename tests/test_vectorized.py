@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference
+from conftest import judged_split
 from fairrerank import metrics, rerank, scorers
 from fairrerank.dataset import Interactions, PopularityPartition
 from fairrerank.metrics import eval_context, evaluate
@@ -262,7 +263,7 @@ def _same(a, b):
 
 
 def _assert_grid_matches_reference(point_lists, judgments, train, part, k):
-    got = evaluate(eval_context(judgments, train, part, k), point_lists)
+    got = evaluate(eval_context(judged_split(judgments, part.num_items), train, part, k), point_lists)
     assert len(got) == len(point_lists)
     for report, lists in zip(got, point_lists):
         want = reference.evaluate_all(lists, judgments, train, part, k)
@@ -280,11 +281,12 @@ def test_metrics_match_per_user_reference():
 def test_one_context_serves_every_list_set():
     rng = np.random.default_rng(77)
     lists, judgments, train, part, k = _evaluation(rng)
-    ctx = eval_context(judgments, train, part, k)
+    test = judged_split(judgments, part.num_items)
+    ctx = eval_context(test, train, part, k)
     for lam in LAMBDAS:
         matrix = ScoreMatrix(rng.random((lists.num_users, lists.num_items)))
         (point,) = rerank_path(matrix, part, RerankConfig(k=k), (lam,))
-        assert evaluate(ctx, [point])[0] == evaluate(eval_context(judgments, train, part, k), [point])[0]
+        assert evaluate(ctx, [point])[0] == evaluate(eval_context(test, train, part, k), [point])[0]
     longer = RecommendationLists(items=np.argsort(-rng.random((lists.num_users, lists.num_items)), axis=1), num_items=lists.num_items)
     assert evaluate(ctx, [longer])[0] == reference.evaluate_all(longer, judgments, train, part, k)
 
