@@ -321,11 +321,11 @@ def partition_popularity(train: Interactions, num_items: int, ratio: float = 0.2
 
 def write_split_files(
     split_triple: SplitTriple, ds: Dataset, out_dir: Path | str, fmt: InputFormat = InputFormat()
-) -> dict[str, Path]:
+) -> dict[str, tuple[Path, str]]:
     """Write train/valid/test as delimiter-separated files with the original
     keys, the weight in repr (`numtext`), LINES rows at a time, so a
     file's text is never held whole. Returns the mapping from split name to
-    written path."""
+    written path and SHA-256 digest (`atomic_write_text`)."""
     out_dir = Path(out_dir)
     users, items = text_fields(ds.user_keys, fmt.delimiter), text_fields(ds.item_keys, fmt.delimiter)
 
@@ -339,8 +339,8 @@ def write_split_files(
     return {name: atomic_write_text(out_dir / f"{name}.tsv", chunks(inter)) for name, inter in triple.items()}
 
 
-def write_partition_file(part: PopularityPartition, ds: Dataset, path: Path | str) -> Path:
-    """Write one line per catalog item: item_key<TAB>count<TAB>{short|long}."""
+def write_partition_file(part: PopularityPartition, ds: Dataset, path: Path | str) -> tuple[Path, str]:
+    """Write one line per catalog item, item_key<TAB>count<TAB>{short|long}; returns the path and digest."""
     groups = np.where(part.short_head, "short", "long").tolist()
     lines = map("{}\t{}\t{}".format, ds.item_keys, part.popularity_count.tolist(), groups)
     return atomic_write_text(path, ("\n".join(lines) + "\n",))

@@ -3,21 +3,22 @@ lambda grid -> evaluate -> report, plus the run manifest.
 
 Each stage is deterministic given the config and input bytes, so re-running
 a config reproduces every output file byte for byte. Output files are
-written atomically (temp file + rename). A scorer's whole λ grid is
+written atomically (temp file + rename) and hashed as written, for the
+manifest: a run reads none of its outputs back. A scorer's whole λ grid is
 evaluated in one `evaluate[scorer]` stage, and then its list files are
 written; only the report files wait until every stage has succeeded, so a
-failed run cannot leave partial reports behind. Every step that computes
-or writes runs as a named stage (a list file is `lists_file[scorer,λ]`,
-a report `report_file[fmt]`). A built-in scorer's blocks of users are made
+failed run cannot leave partial reports behind. Every step that computes or
+writes runs as a named stage (a list file is `lists_file[scorer,λ]`, a
+report `report_file[fmt]`). A built-in scorer's blocks of users are made
 twice, for the export and for the re-ranker, which masks each block and
 keeps only its candidates, so its m x n scores are never held. A stage
 failure is wrapped in StageError naming the stage, except malformed input
-(DataError), which is re-raised as a DataError naming the stage.
-A run checks its split in one gate, after the split and before the first
-file is written: input it cannot re-rank or score fails there with a
-DataError (exit 1 at the CLI), not in a later stage. Each scorer is made
-there, once, in its `score[name]` stage: the import file is parsed and ALS
-trained. Inputs are hashed before the first write.
+(DataError), which is re-raised as a DataError naming the stage. A run
+checks its split in one gate, after the split and before the first file is
+written: input it cannot re-rank or score fails there with a DataError (exit
+1 at the CLI), not in a later stage. Each scorer is made there, once, in its
+`score[name]` stage: the import file is parsed and ALS trained. Inputs are
+hashed from disk (`sha256_file`) before the first write.
 """
 
 from __future__ import annotations
@@ -169,14 +170,14 @@ def _write_manifest(
     path: Path,
     cfg: ExperimentConfig,
     inputs: dict[str, str],
-    outputs: dict[str, Path],
+    outputs: dict[str, tuple[Path, str]],
     clock: _StageClock,
-) -> Path:
+) -> tuple[Path, str]:
     manifest = {
         "toolkit_version": __version__,
         "config": config_snapshot(cfg),
         "inputs": inputs,
-        "outputs": {name: sha256_file(p) for name, p in sorted(outputs.items())},
+        "outputs": {name: digest for name, (_, digest) in sorted(outputs.items())},
         "stages_seconds": clock.seconds,
     }
     return atomic_write_text(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n",))
@@ -187,7 +188,8 @@ def _ingest_split(cfg: ExperimentConfig, clock: _StageClock) -> SplitArtifacts:
     return clock.run("split", _split_stage, cfg, ds)
 
 
-def _write_split(cfg: ExperimentConfig, artifacts: SplitArtifacts, out_dir: Path, clock: _StageClock) -> dict[str, Path]:
+def _write_split(cfg: ExperimentConfig, artifacts: SplitArtifacts, out_dir: Path,
+                 clock: _StageClock) -> dict[str, tuple[Path, str]]:
     ds, fmt = artifacts.dataset, InputFormat.from_name(cfg.delimiter, False)
     files = clock.run("split_files", write_split_files, artifacts.split, ds, out_dir, fmt)
     files["partition"] = clock.run(
@@ -203,7 +205,7 @@ def run_split(cfg: ExperimentConfig) -> tuple[SplitArtifacts, dict[str, Path]]:
     inputs = {"input": sha256_file(cfg.input_path)}  # before the split files, which may overwrite it
     files = _write_split(cfg, artifacts, out_dir, clock)
     files["manifest"] = clock.run("manifest", _write_manifest, out_dir / "manifest.json", cfg, inputs, files, clock)
-    return artifacts, files
+    return artifacts, {name: path for name, (path, _) in files.items()}
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -253,5 +255,5 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             f"report_file[{fmt_name}]", atomic_write_text, out_dir / f"report.{fmt_name}", (renderers[fmt_name](rows),)
         )
 
-    manifest = clock.run("manifest", _write_manifest, out_dir / "manifest.json", cfg, inputs, files, clock)
-    return RunResult(rows=rows, files=files, manifest_path=manifest)
+    manifest, _ = clock.run("manifest", _write_manifest, out_dir / "manifest.json", cfg, inputs, files, clock)
+    return RunResult(rows=rows, files={name: path for name, (path, _) in files.items()}, manifest_path=manifest)

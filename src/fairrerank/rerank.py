@@ -360,12 +360,13 @@ def lambda_sweep(
     return list(zip(cfg.lambda_grid, evaluate(eval_context(test, train, part, cfg.k), lists)))
 
 
-def write_lists(path: Path | str, lists: RecommendationLists, ds: Dataset, part: PopularityPartition) -> Path:
+def write_lists(path: Path | str, lists: RecommendationLists, ds: Dataset,
+                part: PopularityPartition) -> tuple[Path, str]:
     """Write per-user list lines:
     user_key<TAB>rank<TAB>item_key<TAB>original_score<TAB>adjusted_score<TAB>{short|long},
     the two scores in `.10g` as the solver kept them on `lists` (at λ = 0
     the adjusted score is the original, bit for bit, so -0.0 stays), LINES
-    lines at a time (`numtext`)."""
+    lines at a time (`numtext`). Returns the path and digest."""
     if lists.scores is None or lists.adjusted is None:
         raise ValueError("lists carry no scores; write the lists rerank_path returns")
     flat, k, size = lists.items.ravel(), lists.k, lists.items.size

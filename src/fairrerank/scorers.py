@@ -155,44 +155,52 @@ def random_blocks(num_users: int, num_items: int, seed: int) -> ScoreBlocks:
         np.random.PCG64(seed).advance(lo * num_items)).random((min(hi, num_users) - lo, num_items)))
 
 
-def _solve_half(this: np.ndarray, other: np.ndarray, seen: np.ndarray, seen_w: np.ndarray,
-                bounds: np.ndarray, reg: float, alpha: float) -> None:
-    """One ALS half-step: re-solve every row of `this` against the frozen
-    `other` factors Y, row r from its pairs seen[lo:hi], seen_w[lo:hi] with
-    lo, hi = bounds[r], bounds[r + 1]. With G = Y^T Y + reg*I, the L pairs'
-    factor rows Y_r and D = diag(alpha*w), c = 1 + alpha*w, the row solves
-    the d x d system (G + Y_r^T D Y_r) x = Y_r^T c. A row with L < d pairs
-    solves the same system through an L x L one instead (the push-through
-    form of the Woodbury identity): with Z = Y G^-1, made once per
-    half-step, x = Z_r^T s where (I + D Y_r Z_r^T) s = c. Rows with the
-    same L are solved in stacks of B rows, B*L*d <= _BLOCK: gather B x L x d
-    factors, build B systems, call `np.linalg.solve` once. Each slice keeps
-    one row's operand layout, so the result is bit for bit the per-row
-    solve. A row with no pairs has all targets 0 and is set to +0.0."""
-    dim = other.shape[1]
-    gram = other.T @ other + reg * np.eye(dim)
+def _plan_half(owners: np.ndarray, seen: np.ndarray, seen_w: np.ndarray, num_rows: int,
+               cfg: MFConfig) -> Callable[[np.ndarray, np.ndarray], None]:
+    """One ALS half-step, planned once per fit: the returned step re-solves
+    each of the num_rows rows of `this` against the frozen `other` factors Y,
+    row r from its pairs (seen, seen_w) where the sorted `owners` are r. With
+    G = Y^T Y + reg*I, the L pairs' factor rows Y_r, D = diag(alpha*w) and
+    c = 1 + alpha*w, the row solves (G + Y_r^T D Y_r) x = Y_r^T c; with L < d,
+    through an L x L system (the push-through form of the Woodbury identity):
+    with Z = Y G^-1, x = Z_r^T s where (I + D Y_r Z_r^T) s = c. The plan holds
+    what the pairs alone decide: stacks of B rows of one L, B*L*d <= _BLOCK,
+    with their pair columns, alpha*w and c; the rows with no pairs (all
+    targets 0: set to +0.0); whether Z is needed. A step makes G and Z, and
+    per stack gathers B x L x d factors, builds B systems and calls
+    `np.linalg.solve` once. Each slice keeps one row's operand layout, so the
+    result is bit for bit the per-row solve."""
+    dim, reg, alpha = cfg.latent_dim, cfg.regularization, cfg.confidence_alpha
+    bounds = np.searchsorted(owners, np.arange(num_rows + 1))  # row r's pairs are [bounds[r], bounds[r + 1])
     counts = np.diff(bounds)
-    this[counts == 0] = 0.0
     sizes = np.flatnonzero(np.bincount(counts)[1:]) + 1  # each row size, ascending
-    z = np.linalg.solve(gram, other.T).T if len(sizes) and sizes[0] < dim else None
+    empty, needs_z, stacks = counts == 0, bool(len(sizes)) and sizes[0] < dim, []
     for size in sizes:
         rows = np.flatnonzero(counts == size)
         step = max(1, _BLOCK // (size * dim))
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
             pos = bounds[block, None] + np.arange(size)
-            conf_minus_one = alpha * seen_w[pos]
-            factors = other[seen[pos]]
-            c = (1.0 + conf_minus_one)[:, :, None]  # (B, L, 1): stacked columns in numpy 1.x and 2.x
-            if size < dim:
-                z_t = z[seen[pos]].transpose(0, 2, 1)
+            conf_minus_one = alpha * seen_w[pos]  # c is (B, L, 1): stacked columns in numpy 1.x and 2.x
+            stacks.append((block, seen[pos], conf_minus_one, (1.0 + conf_minus_one)[:, :, None]))
+
+    def solve_half(this: np.ndarray, other: np.ndarray) -> None:
+        gram = other.T @ other + reg * np.eye(dim)
+        this[empty] = 0.0
+        z = np.linalg.solve(gram, other.T).T if needs_z else None
+        for block, cols, conf_minus_one, c in stacks:
+            factors = other[cols]
+            if cols.shape[1] < dim:
+                z_t = z[cols].transpose(0, 2, 1)
                 a = conf_minus_one[:, :, None] * (factors @ z_t)
-                a.reshape(len(block), -1)[:, :: size + 1] += 1.0
+                a.reshape(len(block), -1)[:, :: cols.shape[1] + 1] += 1.0
                 this[block] = (z_t @ np.linalg.solve(a, c))[:, :, 0]
             else:
                 factors_t = factors.transpose(0, 2, 1)
                 a = gram + (factors_t * conf_minus_one[:, None, :]) @ factors
                 this[block] = np.linalg.solve(a, factors_t @ c)[:, :, 0]
+
+    return solve_half
 
 
 def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[np.ndarray, np.ndarray]:
@@ -201,9 +209,10 @@ def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[n
 
     Returns the (user_factors, item_factors) pair after cfg.iterations full
     iterations (user half-step then item half-step each). Deterministic for
-    a fixed seed. Non-finite factors (alpha*w overflows) or a singular
-    system (alpha*w swamps mf.reg in a d x d system, or the 1.0 on the
-    diagonal of an L x L one) raise a DataError, and warn nothing: the
+    a fixed seed. The confidences are fixed, so a half-step is planned once
+    per fit (`_plan_half`). Non-finite factors (alpha*w overflows) or a
+    singular system (alpha*w swamps mf.reg in a d x d system, or the 1.0 on
+    the diagonal of an L x L one) raise a DataError, and warn nothing: the
     message names the iteration, mf.alpha, the largest weight and mf.reg.
     """
     m, n = train.num_users, train.num_items
@@ -211,16 +220,16 @@ def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[n
     user_factors = rng.standard_normal((m, cfg.latent_dim)) * 0.01
     item_factors = rng.standard_normal((n, cfg.latent_dim)) * 0.01
 
-    # (pairs, weights, row bounds) per half-step: row r's pairs are [bounds[r], bounds[r + 1])
-    by_user = (train.items, train.weights, np.searchsorted(train.users, np.arange(m + 1)))
     order = np.argsort(train.items, kind="stable")
-    by_item = (train.users[order], train.weights[order], np.searchsorted(train.items[order], np.arange(n + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        user_half = _plan_half(train.users, train.items, train.weights, m, cfg)
+        item_half = _plan_half(train.items[order], train.users[order], train.weights[order], n, cfg)
 
     for it in range(cfg.iterations):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-                _solve_half(user_factors, item_factors, *by_user, cfg.regularization, cfg.confidence_alpha)
-                _solve_half(item_factors, user_factors, *by_item, cfg.regularization, cfg.confidence_alpha)
+            with np.errstate(over="ignore", invalid="ignore"):
+                user_half(user_factors, item_factors)
+                item_half(item_factors, user_factors)
         except np.linalg.LinAlgError:  # an exactly singular system
             failed = "a singular system"
         else:
@@ -233,20 +242,19 @@ def train_mf_factors(train: Interactions, cfg: MFConfig = MFConfig()) -> tuple[n
     return user_factors, item_factors
 
 
-def mf_objective(
-    train: Interactions, user_factors: np.ndarray, item_factors: np.ndarray, cfg: MFConfig
-) -> float:
+def mf_objective(train: Interactions, user_factors: np.ndarray, item_factors: np.ndarray, cfg: MFConfig) -> float:
     """Weighted regularized squared loss of a factor pair: confidence-weighted
     reconstruction error over all (user, item) cells plus the L2 penalty.
-    Used as the independent check that ALS iterations never increase it."""
-    pred = user_factors @ item_factors.T
-    pref = np.zeros_like(pred)
-    conf = np.ones_like(pred)
-    pref[train.users, train.items] = 1.0
-    conf[train.users, train.items] += cfg.confidence_alpha * train.weights
-    loss = float(np.sum(conf * (pref - pred) ** 2))
-    penalty = cfg.regularization * (float(np.sum(user_factors**2)) + float(np.sum(item_factors**2)))
-    return loss + penalty
+    Used as the independent check that ALS iterations never increase it.
+    In O(pairs*d), no m x n array: the pred^2 of every cell sum to
+    sum(U^T U * V^T V), and each train pair, in blocks of _BLOCK // d, adds
+    c(1 - p)^2 - p^2 with c = 1 + alpha*w and p its prediction."""
+    loss = float(np.sum((user_factors.T @ user_factors) * (item_factors.T @ item_factors)))
+    step = max(1, _BLOCK // user_factors.shape[1])
+    for at in (slice(lo, lo + step) for lo in range(0, len(train), step)):
+        pred = np.einsum("ij,ij->i", user_factors[train.users[at]], item_factors[train.items[at]])
+        loss += float(np.sum((1.0 + cfg.confidence_alpha * train.weights[at]) * (1.0 - pred) ** 2 - pred**2))
+    return loss + cfg.regularization * (float(np.sum(user_factors**2)) + float(np.sum(item_factors**2)))
 
 
 def mf_blocks(train: Interactions, cfg: MFConfig = MFConfig()) -> ScoreBlocks:
@@ -329,14 +337,15 @@ def _row_texts(rows: np.ndarray, item_fields: np.ndarray) -> list[bytes]:
     return [lines(fields[start:end]) for start, end in zip([0] + ends, ends)]
 
 
-def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Dataset) -> Path:
+def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Dataset) -> tuple[Path, str]:
     """Export scores as one "user item score" line per finite cell, the
     score in shortest round-trip repr; masked cells are left out and
     re-import as fill. Made a block of users at a time, formatted in chunks
     of about LINES cells (`numtext.float_fields`) and written a user at a
     time, so its size does not add to peak memory. A row's "item score"
     lines are made once for it and the equal rows after it (bit for bit:
-    -0.0 is not 0.0), and each user's key goes in front of every line."""
+    -0.0 is not 0.0), and each user's key goes in front of every line.
+    Returns the path and digest (`atomic_write_text`)."""
     item_fields = text_fields(ds.item_keys)
     chunk_rows = max(1, LINES // max(scores.num_items, 1))
 

@@ -82,4 +82,4 @@ def write_zipf_dataset(path, num_users: int, num_items: int, exponent: float = 1
     from .util import atomic_write_text
 
     lines = zipf_interaction_lines(num_users, num_items, exponent, per_user, seed)
-    return atomic_write_text(path, ("\n".join(lines) + "\n",))
+    return atomic_write_text(path, ("\n".join(lines) + "\n",))[0]

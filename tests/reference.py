@@ -13,7 +13,9 @@ half-step solves a row with 0 < L < d pairs through its L x L system
 (`solve_row_ll`), as the library does, and every other row with pairs
 through its d x d one (`solve_row_dd`); `train_mf_factors(...,
 push_through=False)` solves every row through the d x d system, which
-the library's factors must match within rounding.
+the library's factors must match within rounding. `mf_objective` sums the
+ALS objective over the dense m x n cells, which the library's O(pairs*d)
+sum must match within rounding.
 """
 
 from __future__ import annotations
@@ -320,6 +322,19 @@ def train_mf_factors(train, cfg, push_through=True):
         _solve_half(item_factors, user_factors, item_seen, item_w, cfg.regularization, cfg.confidence_alpha,
                     push_through)
     return user_factors, item_factors
+
+
+def mf_objective(train, user_factors, item_factors, cfg):
+    """The ALS objective over the dense m x n cells: confidence 1 + alpha*w
+    and preference 1 on the train pairs, confidence 1 and preference 0
+    elsewhere, plus the L2 penalty."""
+    pred = user_factors @ item_factors.T
+    pref = np.zeros_like(pred)
+    conf = np.ones_like(pred)
+    pref[train.users, train.items] = 1.0
+    conf[train.users, train.items] += cfg.confidence_alpha * train.weights
+    loss = float(np.sum(conf * (pref - pred) ** 2))
+    return loss + cfg.regularization * (float(np.sum(user_factors**2)) + float(np.sum(item_factors**2)))
 
 
 def plain_topk(values, k):

@@ -133,6 +133,9 @@ class TestSplitCommand:
         assert main(["split", "--config", str(config), "--out", str(out_b)]) == 0
         for name in ("train.tsv", "valid.tsv", "test.tsv", "partition.tsv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        manifest = json.loads((out_a / "manifest.json").read_text())
+        names = ("train", "valid", "test", "partition")
+        assert manifest["outputs"] == {name: sha256_file(out_a / f"{name}.tsv") for name in names}
 
     def test_partition_file_line_count_equals_catalog(self, demo):
         config, base = demo
@@ -309,11 +312,11 @@ class TestRunCommand:
             ("popularity", popularity_scorer(triple.train)),
             ("random", ScoreMatrix(random_blocks(ds.num_users, ds.num_items, cfg.random_seed).rows(0, ds.num_users))),
         ):
-            export = write_scores(tmp_path / f"scores_{name}.tsv", raw, ds)
+            export, _ = write_scores(tmp_path / f"scores_{name}.tsv", raw, ds)
             assert result.files[f"scores_{name}"].read_bytes() == export.read_bytes()
             masked = mask_seen(ScoreMatrix(raw.values.copy()), triple.train)
             for lam, lists in zip(lambdas, rerank_path(masked, part, cfg.rerank, lambdas)):
-                expected = write_lists(tmp_path / "l.tsv", lists, ds, part)
+                expected, _ = write_lists(tmp_path / "l.tsv", lists, ds, part)
                 assert result.files[f"lists_{name}_lambda{lam:g}"].read_bytes() == expected.read_bytes()
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["outputs"] == {name: sha256_file(path) for name, path in result.files.items()}

@@ -148,7 +148,7 @@ class TestBuildDataset:
         ds = build_dataset(parse_interactions([f"u\ti\t{first}", "v\ti\t1.0", f"u\ti\t{second}"]))
         assert ds.interactions.weights.tobytes() == np.array([float(first), 1.0]).tobytes()
         files = write_split_files(split(ds, seed=0), ds, tmp_path)
-        assert files["train"].read_text() == f"u\ti\t{first}\nv\ti\t1.0\n"
+        assert files["train"][0].read_text() == f"u\ti\t{first}\nv\ti\t1.0\n"
 
     def test_ingest_memory_holds_no_object_per_line(self, tmp_path):
         path = write_zipf_dataset(tmp_path / "log.tsv", 2000, 1500, 1.0, per_user=40, seed=1)
@@ -340,10 +340,10 @@ class TestArtifactFiles:
         triple = split(ds, seed=0)
         files = write_split_files(triple, ds, tmp_path)
         written = sum(
-            len(files[name].read_text().splitlines()) for name in ("train", "valid", "test")
+            len(files[name][0].read_text().splitlines()) for name in ("train", "valid", "test")
         )
         assert written == len(ds.interactions)
-        first = files["train"].read_text().splitlines()[0].split("\t")
+        first = files["train"][0].read_text().splitlines()[0].split("\t")
         assert first[0] in ds.user_index
         assert first[1] in ds.item_index
 
@@ -358,8 +358,8 @@ class TestArtifactFiles:
             inter = getattr(triple, name)
             rows = zip(inter.users.tolist(), inter.items.tolist(), inter.weights.tolist())
             want = "".join(f"{ds.user_keys[u]},{ds.item_keys[i]},{w!r}\n" for u, i, w in rows)
-            assert files[name].read_bytes() == want.encode()
-        assert files["valid"].read_bytes() == b""
+            assert files[name][0].read_bytes() == want.encode()
+        assert files["valid"][0].read_bytes() == b""
 
     def test_a_key_holding_the_delimiter_fails_before_any_write(self, tmp_path):
         # written as "a,b,i1,1.0", the line would read back with weight 'i1'
@@ -384,7 +384,7 @@ class TestArtifactFiles:
     def test_partition_file_has_one_line_per_item(self, tmp_path, tiny_train):
         ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u, i in zip(tiny_train.users, tiny_train.items)]))
         part = partition_popularity(ds.interactions, ds.num_items)
-        path = write_partition_file(part, ds, tmp_path / "partition.tsv")
+        path, _ = write_partition_file(part, ds, tmp_path / "partition.tsv")
         lines = path.read_text().splitlines()
         assert len(lines) == ds.num_items
         assert all(line.split("\t")[2] in ("short", "long") for line in lines)

@@ -316,7 +316,7 @@ class TestWriteLists:
 
     def test_lambda_zero_golden(self, inputs, tmp_path):
         ds, scores, part, lists = inputs
-        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), ds, part)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.5\tshort\n"
             b"a\t2\tx\t-0\t-0\tlong\n"
@@ -327,7 +327,7 @@ class TestWriteLists:
     def test_positive_lambda_golden(self, inputs, tmp_path):
         # delta = lam / num_users = 0.25
         ds, scores, part, lists = inputs
-        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.5), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.5), ds, part)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.25\tshort\n"
             b"a\t2\tx\t-0\t0.25\tlong\n"
@@ -337,7 +337,7 @@ class TestWriteLists:
 
     def test_per_user_lambda_golden(self, inputs, tmp_path):
         ds, scores, part, lists = inputs
-        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.1, per_user=True), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.1, per_user=True), ds, part)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.4\tshort\n"
             b"a\t2\tx\t-0\t0.1\tlong\n"
@@ -356,7 +356,7 @@ class TestWriteLists:
 
     def test_repeated_values_and_signed_zeros_lambda_zero(self, repeated, tmp_path):
         ds, scores, part, lists = repeated
-        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), ds, part)
         assert path.read_bytes() == (
             b"a\t1\ty\t0.5\t0.5\tshort\n"
             b"a\t2\tw\t0\t0\tshort\n"
@@ -372,7 +372,7 @@ class TestWriteLists:
     def test_repeated_values_and_signed_zeros_positive_lambda(self, repeated, tmp_path):
         # delta = 0.75 / 3 users = 0.25
         ds, scores, part, lists = repeated
-        path = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.75), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.75), ds, part)
         assert path.read_bytes() == (
             b"a\t1\ty\t0.5\t0.25\tshort\n"
             b"a\t2\tw\t0\t-0.25\tshort\n"
@@ -392,7 +392,7 @@ class TestWriteLists:
         m, n = inst.scores.num_users, inst.scores.num_items
         ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(m) for i in range(n)]))
         lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k, per_user_lambda=per_user), (lam,))[0]
-        path = write_lists(tmp_path / "l.tsv", lists, ds, inst.part)
+        path, _ = write_lists(tmp_path / "l.tsv", lists, ds, inst.part)
         adjusted = reference.adjusted_scores(inst.scores, inst.part, lam, per_user)
         expected = [
             f"u{u}\t{rank}\ti{item}\t{inst.scores.values[u, item]:.10g}\t{adjusted.values[u, item]:.10g}"

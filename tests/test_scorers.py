@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,57 @@ class TestMFScorer:
         for before, after in zip(losses, losses[1:]):
             assert after <= before + 1e-9
 
+    @pytest.mark.parametrize("block", [1, 40, 1 << 14], ids=["one-pair-blocks", "split-blocks", "default"])
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_objective_equals_the_dense_reference(self, monkeypatch, block, iterations):
+        # weights from 0.01 to 1e3, and a user and an item with no pair. The
+        # sums run in another order than the dense one's, so the bound is
+        # relative: 1e-12 (30 seeded cases of up to 80 x 80 cells reached 2.3e-15)
+        rng = np.random.default_rng(41)
+        m, n = 30, 25
+        cells = rng.choice((m - 1) * (n - 1), size=200, replace=False)
+        train = Interactions(cells // (n - 1), cells % (n - 1), 10 ** rng.uniform(-2, 3, size=200), m, n)
+        monkeypatch.setattr(scorers, "_BLOCK", block)  # blocks of 1, 6 and all 200 pairs
+        cfg = MFConfig(latent_dim=6, iterations=iterations, regularization=0.1, confidence_alpha=5.0, seed=2)
+        factors = train_mf_factors(train, cfg)
+        assert mf_objective(train, *factors, cfg) == approx(reference.mf_objective(train, *factors, cfg), rel=1e-12)
+
+    def test_objective_builds_no_matrix_sized_array(self):
+        # 3000 x 2000 cells would be a 48 MB matrix; 5 pairs per user
+        m, n, dim = 3000, 2000, 8
+        users = np.repeat(np.arange(m), 5)
+        items = (users * 7 + np.tile(np.arange(5), m) * 13) % n
+        train = Interactions(users, items, np.ones(len(users)), m, n)
+        rng = np.random.default_rng(47)
+        user_factors, item_factors = rng.standard_normal((m, dim)), rng.standard_normal((n, dim))
+        tracemalloc.start()
+        try:
+            mf_objective(train, user_factors, item_factors, MFConfig(latent_dim=dim))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} bytes for the objective of {m} x {n} cells"
+
+    def test_fit_memory_does_not_grow_with_iterations(self):
+        # the pairs are planned once per fit, and an iteration's
+        # temporaries are freed before the next: ten iterations peak where
+        # one does
+        rng = np.random.default_rng(53)
+        m, n, dim = 600, 400, 16
+        users = np.repeat(np.arange(m), np.arange(m) % 30)
+        items = np.concatenate([rng.choice(n, size=u % 30, replace=False) for u in range(m)])
+        train = Interactions(users, items, rng.uniform(0.5, 4.0, size=len(users)), m, n)
+        train_mf_factors(train, MFConfig(latent_dim=dim, iterations=1, seed=5))  # numpy's first-call set-up
+        peaks = []
+        for iterations in (1, 10):
+            tracemalloc.start()
+            try:
+                train_mf_factors(train, MFConfig(latent_dim=dim, iterations=iterations, seed=5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 4096, f"peaks {peaks} bytes at 1 and 10 iterations"
+
     def test_deterministic_for_fixed_seed(self):
         train = _block_train()
         cfg = MFConfig(latent_dim=6, iterations=5, seed=21)
@@ -226,8 +278,8 @@ class TestMFScorer:
 
     def test_stacked_solve_temporaries_stay_below_the_mmap_threshold(self):
         # 600 users of 12 pairs at dim 32: stacks of 16 systems (128 KiB
-        # each) peak at about 1 MiB in one iteration, with the factors and
-        # pair arrays; stacks of 64 systems would peak at 2.2 MiB
+        # each) peak at about 1.4 MiB in one iteration, with the factors and
+        # the fit's plan of the pairs; stacks of 64 systems would peak at 2.5 MiB
         rng = np.random.default_rng(31)
         m, n, dim = 600, 500, 32
         users = np.repeat(np.arange(m), 12)
@@ -240,6 +292,16 @@ class TestMFScorer:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20, f"peak {peak} bytes in one ALS iteration"
+
+    def test_a_confidence_that_overflows_raises_a_data_error_and_warns_nothing(self):
+        # mf.alpha * w is inf for the pair of weight 1e300, in the plan made
+        # before the first iteration
+        train = Interactions(np.array([0, 0, 1]), np.array([0, 1, 1]), np.array([10.0, 1e300, 2.0]), 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            raises_exactly(DataError, "non-finite factor values at ALS iteration 0: mf.alpha = 1e+308 with the "
+                           "largest train weight 1e+300 and mf.reg = 0.05",
+                           lambda: train_mf_factors(train, MFConfig(latent_dim=2, iterations=2, confidence_alpha=1e308)))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -263,7 +325,7 @@ def small_ds():
 class TestLoadScores:
     def test_full_matrix_round_trip(self, small_ds, tmp_path):
         values = np.arange(4, dtype=np.float64).reshape(2, 2) / 10.0
-        path = write_scores(tmp_path / "scores.tsv", ScoreMatrix(values), small_ds)
+        path, _ = write_scores(tmp_path / "scores.tsv", ScoreMatrix(values), small_ds)
         with open(path) as fh:
             loaded = load_scores(fh, small_ds)
         assert np.array_equal(loaded.values, values)
@@ -313,7 +375,7 @@ class TestWriteScores:
         return build_dataset(parse_interactions([f"{u}\t{i}" for u in ("a", "b", "c") for i in ("x", "y")]))
 
     def _written(self, tmp_path, ds, rows):
-        return write_scores(tmp_path / "s.tsv", ScoreMatrix(np.array(rows, dtype=np.float64)), ds).read_bytes()
+        return write_scores(tmp_path / "s.tsv", ScoreMatrix(np.array(rows, dtype=np.float64)), ds)[0].read_bytes()
 
     def test_identical_rows(self, tmp_path, ds):
         assert self._written(tmp_path, ds, [[0.5, 0.25]] * 3) == (
@@ -343,7 +405,7 @@ class TestWriteScores:
         values[3] = values[2]
         values[7:10] = rng.random(5)
         ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(12) for i in range(5)]))
-        path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
+        path, _ = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
         expected = [
             f"u{u}\ti{i}\t{float(values[u, i])!r}" for u in range(12) for i in range(5) if np.isfinite(values[u, i])
         ]
@@ -364,7 +426,7 @@ class TestWriteScores:
         if users == 70:
             values[64:] = MASKED
         ds = build_dataset(parse_interactions([f"{_user_key(u)}\ti{i}" for u in range(users) for i in range(4)]))
-        path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
+        path, _ = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
         expected = [
             f"{_user_key(u)}\ti{i}\t{float(values[u, i])!r}"
             for u in range(users) for i in range(4) if np.isfinite(values[u, i])
@@ -386,7 +448,7 @@ class TestWriteScores:
         ds = build_dataset(parse_interactions(
             [f"{_user_key(u)}\ti{i}" for u in range(len(values)) for i in range(3)]
         ))
-        path = write_scores(tmp_path / "s.tsv", source, ds)
+        path, _ = write_scores(tmp_path / "s.tsv", source, ds)
         expected = [
             f"{_user_key(u)}\ti{i}\t{float(values[u, i])!r}"
             for u in range(len(values)) for i in range(3) if np.isfinite(values[u, i])
@@ -404,7 +466,7 @@ class TestWriteScores:
         ))
         tracemalloc.start()
         try:
-            path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
+            path, _ = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -417,7 +479,7 @@ class TestWriteScores:
         values = rng.standard_normal((3, 2)) * 10.0 ** rng.integers(-20, 20, (3, 2))
         values[1] = [-0.0, MASKED]
         values[2] = values[0]
-        path = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
+        path, _ = write_scores(tmp_path / "s.tsv", ScoreMatrix(values), ds)
         loaded = read_scores(path, ds, fill=MASKED)
         assert loaded.values.tobytes() == values.tobytes()
         assert loaded.import_coverage == 5 / 6

@@ -15,10 +15,24 @@ def _failing_parts():
 
 
 def test_chunks_are_written_in_order_as_utf8(tmp_path):
-    path = atomic_write_text(tmp_path / "sub" / "t.txt", iter(["a\t\u03bb\n", "", "b\r\n"]))
+    path, digest = atomic_write_text(tmp_path / "sub" / "t.txt", iter(["a\t\u03bb\n", "", "b\r\n"]))
     assert path == tmp_path / "sub" / "t.txt"
     assert path.read_bytes() == "a\t\u03bb\nb\r\n".encode("utf-8")
-    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert sha256_file(path) == digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("parts", [
+    ["a\t", b"b\n", "c", b""],
+    ["\u03bb = 2\n", "\u03bb".encode("utf-8"), "\n"],
+    ["", b"", ""],
+    [],
+    ["x" * 200_000, b"y" * 70_000],
+], ids=["mixed-str-and-bytes", "non-ascii", "empty-parts", "no-parts", "many-buffers"])
+def test_returned_digest_is_the_sha256_of_the_file(tmp_path, parts):
+    path, digest = atomic_write_text(tmp_path / "out.tsv", iter(parts))
+    data = b"".join(p if isinstance(p, bytes) else p.encode("utf-8") for p in parts)
+    assert path.read_bytes() == data
+    assert digest == hashlib.sha256(data).hexdigest() == sha256_file(path)
 
 
 def test_raising_chunk_source_leaves_no_file(tmp_path):
@@ -44,7 +58,7 @@ def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
         atomic_write_text(target, ("new bytes\n",))
-        fresh = atomic_write_text(tmp_path / "fresh.tsv", ("x\n",))
+        fresh, _ = atomic_write_text(tmp_path / "fresh.tsv", ("x\n",))
     finally:
         os.umask(old)
     assert stat.S_IMODE(target.stat().st_mode) == mode
