@@ -137,14 +137,13 @@ def _serendipity(items: np.ndarray, popular: np.ndarray) -> float:
     return float(np.mean((~popular[items]).sum(axis=1) / items.shape[1]))
 
 
-def _personalization(items: np.ndarray, num_items: int) -> float:
-    """One minus the mean pairwise list overlap, exact over all user pairs."""
-    m, k = items.shape
+def _personalization(listed: np.ndarray, m: int, k: int) -> float:
+    """One minus the mean pairwise list overlap, exact over all user pairs,
+    from how many of the m lists of k items hold each item (`listed`)."""
     if m < 2:
         raise ValueError("personalization needs at least 2 users")
     # total pairwise intersection = sum over items of C(lists containing it, 2)
-    counts = np.bincount(items.ravel(), minlength=num_items)
-    inter_total = float(np.sum(counts * (counts - 1) // 2))
+    inter_total = float(np.sum(listed * (listed - 1) // 2))
     pairs = m * (m - 1) / 2
     return 1.0 - inter_total / (pairs * k)
 
@@ -250,12 +249,13 @@ def evaluate(ctx: EvalContext, point_lists: Sequence[RecommendationLists]) -> li
         short = part.short_head[items]
         short_count, rel_short = int(np.count_nonzero(short)), int(np.count_nonzero(hits & short))
         long_count, rel_long = items.size - short_count, int(np.count_nonzero(hits)) - rel_short
+        listed = np.bincount(items.ravel(), minlength=part.num_items)  # lists holding each item
         reports.append(EvaluationReport(
             ndcg=ndcg, precision=precision, recall=recall,
             novelty=_novelty(items, part.popularity_count, ctx.train.num_users),
             diversity=_diversity(items, gram, row_of, part.popularity_count),
-            coverage=int(np.count_nonzero(np.bincount(items.ravel(), minlength=part.num_items))) / part.num_items,
-            personalization=_personalization(items, part.num_items),
+            coverage=int(np.count_nonzero(listed)) / part.num_items,
+            personalization=_personalization(listed, *items.shape),
             serendipity=_serendipity(items, ctx.popular),
             short_count=short_count, rel_short=rel_short, long_count=long_count, rel_long=rel_long,
             fairness_gap=(short_count - long_count) / users, k=k, evaluated_users=users,

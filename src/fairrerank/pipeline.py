@@ -9,9 +9,10 @@ evaluated in one `evaluate[scorer]` stage, and then its list files are
 written; only the report files wait until every stage has succeeded, so a
 failed run cannot leave partial reports behind. Every step that computes or
 writes runs as a named stage (a list file is `lists_file[scorer,λ]`, a
-report `report_file[fmt]`). A built-in scorer's blocks of users are made
-twice, for the export and for the re-ranker, which masks each block and
-keeps only its candidates, so its m x n scores are never held. A stage
+report `report_file[fmt]`). Each scorer's blocks of users are made
+twice, for the export and for the re-ranker, which masks each block (its
+own copy: a held import matrix is never written) and keeps only its
+candidates, so a built-in scorer's m x n scores are never held. A stage
 failure is wrapped in StageError naming the stage, except malformed input
 (DataError), which is re-raised as a DataError naming the stage. A run
 checks its split in one gate, after the split and before the first file is
@@ -113,9 +114,7 @@ def _short_users(ds: Dataset, counts: np.ndarray, k: int, what: str) -> None:
                         f"(first user {ds.user_keys[short[0]]!r} has {counts[short[0]]})")
 
 
-def _preflight(
-    cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageClock
-) -> dict[str, ScoreMatrix | ScoreBlocks]:
+def _preflight(cfg: ExperimentConfig, artifacts: SplitArtifacts, clock: _StageClock) -> dict[str, ScoreBlocks]:
     """Reject, with a DataError before any file is written, a split a run
     cannot re-rank and score: one user (personalization compares pairs of
     lists), no judged user, k above the catalog, users with fewer than k
@@ -236,7 +235,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             files[f"scores_{name}"] = clock.run(
                 f"score_file[{name}]", write_scores, out_dir / f"scores_{name}.tsv", scores, ds
             )
-        if cfg.mask_seen:  # stamped as rerank reads each block, after the export, which keeps the seen cells
+        if cfg.mask_seen:
             scores = seen_masked(scores, artifacts.split.train)
         point_lists = clock.run(f"rerank[{name}]", rerank_path, scores, artifacts.partition, cfg.rerank, lambdas)
         del scores  # the lists carry their scores; the import matrix is not held while they are evaluated

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dataset import Dataset, Interactions, PopularityPartition
 from .numtext import LINES, float_fields, lines, text_fields
-from .scorers import ScoreBlocks, ScoreMatrix, block_rows
+from .scorers import ScoreBlocks, block_rows
 from .util import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,9 +137,8 @@ def _check_lists(items: np.ndarray, num_items: int, values: np.ndarray | None = 
         raise ValueError(f"user {at[-1]}: {problem}")
 
 
-def _fairness_shifts(
-    matrix: ScoreMatrix | ScoreBlocks, part: PopularityPartition, lambdas: Sequence[float], per_user_lambda: bool
-) -> np.ndarray:
+def _fairness_shifts(matrix: ScoreBlocks, part: PopularityPartition, lambdas: Sequence[float],
+                     per_user_lambda: bool) -> np.ndarray:
     """Both solvers' prologue: check every λ, then the partition width, and
     return the per-λ, per-item score shifts, (L, n): -delta for short-head
     items, +delta for long-tail. Every shift of a λ = 0 point is -0.0, and
@@ -165,9 +164,8 @@ def _top_mask(block: np.ndarray, count: int) -> np.ndarray:
     return above | tied
 
 
-def _group_candidates(
-    matrix: ScoreMatrix | ScoreBlocks, part: PopularityPartition, cfg: RerankConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _group_candidates(matrix: ScoreBlocks, part: PopularityPartition,
+                      cfg: RerankConfig) -> tuple[np.ndarray, np.ndarray]:
     """Step 1 of the λ path, in one pass over the score blocks: each user's
     top-k items of each group by original score, within the user's
     top-pool_size pool (ties to the lower index). A group's shift is one
@@ -195,12 +193,8 @@ def _group_candidates(
     return items, scores
 
 
-def rerank_path(
-    matrix: ScoreMatrix | ScoreBlocks,
-    part: PopularityPartition,
-    cfg: RerankConfig,
-    lambdas: Sequence[float],
-) -> list[RecommendationLists]:
+def rerank_path(matrix: ScoreBlocks, part: PopularityPartition, cfg: RerankConfig,
+                lambdas: Sequence[float]) -> list[RecommendationLists]:
     """Solve the fairness-adjusted selection exactly at every λ in `lambdas`
     (cfg.lambda_grid is not read): per user, the k items with the largest
     adjusted scores. The per-group candidates are picked once, in one pass
@@ -259,9 +253,8 @@ def _combinations(count: int, k: int) -> np.ndarray:
     return np.array(list(itertools.combinations(range(count), k)), dtype=np.int64).reshape(-1, k)
 
 
-def rerank_oracle(
-    matrix: ScoreMatrix, part: PopularityPartition, cfg: RerankConfig, lambdas: Sequence[float]
-) -> list[RecommendationLists]:
+def rerank_oracle(matrix: ScoreBlocks, part: PopularityPartition, cfg: RerankConfig,
+                  lambdas: Sequence[float]) -> list[RecommendationLists]:
     """Reference solver at every λ in `lambdas` (cfg.lambda_grid is not
     read) by exhaustive enumeration of every k-subset per user.
 
@@ -272,11 +265,12 @@ def rerank_oracle(
     toward the subset whose items come first in the documented selection
     order, so a correct exact solver must match it set-for-set. Returns one
     display-ordered list set per λ with its objective, as `rerank_path`
-    does; on bad input it raises what the first failing λ would raise.
+    does; on bad input it raises what the first failing λ would raise. It
+    reads all users as one block, `matrix.rows(0, m)`.
     """
     shifts = _fairness_shifts(matrix, part, lambdas, cfg.per_user_lambda)
-    values = matrix.values
-    m, n = values.shape
+    m, n = matrix.num_users, matrix.num_items
+    values = matrix.rows(0, m)
     # fl(r + c) is monotone in r, so a λ overflows some cell iff it
     # overflows the column maximum
     overflow = np.isposinf(values.max(axis=0, initial=-np.inf) + shifts).any(axis=1)
@@ -338,13 +332,8 @@ def _best_subsets(
     terms[points] = exact
 
 
-def lambda_sweep(
-    matrix: ScoreMatrix,
-    part: PopularityPartition,
-    cfg: RerankConfig,
-    judgments: list[set[int]],
-    train: Interactions,
-) -> list[tuple[float, "EvaluationReport"]]:
+def lambda_sweep(matrix: ScoreBlocks, part: PopularityPartition, cfg: RerankConfig, judgments: list[set[int]],
+                 train: Interactions) -> list[tuple[float, "EvaluationReport"]]:
     """Re-rank and fully evaluate at every point of cfg.lambda_grid, which
     starts at the 0.0 fairness-unaware baseline: one path, one evaluation.
     `judgments[u]` is user u's set of held-out items, made into the test

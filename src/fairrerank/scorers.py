@@ -1,20 +1,22 @@
 """Score-matrix producers: built-in baselines plus an import path for
 externally computed scores.
 
-A built-in scorer makes its (num_users x num_items) float64 predicted
-preferences a block of users at a time (:class:`ScoreBlocks`); its dense
-form, the one block of all users, is a :class:`ScoreMatrix`, as imported
-scores are, and every block is bit for bit its slice of that form.
-`mask_seen` (`seen_masked` per block) stamps train-seen cells with a -inf
-sentinel, so downstream top-K selection can never return an
-already-consumed item. Train pairs come unique and sorted by (user, item)
-(`Interactions`), so neither masking nor ALS sorts them by user again.
-Export scores with `write_scores` before masking them to keep the seen
-cells in the file; a run of equal rows is formatted once, and each user's
-key goes in front of its lines. ALS solves a row with fewer pairs L than
-latent dimensions d through an L x L system, by the push-through form of
-the Woodbury identity: the d x d system's solution up to rounding. All
-scorers are deterministic functions of their inputs and seed.
+Every scorer gives its (num_users x num_items) float64 predicted
+preferences as :class:`ScoreBlocks`, a block of users at a time, each a
+fresh array that its caller owns: a built-in scorer makes each block on
+demand, and a :class:`ScoreMatrix` (imported scores, or a scorer's one
+block of all users) holds the matrix and hands out copies of its rows.
+Every block is bit for bit its slice of the dense form. `seen_masked`
+stamps train-seen cells of each block with a -inf sentinel, so downstream
+top-K selection can never return an already-consumed item; it never writes
+into a held matrix (`mask_seen` does, in place). Train pairs come unique
+and sorted by (user, item) (`Interactions`), so neither masking nor ALS
+sorts them by user again. `write_scores` formats a run of equal rows once,
+and each user's key goes in front of its lines. ALS solves a row with
+fewer pairs L than latent dimensions d through an L x L system, by the
+push-through form of the Woodbury identity: the d x d system's solution up
+to rounding. All scorers are deterministic functions of their inputs and
+seed.
 """
 
 from __future__ import annotations
@@ -65,42 +67,41 @@ _BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
-class ScoreMatrix:
-    """Dense predicted-preference matrix. Cells equal to MASKED are
-    unselectable; every other cell must be finite."""
-
-    values: np.ndarray
-    import_coverage: float | None = None
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ValueError("score matrix must be 2-dimensional")
-        # one reduction, no m x n temporaries: NaN propagates through max
-        if self.values.size and not self.values.max() < np.inf:
-            raise ValueError("score matrix contains NaN or +inf entries")
-
-    @property
-    def num_users(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def num_items(self) -> int:
-        return int(self.values.shape[1])
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Users lo..hi-1 as a view, checked once, at construction."""
-        return self.values[lo:hi]
-
-
-@dataclass(frozen=True)
 class ScoreBlocks:
-    """A scorer's (num_users x num_items) scores, never held whole:
-    `rows(lo, hi)` makes users lo..hi-1 (as a slice would: hi may pass
-    num_users) as a new array, each cell MASKED or finite."""
+    """A scorer's (num_users x num_items) scores: `rows(lo, hi)` makes users
+    lo..hi-1 (as a slice would: hi may pass num_users) as a new C-order
+    float64 array that the caller owns, each cell MASKED or finite."""
 
     num_users: int
     num_items: int
     rows: Callable[[int, int], np.ndarray]
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    """`values`, once no cell is NaN or +inf: one reduction, no m x n
+    temporaries (NaN propagates through max)."""
+    if values.size and not values.max() < np.inf:
+        raise ValueError("score matrix contains NaN or +inf entries")
+    return values
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class ScoreMatrix(ScoreBlocks):
+    """Held scores: a dense float64 `values` matrix, checked once, at
+    construction, whose blocks are copies of its rows. Cells equal to MASKED
+    are unselectable; every other cell must be finite."""
+
+    values: np.ndarray
+    import_coverage: float | None
+
+    def __init__(self, values: np.ndarray, import_coverage: float | None = None):
+        if values.ndim != 2:
+            raise ValueError("score matrix must be 2-dimensional")
+        if values.dtype != np.float64:
+            raise ValueError(f"score matrix must be float64, got {values.dtype}")
+        super().__init__(*_finite(values).shape, lambda lo, hi: values[lo:hi].copy())
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "import_coverage", import_coverage)
 
 
 def block_rows(cells: int) -> int:
@@ -269,7 +270,7 @@ def mf_blocks(train: Interactions, cfg: MFConfig = MFConfig()) -> ScoreBlocks:
     def rows(lo, hi):
         start = lo - lo % step  # with no users, one empty product
         parts = [user_factors[at : at + step] @ item_factors.T for at in range(start, max(min(hi, m), 1), step)]
-        return ScoreMatrix(np.concatenate(parts)[lo - start : hi - start]).values
+        return _finite(np.concatenate(parts)[lo - start : hi - start])
 
     return ScoreBlocks(m, train.num_items, rows)
 
@@ -337,7 +338,7 @@ def _row_texts(rows: np.ndarray, item_fields: np.ndarray) -> list[bytes]:
     return [lines(fields[start:end]) for start, end in zip([0] + ends, ends)]
 
 
-def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Dataset) -> tuple[Path, str]:
+def write_scores(path: Path | str, scores: ScoreBlocks, ds: Dataset) -> tuple[Path, str]:
     """Export scores as one "user item score" line per finite cell, the
     score in shortest round-trip repr; masked cells are left out and
     re-import as fill. Made a block of users at a time, formatted in chunks
@@ -353,7 +354,7 @@ def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Datase
         prev_bits, row_text, wrote = None, b"", False
         step = block_rows(scores.num_items)
         for lo in range(0, scores.num_users, step):
-            block = np.ascontiguousarray(scores.rows(lo, lo + step))
+            block = scores.rows(lo, lo + step)
             bits = block.view(np.int64)
             fresh = np.ones(len(block), dtype=bool)
             fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
@@ -375,15 +376,18 @@ def write_scores(path: Path | str, scores: ScoreMatrix | ScoreBlocks, ds: Datase
     return atomic_write_text(path, text())
 
 
-def seen_masked(scores: ScoreMatrix | ScoreBlocks, train: Interactions) -> ScoreBlocks:
-    """`scores` with every train-seen cell stamped MASKED in each block as
-    it is made (a ScoreMatrix's in place). The pairs are sorted by user, so
-    a block's pairs are one slice of them."""
+def _check_universe(scores: ScoreBlocks, train: Interactions) -> None:
     if scores.num_users != train.num_users or scores.num_items != train.num_items:
-        raise ValueError(
-            f"score matrix is {scores.num_users}x{scores.num_items} but train universe is "
-            f"{train.num_users}x{train.num_items}"
-        )
+        raise ValueError(f"score matrix is {scores.num_users}x{scores.num_items} but train universe is "
+                         f"{train.num_users}x{train.num_items}")
+
+
+def seen_masked(scores: ScoreBlocks, train: Interactions) -> ScoreBlocks:
+    """`scores` with every train-seen cell stamped MASKED in each block as
+    it is made. Every block is the caller's own array, so a held matrix is
+    never written. The pairs are sorted by user, so a block's pairs are one
+    slice of them."""
+    _check_universe(scores, train)
 
     def rows(lo, hi):
         block = scores.rows(lo, hi)
@@ -398,5 +402,6 @@ def mask_seen(matrix: ScoreMatrix, train: Interactions) -> ScoreMatrix:
     """Stamp train-seen cells with the MASKED sentinel in `matrix.values`
     and return the same matrix; unseen cells are unchanged bit-for-bit and
     masking is idempotent. Mask a copy to keep the original scores."""
-    seen_masked(matrix, train).rows(0, matrix.num_users)
+    _check_universe(matrix, train)
+    matrix.values[train.users, train.items] = MASKED
     return matrix

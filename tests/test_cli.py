@@ -32,7 +32,7 @@ from fairrerank.metrics import eval_context, evaluate
 from fairrerank.pipeline import run_experiment
 from fairrerank.rerank import RerankConfig, rerank_path, write_lists
 from fairrerank.scorers import (
-    ScoreMatrix, load_scores, mask_seen, popularity_blocks, popularity_scorer, random_blocks, write_scores,
+    ScoreBlocks, ScoreMatrix, load_scores, mask_seen, popularity_blocks, popularity_scorer, random_blocks, write_scores,
 )
 from fairrerank.synthetic import write_zipf_dataset, zipf_interaction_lines
 from fairrerank.util import sha256_file
@@ -299,8 +299,8 @@ class TestRunCommand:
         assert n_row == direct
 
     def test_in_place_masking_matches_masking_a_copy(self, demo, tmp_path):
-        # the run stamps MASKED into each scorer's own matrix after its
-        # export; the files must equal those from masking an explicit copy
+        # the run masks each block of users as the re-ranker reads it; the
+        # files must equal those from masking a held copy in place
         config, base = demo
         cfg = load_config(config, {"scorer.names": "popularity,random", "output.dir": str(base / "direct")})
         result = run_experiment(cfg)
@@ -320,6 +320,28 @@ class TestRunCommand:
                 assert result.files[f"lists_{name}_lambda{lam:g}"].read_bytes() == expected.read_bytes()
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["outputs"] == {name: sha256_file(path) for name, path in result.files.items()}
+
+    def test_an_imported_export_gives_the_scorer_s_lists_and_rows(self, demo):
+        # mf's export, read back as a held matrix and masked block by block,
+        # must give mf's list files byte for byte and its report rows
+        config, base = demo
+        out, imp = base / "out", base / "imp"
+        assert main(["run", "--config", str(config), "--set", "scorer.names=popularity,mf"]) == 0
+        assert main(["run", "--config", str(config), "--out", str(imp), "--set", "scorer.names=import",
+                     "--set", f"scorer.import_path={out / 'scores_mf.tsv'}", "--set", "output.scores=none"]) == 0
+        imported = sorted(imp.glob("lists_import_lambda*.tsv"))
+        assert [path.name.replace("import", "mf") for path in imported] == sorted(
+            path.name for path in out.glob("lists_mf_lambda*.tsv"))
+        assert len(imported) == 3
+        for path in imported:
+            assert path.read_bytes() == (out / path.name.replace("import", "mf")).read_bytes()
+
+        def rows(report, model):
+            lines = report.read_text().splitlines()[1:]
+            return [line.split(",", 1)[1] for line in lines if line.split(",", 1)[0] == model]
+
+        assert rows(imp / "report.csv", "import") == rows(out / "report.csv", "mf") != []
+        assert not list(imp.glob("scores_*.tsv"))
 
     def test_format_flag_restricts_outputs(self, demo):
         config, base = demo
@@ -495,9 +517,14 @@ class TestExitCodes:
     def test_a_failed_mask_names_its_stage(self, demo, capsys, monkeypatch):
         # the re-ranker stamps each block's seen cells as it reads the block
         def read_only_scores(counts, num_users):
-            scores = ScoreMatrix(popularity_blocks(counts, num_users).rows(0, num_users))
-            scores.values.setflags(write=False)
-            return scores
+            source = popularity_blocks(counts, num_users)
+
+            def rows(lo, hi):
+                block = source.rows(lo, hi)
+                block.setflags(write=False)
+                return block
+
+            return ScoreBlocks(source.num_users, source.num_items, rows)
 
         config, _ = demo
         monkeypatch.setattr(pipeline, "popularity_blocks", read_only_scores)

@@ -22,7 +22,7 @@ from fairrerank.rerank import (
     rerank_path,
     write_lists,
 )
-from fairrerank.scorers import MASKED, ScoreMatrix
+from fairrerank.scorers import MASKED, ScoreMatrix, random_blocks
 from fairrerank.synthetic import random_rerank_instance
 
 
@@ -160,6 +160,16 @@ class TestRerankOracle:
         assert lists.items[0].tolist() == [1]
         exact = rerank_path(matrix, part, RerankConfig(k=1), (0.3,))[0]
         assert exact.items[0].tolist() == [1]
+
+    def test_blocks_give_the_lists_of_their_dense_matrix(self):
+        # the oracle reads any ScoreBlocks as one block of all users
+        source = random_blocks(4, 7, seed=3)
+        part = make_partition([True, True, False, False, True, False, False])
+        cfg, lambdas = RerankConfig(k=3, pool_size=5), (0.0, 0.5, 2.0, 8.0)
+        on_blocks = rerank_oracle(source, part, cfg, lambdas)
+        on_dense = rerank_oracle(ScoreMatrix(source.rows(0, 4)), part, cfg, lambdas)
+        assert [lists.items.tolist() for lists in on_blocks] == [lists.items.tolist() for lists in on_dense]
+        assert [lists.objective for lists in on_blocks] == [lists.objective for lists in on_dense]
 
     def test_instance_too_large_rejected(self):
         matrix = ScoreMatrix(np.zeros((1, 60)))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import tracemalloc
 import warnings
@@ -8,9 +9,10 @@ from pytest import approx
 
 import fuzz_repr
 import reference
-from conftest import interactions, raises_exactly
+from conftest import interactions, pair_set, raises_exactly
 from fairrerank import scorers
 from fairrerank.dataset import DataError, Interactions, build_dataset, parse_interactions, partition_popularity
+from fairrerank.rerank import RerankConfig, rerank_path
 from fairrerank.scorers import (
     MASKED,
     MFConfig,
@@ -624,12 +626,18 @@ class TestScoreBlocks:
         rows = np.concatenate([source.rows(lo, lo + step) for lo in range(0, 6, step)])
         assert rows.tobytes() == mask_seen(random_matrix(6, 5, seed=0), tiny_train).values.tobytes()
 
-    def test_seen_masked_stamps_a_matrix_in_place(self, tiny_train):
+    def test_masking_and_export_leave_a_held_matrix_unchanged(self, tiny_train, tmp_path):
+        # every block is the caller's own copy: seen_masked stamps that, and
+        # the re-ranker and the export read it, never the held matrix
         matrix = random_matrix(6, 5, seed=0)
-        source = seen_masked(matrix, tiny_train)
-        assert np.isfinite(matrix.values).all()
-        source.rows(0, 3)
-        assert matrix.values[0, 0] == MASKED and np.isfinite(matrix.values[3:]).all()
+        original = matrix.values.copy()
+        ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(6) for i in range(5)]))
+        lists = rerank_path(seen_masked(matrix, tiny_train), partition_popularity(tiny_train, 5), RerankConfig(k=2),
+                            (0.0, 1.0))
+        write_scores(tmp_path / "s.tsv", matrix, ds)
+        assert matrix.values.tobytes() == original.tobytes()
+        listed = {(u, item) for point in lists for u, row in enumerate(point.items.tolist()) for item in row}
+        assert listed and not listed & pair_set(tiny_train)
 
 
 class TestScoreMatrixValidation:
@@ -654,6 +662,24 @@ class TestScoreMatrixValidation:
     @pytest.mark.parametrize("shape", [(3, 4), (0, 4), (3, 0)], ids=["all-masked", "no-users", "no-items"])
     def test_masked_and_empty_matrices_accepted(self, shape):
         assert ScoreMatrix(np.full(shape, MASKED)).values.shape == shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64], ids=["float32", "int64"])
+    def test_a_matrix_that_is_not_float64_is_rejected(self, dtype):
+        # float32 of odd width failed in write_scores' int64 row view, and
+        # int64 in mask_seen's -inf stamp
+        raises_exactly(ValueError, f"score matrix must be float64, got {np.dtype(dtype)}",
+                       lambda: ScoreMatrix(np.ones((2, 3), dtype=dtype)))
+
+    def test_a_held_matrix_is_score_blocks_of_copies(self):
+        values = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        matrix = ScoreMatrix(values)
+        assert isinstance(matrix, ScoreBlocks)
+        assert (matrix.num_users, matrix.num_items) == (2, 3)
+        block = matrix.rows(1, 5)
+        assert block.flags.c_contiguous and not np.shares_memory(block, values)
+        assert block.tobytes() == np.ascontiguousarray(values[1:]).tobytes()
+        with pytest.raises(dataclasses.FrozenInstanceError):  # its blocks would still read the old values
+            matrix.values = np.zeros((2, 3))
 
     def test_check_builds_no_matrix_sized_temporary(self):
         # 1000 x 1000 floats: an m x n bool mask alone is 1 MB
