@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable
 
@@ -13,19 +12,18 @@ def atomic_write_text(path: Path | str, parts: Iterable[str | bytes]) -> tuple[P
     """Write the chunks `parts` (text, encoded as UTF-8, or bytes) to `path`,
     one at a time, via a temp file + rename: readers never see a partial
     file, and a failed write leaves none. Returns the path and the SHA-256
-    hex digest of the bytes, hashed as they are written. The file gets the
-    mode `open(path, "w")` gives a new file: 0o666 less the umask."""
+    hex digest of the bytes, hashed as they are written. The mode comes from
+    `os.open(tmp, ..., 0o666)`, less the umask, as with `open(path, "w")`;
+    O_EXCL never follows a link at the random temp name, and a clash fails."""
     path, digest = Path(path), hashlib.sha256()
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp_name = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
                 digest.update(data := part if isinstance(part, bytes) else part.encode("utf-8"))
                 fh.write(data)
-        umask = os.umask(0)  # reading the umask means setting it: put it back at once
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)  # mkstemp made it 0o600
         os.replace(tmp_name, path)
     except BaseException:
         try:

@@ -36,9 +36,15 @@ def test_returned_digest_is_the_sha256_of_the_file(tmp_path, parts):
 
 
 def test_raising_chunk_source_leaves_no_file(tmp_path):
+    # temp files a killed write left behind stay as they are, and no write adds one
+    strays = {f"out.tsv.{hex_}.tmp": f"stray {hex_}\n".encode() for hex_ in ("0123456789ab", "ffffffffffff")}
+    for name, data in strays.items():
+        (tmp_path / name).write_bytes(data)
     with pytest.raises(RuntimeError, match="chunk source failed"):
         atomic_write_text(tmp_path / "out.tsv", _failing_parts())
-    assert list(tmp_path.iterdir()) == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == strays
+    atomic_write_text(tmp_path / "out.tsv", ("new bytes\n",))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {**strays, "out.tsv": b"new bytes\n"}
 
 
 def test_raising_chunk_source_keeps_the_old_file(tmp_path):
@@ -63,3 +69,18 @@ def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
         os.umask(old)
     assert stat.S_IMODE(target.stat().st_mode) == mode
     assert stat.S_IMODE(fresh.stat().st_mode) == mode
+
+
+def test_mode_comes_from_open_not_from_umask_or_chmod(tmp_path, monkeypatch):
+    umask = os.umask(0o022)
+    os.umask(umask)
+
+    def refuse(*args):
+        raise AssertionError("the process umask and the file mode are the kernel's to apply")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    monkeypatch.setattr(os, "chmod", refuse)
+    path, digest = atomic_write_text(tmp_path / "out.tsv", ("a\t", b"b\n"))
+    assert path.read_bytes() == b"a\tb\n"
+    assert digest == hashlib.sha256(b"a\tb\n").hexdigest()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
