@@ -172,11 +172,13 @@ def float_fields(x: np.ndarray, layout: str = "repr", end: str = "\n") -> np.nda
     `end`, one PAD-padded row each, formatted LINES values at a time, which
     keeps a batch's temporaries in cache. When at most half the values are
     distinct bit patterns (so 0.0 and -0.0 apart), each is formatted once,
-    and the rows are only as wide as those texts need."""
+    and the rows are only as wide as those texts need. A batch is sorted to
+    count them only if the first 32 values of each half hold a repeat."""
     bits = np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
-    ordered = np.sort(bits)
+    probe = np.sort(np.concatenate((bits[:32], bits[len(bits) // 2 :][:32])))  # a list file at λ = 0 repeats here
+    ordered = np.sort(bits) if (probe[1:] == probe[:-1]).any() else probe
     new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    if 2 * np.count_nonzero(new) <= len(bits):
+    if 2 * np.count_nonzero(new) <= len(ordered):
         slot = np.empty(len(bits), dtype=np.intp)
         slot[np.argsort(bits)] = np.cumsum(new) - 1
         table = float_fields(ordered[new].view(np.float64), layout, end)

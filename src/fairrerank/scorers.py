@@ -8,8 +8,8 @@ demand, and a :class:`ScoreMatrix` (imported scores, or a scorer's one
 block of all users) holds the matrix and hands out copies of its rows.
 Every block is bit for bit its slice of the dense form. `seen_masked`
 stamps train-seen cells of each block with a -inf sentinel, so downstream
-top-K selection can never return an already-consumed item; it never writes
-into a held matrix (`mask_seen` does, in place). Train pairs come unique
+top-K selection can never return an already-consumed item. A held matrix
+is read-only, so nothing writes into it. Train pairs come unique
 and sorted by (user, item) (`Interactions`), so neither masking nor ALS
 sorts them by user again. `write_scores` formats a run of equal rows once,
 and each user's key goes in front of its lines. ALS solves a row with
@@ -87,9 +87,9 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, init=False, eq=False)
 class ScoreMatrix(ScoreBlocks):
-    """Held scores: a dense float64 `values` matrix, checked once, at
-    construction, whose blocks are copies of its rows. Cells equal to MASKED
-    are unselectable; every other cell must be finite."""
+    """Held scores: a read-only view of the dense float64 `values` given,
+    checked at construction, whose blocks are writable copies of its rows.
+    Cells equal to MASKED are unselectable; every other cell must be finite."""
 
     values: np.ndarray
     import_coverage: float | None
@@ -99,6 +99,8 @@ class ScoreMatrix(ScoreBlocks):
             raise ValueError("score matrix must be 2-dimensional")
         if values.dtype != np.float64:
             raise ValueError(f"score matrix must be float64, got {values.dtype}")
+        values = values.view()  # the caller's array stays writable
+        values.flags.writeable = False
         super().__init__(*_finite(values).shape, lambda lo, hi: values[lo:hi].copy())
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "import_coverage", import_coverage)
@@ -376,18 +378,14 @@ def write_scores(path: Path | str, scores: ScoreBlocks, ds: Dataset) -> tuple[Pa
     return atomic_write_text(path, text())
 
 
-def _check_universe(scores: ScoreBlocks, train: Interactions) -> None:
-    if scores.num_users != train.num_users or scores.num_items != train.num_items:
-        raise ValueError(f"score matrix is {scores.num_users}x{scores.num_items} but train universe is "
-                         f"{train.num_users}x{train.num_items}")
-
-
 def seen_masked(scores: ScoreBlocks, train: Interactions) -> ScoreBlocks:
     """`scores` with every train-seen cell stamped MASKED in each block as
     it is made. Every block is the caller's own array, so a held matrix is
     never written. The pairs are sorted by user, so a block's pairs are one
     slice of them."""
-    _check_universe(scores, train)
+    if scores.num_users != train.num_users or scores.num_items != train.num_items:
+        raise ValueError(f"score matrix is {scores.num_users}x{scores.num_items} but train universe is "
+                         f"{train.num_users}x{train.num_items}")
 
     def rows(lo, hi):
         block = scores.rows(lo, hi)
@@ -399,9 +397,5 @@ def seen_masked(scores: ScoreBlocks, train: Interactions) -> ScoreBlocks:
 
 
 def mask_seen(matrix: ScoreMatrix, train: Interactions) -> ScoreMatrix:
-    """Stamp train-seen cells with the MASKED sentinel in `matrix.values`
-    and return the same matrix; unseen cells are unchanged bit-for-bit and
-    masking is idempotent. Mask a copy to keep the original scores."""
-    _check_universe(matrix, train)
-    matrix.values[train.users, train.items] = MASKED
-    return matrix
+    """`seen_masked` of all of `matrix` as a new held matrix: a masked copy."""
+    return ScoreMatrix(seen_masked(matrix, train).rows(0, matrix.num_users), matrix.import_coverage)

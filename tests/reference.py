@@ -1,7 +1,7 @@
 """Per-user reference implementations of the fairness shift, of the exact
-re-ranker, of the one-λ oracle, of the list metrics, of the ALS half-step
-and of the split, and a top-k sorted without the solver, kept for the tests
-only.
+re-ranker, of the one-λ oracle, of the list metrics, of the ALS half-step,
+of seen-cell masking and of the split, and a top-k sorted without the
+solver, kept for the tests only.
 
 These are the straightforward one-user-at-a-time loops the vectorized
 library code replaced. The property tests in `test_vectorized.py` check
@@ -335,6 +335,15 @@ def mf_objective(train, user_factors, item_factors, cfg):
     conf[train.users, train.items] += cfg.confidence_alpha * train.weights
     loss = float(np.sum(conf * (pref - pred) ** 2))
     return loss + cfg.regularization * (float(np.sum(user_factors**2)) + float(np.sum(item_factors**2)))
+
+
+def mask_seen(values, train):
+    """A copy of `values` with each train pair's cell set to -inf, one pair
+    at a time."""
+    masked = values.copy()
+    for u, i in zip(train.users.tolist(), train.items.tolist()):
+        masked[u, i] = -math.inf
+    return masked
 
 
 def plain_topk(values, k):

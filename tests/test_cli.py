@@ -300,7 +300,8 @@ class TestRunCommand:
 
     def test_in_place_masking_matches_masking_a_copy(self, demo, tmp_path):
         # the run masks each block of users as the re-ranker reads it; the
-        # files must equal those from masking a held copy in place
+        # files must equal those from the masked copy of the whole held
+        # matrix that mask_seen returns
         config, base = demo
         cfg = load_config(config, {"scorer.names": "popularity,random", "output.dir": str(base / "direct")})
         result = run_experiment(cfg)
@@ -314,7 +315,7 @@ class TestRunCommand:
         ):
             export, _ = write_scores(tmp_path / f"scores_{name}.tsv", raw, ds)
             assert result.files[f"scores_{name}"].read_bytes() == export.read_bytes()
-            masked = mask_seen(ScoreMatrix(raw.values.copy()), triple.train)
+            masked = mask_seen(raw, triple.train)
             for lam, lists in zip(lambdas, rerank_path(masked, part, cfg.rerank, lambdas)):
                 expected, _ = write_lists(tmp_path / "l.tsv", lists, ds, part)
                 assert result.files[f"lists_{name}_lambda{lam:g}"].read_bytes() == expected.read_bytes()

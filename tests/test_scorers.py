@@ -10,7 +10,7 @@ from pytest import approx
 import fuzz_repr
 import reference
 from conftest import interactions, pair_set, raises_exactly
-from fairrerank import scorers
+from fairrerank import numtext, scorers
 from fairrerank.dataset import DataError, Interactions, build_dataset, parse_interactions, partition_popularity
 from fairrerank.rerank import RerankConfig, rerank_path
 from fairrerank.scorers import (
@@ -503,6 +503,28 @@ class TestReprFields:
         for layout in fuzz_repr.LAYOUTS:
             assert fuzz_repr.mismatches(np.array([value, -value]), layout) == [], layout
 
+    @pytest.mark.parametrize("values, layout, end, distinct", [
+        (np.ones(10000), "repr", "\n", 1),  # split weights
+        (np.tile(np.random.default_rng(3).standard_normal(3000), 2), ".10g", "\t", 3000),  # each list score twice
+    ], ids=["weights", "lists-at-lambda-0"])
+    def test_repeated_values_are_formatted_once(self, monkeypatch, values, layout, end, distinct):
+        formatted = []
+        original = numtext._format
+        monkeypatch.setattr(numtext, "_format", lambda x, *args: formatted.append(len(x)) or original(x, *args))
+        text = numtext.lines(numtext.float_fields(values, layout, end))
+        assert text == "".join(numtext._LAYOUTS[layout][3](v) + end for v in values.tolist()).encode()
+        assert sum(formatted) == distinct
+
+    def test_a_batch_of_distinct_values_is_not_sorted_whole(self, monkeypatch):
+        # the mf score export: a probe of 64 values finds no repeat
+        values = np.random.default_rng(5).random(numtext.LINES)
+        sorted_sizes = []
+        original = np.sort
+        monkeypatch.setattr(np, "sort", lambda x, *args: sorted_sizes.append(len(x)) or original(x, *args))
+        text = numtext.lines(numtext.float_fields(values))
+        assert text == "".join(repr(v) + "\n" for v in values.tolist()).encode()
+        assert sorted_sizes and max(sorted_sizes) <= 64
+
     def test_the_kernel_decides_ordinary_scores(self):
         # Python formats only what the kernel leaves undecided, so the
         # differential test alone would pass with every cell left to it
@@ -526,18 +548,19 @@ class TestMaskSeen:
         assert masked.values[unseen].tobytes() == original[unseen].tobytes()
         assert not unseen.all()
 
-    def test_masks_in_place_and_returns_the_same_matrix(self, tiny_train):
+    def test_returns_a_masked_copy_and_leaves_its_input_unchanged(self, tiny_train):
         scores = random_matrix(6, 5, seed=0)
-        values = scores.values
-        assert mask_seen(scores, tiny_train) is scores
-        assert scores.values is values
-        assert (values[tiny_train.users, tiny_train.items] == MASKED).all()
+        original = scores.values.copy()
+        masked = mask_seen(scores, tiny_train)
+        assert isinstance(masked, ScoreMatrix) and masked is not scores
+        assert not np.shares_memory(masked.values, scores.values)
+        assert scores.values.tobytes() == original.tobytes()
+        assert masked.values.tobytes() == reference.mask_seen(original, tiny_train).tobytes()
 
     def test_masking_is_idempotent(self, tiny_train):
-        scores = random_matrix(6, 5, seed=0)
-        once = mask_seen(scores, tiny_train).values.copy()
-        twice = mask_seen(scores, tiny_train)
-        assert twice.values.tobytes() == once.tobytes()
+        once = mask_seen(random_matrix(6, 5, seed=0), tiny_train)
+        twice = mask_seen(once, tiny_train)
+        assert twice.values.tobytes() == once.values.tobytes()
 
     def test_dimension_mismatch_rejected(self, tiny_train):
         with pytest.raises(ValueError):
@@ -614,7 +637,7 @@ class TestScoreBlocks:
     def test_pairs_given_out_of_user_order_mask_the_same_cells(self, tiny_train):
         # Interactions sorts them on construction
         reverse = Interactions(tiny_train.users[::-1], tiny_train.items[::-1], tiny_train.weights, 6, 5)
-        expected = mask_seen(random_matrix(6, 5, seed=0), tiny_train).values
+        expected = reference.mask_seen(random_blocks(6, 5, seed=0).rows(0, 6), tiny_train)
         source = seen_masked(random_blocks(6, 5, seed=0), reverse)
         assert np.concatenate([source.rows(lo, lo + 2) for lo in range(0, 6, 2)]).tobytes() == expected.tobytes()
         assert mask_seen(random_matrix(6, 5, seed=0), reverse).values.tobytes() == expected.tobytes()
@@ -624,7 +647,7 @@ class TestScoreBlocks:
         # tiny_train is sorted by user, as a split's train is
         source = seen_masked(random_blocks(6, 5, seed=0), tiny_train)
         rows = np.concatenate([source.rows(lo, lo + step) for lo in range(0, 6, step)])
-        assert rows.tobytes() == mask_seen(random_matrix(6, 5, seed=0), tiny_train).values.tobytes()
+        assert rows.tobytes() == reference.mask_seen(random_blocks(6, 5, seed=0).rows(0, 6), tiny_train).tobytes()
 
     def test_masking_and_export_leave_a_held_matrix_unchanged(self, tiny_train, tmp_path):
         # every block is the caller's own copy: seen_masked stamps that, and
@@ -666,7 +689,7 @@ class TestScoreMatrixValidation:
     @pytest.mark.parametrize("dtype", [np.float32, np.int64], ids=["float32", "int64"])
     def test_a_matrix_that_is_not_float64_is_rejected(self, dtype):
         # float32 of odd width failed in write_scores' int64 row view, and
-        # int64 in mask_seen's -inf stamp
+        # int64 in masking's -inf stamp
         raises_exactly(ValueError, f"score matrix must be float64, got {np.dtype(dtype)}",
                        lambda: ScoreMatrix(np.ones((2, 3), dtype=dtype)))
 
@@ -680,6 +703,17 @@ class TestScoreMatrixValidation:
         assert block.tobytes() == np.ascontiguousarray(values[1:]).tobytes()
         with pytest.raises(dataclasses.FrozenInstanceError):  # its blocks would still read the old values
             matrix.values = np.zeros((2, 3))
+
+    def test_held_values_are_read_only_and_blocks_are_writable_copies(self):
+        values = np.arange(6.0).reshape(2, 3)
+        matrix = ScoreMatrix(values)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.values[0, 0] = 0.0
+        values[0, 0] = 7.0  # the caller's own array stays writable
+        block = matrix.rows(0, 2)
+        assert block.flags.writeable and not np.shares_memory(block, values)
+        block[0, 0] = MASKED
+        assert matrix.values[0, 0] == 7.0
 
     def test_check_builds_no_matrix_sized_temporary(self):
         # 1000 x 1000 floats: an m x n bool mask alone is 1 MB
