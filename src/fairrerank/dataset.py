@@ -249,7 +249,7 @@ def split(
     profile is empty. Each pair gets one split label; a split is its pairs
     sorted by (user, item). Deterministic and byte-identical for a fixed seed.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(0 < r < math.inf for r in ratios):  # NaN fails too
         raise ValueError(f"ratios must be three positive numbers, got {ratios!r}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios!r}")

@@ -28,7 +28,6 @@ Formulas:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -89,16 +88,15 @@ def _novelty(items: np.ndarray, counts: np.ndarray, num_users: int) -> float:
     return float(np.mean(-np.log2(probed)))
 
 
-def _union_gram(point_items: list[np.ndarray], train: Interactions, num_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """The co-interaction Gram of the items any list set recommends (entry
-    [a, b]: the number of train users of both a and b), and each item's row
-    in it (-1 for the others). Each user's pairs of such items are added to
-    it in place, users grouped by how many such items they hold, at most
-    _PAIR_CODES pairs per block, so memory follows the union, not the
-    number of sets or users; the entries are exact integers."""
+def _union_gram(point_items: np.ndarray, train: Interactions, num_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """The co-interaction Gram of the items any set of a (points, m, k) grid
+    recommends (entry [a, b]: the number of train users of both a and b),
+    and each item's row in it (-1 for the others). Each user's pairs of such
+    items are added to it in place, users grouped by how many such items
+    they hold, at most _PAIR_CODES pairs per block, so memory follows the
+    union, not the number of sets or users; the entries are exact integers."""
     row_of = np.full(num_items, -1, dtype=np.int64)
-    for items in point_items:
-        row_of[items] = 0
+    row_of[point_items] = 0
     recommended = np.flatnonzero(row_of == 0)
     size = len(recommended)
     row_of[recommended] = np.arange(size)
@@ -221,26 +219,25 @@ def eval_context(test: Interactions, train: Interactions, part: PopularityPartit
                        top_count_mask(part.popularity_count, k), discounts, idcg, train, part, k)
 
 
-def evaluate(ctx: EvalContext, point_lists: Sequence[RecommendationLists]) -> list[EvaluationReport]:
+def evaluate(ctx: EvalContext, lists: RecommendationLists) -> list[EvaluationReport]:
     """Compute the full metric suite for each list set of a λ grid against a
-    context, one validated report per set: pass the sets rerank_path
-    returns, or [lists] and take [0] for one set. Lists longer than ctx.k
-    are cut to it. Diversity reads every set's item pairs from one Gram over
-    the union of the sets' items; every other metric comes from the set's
-    own m x k hit matrix and the context.
+    context, one validated report per point: pass the grid rerank_path
+    returns, or a single set as a grid of one point and take [0]. Lists
+    longer than ctx.k are cut to it. Diversity reads every set's item pairs
+    from one Gram over the union of the sets' items; every other metric
+    comes from the set's own m x k hit matrix and the context.
 
     evaluated_users counts the lists evaluated (all of them); accuracy
     metrics internally average over the subset of users with judgments.
     """
     k, part, users = ctx.k, ctx.part, len(ctx.judged_sizes)
-    for lists in point_lists:
-        if part.num_items != lists.num_items:
-            raise ValueError("partition length does not match lists")
-        if lists.num_users != users:
-            raise ValueError(f"lists cover {lists.num_users} users but the context has {users} judgment sets")
-        if lists.k < k:
-            raise ValueError(f"lists have {lists.k} entries but k={k} requested")
-    point_items = [lists.items[:, :k] for lists in point_lists]
+    if part.num_items != lists.num_items:
+        raise ValueError("partition length does not match lists")
+    if lists.num_users != users:
+        raise ValueError(f"lists cover {lists.num_users} users but the context has {users} judgment sets")
+    if lists.k < k:
+        raise ValueError(f"lists have {lists.k} entries but k={k} requested")
+    point_items = lists.items[..., :k]
     gram, row_of = _union_gram(point_items, ctx.train, part.num_items)
     reports = []
     for items in point_items:

@@ -222,10 +222,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     if "import" in cfg.scorers:
         inputs["import"] = sha256_file(cfg.import_path)
     files = _write_split(cfg, artifacts, out_dir, clock)
-    ds = artifacts.dataset
+    ds, part = artifacts.dataset, artifacts.partition
 
     triple = artifacts.split
-    ctx = clock.run("eval_context", eval_context, triple.test, triple.train, artifacts.partition, cfg.rerank.k)
+    ctx = clock.run("eval_context", eval_context, triple.test, triple.train, part, cfg.rerank.k)
     lambdas = cfg.rerank.lambda_grid
     rows: list[ReportRow] = []
 
@@ -237,14 +237,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             )
         if cfg.mask_seen:
             scores = seen_masked(scores, artifacts.split.train)
-        point_lists = clock.run(f"rerank[{name}]", rerank_path, scores, artifacts.partition, cfg.rerank, lambdas)
+        lists = clock.run(f"rerank[{name}]", rerank_path, scores, part, cfg.rerank, lambdas)
         del scores  # the lists carry their scores; the import matrix is not held while they are evaluated
-        reports = clock.run(f"evaluate[{name}]", evaluate, ctx, point_lists)
-        for lam, lists, report in zip(lambdas, point_lists, reports):
+        reports = clock.run(f"evaluate[{name}]", evaluate, ctx, lists)
+        for at, lam in enumerate(lambdas):
             label = lambda_label(lam)
-            rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=report))
+            rows.append(ReportRow(model=name, row_type="N" if lam == 0.0 else "P", lam=lam, report=reports[at]))
             path = out_dir / f"lists_{name}_lambda{label}.tsv"
-            files[path.stem] = clock.run(f"lists_file[{name},{label}]", write_lists, path, lists, ds, artifacts.partition)
+            files[path.stem] = clock.run(f"lists_file[{name},{label}]", write_lists, path, lists, at, ds, part)
 
     # all stages succeeded; now write the reports
     rows.sort(key=lambda row: cfg.scorers.index(row.model))  # stable: λ order within a scorer

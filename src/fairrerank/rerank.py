@@ -36,7 +36,7 @@ import numpy as np
 from .dataset import Dataset, Interactions, PopularityPartition
 from .numtext import LINES, float_fields, lines, text_fields
 from .scorers import ScoreBlocks, block_rows
-from .util import atomic_write_text
+from .util import atomic_write_text, check_integer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metrics import EvaluationReport
@@ -75,10 +75,8 @@ class RerankConfig:
     pool_size: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.pool_size < 0:
-            raise ValueError("pool_size must be >= 0")
+        check_integer("k", self.k, 1)
+        check_integer("pool_size", self.pool_size, 0)
         if self.pool_size and self.pool_size < self.k:
             raise ValueError("pool_size must be 0 (unlimited) or >= k")
         grid = tuple(g + 0.0 for g in self.lambda_grid)
@@ -99,25 +97,26 @@ def lambda_label(lam: float) -> str:
 
 @dataclass(frozen=True)
 class RecommendationLists:
-    """Per-user ordered top-K selections (item indices, display order)."""
+    """A λ grid's per-user top-K lists: items[at, u] is user u's at point
+    `at` (item indices, display order); one list set is `items[None]`."""
 
-    items: np.ndarray  # (num_users, k) int64
+    items: np.ndarray  # (points, num_users, k) int64
     num_items: int
-    objective: float | None = None
-    scores: np.ndarray | None = None  # the listed items' original scores, from the solver
+    objective: np.ndarray | None = None  # (points,) float64, from the solver
+    scores: np.ndarray | None = None  # the listed items' original scores, from the solver, shaped as items
     adjusted: np.ndarray | None = None  # and their fairness-adjusted scores
 
     def __post_init__(self):
-        if self.items.ndim != 2:
-            raise ValueError("lists must be a (num_users, k) array")
+        if self.items.ndim != 3:
+            raise ValueError("lists must be a (points, num_users, k) array")
 
     @property
     def num_users(self) -> int:
-        return int(self.items.shape[0])
+        return int(self.items.shape[-2])
 
     @property
     def k(self) -> int:
-        return int(self.items.shape[1])
+        return int(self.items.shape[-1])
 
 
 def _check_lists(items: np.ndarray, num_items: int, values: np.ndarray | None = None) -> None:
@@ -194,16 +193,16 @@ def _group_candidates(matrix: ScoreBlocks, part: PopularityPartition,
 
 
 def rerank_path(matrix: ScoreBlocks, part: PopularityPartition, cfg: RerankConfig,
-                lambdas: Sequence[float]) -> list[RecommendationLists]:
+                lambdas: Sequence[float]) -> RecommendationLists:
     """Solve the fairness-adjusted selection exactly at every λ in `lambdas`
     (cfg.lambda_grid is not read): per user, the k items with the largest
     adjusted scores. The per-group candidates are picked once, in one pass
     over the score blocks (step 1) and put in tie order; each λ then
     stable-sorts only those by adjusted score (step 2), as many λ points
-    per sort as fit in a block of cells. Returns one
-    display-ordered list set per λ, with the listed items' original and
-    adjusted scores and the objective (the selected adjusted scores, summed
-    per user in ascending item order and added user by user)."""
+    per sort as fit in a block of cells. Returns one grid, point `at` for
+    lambdas[at], with the listed items' original and adjusted scores and
+    each point's objective (the selected adjusted scores, summed per user
+    in ascending item order and added user by user)."""
     shifts = _fairness_shifts(matrix, part, lambdas, cfg.per_user_lambda)
     m, n = matrix.num_users, matrix.num_items
     if cfg.k > n:
@@ -213,39 +212,36 @@ def rerank_path(matrix: ScoreBlocks, part: PopularityPartition, cfg: RerankConfi
     # tie order, once: original score descending, then lower index
     order = np.lexsort((cand, -original), axis=-1)
     cand, original = cand[rows, order], original[rows, order]
-    out: list[RecommendationLists] = []
+    items = np.empty((len(shifts), m, cfg.k), dtype=np.int64)
+    scores, adjusted, objective = np.empty(items.shape), np.empty(items.shape), np.empty(len(shifts))
     step = block_rows(cand.size)  # λ points per sort
     for lo in range(0, len(shifts), step):
         with np.errstate(over="ignore"):  # a cell past the float maximum fails below, naming itself
-            adjusted = original + shifts[lo : lo + step, cand]
-        at = np.arange(len(adjusted))[:, None, None]
+            block = original + shifts[lo : lo + step, cand]
+        at, hi = np.arange(len(block))[:, None, None], lo + len(block)
         # a stable sort keeps tie order, so the first k picks in position
         # order are display order
-        pick = np.sort(np.argsort(-adjusted, axis=-1, kind="stable")[..., : cfg.k], axis=-1)
-        top, top_original, top_adjusted = cand[rows, pick], original[rows, pick], adjusted[at, rows, pick]
-        infeasible = ~np.isfinite(top_adjusted).all(axis=-1)
+        pick = np.sort(np.argsort(-block, axis=-1, kind="stable")[..., : cfg.k], axis=-1)
+        items[lo:hi], scores[lo:hi], adjusted[lo:hi] = cand[rows, pick], original[rows, pick], block[at, rows, pick]
+        infeasible = ~np.isfinite(adjusted[lo:hi]).all(axis=-1)
         if infeasible.any():
             # a +inf adjusted score is always picked; otherwise an infeasible
             # user has fewer than k finite pooled cells in each group, so the
             # candidates hold all of them
             point, u = np.unravel_index(np.argmax(infeasible), infeasible.shape)
-            over = np.flatnonzero(np.isposinf(adjusted[point, u]))
+            over = np.flatnonzero(np.isposinf(block[point, u]))
             if len(over):
                 raise ValueError(f"lam={lambdas[lo + point]!r} shifts user {u}'s score {float(original[u, over[0]])!r} "
                                  f"of item {cand[u, over[0]]} past the float maximum")
-            selectable = int(np.count_nonzero(np.isfinite(adjusted[point, u])))
+            selectable = int(np.count_nonzero(np.isfinite(block[point, u])))
             raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
-        _check_lists(top, n)  # a finite adjusted score has a finite original
         # canonical ascending-index summation keeps the objective reproducible;
         # a λ near the float maximum sums to ±inf (or NaN) without a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = top_adjusted[at, rows, np.argsort(top, axis=-1)].sum(axis=-1)
-            totals = np.cumsum(np.concatenate((np.zeros((len(adjusted), 1)), sums), axis=1), axis=1)[:, -1]
-        out += [
-            RecommendationLists(top[i], n, float(totals[i]), scores=top_original[i], adjusted=top_adjusted[i])
-            for i in range(len(adjusted))
-        ]
-    return out
+            sums = adjusted[lo:hi][at, rows, np.argsort(items[lo:hi], axis=-1)].sum(axis=-1)
+            objective[lo:hi] = np.cumsum(np.concatenate((np.zeros((len(block), 1)), sums), axis=1), axis=1)[:, -1]
+    _check_lists(items, n)  # a finite adjusted score has a finite original
+    return RecommendationLists(items, n, objective, scores, adjusted)
 
 
 @functools.cache
@@ -254,7 +250,7 @@ def _combinations(count: int, k: int) -> np.ndarray:
 
 
 def rerank_oracle(matrix: ScoreBlocks, part: PopularityPartition, cfg: RerankConfig,
-                  lambdas: Sequence[float]) -> list[RecommendationLists]:
+                  lambdas: Sequence[float]) -> RecommendationLists:
     """Reference solver at every λ in `lambdas` (cfg.lambda_grid is not
     read) by exhaustive enumeration of every k-subset per user.
 
@@ -263,10 +259,10 @@ def rerank_oracle(matrix: ScoreBlocks, part: PopularityPartition, cfg: RerankCon
     stay finite after that λ's shift. Subset sums are refined with exact
     (correctly rounded) summation before comparison, and ties are resolved
     toward the subset whose items come first in the documented selection
-    order, so a correct exact solver must match it set-for-set. Returns one
-    display-ordered list set per λ with its objective, as `rerank_path`
-    does; on bad input it raises what the first failing λ would raise. It
-    reads all users as one block, `matrix.rows(0, m)`.
+    order, so a correct exact solver must match it set-for-set. Returns the
+    grid and its objectives as `rerank_path` does, without the scores; on
+    bad input it raises what the first failing λ would raise. It reads all
+    users as one block, `matrix.rows(0, m)`.
     """
     shifts = _fairness_shifts(matrix, part, lambdas, cfg.per_user_lambda)
     m, n = matrix.num_users, matrix.num_items
@@ -307,7 +303,7 @@ def rerank_oracle(matrix: ScoreBlocks, part: PopularityPartition, cfg: RerankCon
     users = np.arange(m)[:, None]
     items = items[np.arange(len(shifts))[:, None, None], users, np.lexsort((items, -values[users, items]), axis=-1)]
     _check_lists(items, n, values)
-    return [RecommendationLists(items[at], n, math.fsum(terms[at].tolist())) for at in range(len(shifts))]
+    return RecommendationLists(items, n, np.array([math.fsum(point) for point in terms.tolist()]))
 
 
 def _best_subsets(
@@ -349,17 +345,17 @@ def lambda_sweep(matrix: ScoreBlocks, part: PopularityPartition, cfg: RerankConf
     return list(zip(cfg.lambda_grid, evaluate(eval_context(test, train, part, cfg.k), lists)))
 
 
-def write_lists(path: Path | str, lists: RecommendationLists, ds: Dataset,
+def write_lists(path: Path | str, lists: RecommendationLists, at: int, ds: Dataset,
                 part: PopularityPartition) -> tuple[Path, str]:
-    """Write per-user list lines:
+    """Write the per-user list lines of the grid's point `at`:
     user_key<TAB>rank<TAB>item_key<TAB>original_score<TAB>adjusted_score<TAB>{short|long},
     the two scores in `.10g` as the solver kept them on `lists` (at λ = 0
     the adjusted score is the original, bit for bit, so -0.0 stays), LINES
     lines at a time (`numtext`). Returns the path and digest."""
     if lists.scores is None or lists.adjusted is None:
         raise ValueError("lists carry no scores; write the lists rerank_path returns")
-    flat, k, size = lists.items.ravel(), lists.k, lists.items.size
-    cells = float_fields(np.concatenate((lists.scores.ravel(), lists.adjusted.ravel())), ".10g", "\t")
+    flat, k, size = lists.items[at].ravel(), lists.k, lists.items[at].size
+    cells = float_fields(np.concatenate((lists.scores[at].ravel(), lists.adjusted[at].ravel())), ".10g", "\t")
     users, ranks = text_fields(ds.user_keys[: lists.num_users]), text_fields(map(str, range(1, k + 1)))
     items, groups = text_fields(ds.item_keys), text_fields(("long", "short"), "\n")
 

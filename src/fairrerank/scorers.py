@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataset import DataError, Dataset, Interactions, distinct_user_counts
 from .numtext import LINES, float_fields, lines, text_fields
-from .util import atomic_write_text
+from .util import atomic_write_text, check_integer
 
 __all__ = [
     "MASKED",
@@ -123,12 +123,11 @@ class MFConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
+        check_integer("latent_dim", self.latent_dim, 1)
+        check_integer("iterations", self.iterations, 0)
+        check_integer("seed", self.seed, 0)
         if not 0 < self.regularization < math.inf:  # NaN fails too
             raise ValueError("regularization must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
         if not 0 < self.confidence_alpha < math.inf:
             raise ValueError("confidence_alpha must be positive")
 

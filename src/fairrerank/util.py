@@ -1,8 +1,9 @@
-"""Small shared helpers: atomic file writes and content hashing."""
+"""Small shared helpers: atomic file writes, content hashing, integer checks."""
 
 from __future__ import annotations
 
 import hashlib
+import numbers
 import os
 from pathlib import Path
 from typing import Iterable
@@ -41,3 +42,10 @@ def sha256_file(path: Path | str) -> str:
             digest.update(chunk)
     return digest.hexdigest()
 
+
+def check_integer(name: str, value, low: int) -> None:
+    """Raise ValueError unless `value` is an integer (a numpy one too) >= low."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")

@@ -62,10 +62,10 @@ def _check_oracle_equivalence(count: int, seed: int):
         cfg = RerankConfig(k=inst.k)
         path = rerank_path(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID)
         oracle = rerank_oracle(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID)
-        gaps = [abs(fast.objective - slow.objective) for fast, slow in zip(path, oracle)]
-        fast_sets, slow_sets = (np.sort([lists.items for lists in sets], axis=-1) for sets in (path, oracle))
+        gaps = np.abs(path.objective - oracle.objective)
+        fast_sets, slow_sets = np.sort(path.items, axis=-1), np.sort(oracle.items, axis=-1)
         differ = (fast_sets != slow_sets).any(axis=-1)
-        bad = (np.array(gaps) > 1e-9) | differ.any(axis=-1)
+        bad = (gaps > 1e-9) | differ.any(axis=-1)
         if bad.any():
             at = int(np.argmax(bad))
             lam = DEFAULT_LAMBDA_GRID[at]
@@ -74,11 +74,11 @@ def _check_oracle_equivalence(count: int, seed: int):
             u = int(np.argmax(differ[at]))
             sets = f"{fast_sets[at, u].tolist()} vs {slow_sets[at, u].tolist()}"
             return False, f"instance {idx} lambda={lam:g} user {u}: sets differ {sets}"
-        # the grid starts at 0, so path[0] is the lambda = 0 selection; the
+        # the grid starts at 0, so point 0 is the lambda = 0 selection; the
         # plain top-k is sorted here, independently of the solver
         values = inst.scores.values
         plain = np.lexsort((np.broadcast_to(np.arange(values.shape[1]), values.shape), -values), axis=1)[:, : inst.k]
-        if not np.array_equal(path[0].items, plain):
+        if not np.array_equal(path.items[0], plain):
             return False, f"instance {idx}: lambda=0 selection differs from plain top-k"
     return True, f"{count} instances x {len(DEFAULT_LAMBDA_GRID)} lambdas ({count * len(DEFAULT_LAMBDA_GRID)} comparisons)"
 
@@ -88,29 +88,28 @@ def _check_monotone_exposure(count: int, seed: int):
     """Short-head selections never increase along an ascending lambda grid,
     per user and hence in aggregate, and the fairness gap never increases;
     past num_users * score range the short-head count is exactly zero and
-    the gap is exactly -k."""
+    the gap is exactly -k. Checks a grid whole; names its first bad lambda."""
     for idx, inst in enumerate(_instances(count, seed)):
         m, k = inst.scores.num_users, inst.k
-        previous_user_short = previous_gap = None
         lambdas = (*DEFAULT_LAMBDA_GRID, inst.saturating_lambda)
-        *path, saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), lambdas)
-        for lam, lists in zip(DEFAULT_LAMBDA_GRID, path):
-            user_short = inst.part.short_head[lists.items].sum(axis=1)
-            gap = (2 * int(user_short.sum()) - lists.items.size) / m  # short minus long slots, per user
-            if lists.items.size != m * k:
-                return False, f"instance {idx} lambda={lam:g}: exposure identity violated"
-            if not -k <= gap <= k:
-                return False, f"instance {idx} lambda={lam:g}: gap {gap} out of bounds"
-            if previous_user_short is not None and np.any(user_short > previous_user_short):
-                worst = int(np.argmax(user_short - previous_user_short))
-                rise = f"{int(previous_user_short[worst])} -> {int(user_short[worst])}"
-                return False, f"instance {idx} lambda={lam:g}: user {worst} short count rose {rise}"
-            if previous_gap is not None and gap > previous_gap + 1e-12:
-                return False, f"instance {idx} lambda={lam:g}: gap rose {previous_gap} -> {gap}"
-            previous_user_short = user_short
-            previous_gap = gap
-        sat_short = int(inst.part.short_head[saturated.items].sum())
-        sat_gap = (2 * sat_short - saturated.items.size) / m
+        items = rerank_path(inst.scores, inst.part, RerankConfig(k=k), lambdas).items
+        if items[0].size != m * k:  # every point has the width of the first
+            return False, f"instance {idx} lambda={DEFAULT_LAMBDA_GRID[0]:g}: exposure identity violated"
+        user_short = inst.part.short_head[items].sum(axis=-1)  # (points, m)
+        short, sat_short = user_short[:-1], int(user_short[-1].sum())
+        gaps = (2 * short.sum(axis=1) - m * k) / m  # short minus long slots, per user
+        rises, out = np.diff(short, axis=0, prepend=short[:1]), np.abs(gaps) > k
+        bad = out | (rises > 0).any(axis=1) | np.append(False, gaps[1:] > gaps[:-1] + 1e-12)
+        if bad.any():
+            at = int(np.argmax(bad))
+            where = f"instance {idx} lambda={DEFAULT_LAMBDA_GRID[at]:g}"
+            if out[at]:
+                return False, f"{where}: gap {gaps[at]} out of bounds"
+            if rises[at].max() > 0:
+                worst = int(np.argmax(rises[at]))
+                return False, f"{where}: user {worst} short count rose {short[at - 1, worst]} -> {short[at, worst]}"
+            return False, f"{where}: gap rose {gaps[at - 1]} -> {gaps[at]}"
+        sat_gap = (2 * sat_short - items[-1].size) / m
         if sat_short != 0 or sat_gap != -k:
             return False, f"instance {idx}: saturation failed (short={sat_short}, gap={sat_gap})"
     return True, f"{count} instances, per-user"
@@ -146,7 +145,7 @@ def _random_evaluation(rng: np.random.Generator):
     judged = [np.sort(rng.choice(n, size=int(rng.integers(1, 4)), replace=False)) for _ in range(m)]
     sizes = [len(items) for items in judged]
     test = Interactions(np.repeat(np.arange(m), sizes), np.concatenate(judged), np.ones(sum(sizes)), m, n)
-    return RecommendationLists(items=lists.astype(np.int64), num_items=n), test, train, part, k
+    return RecommendationLists(items=lists.astype(np.int64)[None], num_items=n), test, train, part, k
 
 
 @_check("metric_bounds")
@@ -157,7 +156,7 @@ def _check_metric_bounds(count: int, seed: int):
     for idx in range(count):
         lists, test, train, part, k = _random_evaluation(rng)
         try:
-            report = evaluate(eval_context(test, train, part, k), [lists])[0]
+            report = evaluate(eval_context(test, train, part, k), lists)[0]
         except ValueError as exc:
             return False, f"evaluation {idx}: {exc}"
         if not math.isfinite(report.novelty):

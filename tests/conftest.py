@@ -37,27 +37,27 @@ def pair_set(inter):
 
 
 def evaluated(lists, judgments=None, train=None, part=None, k=None):
-    """The report `evaluate(eval_context(...), [lists])[0]` gives for one
-    list set. The inputs a caller leaves out get defaults that the metric
-    under test does not read: each user judges their first listed item, the
-    train split is empty over the partition's catalog, every item is
-    long-tail (a partition of the train split, as `eval_context` needs), and
-    k is the list length; the judgments become a test split over the train
-    split's items. A one-user set is scored as one copy per train user (two
+    """The report `evaluate(eval_context(...), lists)[0]` gives for one list
+    set, a grid of one point. The inputs a caller leaves out get defaults
+    that the metric under test does not read: each user judges their first
+    listed item, the train split is empty over the partition's catalog,
+    every item is long-tail (a partition of the train split, as
+    `eval_context` needs), and k is the list length; the judgments become a
+    test split over the train split's items. A one-user set is scored as one copy per train user (two
     without a train: personalization compares pairs of lists), which leaves
     every mean unchanged."""
     if lists.num_users == 1:
         copies = 2 if train is None else train.num_users
-        lists = RecommendationLists(items=np.repeat(lists.items, copies, axis=0), num_items=lists.num_items)
+        lists = RecommendationLists(items=np.repeat(lists.items, copies, axis=1), num_items=lists.num_items)
         judgments = None if judgments is None else judgments * copies
     if judgments is None:
-        judgments = [{item} for item in lists.items[:, 0].tolist()]
+        judgments = [{item} for item in lists.items[0, :, 0].tolist()]
     if train is None:
         train = interactions([], lists.num_users, lists.num_items if part is None else part.num_items)
     if part is None:
         part = make_partition([False] * train.num_items, train)
     test = judged_split(judgments, train.num_items)
-    return evaluate(eval_context(test, train, part, lists.k if k is None else k), [lists])[0]
+    return evaluate(eval_context(test, train, part, lists.k if k is None else k), lists)[0]
 
 
 @pytest.fixture

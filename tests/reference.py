@@ -1,5 +1,6 @@
 """Per-user reference implementations of the fairness shift, of the exact
-re-ranker, of the one-λ oracle, of the list metrics, of the ALS half-step,
+re-ranker and of the one-λ oracle (each returning a grid of one point), of
+the list metrics of one list set (an (m, k) array), of the ALS half-step,
 of seen-cell masking and of the split, and a top-k sorted without the
 solver, kept for the tests only.
 
@@ -78,7 +79,7 @@ def rerank_exact(matrix, part, cfg, lam, tie_break="default"):
             raise ValueError(f"user {u} has only {selectable} selectable items; need {cfg.k}")
         objective += float(np.sum(s_row[np.sort(top)]))
         out[u] = top[np.lexsort((top, -r_row[top]))]
-    return RecommendationLists(items=out, num_items=n, objective=objective)
+    return RecommendationLists(items=out[None], num_items=n, objective=np.array([objective]))
 
 
 def rerank_oracle(matrix, part, cfg, lam):
@@ -116,15 +117,23 @@ def rerank_oracle(matrix, part, cfg, lam):
             )
         objective_terms.append(best_sum)
         out[u] = chosen[np.lexsort((chosen, -r_row[chosen]))]
-    lists = RecommendationLists(items=out, num_items=n, objective=math.fsum(objective_terms))
     _check_lists(out, n, matrix.values)
-    return lists
+    return RecommendationLists(items=out[None], num_items=n, objective=np.array([math.fsum(objective_terms)]))
 
 
-def precision_recall_at_k(lists, judgments, k):
-    items = lists.items[:, :k]
+def stacked(grids):
+    """One grid of the points of the given grids, in order, with their
+    objectives when every grid has them: per-λ reference lists as the
+    library's solvers return them."""
+    objectives = [grid.objective for grid in grids]
+    return RecommendationLists(items=np.concatenate([grid.items for grid in grids]), num_items=grids[0].num_items,
+                               objective=None if any(o is None for o in objectives) else np.concatenate(objectives))
+
+
+def precision_recall_at_k(items, judgments, k):
+    items = items[:, :k]
     precisions, recalls = [], []
-    for u in range(lists.num_users):
+    for u in range(len(items)):
         judged = judgments[u]
         if not judged:
             continue
@@ -136,11 +145,11 @@ def precision_recall_at_k(lists, judgments, k):
     return float(np.mean(precisions)), float(np.mean(recalls))
 
 
-def ndcg_at_k(lists, judgments, k):
-    items = lists.items[:, :k]
+def ndcg_at_k(items, judgments, k):
+    items = items[:, :k]
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     scores = []
-    for u in range(lists.num_users):
+    for u in range(len(items)):
         judged = judgments[u]
         if not judged:
             continue
@@ -161,23 +170,23 @@ def user_counts(train, num_items):
     return incidence.sum(axis=1)
 
 
-def novelty(lists, train, num_users):
-    counts = user_counts(train, lists.num_items)
-    probed = np.maximum(counts[lists.items.ravel()], 1) / float(num_users)
+def novelty(items, train, num_users):
+    counts = user_counts(train, train.num_items)
+    probed = np.maximum(counts[items.ravel()], 1) / float(num_users)
     return float(np.mean(-np.log2(probed)))
 
 
-def diversity(lists, train):
-    item_user = np.zeros((lists.num_items, train.num_users), dtype=np.float64)
+def diversity(items, train):
+    item_user = np.zeros((train.num_items, train.num_users), dtype=np.float64)
     item_user[train.items, train.users] = 1.0
     norm_sq = item_user.sum(axis=1)
     per_user = []
-    k = lists.k
+    k = items.shape[1]
     pair_count = k * (k - 1) / 2
-    for u in range(lists.num_users):
-        vectors = item_user[lists.items[u]]
+    for u in range(len(items)):
+        vectors = item_user[items[u]]
         gram = vectors @ vectors.T
-        denom = np.sqrt(np.outer(norm_sq[lists.items[u]], norm_sq[lists.items[u]]))
+        denom = np.sqrt(np.outer(norm_sq[items[u]], norm_sq[items[u]]))
         sim = np.where(denom > 0, gram / np.where(denom > 0, denom, 1.0), 0.0)
         upper = sim[np.triu_indices(k, 1)]
         per_user.append(1.0 - float(upper.sum()) / pair_count)
@@ -185,44 +194,42 @@ def diversity(lists, train):
 
 
 def union_gram(point_items, train, num_items):
-    """The co-interaction Gram over the items any set lists, from a dense
-    items x users 0/1 incidence and one product: entry [a, b] counts the
-    train users of both a and b. Returns it and the listed items, in the
-    order of its rows."""
-    recommended = np.unique(np.concatenate([items.ravel() for items in point_items]))
+    """The co-interaction Gram over the items any set of a (points, m, k)
+    grid lists, from a dense items x users 0/1 incidence and one product:
+    entry [a, b] counts the train users of both a and b. Returns it and the
+    listed items, in the order of its rows."""
+    recommended = np.unique(point_items)
     incidence = np.zeros((num_items, train.num_users), dtype=np.float64)
     incidence[train.items, train.users] = 1.0
     vectors = incidence[recommended]
     return vectors @ vectors.T, recommended
 
 
-def coverage(lists, num_items):
-    return len(np.unique(lists.items)) / num_items
+def coverage(items, num_items):
+    return len(np.unique(items)) / num_items
 
 
-def personalization_exact(lists):
-    m, k = lists.num_users, lists.k
-    counts = np.bincount(lists.items.ravel(), minlength=lists.num_items)
+def personalization_exact(items, num_items):
+    m, k = items.shape
+    counts = np.bincount(items.ravel(), minlength=num_items)
     inter_total = float(np.sum(counts * (counts - 1) // 2))
     return 1.0 - inter_total / (m * (m - 1) / 2 * k)
 
 
-def serendipity(lists, train, k):
-    items = lists.items[:, :k]
-    counts = user_counts(train, lists.num_items)
-    order = np.lexsort((np.arange(lists.num_items), -counts))
+def serendipity(items, train, k):
+    items = items[:, :k]
+    counts = user_counts(train, train.num_items)
+    order = np.lexsort((np.arange(train.num_items), -counts))
     primitive = set(order[:k].tolist())
-    per_user = [
-        sum(1 for item in items[u].tolist() if item not in primitive) / k for u in range(lists.num_users)
-    ]
+    per_user = [sum(1 for item in items[u].tolist() if item not in primitive) / k for u in range(len(items))]
     return float(np.mean(per_user))
 
 
-def exposure_counts(lists, judgments, part):
+def exposure_counts(items, judgments, part):
     short_count = long_count = rel_short = rel_long = 0
-    for u in range(lists.num_users):
+    for u in range(len(items)):
         judged = judgments[u]
-        for item in lists.items[u].tolist():
+        for item in items[u].tolist():
             if part.short_head[item]:
                 short_count += 1
                 rel_short += item in judged
@@ -232,34 +239,36 @@ def exposure_counts(lists, judgments, part):
     return short_count, rel_short, long_count, rel_long
 
 
-def fairness_gap(lists, part):
-    """The lists' short-head and long-tail slot counts, and the gap: their
-    difference per user (0 is equal exposure, k all-short-head lists)."""
-    short_count, _, long_count, _ = exposure_counts(lists, [set()] * lists.num_users, part)
-    return short_count, long_count, (short_count - long_count) / lists.num_users
+def fairness_gap(items, part):
+    """One list set's short-head and long-tail slot counts, and the gap:
+    their difference per user (0 is equal exposure, k all-short-head
+    lists)."""
+    short_count, _, long_count, _ = exposure_counts(items, [set()] * len(items), part)
+    return short_count, long_count, (short_count - long_count) / len(items)
 
 
-def evaluate_all(lists, judgments, train, part, k):
-    if lists.k > k:
-        lists = RecommendationLists(items=lists.items[:, :k].copy(), num_items=lists.num_items)
-    precision, recall = precision_recall_at_k(lists, judgments, k)
-    short_count, rel_short, long_count, rel_long = exposure_counts(lists, judgments, part)
+def evaluate_all(items, judgments, train, part, k):
+    """Every report field of one (m, k') list set, k' >= k, over the
+    catalog of `train` and `part`."""
+    items = items[:, :k].copy()
+    precision, recall = precision_recall_at_k(items, judgments, k)
+    short_count, rel_short, long_count, rel_long = exposure_counts(items, judgments, part)
     return EvaluationReport(
-        ndcg=ndcg_at_k(lists, judgments, k),
+        ndcg=ndcg_at_k(items, judgments, k),
         precision=precision,
         recall=recall,
-        novelty=novelty(lists, train, train.num_users),
-        diversity=diversity(lists, train),
-        coverage=coverage(lists, part.num_items),
-        personalization=personalization_exact(lists),
-        serendipity=serendipity(lists, train, k),
+        novelty=novelty(items, train, train.num_users),
+        diversity=diversity(items, train),
+        coverage=coverage(items, part.num_items),
+        personalization=personalization_exact(items, part.num_items),
+        serendipity=serendipity(items, train, k),
         short_count=short_count,
         rel_short=rel_short,
         long_count=long_count,
         rel_long=rel_long,
-        fairness_gap=(short_count - long_count) / lists.num_users,
+        fairness_gap=(short_count - long_count) / len(items),
         k=k,
-        evaluated_users=lists.num_users,
+        evaluated_users=len(items),
     )
 
 

@@ -35,11 +35,11 @@ def test_c1_oracle_equivalence_within_budget():
         cfg = RerankConfig(k=inst.k)
         path = rerank_path(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID)
         oracle = rerank_oracle(inst.scores, inst.part, cfg, DEFAULT_LAMBDA_GRID)
-        assert len(path) == len(oracle) == len(DEFAULT_LAMBDA_GRID)
-        for fast, slow in zip(path, oracle):
-            assert abs(fast.objective - slow.objective) <= 1e-9
-            for u in range(fast.num_users):
-                assert set(fast.items[u].tolist()) == set(slow.items[u].tolist())
+        assert len(path.items) == len(oracle.items) == len(DEFAULT_LAMBDA_GRID)
+        for at in range(len(DEFAULT_LAMBDA_GRID)):
+            assert abs(path.objective[at] - oracle.objective[at]) <= 1e-9
+            for u in range(path.num_users):
+                assert set(path.items[at, u].tolist()) == set(oracle.items[at, u].tolist())
             comparisons += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -51,8 +51,8 @@ def test_c2_lambda_zero_identity():
     rng = np.random.default_rng(BATTERY_SEED + 1)
     for index in range(ORACLE_INSTANCES):
         inst = random_rerank_instance(rng, quantized=(index % 2 == 1))
-        fair = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))[0]
-        assert np.array_equal(fair.items, reference.plain_topk(inst.scores.values, inst.k))
+        fair = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))
+        assert np.array_equal(fair.items[0], reference.plain_topk(inst.scores.values, inst.k))
     print(f"C2 lambda-zero identity: PASS ({ORACLE_INSTANCES} instances)")
 
 
@@ -65,10 +65,10 @@ def test_c3_monotone_exposure_and_saturation():
         m, k = inst.scores.num_users, inst.k
         shorts, gaps = [], []
         lambdas = (*DEFAULT_LAMBDA_GRID, inst.saturating_lambda)
-        *path, saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), lambdas)
+        *path, saturated = rerank_path(inst.scores, inst.part, RerankConfig(k=k), lambdas).items
         assert len(path) == len(DEFAULT_LAMBDA_GRID)
-        for lists in path:
-            short_count, _, gap = reference.fairness_gap(lists, inst.part)
+        for items in path:
+            short_count, _, gap = reference.fairness_gap(items, inst.part)
             shorts.append(short_count)
             gaps.append(gap)
         assert all(b <= a for a, b in zip(shorts, shorts[1:]))
@@ -97,8 +97,8 @@ def test_c5_exposure_identity():
     rng = np.random.default_rng(BATTERY_SEED + 3)
     for _ in range(50):
         inst = random_rerank_instance(rng)
-        lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (float(rng.random() * 2),))[0]
-        short_count, long_count, _ = reference.fairness_gap(lists, inst.part)
+        lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (float(rng.random() * 2),))
+        short_count, long_count, _ = reference.fairness_gap(lists.items[0], inst.part)
         assert short_count + long_count == lists.num_users * inst.k
     print("C5 exposure identity: PASS (50 runs + reference arithmetic)")
 
@@ -106,10 +106,10 @@ def test_c5_exposure_identity():
 def test_c6_metric_golden_values():
     """NDCG closed-form check at rank 2, the precision/recall hand case, and
     bounded metrics staying in [0, 1] over 100 random evaluations."""
-    lists = RecommendationLists(items=np.array([[0, 3, 1]], dtype=np.int64), num_items=5)
+    lists = RecommendationLists(items=np.array([[[0, 3, 1]]], dtype=np.int64), num_items=5)
     assert evaluated(lists, [{3}], k=3).ndcg == approx(1.0 / math.log2(3), abs=1e-12)
 
-    ten = RecommendationLists(items=np.arange(10, dtype=np.int64).reshape(1, 10), num_items=20)
+    ten = RecommendationLists(items=np.arange(10, dtype=np.int64).reshape(1, 1, 10), num_items=20)
     report = evaluated(ten, [{0, 1, 15, 16}], k=10)
     assert report.precision == approx(0.2)
     assert report.recall == approx(0.5)
@@ -133,7 +133,7 @@ def test_c7_desk_scale_trend_reproduction():
     ctx = eval_context(triple.test, triple.train, part, 10)
 
     def run(lam):
-        return evaluate(ctx, [rerank_path(scores, part, RerankConfig(k=10), (lam,))[0]])[0]
+        return evaluate(ctx, rerank_path(scores, part, RerankConfig(k=10), (lam,)))[0]
 
     base = run(0.0)
     witnesses = []
@@ -194,9 +194,9 @@ def _battery_on_reference(monkeypatch, tie_break):
     monkeypatch.setattr(
         verify,
         "rerank_path",
-        lambda matrix, part, cfg, lambdas: [
-            reference.rerank_exact(matrix, part, cfg, lam, tie_break) for lam in lambdas
-        ],
+        lambda matrix, part, cfg, lambdas: reference.stacked(
+            [reference.rerank_exact(matrix, part, cfg, lam, tie_break) for lam in lambdas]
+        ),
     )
     outcomes = run_battery(instances=40, seed=BATTERY_SEED)
     return next(o for o in outcomes if o.name == "oracle_equivalence")
@@ -207,6 +207,7 @@ def test_battery_mutation_hook_detects_inverted_tie_break(monkeypatch):
     deliberately inverted (development mutation check)."""
     equivalence = _battery_on_reference(monkeypatch, "inverted")
     assert not equivalence.passed
+    assert equivalence.detail == "instance 1 lambda=0.1 user 2: sets differ [2, 3] vs [3, 6]"
     print(f"battery mutation hook: PASS (inverted tie-break caught: {equivalence.detail})")
 
 
@@ -216,3 +217,58 @@ def test_battery_passes_the_reference_under_the_default_tie_break(monkeypatch):
     equivalence = _battery_on_reference(monkeypatch, "default")
     assert equivalence.passed, equivalence.detail
     print(f"battery mutation control: PASS (default tie-break on the reference: {equivalence.detail})")
+
+
+def _grid(points, num_items):
+    """The solver result for per-point list arrays, as `rerank_path` returns it."""
+    return RecommendationLists(items=np.stack(points), num_items=num_items)
+
+
+def _all_long_tail_solver(tamper):
+    """A stand-in for `rerank_path` that lists every user's first k
+    long-tail items at every λ point, each point's lists then changed by
+    `tamper(items, short_items, at, points)`; the saturating λ is the last
+    point."""
+
+    def solver(matrix, part, cfg, lambdas):
+        short, long = np.flatnonzero(part.short_head), np.flatnonzero(~part.short_head)
+        points = [tamper(np.tile(long[: cfg.k], (matrix.num_users, 1)), short, at, len(lambdas))
+                  for at in range(len(lambdas))]
+        return _grid(points, matrix.num_items)
+
+    return solver
+
+
+def _rise(items, short, at, points):
+    if at == 3:  # λ = 0.3: the last user takes a short-head item
+        items[-1, -1] = short[0]
+    return items
+
+
+def _short_at_saturation(items, short, at, points):
+    if at == points - 1:
+        items[0, -1] = short[0]
+    return items
+
+
+def _one_too_wide(items, short, at, points):
+    return np.concatenate((items, items[:, :1]), axis=1)
+
+
+@pytest.mark.parametrize(
+    "tamper, passed, detail",
+    [
+        (lambda items, *_: items, True, "25 instances, per-user"),
+        (_rise, False, "instance 0 lambda=0.3: user 2 short count rose 0 -> 1"),
+        (_short_at_saturation, False, "instance 0: saturation failed (short=1, gap=-0.3333333333333333)"),
+        (_one_too_wide, False, "instance 0 lambda=0: exposure identity violated"),
+    ],
+    ids=["control", "user-rise", "saturation", "width"],
+)
+def test_monotone_exposure_names_the_rule_a_solver_breaks(monkeypatch, tamper, passed, detail):
+    """The battery's monotone_exposure check, on a solver that breaks one of
+    its rules at a known point of the first instance (3 users, k = 1),
+    reports that rule, that λ and that user."""
+    monkeypatch.setattr(verify, "rerank_path", _all_long_tail_solver(tamper))
+    outcome = verify._check_monotone_exposure(25, BATTERY_SEED + 1)
+    assert (outcome.passed, outcome.detail) == (passed, detail)

@@ -293,8 +293,8 @@ class TestRunCommand:
         triple = split(ds, cfg.ratios, cfg.split_seed)
         part = partition_popularity(triple.train, ds.num_items, cfg.partition_ratio)
         scores = mask_seen(popularity_scorer(triple.train), triple.train)
-        lists = rerank_path(scores, part, RerankConfig(k=cfg.rerank.k), (0.0,))[0]
-        direct = evaluate(eval_context(triple.test, triple.train, part, cfg.rerank.k), [lists])[0]
+        lists = rerank_path(scores, part, RerankConfig(k=cfg.rerank.k), (0.0,))
+        direct = evaluate(eval_context(triple.test, triple.train, part, cfg.rerank.k), lists)[0]
         n_row = next(row.report for row in result.rows if row.row_type == "N")
         assert n_row == direct
 
@@ -316,8 +316,9 @@ class TestRunCommand:
             export, _ = write_scores(tmp_path / f"scores_{name}.tsv", raw, ds)
             assert result.files[f"scores_{name}"].read_bytes() == export.read_bytes()
             masked = mask_seen(raw, triple.train)
-            for lam, lists in zip(lambdas, rerank_path(masked, part, cfg.rerank, lambdas)):
-                expected, _ = write_lists(tmp_path / "l.tsv", lists, ds, part)
+            lists = rerank_path(masked, part, cfg.rerank, lambdas)
+            for at, lam in enumerate(lambdas):
+                expected, _ = write_lists(tmp_path / "l.tsv", lists, at, ds, part)
                 assert result.files[f"lists_{name}_lambda{lam:g}"].read_bytes() == expected.read_bytes()
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["outputs"] == {name: sha256_file(path) for name, path in result.files.items()}

@@ -5,10 +5,13 @@ for an empty value. Each row pins one key."""
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairrerank.config import KEYS as CONFIG_KEYS
 from fairrerank.config import ConfigError, build_config, config_snapshot, load_config
+from fairrerank.rerank import RerankConfig
+from fairrerank.scorers import MFConfig
 from fairrerank.synthetic import write_zipf_dataset
 
 # key, valid value, its snapshot text, malformed value, the error it gives,
@@ -300,6 +303,34 @@ def test_duplicate_list_values_rejected(pairs, message):
     with pytest.raises(ConfigError) as exc:
         build_config(pairs)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: RerankConfig(k=2.5), "k must be an integer, got 2.5"),
+        (lambda: RerankConfig(k=np.float64(3.0)), f"k must be an integer, got {np.float64(3.0)!r}"),
+        (lambda: RerankConfig(pool_size=float("nan")), "pool_size must be an integer, got nan"),
+        (lambda: RerankConfig(k=3, pool_size=4.0), "pool_size must be an integer, got 4.0"),
+        (lambda: MFConfig(latent_dim=2.5), "latent_dim must be an integer, got 2.5"),
+        (lambda: MFConfig(iterations=1.5), "iterations must be an integer, got 1.5"),
+        (lambda: MFConfig(seed=-1), "seed must be >= 0"),
+        (lambda: MFConfig(seed=0.5), "seed must be an integer, got 0.5"),
+        (lambda: RerankConfig(k=np.int64(3), pool_size=np.int32(5)), None),
+        (lambda: MFConfig(latent_dim=np.int64(4), iterations=np.uint8(0), seed=np.uint32(2**31)), None),
+    ],
+    ids=["k-float", "k-numpy-float", "pool-nan", "pool-float", "dim-float", "iters-float", "seed-negative",
+         "seed-float", "rerank-numpy-ints", "mf-numpy-ints"],
+)
+def test_config_objects_check_their_integer_fields(make, message):
+    """The library's config objects take integers (numpy ones too) in range
+    for their integer fields, and raise at construction otherwise."""
+    if message is None:
+        make()
+    else:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 def _readme_key_rows():

@@ -227,6 +227,14 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(ds, ratios=(0.9, -0.1, 0.2), seed=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_ratios_rejected(self, bad, at):
+        ratios = [0.7, 0.1, 0.2]
+        ratios[at] = bad
+        with pytest.raises(ValueError, match=r"ratios must be three positive numbers, got \("):
+            split(build_dataset(_log_for_user_counts([5])), ratios=tuple(ratios), seed=0)
+
     @given(
         counts=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=15),
         seed=st.integers(min_value=0, max_value=2**31),

@@ -15,7 +15,7 @@ from fairrerank.synthetic import random_rerank_instance
 
 
 def lists_of(rows, num_items):
-    return RecommendationLists(items=np.asarray(rows, dtype=np.int64), num_items=num_items)
+    return RecommendationLists(items=np.asarray(rows, dtype=np.int64)[None], num_items=num_items)
 
 
 class TestPrecisionRecall:
@@ -173,7 +173,7 @@ class TestPersonalization:
     def test_single_user_rejected(self):
         ctx = eval_context(judged_split([{0}], 3), interactions([], 1, 3), make_partition([False] * 3), 2)
         with pytest.raises(ValueError, match="at least 2 users"):
-            evaluate(ctx, [lists_of([[0, 1]], 3)])
+            evaluate(ctx, lists_of([[0, 1]], 3))
 
     def test_exact_above_5000_users(self):
         # two groups of g users with disjoint lists, identical within a
@@ -262,7 +262,7 @@ class TestExposureCounts:
         rng = np.random.default_rng(0)
         for _ in range(25):
             inst = random_rerank_instance(rng, min_k=2)  # diversity needs lists of 2
-            lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (float(rng.random()),))[0]
+            lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (float(rng.random()),))
             report = evaluated(lists, part=make_partition(inst.part.short_head))
             m, k = report.evaluated_users, inst.k  # `evaluated` scores a one-user set as two users
             assert report.short_count + report.long_count == m * k
@@ -278,7 +278,7 @@ def _full_inputs(seed=0, m=8, n=12, k=3):
     )
     part = make_partition([j < 3 for j in range(n)], train)
     rows = np.stack([rng.choice(n, size=k, replace=False) for _ in range(m)])
-    lists = RecommendationLists(items=rows.astype(np.int64), num_items=n)
+    lists = RecommendationLists(items=rows.astype(np.int64)[None], num_items=n)
     judgments = [set(rng.choice(n, size=2, replace=False).tolist()) for _ in range(m)]
     return lists, judgments, train, part, k
 
@@ -287,9 +287,9 @@ class TestEvaluateAll:
     def test_composes_component_metrics(self):
         lists, judgments, train, part, k = _full_inputs()
         report = evaluated(lists, judgments, train, part, k)
-        assert report.precision == reference.precision_recall_at_k(lists, judgments, k)[0]
-        assert report.ndcg == reference.ndcg_at_k(lists, judgments, k)
-        assert report.coverage == reference.coverage(lists, part.num_items)
+        assert report.precision == reference.precision_recall_at_k(lists.items[0], judgments, k)[0]
+        assert report.ndcg == reference.ndcg_at_k(lists.items[0], judgments, k)
+        assert report.coverage == reference.coverage(lists.items[0], part.num_items)
         assert report.short_count + report.long_count == lists.num_users * k
         assert report.k == k
         assert report.evaluated_users == lists.num_users
@@ -297,7 +297,7 @@ class TestEvaluateAll:
     def test_user_permutation_invariance(self):
         lists, judgments, train, part, k = _full_inputs()
         perm = np.random.default_rng(1).permutation(lists.num_users)
-        shuffled = RecommendationLists(items=lists.items[perm], num_items=lists.num_items)
+        shuffled = RecommendationLists(items=lists.items[:, perm], num_items=lists.num_items)
         shuffled_judgments = [judgments[u] for u in perm]
         a = evaluated(lists, judgments, train, part, k)
         b = evaluated(shuffled, shuffled_judgments, train, part, k)
@@ -332,17 +332,18 @@ class TestEvaluateAll:
         _, judgments, train, part, k = _full_inputs(m=4)
         ctx = eval_context(judged_split(judgments, part.num_items), train, part, k)
         with pytest.raises(ValueError, match="lists cover 6 users but the context has 4 judgment sets"):
-            evaluate(ctx, [lists])
+            evaluate(ctx, lists)
 
     def test_more_judgment_sets_than_lists_rejected(self):
         lists, judgments, train, part, k = _full_inputs(m=6)
-        four = RecommendationLists(items=lists.items[:4], num_items=lists.num_items)
+        four = RecommendationLists(items=lists.items[:, :4], num_items=lists.num_items)
         with pytest.raises(ValueError, match="lists cover 4 users but the context has 6 judgment sets"):
-            evaluate(eval_context(judged_split(judgments, part.num_items), train, part, k), [lists, four])
+            evaluate(eval_context(judged_split(judgments, part.num_items), train, part, k), four)
 
     def test_no_list_set_gives_no_report(self):
         lists, judgments, train, part, k = _full_inputs()
-        assert evaluate(eval_context(judged_split(judgments, part.num_items), train, part, k), []) == []
+        none = RecommendationLists(items=lists.items[:0], num_items=lists.num_items)
+        assert evaluate(eval_context(judged_split(judgments, part.num_items), train, part, k), none) == []
 
     def test_judgments_from_interactions(self):
         test_set = interactions([(0, 1, 1.0), (0, 2, 1.0), (2, 0, 1.0)], 3, 4)
@@ -384,10 +385,11 @@ def test_grid_memory_follows_the_item_union_not_the_grid_length():
     part = make_partition([j < n // 5 for j in range(n)], train)
     base = np.argsort(rng.random((m, n)), axis=1)[:, :k]
     # each set lists the same rows for other users, so every set's items are the union
-    sets = [RecommendationLists(items=np.roll(base, shift, axis=0), num_items=n) for shift in range(16)]
-    assert all(len(np.unique(lists.items)) == n for lists in sets)
+    sets = RecommendationLists(items=np.stack([np.roll(base, shift, axis=0) for shift in range(16)]), num_items=n)
+    assert all(len(np.unique(items)) == n for items in sets.items)
+    first = RecommendationLists(items=sets.items[:1], num_items=n)
     ctx = eval_context(judged_split([set(row[:2].tolist()) for row in base], n), train, part, k)
-    one, grid = _traced_peak(evaluate, ctx, sets[:1]), _traced_peak(evaluate, ctx, sets)
+    one, grid = _traced_peak(evaluate, ctx, first), _traced_peak(evaluate, ctx, sets)
     assert grid <= one + (one >> 4), f"16 sets peaked at {grid} bytes against {one} for one set"
 
 
@@ -397,9 +399,9 @@ _VALID = dict(ndcg=0.5, precision=0.5, recall=0.5, novelty=1.0, diversity=0.5, c
 
 
 def _evaluate_two_item_lists_at_k_3():
-    lists = RecommendationLists(items=np.tile(np.arange(2, dtype=np.int64), (2, 1)), num_items=4)
+    lists = RecommendationLists(items=np.tile(np.arange(2, dtype=np.int64), (1, 2, 1)), num_items=4)
     train = interactions([(0, 0, 1.0), (1, 1, 1.0)], 2, 4)
-    evaluate(eval_context(judged_split([{0}, {1}], 4), train, make_partition([True, False, False, False], train), 3), [lists])
+    evaluate(eval_context(judged_split([{0}, {1}], 4), train, make_partition([True, False, False, False], train), 3), lists)
 
 
 @pytest.mark.parametrize(

@@ -26,11 +26,6 @@ from fairrerank.scorers import MASKED, ScoreMatrix, random_blocks
 from fairrerank.synthetic import random_rerank_instance
 
 
-def lists_of(rows):
-    arr = np.asarray(rows, dtype=np.int64)
-    return RecommendationLists(items=arr, num_items=int(arr.max()) + 1, objective=None)
-
-
 class TestAdjustedScores:
     """The fairness shift, checked by number on the adjusted scores that
     rerank_path keeps on its lists."""
@@ -41,9 +36,9 @@ class TestAdjustedScores:
         is listed, put back in item order."""
         matrix = ScoreMatrix(np.asarray(values, dtype=np.float64))
         cfg = RerankConfig(k=matrix.num_items, per_user_lambda=per_user_lambda)
-        (lists,) = rerank_path(matrix, make_partition(short_flags), cfg, (lam,))
+        lists = rerank_path(matrix, make_partition(short_flags), cfg, (lam,))
         out = np.empty_like(matrix.values)
-        np.put_along_axis(out, lists.items, lists.adjusted, axis=1)
+        np.put_along_axis(out, lists.items[0], lists.adjusted[0], axis=1)
         return out
 
     def test_lambda_zero_is_bitwise_identity(self):
@@ -76,8 +71,8 @@ class TestRerankExact:
         rng = np.random.default_rng(2)
         for index in range(20):
             inst = random_rerank_instance(rng, quantized=(index % 2 == 1))
-            fair = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))[0]
-            assert np.array_equal(fair.items, reference.plain_topk(inst.scores.values, inst.k))
+            fair = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))
+            assert np.array_equal(fair.items[0], reference.plain_topk(inst.scores.values, inst.k))
 
     def test_two_user_example_matches_enumeration(self):
         # independent oracle: exhaustive C(4,2) enumeration per user
@@ -93,15 +88,15 @@ class TestRerankExact:
             )
             expected.append(set(best))
         assert expected == [{2, 3}, {2, 3}]
-        lists = rerank_path(matrix, part, RerankConfig(k=k), (lam,))[0]
-        assert [set(row.tolist()) for row in lists.items] == expected
+        lists = rerank_path(matrix, part, RerankConfig(k=k), (lam,))
+        assert [set(row.tolist()) for row in lists.items[0]] == expected
 
     def test_saturating_lambda_forces_all_long_tail(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             inst = random_rerank_instance(rng)
-            lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (inst.saturating_lambda,))[0]
-            short_count, _, gap = reference.fairness_gap(lists, inst.part)
+            lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (inst.saturating_lambda,))
+            short_count, _, gap = reference.fairness_gap(lists.items[0], inst.part)
             assert short_count == 0
             assert gap == -inst.k
 
@@ -118,48 +113,48 @@ class TestRerankExact:
         values[:, :3] = MASKED  # best columns masked away
         matrix = ScoreMatrix(values)
         part = make_partition([True, False] * 4)
-        lists = rerank_path(matrix, part, RerankConfig(k=3), (0.5,))[0]
+        lists = rerank_path(matrix, part, RerankConfig(k=3), (0.5,))
         assert np.all(lists.items >= 3)
 
     def test_display_order_follows_original_scores(self):
         matrix = ScoreMatrix(np.array([[0.1, 0.9, 0.5, 0.7]]))
         part = make_partition([False, True, False, False])
         # large lambda selects the three long-tail items; display by R desc
-        lists = rerank_path(matrix, part, RerankConfig(k=3), (10.0,))[0]
-        assert lists.items[0].tolist() == [3, 2, 0]
+        lists = rerank_path(matrix, part, RerankConfig(k=3), (10.0,))
+        assert lists.items[0, 0].tolist() == [3, 2, 0]
 
     def test_objective_is_total_adjusted_score(self):
         matrix = ScoreMatrix(np.array([[0.6, 0.4], [0.2, 0.8]]))
         part = make_partition([True, False])
-        lists = rerank_path(matrix, part, RerankConfig(k=1), (0.5,))[0]
+        lists = rerank_path(matrix, part, RerankConfig(k=1), (0.5,))
         # per-slot shift 0.25: user0 max(0.35, 0.65)=0.65, user1 max(-0.05, 1.05)=1.05
-        assert lists.items[:, 0].tolist() == [1, 1]
-        assert lists.objective == approx(1.7)
+        assert lists.items[0, :, 0].tolist() == [1, 1]
+        assert lists.objective.shape == (1,) and lists.objective[0] == approx(1.7)
 
     def test_pool_size_restricts_candidates(self):
         matrix = ScoreMatrix(np.array([[0.9, 0.8, 0.2, 0.1]]))
         part = make_partition([True, True, False, False])
-        wide = rerank_path(matrix, part, RerankConfig(k=2), (8.0,))[0]
-        pooled = rerank_path(matrix, part, RerankConfig(k=2, pool_size=2), (8.0,))[0]
-        assert set(wide.items[0].tolist()) == {2, 3}
-        assert set(pooled.items[0].tolist()) == {0, 1}
+        wide = rerank_path(matrix, part, RerankConfig(k=2), (8.0,))
+        pooled = rerank_path(matrix, part, RerankConfig(k=2, pool_size=2), (8.0,))
+        assert set(wide.items[0, 0].tolist()) == {2, 3}
+        assert set(pooled.items[0, 0].tolist()) == {0, 1}
 
 
 class TestRerankOracle:
     def test_forced_selection_when_catalog_equals_k(self):
         matrix = ScoreMatrix(np.array([[0.3, 0.1, 0.2]]))
         part = make_partition([True, False, False])
-        lists = rerank_oracle(matrix, part, RerankConfig(k=3), (1.0,))[0]
-        assert set(lists.items[0].tolist()) == {0, 1, 2}
+        lists = rerank_oracle(matrix, part, RerankConfig(k=3), (1.0,))
+        assert set(lists.items[0, 0].tolist()) == {0, 1, 2}
 
     def test_tie_on_adjusted_breaks_by_index_among_equal_originals(self):
         matrix = ScoreMatrix(np.array([[0.2, 0.2, 0.2]]))
         part = make_partition([True, False, False])
-        lists = rerank_oracle(matrix, part, RerankConfig(k=1), (0.3,))[0]
+        lists = rerank_oracle(matrix, part, RerankConfig(k=1), (0.3,))
         # items 1 and 2 tie at adjusted 0.5 and original 0.2; lower index wins
-        assert lists.items[0].tolist() == [1]
-        exact = rerank_path(matrix, part, RerankConfig(k=1), (0.3,))[0]
-        assert exact.items[0].tolist() == [1]
+        assert lists.items[0, 0].tolist() == [1]
+        exact = rerank_path(matrix, part, RerankConfig(k=1), (0.3,))
+        assert exact.items[0, 0].tolist() == [1]
 
     def test_blocks_give_the_lists_of_their_dense_matrix(self):
         # the oracle reads any ScoreBlocks as one block of all users
@@ -168,8 +163,8 @@ class TestRerankOracle:
         cfg, lambdas = RerankConfig(k=3, pool_size=5), (0.0, 0.5, 2.0, 8.0)
         on_blocks = rerank_oracle(source, part, cfg, lambdas)
         on_dense = rerank_oracle(ScoreMatrix(source.rows(0, 4)), part, cfg, lambdas)
-        assert [lists.items.tolist() for lists in on_blocks] == [lists.items.tolist() for lists in on_dense]
-        assert [lists.objective for lists in on_blocks] == [lists.objective for lists in on_dense]
+        assert on_blocks.items.tolist() == on_dense.items.tolist()
+        assert on_blocks.objective.tolist() == on_dense.objective.tolist()
 
     def test_instance_too_large_rejected(self):
         matrix = ScoreMatrix(np.zeros((1, 60)))
@@ -183,12 +178,12 @@ class TestRerankOracle:
         rng = np.random.default_rng(seed)
         inst = random_rerank_instance(rng, quantized=bool(seed % 2))
         cfg, lam = RerankConfig(k=inst.k), lam_tenths / 10
-        fast = rerank_path(inst.scores, inst.part, cfg, (lam,))[0]
-        slow = rerank_oracle(inst.scores, inst.part, cfg, (lam,))[0]
-        assert fast.objective == approx(slow.objective, abs=1e-9)
+        fast = rerank_path(inst.scores, inst.part, cfg, (lam,))
+        slow = rerank_oracle(inst.scores, inst.part, cfg, (lam,))
+        assert fast.objective[0] == approx(slow.objective[0], abs=1e-9)
         for u in range(fast.num_users):
-            assert set(fast.items[u].tolist()) == set(slow.items[u].tolist())
-            assert fast.items[u].tolist() == slow.items[u].tolist()  # same display order
+            assert set(fast.items[0, u].tolist()) == set(slow.items[0, u].tolist())
+            assert fast.items[0, u].tolist() == slow.items[0, u].tolist()  # same display order
 
     @pytest.mark.parametrize("pool", ["k", "k+1", "n"])
     def test_honours_the_pool_size(self, pool):
@@ -200,16 +195,18 @@ class TestRerankOracle:
             size = {"k": inst.k, "k+1": inst.k + 1, "n": inst.scores.num_items}[pool]
             cfg, lambdas = RerankConfig(k=inst.k, pool_size=size), (0.0, 1.0, 3.0)
             path = rerank_path(inst.scores, inst.part, cfg, lambdas)
-            for fast, slow in zip(path, rerank_oracle(inst.scores, inst.part, cfg, lambdas)):
-                assert np.array_equal(fast.items, slow.items)
-                assert fast.objective == approx(slow.objective, abs=1e-9)
+            oracle = rerank_oracle(inst.scores, inst.part, cfg, lambdas)
+            assert path.items.shape == oracle.items.shape == (len(lambdas), inst.scores.num_users, inst.k)
+            for at in range(len(lambdas)):
+                assert np.array_equal(path.items[at], oracle.items[at])
+                assert path.objective[at] == approx(oracle.objective[at], abs=1e-9)
 
     def test_respects_masked_cells(self):
         values = np.array([[MASKED, 0.4, 0.6, 0.1]])
         matrix = ScoreMatrix(values)
         part = make_partition([True, True, False, False])
-        lists = rerank_oracle(matrix, part, RerankConfig(k=2), (0.0,))[0]
-        assert 0 not in lists.items[0].tolist()
+        lists = rerank_oracle(matrix, part, RerankConfig(k=2), (0.0,))
+        assert 0 not in lists.items[0, 0].tolist()
 
 
 def _sweep_inputs():
@@ -255,9 +252,9 @@ class TestLambdaSweep:
     def test_default_grid_yields_the_baseline_row(self):
         inst, train, judgments = _sweep_inputs()
         results = lambda_sweep(inst.scores, inst.part, RerankConfig(k=inst.k), judgments, train)
-        (lists,) = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))
+        lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k), (0.0,))
         test = judged_split(judgments, inst.part.num_items)
-        assert results == [(0.0, evaluate(eval_context(test, train, inst.part, inst.k), [lists])[0])]
+        assert results == [(0.0, evaluate(eval_context(test, train, inst.part, inst.k), lists)[0])]
 
 
 class TestRerankConfigValidation:
@@ -302,7 +299,7 @@ def _scored(lists, matrix, part, lam, per_user=False):
     """Hand-picked lists with the scores the solver would keep on them: the
     listed cells of the matrix and of the reference shift."""
     adjusted = reference.adjusted_scores(matrix, part, lam, per_user)
-    scores, shifted = (np.take_along_axis(m.values, lists.items, axis=1) for m in (matrix, adjusted))
+    scores, shifted = (np.take_along_axis(m.values[None], lists.items, axis=-1) for m in (matrix, adjusted))
     return replace(lists, scores=scores, adjusted=shifted)
 
 
@@ -315,18 +312,18 @@ class TestWriteLists:
         ds = build_dataset(parse_interactions([f"{u}\t{i}" for u in ("a", "b") for i in ("w", "x", "y", "z")]))
         scores = ScoreMatrix(np.array([[0.5, -0.0, 0.25, 0.125], [0.0, 1.0, -0.0, 1 / 3]]))
         part = make_partition([True, False, True, False])
-        lists = RecommendationLists(items=np.array([[0, 1], [3, 2]]), num_items=4)
+        lists = RecommendationLists(items=np.array([[[0, 1], [3, 2]]]), num_items=4)
         return ds, scores, part, lists
 
     def test_lists_without_scores_rejected(self, inputs, tmp_path):
         ds, _, part, lists = inputs
         with pytest.raises(ValueError, match="lists carry no scores"):
-            write_lists(tmp_path / "l.tsv", lists, ds, part)
+            write_lists(tmp_path / "l.tsv", lists, 0, ds, part)
         assert not (tmp_path / "l.tsv").exists()
 
     def test_lambda_zero_golden(self, inputs, tmp_path):
         ds, scores, part, lists = inputs
-        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), 0, ds, part)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.5\tshort\n"
             b"a\t2\tx\t-0\t-0\tlong\n"
@@ -337,7 +334,7 @@ class TestWriteLists:
     def test_positive_lambda_golden(self, inputs, tmp_path):
         # delta = lam / num_users = 0.25
         ds, scores, part, lists = inputs
-        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.5), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.5), 0, ds, part)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.25\tshort\n"
             b"a\t2\tx\t-0\t0.25\tlong\n"
@@ -347,7 +344,7 @@ class TestWriteLists:
 
     def test_per_user_lambda_golden(self, inputs, tmp_path):
         ds, scores, part, lists = inputs
-        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.1, per_user=True), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.1, per_user=True), 0, ds, part)
         assert path.read_bytes() == (
             b"a\t1\tw\t0.5\t0.4\tshort\n"
             b"a\t2\tx\t-0\t0.1\tlong\n"
@@ -361,12 +358,12 @@ class TestWriteLists:
         ds = build_dataset(parse_interactions([f"{u}\t{i}" for u in ("a", "b", "c") for i in ("w", "x", "y", "z")]))
         scores = ScoreMatrix(np.array([[0.0, -0.0, 0.5, 0.5], [0.0, -0.0, 0.5, 0.5], [-0.0, 0.0, 0.5, 0.25]]))
         part = make_partition([True, False, True, False])
-        lists = RecommendationLists(items=np.array([[2, 0, 1], [2, 1, 0], [3, 0, 1]]), num_items=4)
+        lists = RecommendationLists(items=np.array([[[2, 0, 1], [2, 1, 0], [3, 0, 1]]]), num_items=4)
         return ds, scores, part, lists
 
     def test_repeated_values_and_signed_zeros_lambda_zero(self, repeated, tmp_path):
         ds, scores, part, lists = repeated
-        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.0), 0, ds, part)
         assert path.read_bytes() == (
             b"a\t1\ty\t0.5\t0.5\tshort\n"
             b"a\t2\tw\t0\t0\tshort\n"
@@ -382,7 +379,7 @@ class TestWriteLists:
     def test_repeated_values_and_signed_zeros_positive_lambda(self, repeated, tmp_path):
         # delta = 0.75 / 3 users = 0.25
         ds, scores, part, lists = repeated
-        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.75), ds, part)
+        path, _ = write_lists(tmp_path / "l.tsv", _scored(lists, scores, part, 0.75), 0, ds, part)
         assert path.read_bytes() == (
             b"a\t1\ty\t0.5\t0.25\tshort\n"
             b"a\t2\tw\t0\t-0.25\tshort\n"
@@ -401,14 +398,14 @@ class TestWriteLists:
         inst = random_rerank_instance(rng)
         m, n = inst.scores.num_users, inst.scores.num_items
         ds = build_dataset(parse_interactions([f"u{u}\ti{i}" for u in range(m) for i in range(n)]))
-        lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k, per_user_lambda=per_user), (lam,))[0]
-        path, _ = write_lists(tmp_path / "l.tsv", lists, ds, inst.part)
+        lists = rerank_path(inst.scores, inst.part, RerankConfig(k=inst.k, per_user_lambda=per_user), (lam,))
+        path, _ = write_lists(tmp_path / "l.tsv", lists, 0, ds, inst.part)
         adjusted = reference.adjusted_scores(inst.scores, inst.part, lam, per_user)
         expected = [
             f"u{u}\t{rank}\ti{item}\t{inst.scores.values[u, item]:.10g}\t{adjusted.values[u, item]:.10g}"
             f"\t{'short' if inst.part.short_head[item] else 'long'}"
             for u in range(m)
-            for rank, item in enumerate(lists.items[u].tolist(), start=1)
+            for rank, item in enumerate(lists.items[0, u].tolist(), start=1)
         ]
         assert path.read_text().splitlines() == expected
 
@@ -419,7 +416,7 @@ class TestWriteLists:
         (lambda: RerankConfig(k=0), "k must be >= 1"),
         (lambda: RerankConfig(pool_size=-1), "pool_size must be >= 0"),
         (lambda: RecommendationLists(items=np.arange(3, dtype=np.int64), num_items=3),
-         "lists must be a (num_users, k) array"),
+         "lists must be a (points, num_users, k) array"),
         (lambda: _check_lists(np.array([[0, 2]]), 2), "list contains an out-of-catalog item index"),
         (lambda: rerank_path(ScoreMatrix(np.zeros((1, 2))), make_partition([True, False, False]), RerankConfig(k=1),
                              (0.0,)), "partition length does not match score matrix width"),

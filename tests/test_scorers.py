@@ -659,7 +659,7 @@ class TestScoreBlocks:
                             (0.0, 1.0))
         write_scores(tmp_path / "s.tsv", matrix, ds)
         assert matrix.values.tobytes() == original.tobytes()
-        listed = {(u, item) for point in lists for u, row in enumerate(point.items.tolist()) for item in row}
+        listed = {(u, item) for point in lists.items.tolist() for u, row in enumerate(point) for item in row}
         assert listed and not listed & pair_set(tiny_train)
 
 

@@ -3,6 +3,8 @@ metrics give exactly what the per-user reference loops in `reference.py`
 give. Lists and objectives must be equal (the objective with ==), and every
 report field equal by repr, so no changed bit goes unnoticed."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,13 +67,18 @@ def _check_against_reference(kind):
             assert str(caught.value) == error
             errors += 1
             continue
-        for lam, got, want in zip(LAMBDAS, rerank_path(matrix, part, cfg, LAMBDAS), expected):
-            assert np.array_equal(got.items, want.items)
-            assert got.objective == want.objective and repr(got.objective) == repr(want.objective)
+        got, shape = rerank_path(matrix, part, cfg, LAMBDAS), (len(LAMBDAS), matrix.num_users, cfg.k)
+        assert got.items.shape == got.scores.shape == got.adjusted.shape == shape
+        assert got.objective.shape == (len(LAMBDAS),)
+        if math.comb(matrix.num_items, cfg.k) <= 1000:  # the oracle enumerates every k-subset
+            assert rerank_oracle(matrix, part, cfg, LAMBDAS).items.shape == shape
+        for at, (lam, want) in enumerate(zip(LAMBDAS, expected)):
+            assert np.array_equal(got.items[at], want.items[0])
+            assert got.objective[at] == want.objective[0] and repr(got.objective[at]) == repr(want.objective[0])
             # the kept scores are the matrix's and the reference shift's cells, bit for bit
             adjusted = reference.adjusted_scores(matrix, part, lam, cfg.per_user_lambda)
-            assert got.scores.tobytes() == np.take_along_axis(matrix.values, got.items, axis=1).tobytes()
-            assert got.adjusted.tobytes() == np.take_along_axis(adjusted.values, got.items, axis=1).tobytes()
+            assert got.scores[at].tobytes() == np.take_along_axis(matrix.values, got.items[at], axis=1).tobytes()
+            assert got.adjusted[at].tobytes() == np.take_along_axis(adjusted.values, got.items[at], axis=1).tobytes()
             compared += 1
     assert compared > 250 and errors > 5
 
@@ -98,9 +105,9 @@ def test_one_point_path_equals_its_grid_point():
         matrix, part, cfg = _instance(rng, "quantized")
         matrix = ScoreMatrix(np.where(np.isfinite(matrix.values), matrix.values, 0.5))
         path = rerank_path(matrix, part, cfg, LAMBDAS[::-1])
-        for lam, lists in zip(LAMBDAS[::-1], path):
-            (one,) = rerank_path(matrix, part, cfg, (lam,))
-            assert np.array_equal(one.items, lists.items) and one.objective == lists.objective
+        for at, lam in enumerate(LAMBDAS[::-1]):
+            one = rerank_path(matrix, part, cfg, (lam,))
+            assert np.array_equal(one.items[0], path.items[at]) and one.objective[0] == path.objective[at]
 
 
 def test_rerank_path_rejects_bad_arguments():
@@ -113,14 +120,15 @@ def test_rerank_path_rejects_bad_arguments():
             rerank_path(matrix, part, RerankConfig(k=2), (0.0, bad))
     with pytest.raises(ValueError, match="exceeds catalog size"):
         rerank_path(matrix, part, RerankConfig(k=4), (0.0,))
-    assert rerank_path(matrix, part, RerankConfig(k=2), ()) == []
+    empty = rerank_path(matrix, part, RerankConfig(k=2), ())
+    assert empty.items.shape == empty.scores.shape == (0, 1, 2) and empty.objective.shape == (0,)
 
 
 def test_an_empty_matrix_gives_empty_lists():
     part = PopularityPartition(short_head=np.array([True, False, False]), popularity_count=np.zeros(3, dtype=np.int64))
     for solver in (rerank_path, rerank_oracle):
         lists = solver(ScoreMatrix(np.zeros((0, 3))), part, RerankConfig(k=2), (0.0, 1.0))
-        assert [point.items.shape for point in lists] == [(0, 2), (0, 2)]
+        assert lists.items.shape == (2, 0, 2)
 
 
 def test_validate_reports_the_first_bad_user():
@@ -195,10 +203,10 @@ def test_grid_oracle_matches_the_one_point_reference(case):
                 errors += 1
                 continue
             got = rerank_oracle(matrix, part, cfg, lambdas)
-        assert len(got) == len(expected)
-        for point, want in zip(got, expected):
-            assert np.array_equal(point.items, want.items)
-            assert point.objective == want.objective
+        assert got.items.shape == (len(expected), matrix.num_users, cfg.k) and got.objective.shape == (len(expected),)
+        for at, want in enumerate(expected):
+            assert np.array_equal(got.items[at], want.items[0])
+            assert got.objective[at] == want.objective[0]
         compared += 1
     assert compared > 10
     assert (errors > 0) == (case in ("masked", "to_plus_inf"))
@@ -220,7 +228,7 @@ def test_solvers_report_the_first_failing_lambda():
             with np.errstate(over="ignore"), pytest.raises(ValueError) as caught:
                 solver(ScoreMatrix(np.array(rows)), part, cfg, lambdas)
             assert str(caught.value) == message
-    assert rerank_oracle(ScoreMatrix(np.array(cases[0][0])), part, cfg, ()) == []
+    assert rerank_oracle(ScoreMatrix(np.array(cases[0][0])), part, cfg, ()).items.shape == (0, 2, 2)
 
 
 def test_path_names_the_cell_a_lambda_shifts_past_the_float_maximum():
@@ -250,23 +258,23 @@ def _evaluation(rng):
     mode = rng.integers(3)
     if mode == 0:
         matrix = ScoreMatrix(np.round(rng.random((m, n)) * 8) / 8)
-        items = rerank_path(matrix, part, RerankConfig(k=k), (float(rng.choice(LAMBDAS)),))[0].items
+        items = rerank_path(matrix, part, RerankConfig(k=k), (float(rng.choice(LAMBDAS)),)).items[0]
     elif mode == 1:
         items = np.tile(rng.choice(n, size=k, replace=False), (m, 1))
     else:
         items = np.stack([rng.choice(n, size=k, replace=False) for _ in range(m)])
-    return RecommendationLists(items=items.astype(np.int64), num_items=n), judgments, train, part, k
+    return RecommendationLists(items=items.astype(np.int64)[None], num_items=n), judgments, train, part, k
 
 
 def _same(a, b):
     return repr(a) == repr(b)
 
 
-def _assert_grid_matches_reference(point_lists, judgments, train, part, k):
-    got = evaluate(eval_context(judged_split(judgments, part.num_items), train, part, k), point_lists)
-    assert len(got) == len(point_lists)
-    for report, lists in zip(got, point_lists):
-        want = reference.evaluate_all(lists, judgments, train, part, k)
+def _assert_grid_matches_reference(lists, judgments, train, part, k):
+    got = evaluate(eval_context(judged_split(judgments, part.num_items), train, part, k), lists)
+    assert len(got) == len(lists.items)
+    for report, items in zip(got, lists.items):
+        want = reference.evaluate_all(items, judgments, train, part, k)
         for field, value in report.as_dict().items():
             assert _same(value, getattr(want, field)), field
 
@@ -275,7 +283,7 @@ def test_metrics_match_per_user_reference():
     rng = np.random.default_rng(2024)
     for _ in range(150):
         lists, judgments, train, part, k = _evaluation(rng)
-        _assert_grid_matches_reference([lists], judgments, train, part, k)
+        _assert_grid_matches_reference(lists, judgments, train, part, k)
 
 
 def test_one_context_serves_every_list_set():
@@ -285,10 +293,11 @@ def test_one_context_serves_every_list_set():
     ctx = eval_context(test, train, part, k)
     for lam in LAMBDAS:
         matrix = ScoreMatrix(rng.random((lists.num_users, lists.num_items)))
-        (point,) = rerank_path(matrix, part, RerankConfig(k=k), (lam,))
-        assert evaluate(ctx, [point])[0] == evaluate(eval_context(test, train, part, k), [point])[0]
-    longer = RecommendationLists(items=np.argsort(-rng.random((lists.num_users, lists.num_items)), axis=1), num_items=lists.num_items)
-    assert evaluate(ctx, [longer])[0] == reference.evaluate_all(longer, judgments, train, part, k)
+        point = rerank_path(matrix, part, RerankConfig(k=k), (lam,))
+        assert evaluate(ctx, point)[0] == evaluate(eval_context(test, train, part, k), point)[0]
+    order = np.argsort(-rng.random((lists.num_users, lists.num_items)), axis=1)
+    longer = RecommendationLists(items=order[None], num_items=lists.num_items)
+    assert evaluate(ctx, longer)[0] == reference.evaluate_all(order, judgments, train, part, k)
 
 
 def test_grid_whose_sets_share_items_matches_per_point_reference():
@@ -297,7 +306,7 @@ def test_grid_whose_sets_share_items_matches_per_point_reference():
         lists, judgments, train, part, k = _evaluation(rng)
         matrix = ScoreMatrix(np.round(rng.random((lists.num_users, lists.num_items)) * 8) / 8)
         point_lists = rerank_path(matrix, part, RerankConfig(k=k), LAMBDAS)
-        _assert_grid_matches_reference([*point_lists, lists], judgments, train, part, k)
+        _assert_grid_matches_reference(reference.stacked([point_lists, lists]), judgments, train, part, k)
 
 
 def test_grid_of_sets_with_disjoint_items_matches_per_point_reference():
@@ -310,9 +319,9 @@ def test_grid_of_sets_with_disjoint_items_matches_per_point_reference():
         short = np.concatenate((part.short_head, part.short_head[::-1]))
         part = PopularityPartition(short_head=short, popularity_count=np.bincount(train.items, minlength=wide))
         low = RecommendationLists(items=lists.items, num_items=wide)
-        high = RecommendationLists(items=lists.items[::-1] + n, num_items=wide)
+        high = RecommendationLists(items=lists.items[:, ::-1] + n, num_items=wide)
         assert not set(low.items.ravel().tolist()) & set(high.items.ravel().tolist())
-        _assert_grid_matches_reference([low, high], judgments, train, part, k)
+        _assert_grid_matches_reference(reference.stacked([low, high]), judgments, train, part, k)
 
 
 def test_grid_of_lists_longer_than_k_is_truncated_like_the_reference():
@@ -320,9 +329,11 @@ def test_grid_of_lists_longer_than_k_is_truncated_like_the_reference():
     for _ in range(40):
         lists, judgments, train, part, k = _evaluation(rng)
         m, n = lists.num_users, lists.num_items
-        full = RecommendationLists(items=np.argsort(-rng.random((m, n)), axis=1), num_items=n)
+        full = RecommendationLists(items=np.argsort(-rng.random((m, n)), axis=1)[None], num_items=n)
         longer = rerank_path(ScoreMatrix(rng.random((m, n))), part, RerankConfig(k=n), LAMBDAS[:3])
-        _assert_grid_matches_reference([lists, full, *longer], judgments, train, part, k)
+        # a grid's sets share one length: the length-k set is a grid of its own
+        _assert_grid_matches_reference(lists, judgments, train, part, k)
+        _assert_grid_matches_reference(reference.stacked([full, longer]), judgments, train, part, k)
 
 
 @pytest.mark.parametrize("bound", [1, 7, metrics._PAIR_CODES], ids=["one-pair", "seven", "default"])
@@ -336,7 +347,7 @@ def test_union_gram_equals_the_dense_incidence_product(monkeypatch, bound):
         size = int(rng.integers(0, 3 * m * n // 2))
         train = Interactions(rng.integers(0, m, size), rng.integers(0, n, size), np.ones(size), m, n)
         k = int(rng.integers(1, n + 1))
-        point_items = [np.argsort(rng.random((m, n)), axis=1)[:, :k] for _ in range(int(rng.integers(1, 4)))]
+        point_items = np.stack([np.argsort(rng.random((m, n)), axis=1)[:, :k] for _ in range(int(rng.integers(1, 4)))])
         gram, row_of = metrics._union_gram(point_items, train, n)
         expected, recommended = reference.union_gram(point_items, train, n)
         assert np.array_equal(row_of[recommended], np.arange(len(recommended)))
